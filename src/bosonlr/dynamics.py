@@ -21,6 +21,8 @@ KRYLOV_DIM = 30
 KRYLOV_TOL = 1e-10
 _BREAKDOWN = 1e-13
 _MAX_HALVINGS = 60
+# columns per dense propagation block: temporaries stay O(D * chunk)
+PROPAGATE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,27 @@ class SpectralDecomposition:
 
     def propagate(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
         """exp(-i H t) applied through the eigenbasis."""
-        coeff = self.vectors.conj().T @ amplitudes
-        coeff *= np.exp(-1j * self.energies * t)
-        return self.vectors @ coeff
+        return self.propagate_block(amplitudes[:, None], t)[:, 0]
+
+    def propagate_block(self, columns: np.ndarray, t: float) -> np.ndarray:
+        """exp(-i H t) applied to every column of a (D, k) block.
+
+        The eigenvectors are block-diagonal by sector, so each sector n
+        takes V_n (phases * V_n^* X_n) on its own rows; sectors where the
+        block is zero are skipped, and no D x D temporary is formed.
+        """
+        out = np.zeros(columns.shape, dtype=np.complex128)
+        phases = np.exp(-1j * self.energies * t)
+        for _, sl in self.sector_slices():
+            X = columns[sl]
+            if not X.any():
+                continue
+            Vn = self.vectors[sl, sl]
+            # conj(V_n^T conj(X)) = V_n^* X without copying conj(V_n)
+            coeff = (Vn.T @ X.conj()).conj()
+            coeff *= phases[sl, None]
+            out[sl] = Vn @ coeff
+        return out
 
     def rotate(self, matrix) -> np.ndarray:
         """V^* M V: the operator in the eigenbasis (dense)."""
@@ -85,17 +105,7 @@ class SpectralDecomposition:
         return self.vectors.conj().T @ dense @ self.vectors
 
     def sector_slices(self) -> list[tuple[int, slice]]:
-        out = []
-        start = 0
-        n = self.dimension
-        while start < n:
-            s = int(self.sectors[start])
-            stop = start
-            while stop < n and self.sectors[stop] == s:
-                stop += 1
-            out.append((s, slice(start, stop)))
-            start = stop
-        return out
+        return self.basis.sector_slices()
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
@@ -216,6 +226,29 @@ def _krylov_evolve(matvec, amps: np.ndarray, t: float, m: int, tol: float) -> np
     return norm * v
 
 
+def _propagator(H, basis, t, decomposition, engine, tol, krylov_dim=KRYLOV_DIM):
+    """exp(-i H t) as a map on (D, k) column blocks; engines as in
+    ``evolve_state``.  The Krylov route propagates column by column and
+    never reads a decomposition."""
+    if not H.hermitian:
+        raise InvalidArgumentError("the generator must be hermitian")
+    if H.basis.basis_id != basis.basis_id:
+        raise InvalidArgumentError("state and generator live on different bases")
+    if engine not in ("auto", "dense", "krylov"):
+        raise InvalidArgumentError(f"unknown engine {engine!r}")
+    if engine == "dense" or (engine == "auto" and decomposition is not None):
+        decomp = decomposition if decomposition is not None else eigendecompose(H)
+        return lambda X: decomp.propagate_block(X, t)
+
+    def krylov(X):
+        out = np.empty(X.shape, dtype=np.complex128)
+        for j in range(X.shape[1]):
+            out[:, j] = _krylov_evolve(lambda v: H.matrix @ v, X[:, j], t, krylov_dim, tol)
+        return out
+
+    return krylov
+
+
 def evolve_state(
     H: SparseOperator,
     psi: StateVector,
@@ -231,20 +264,26 @@ def evolve_state(
     supplied and the Krylov route otherwise; "dense" computes the
     decomposition on demand.
     """
-    if not H.hermitian:
-        raise InvalidArgumentError("evolve_state expects a hermitian generator")
-    if H.basis.basis_id != psi.basis.basis_id:
-        raise InvalidArgumentError("state and generator live on different bases")
-    if engine not in ("auto", "dense", "krylov"):
-        raise InvalidArgumentError(f"unknown engine {engine!r}")
-    if engine == "auto":
-        engine = "dense" if decomposition is not None else "krylov"
-    if engine == "dense":
-        if decomposition is None:
-            decomposition = eigendecompose(H)
-        return StateVector(psi.basis, decomposition.propagate(psi.amplitudes, t))
-    amps = _krylov_evolve(lambda v: H.matrix @ v, psi.amplitudes, t, krylov_dim, tol)
-    return StateVector(psi.basis, amps)
+    propagate = _propagator(H, psi.basis, t, decomposition, engine, tol, krylov_dim)
+    return StateVector(psi.basis, propagate(psi.amplitudes[:, None])[:, 0])
+
+
+def _weighted_expectation(
+    H, A, basis, weights, columns, t, bra_op, ket_op, decomposition, engine, tol=KRYLOV_TOL
+) -> complex:
+    """sum_j w_j <U bra_op psi_j, A U ket_op psi_j> with U = exp(-i H t),
+    over the columns psi_j with w_j != 0 (a None operator is the identity),
+    propagated PROPAGATE_CHUNK columns at a time."""
+    propagate = _propagator(H, basis, t, decomposition, engine, tol)
+    kept = np.flatnonzero(weights)
+    total = 0.0 + 0.0j
+    for start in range(0, kept.size, PROPAGATE_CHUNK):
+        cols = kept[start : start + PROPAGATE_CHUNK]
+        psi = columns[:, cols]
+        left = propagate(psi if bra_op is None else bra_op @ psi)
+        right = propagate(psi if ket_op is None else ket_op @ psi)
+        total += np.einsum("ij,ij->j", left.conj(), A.matrix @ right) @ weights[cols]
+    return complex(total)
 
 
 def heisenberg_expectation(
@@ -265,24 +304,11 @@ def heisenberg_expectation(
     state's own Hamiltonian, e.g. after a quench).
     """
     if isinstance(state, StateVector):
-        pairs = [(1.0, state.amplitudes)]
-        basis = state.basis
+        basis, weights, columns = state.basis, np.ones(1), state.amplitudes[:, None]
     else:  # thermal state (duck-typed to avoid a module cycle)
-        pairs = [
-            (float(w), state.decomp.vectors[:, j])
-            for j, w in enumerate(state.weights)
-            if w != 0.0
-        ]
-        basis = state.decomp.basis
-    if H.basis.basis_id != basis.basis_id:
-        raise InvalidArgumentError("state and generator live on different bases")
-    total = 0.0 + 0.0j
-    for w, amps in pairs:
-        ket = amps if B is None else B.matrix @ amps
-        left = evolve_state(H, StateVector(basis, amps), t, decomposition, engine, tol)
-        right = evolve_state(H, StateVector(basis, ket), t, decomposition, engine, tol)
-        total += w * np.vdot(left.amplitudes, A.matrix @ right.amplitudes)
-    return complex(total)
+        basis, weights, columns = state.decomp.basis, state.weights, state.decomp.vectors
+    ket_op = None if B is None else B.matrix
+    return _weighted_expectation(H, A, basis, weights, columns, t, None, ket_op, decomposition, engine, tol)
 
 
 def heisenberg_operator(

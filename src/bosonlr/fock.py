@@ -66,16 +66,10 @@ class FockBasis:
 
     def sector_slices(self) -> list[tuple[int, slice]]:
         """(total_n, index slice) per sector; states are sector-contiguous."""
-        out = []
-        start = 0
-        while start < self.dimension:
-            n = int(self.totals[start])
-            stop = start
-            while stop < self.dimension and self.totals[stop] == n:
-                stop += 1
-            out.append((n, slice(start, stop)))
-            start = stop
-        return out
+        if self.dimension == 0:
+            return []
+        cuts = [0, *(np.flatnonzero(np.diff(self.totals)) + 1).tolist(), self.dimension]
+        return [(int(self.totals[a]), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
 
 
 def sector_dimension(n_sites: int, n: int, cap: int | None) -> int:

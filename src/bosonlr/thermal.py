@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SpectralDecomposition, StateVector, eigendecompose, evolve_state
+from .dynamics import SpectralDecomposition, StateVector, _weighted_expectation, eigendecompose
 from .errors import (
     DivergingPartitionFunctionError,
     InvalidArgumentError,
@@ -157,17 +157,18 @@ def expectation(state: GibbsState, A: SparseOperator) -> complex:
     return complex(np.dot(state.weights, diag))
 
 
-def moment_sup(state: GibbsState, p: float) -> float:
-    """max over sites x of the thermal expectation of (1 + n_x)^p."""
+def moment_sup(state, p: float) -> float:
+    """max over sites x of the expectation of (1 + n_x)^p in a thermal
+    state or in a pure StateVector (normalized here)."""
     if p < 1:
         raise InvalidArgumentError("moment exponent must satisfy p >= 1")
-    V = state.decomp.vectors
-    probs = (np.abs(V) ** 2) @ state.weights
+    if isinstance(state, StateVector):
+        probs = np.abs(state.amplitudes) ** 2
+        probs = probs / probs.sum()
+    else:
+        probs = (np.abs(state.decomp.vectors) ** 2) @ state.weights
     occ = state.basis.occupations
-    best = 0.0
-    for col in range(occ.shape[1]):
-        best = max(best, float(np.dot(probs, (1.0 + occ[:, col]) ** float(p))))
-    return best
+    return max(float(np.dot(probs, (1.0 + occ[:, c]) ** float(p))) for c in range(occ.shape[1]))
 
 
 def _require_number_conserving(op: SparseOperator, name: str):
@@ -256,22 +257,10 @@ def two_point(
     decomp = generator_decomp
     if engine == "dense" and decomp is None:
         decomp = state.decomp if generator is None else eigendecompose(H)
-    total = 0.0 + 0.0j
-    basis = state.basis
-    for j, w in enumerate(state.weights):
-        if w == 0.0:
-            continue
-        psi = state.decomp.vectors[:, j]
-        if order == "AB":
-            bra = psi
-            ket = psi if B is None else B.matrix @ psi
-        else:
-            bra = psi if B is None else B.matrix.conj().T @ psi
-            ket = psi
-        left = evolve_state(H, StateVector(basis, bra), t, decomp, engine)
-        right = evolve_state(H, StateVector(basis, ket), t, decomp, engine)
-        total += w * np.vdot(left.amplitudes, A.matrix @ right.amplitudes)
-    return complex(total)
+    Bm = None if B is None else B.matrix
+    bra_op, ket_op = (None, Bm) if order == "AB" else (None if Bm is None else Bm.conj().T, None)
+    columns = state.decomp.vectors
+    return _weighted_expectation(H, A, state.basis, state.weights, columns, t, bra_op, ket_op, decomp, engine)
 
 
 def kms_residual(

@@ -16,6 +16,7 @@ from bosonlr import (
     enumerate_basis,
     enumerate_sectors,
     evolve_state,
+    gibbs_state,
     free_particle_amplitude,
     full_region,
     heisenberg_expectation,
@@ -26,6 +27,7 @@ from bosonlr import (
     operator_norm,
 )
 from bosonlr.dynamics import StateVector, inverse_moment_upper_bound
+from bosonlr.operators import SparseOperator
 
 
 def chain_model(L, sector=None, n_max=None, cap=None, J=1.0, U=0.0):
@@ -192,7 +194,6 @@ def test_heisenberg_operator():
     assert np.abs(heisenberg_operator(H, A, 0.0, d) - A.to_dense()).max() < 1e-12
     # functions of the generator are fixed points
     fH = d.vectors @ np.diag(np.exp(-d.energies)) @ d.vectors.conj().T
-    from bosonlr.operators import SparseOperator
     import scipy.sparse as sp
 
     fH_op = SparseOperator(sp.csr_matrix(fH), basis, True)
@@ -261,3 +262,40 @@ def test_state_vector_validation():
         StateVector(basis, np.array([1.0, np.inf], dtype=complex))
     with pytest.raises(InvalidArgumentError):
         StateVector(basis, np.array([1.0, 0.0], dtype=complex), norm=2.0)
+
+
+def test_batched_heisenberg_expectation_matches_eigenvector_loop():
+    import scipy.sparse as sp
+
+    _, _, basis, H = chain_model(4, n_max=4, U=1.0)
+    d = eigendecompose(H)
+    V, E = d.vectors, d.energies
+    rng = np.random.default_rng(11)
+    A = local_observable(basis, {"kind": "number_function", "site": 1, "fn": "inv_one_plus_n"})
+    # sector-mixing B: B psi spreads over several sector blocks
+    mixing = sp.random(basis.dimension, basis.dimension, density=0.05, random_state=rng, dtype=complex)
+    B = SparseOperator(mixing.tocsr(), basis, False)
+    amps = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+    psi = StateVector(basis, amps / np.linalg.norm(amps))
+    gam = gibbs_state(H, 1.0, -2.0, 3, tail_tol=0.5)
+    assert np.any(gam.weights == 0.0)
+
+    def reference(pairs, B_, t):
+        def propagate(v):
+            return V @ (np.exp(-1j * E * t) * (V.conj().T @ v))
+
+        return sum(
+            w * np.vdot(propagate(v), A.matrix @ propagate(v if B_ is None else B_.matrix @ v))
+            for w, v in pairs
+            if w != 0.0
+        )
+
+    thermal_pairs = list(zip(gam.weights, gam.decomp.vectors.T))
+    for B_ in (B, None):
+        for t in (0.0, 0.6, 1.9):
+            got = heisenberg_expectation(H, A, psi, B_, t, decomposition=d)
+            assert abs(got - reference([(1.0, psi.amplitudes)], B_, t)) <= 1e-12
+            got = heisenberg_expectation(H, A, gam, B_, t, decomposition=d)
+            assert abs(got - reference(thermal_pairs, B_, t)) <= 1e-12
+        krylov = heisenberg_expectation(H, A, psi, B_, 1.9, engine="krylov")
+        assert abs(krylov - reference([(1.0, psi.amplitudes)], B_, 1.9)) <= 1e-9

@@ -237,3 +237,21 @@ def test_write_report_bad_path():
     rep = run_moment_propagation(cfg)
     with pytest.raises(OSError, match="cannot write report"):
         write_report(rep, "/proc/definitely/not/writable")
+
+
+def test_exact_zero_at_cap_and_on_covering_shells():
+    # both sides of these rows go through the same decomposition, so they
+    # must agree bit for bit, not merely to rounding
+    cfg = small("chain-4", basis={"site_cap": 4, "n_max": 8}, sweeps={"cutoffs": [2]}, workers=2)
+    at_cap = [r for r in run_cutoff_scaling(cfg).records if r["at_cap"]]
+    assert at_cap and all(r["measured"] == 0.0 for r in at_cap)
+    cfg = small(
+        "chain-10",
+        graph={"type": "chain", "length": 8},
+        sweeps={"times": [0.25], "shells": [2, 3], "sup_times": [0.1, 0.25, 0.4]},
+        workers=2,
+    )
+    rows = RUNNERS["local-approx"](cfg).records
+    assert [r["covering"] for r in rows] == [False, True]
+    assert rows[0]["sup_difference"] > 0.0
+    assert rows[1]["sup_difference"] == 0.0

@@ -14,6 +14,7 @@ from bosonlr import (
     assemble_hopping,
     assemble_interaction,
     build_chain,
+    cutoff_projection,
     eigendecompose,
     enumerate_sectors,
     expectation,
@@ -28,9 +29,11 @@ from bosonlr import (
     moment_sup,
     number_operator,
     operator_norm,
+    sandwich,
     two_point,
 )
-from bosonlr.operators import SparseOperator
+from bosonlr.dynamics import PROPAGATE_CHUNK
+from bosonlr.operators import SparseOperator, same_matrix
 
 
 def single_site_free(n_max=40, mu=-1.0, beta=1.0, U=0.0):
@@ -284,3 +287,74 @@ def test_fixed_sector_state():
     d = eigendecompose(H)
     direct = np.exp(-2.0 * (d.energies - d.energies.min()))
     assert np.allclose(gam.weights, direct / direct.sum())
+
+
+def reference_two_point(state, A, B, t, order, decomp):
+    """One eigenvector of the state at a time, each propagated through the
+    full (not sector-blocked) eigenbasis of the generator."""
+    V, E = decomp.vectors, decomp.energies
+
+    def propagate(v):
+        return V @ (np.exp(-1j * E * t) * (V.conj().T @ v))
+
+    total = 0.0 + 0.0j
+    for j, w in enumerate(state.weights):
+        if w == 0.0:
+            continue
+        psi = state.decomp.vectors[:, j]
+        bra = B.matrix.conj().T @ psi if B is not None and order == "BA" else psi
+        ket = B.matrix @ psi if B is not None and order == "AB" else psi
+        total += w * np.vdot(propagate(bra), A.matrix @ propagate(ket))
+    return complex(total)
+
+
+def truncated_chain_state():
+    # four sites, sectors 0..5 in the basis but only 0..4 in the state:
+    # sector 5 carries exactly zero weight, and the 70 weighted columns
+    # span more than one propagation chunk
+    g = build_chain(4)
+    reg = full_region(g)
+    basis = enumerate_sectors(reg, 5)
+    H = assemble_hamiltonian(g, reg, basis, ModelParams(hopping=1.0, onsite=1.0))
+    gam = gibbs_state(H, 1.0, -1.0, 4, tail_tol=0.5)
+    assert np.all(gam.weights[basis.totals == 5] == 0.0)
+    assert np.count_nonzero(gam.weights) > PROPAGATE_CHUNK
+    A = local_observable(basis, {"kind": "number_function", "site": 1, "fn": "inv_one_plus_n"})
+    B = local_observable(basis, {"kind": "normalized_hop", "sites": [2, 3]})
+    return basis, reg, H, gam, A, B
+
+
+def test_batched_two_point_matches_eigenvector_loop():
+    basis, reg, H, gam, A, B = truncated_chain_state()
+    for order, B_ in (("AB", B), ("BA", B), ("AB", None)):
+        for t in (0.0, 0.7, 2.3):
+            got = two_point(gam, A, B_, t, order, engine="dense")
+            assert abs(got - reference_two_point(gam, A, B_, t, order, gam.decomp)) <= 1e-12
+
+
+def test_batched_two_point_with_cutoff_generator():
+    basis, reg, H, gam, A, B = truncated_chain_state()
+    G = sandwich(cutoff_projection(basis, reg, 2), H)
+    assert not same_matrix(G, H)
+    Gd = eigendecompose(G)
+    for order in ("AB", "BA"):
+        ref = reference_two_point(gam, A, B, 0.9, order, Gd)
+        assert abs(two_point(gam, A, B, 0.9, order, G, Gd, engine="dense") - ref) <= 1e-12
+        # the decomposition of a foreign generator is built on demand
+        assert abs(two_point(gam, A, B, 0.9, order, G, engine="dense") - ref) <= 1e-12
+
+
+def test_batched_two_point_with_sector_mixing_observable():
+    # B moves particles between sectors, so B psi_j spreads over several
+    # sector blocks of the propagator
+    basis, reg, H, gam, A, _ = truncated_chain_state()
+    rng = np.random.default_rng(3)
+    mixing = sp.random(basis.dimension, basis.dimension, density=0.05, random_state=rng)
+    mixing = (mixing + 1j * sp.random(basis.dimension, basis.dimension, density=0.05, random_state=rng)).tocsr()
+    B = SparseOperator(mixing, basis, False)
+    totals = basis.totals
+    coo = mixing.tocoo()
+    assert np.any(totals[coo.row] != totals[coo.col])
+    for order in ("AB", "BA"):
+        ref = reference_two_point(gam, A, B, 1.4, order, gam.decomp)
+        assert abs(two_point(gam, A, B, 1.4, order, engine="dense") - ref) <= 1e-12
