@@ -249,34 +249,38 @@ def resolve_dict(data: dict) -> dict:
         "thermal": {"beta": 1.0, "mu": -1.0, "tail_tol": 1e-10},
         "observables": {"pairs": []},
         "initial_state": {"kind": "gibbs"},
-        "sweeps": {},
+        "sweeps": {
+            "times": [],
+            "cutoffs": [],
+            "shells": [],
+            "moment_p": 4,
+            "displacement_max": 10,
+            "condensate_m": [],
+            "condensate_site": 1,
+            "condensate_time": 0.5,
+            "commutator_sites": [],
+            "sup_times": [],
+            "strip_points": 11,
+            "epsilons": [],
+        },
         "volumes": [],
         "deriv": {"range_R": 2, "trend_n_max": []},
         "cutoff_region": None,
-        "tolerances": {},
+        "tolerances": DEFAULT_TOLERANCES,
         "output_dir": None,
         "workers": None,
         "seed": 1234,
         "debug": {"dump_operators": False},
     }
     out = _deep_merge(defaults, merged)
-    out["tolerances"] = _deep_merge(DEFAULT_TOLERANCES, out["tolerances"])
-    sweep_defaults = {
-        "times": [],
-        "cutoffs": [],
-        "shells": [],
-        "moment_p": 4,
-        "displacement_max": 10,
-        "condensate_m": [],
-        "condensate_site": 1,
-        "condensate_time": 0.5,
-        "commutator_sites": [],
-        "sup_times": [],
-        "strip_points": 11,
-        "epsilons": [],
-    }
-    out["sweeps"] = _deep_merge(sweep_defaults, out["sweeps"])
-    out["deriv"] = _deep_merge({"range_R": 2, "trend_n_max": []}, out["deriv"])
+    # graph and initial_state keys depend on their type and are read per type
+    sections = ("model", "basis", "thermal", "observables", "sweeps", "deriv", "tolerances", "debug")
+    known = {key: set(defaults[key]) for key in sections}
+    known["sweeps"].add("lr_lambda")  # optional, read without a default
+    for section, keys in known.items():
+        _require(isinstance(out[section], dict), section, "must be a JSON object")
+        unknown = set(out[section]) - keys
+        _require(not unknown, section, f"unknown keys {sorted(unknown)}")
     return out
 
 

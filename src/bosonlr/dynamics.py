@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sparse
 
 from .errors import InvalidArgumentError, NumericalFailureError, ResourceLimitError
 from .fock import FockBasis
@@ -62,8 +63,11 @@ class SpectralDecomposition:
 
     Columns of ``vectors`` are orthonormal eigenvectors; eigenpairs are
     ordered by (sector, energy) and each eigenvector carries a fixed global
-    phase (first significant component real positive) so repeated runs are
-    bit-reproducible.
+    phase (largest-magnitude component real positive) so repeated runs are
+    bit-reproducible.  ``vectors`` is float64 when the operator has no
+    imaginary entry (a real symmetric generator has real eigenvectors) and
+    complex128 otherwise; every method takes real or complex operands and
+    multiplies a real block with ``_real_matmul``.
     """
 
     basis: FockBasis
@@ -93,28 +97,57 @@ class SpectralDecomposition:
             if not X.any():
                 continue
             Vn = self.vectors[sl, sl]
-            # conj(V_n^T conj(X)) = V_n^* X without copying conj(V_n)
-            coeff = (Vn.T @ X.conj()).conj()
-            coeff *= phases[sl, None]
-            out[sl] = Vn @ coeff
+            # conj(V_n^T conj(X)) = V_n^* X without copying conj(V_n); it is
+            # real for real V_n and X, so the phases multiply out of place
+            coeff = _real_matmul(Vn.T, X.conj()).conj() * phases[sl, None]
+            out[sl] = _real_matmul(Vn, coeff)
         return out
 
-    def rotate(self, matrix) -> np.ndarray:
-        """V^* M V: the operator in the eigenbasis (dense)."""
-        dense = matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
-        return self.vectors.conj().T @ dense @ self.vectors
+    def rotate(self, matrix, sl: slice = slice(None)) -> np.ndarray:
+        """V^* M V: the operator in the eigenbasis (dense), or, for a
+        sector slice ``sl``, that sector's block V_n^* M_n V_n."""
+        V = self.vectors[sl, sl]
+        return _real_matmul(V.conj().T, _real_matmul(matrix[sl, sl], V))
 
     def sector_slices(self) -> list[tuple[int, slice]]:
         return self.basis.sector_slices()
 
 
+def _real_matmul(a, b) -> np.ndarray:
+    """a @ b for a dense or sparse ``a`` and a dense ``b``, never upcasting
+    a real factor to complex.
+
+    When exactly one factor is complex, the real one multiplies the real
+    and the imaginary part of the other.  A complex vector takes two real
+    GEMVs (a GEMM with two columns packs ``a`` first, which costs more than
+    reading it twice); a complex block is read as the real matrix of its
+    interleaved parts, one real GEMM on both at once.  A sparse complex
+    ``a`` with no imaginary entry multiplies as real, giving a real result.
+    """
+    a_complex, b_complex = np.iscomplexobj(a), np.iscomplexobj(b)
+    if sparse.issparse(a) and a_complex and not b_complex:
+        out = a.real @ b
+        return out + 1j * (a.imag @ b) if a.data.imag.any() else out
+    if a_complex == b_complex:
+        return a @ b
+    if a_complex:  # dense complex @ real = (real^T @ complex^T)^T
+        return _real_matmul(b.T, a.T).T
+    if b.ndim == 1:
+        return a @ b.real + 1j * (a @ b.imag)
+    parts = np.ascontiguousarray(b).view(np.float64)
+    return (a @ parts).view(np.complex128)
+
+
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        idx = np.argmax(np.abs(col))
-        pivot = col[idx]
-        if np.abs(pivot) > 0:
-            col *= np.conj(pivot) / np.abs(pivot)
+    """Scale each column so its largest-magnitude entry (the first, on
+    ties) is real positive; real columns are scaled by +-1."""
+    cols = np.arange(vecs.shape[1])
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), cols]
+    mags = np.abs(pivots)
+    nonzero = mags > 0
+    factors = np.ones_like(pivots)
+    factors[nonzero] = np.conj(pivots[nonzero]) / mags[nonzero]
+    vecs *= factors
     return vecs
 
 
@@ -123,25 +156,29 @@ def eigendecompose(H: SparseOperator, dense_cap: int = DENSE_CAP) -> SpectralDec
 
     Each particle-number block is densified and diagonalized separately,
     which keeps sector labels exact; blocks larger than ``dense_cap``
-    raise a resource error (use the Krylov propagator instead).
+    raise a resource error (use the Krylov propagator instead).  When no
+    stored entry of ``H`` has an imaginary part, the blocks are
+    diagonalized as real symmetric matrices and ``vectors`` is float64;
+    otherwise they are complex hermitian and ``vectors`` is complex128.
     """
     if not H.hermitian:
         raise InvalidArgumentError("eigendecompose expects a hermitian operator")
     basis = H.basis
     dim = basis.dimension
+    real = not H.matrix.data.imag.any()
+    matrix = H.matrix.real if real else H.matrix
     energies = np.empty(dim)
-    vectors = np.zeros((dim, dim), dtype=np.complex128)
+    vectors = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
     sectors = np.empty(dim, dtype=np.int64)
     for n, sl in basis.sector_slices():
-        block = H.matrix[sl, sl]
         size = sl.stop - sl.start
         if size > dense_cap:
             raise ResourceLimitError(
                 f"sector {n} has dimension {size}, above the dense cap {dense_cap}"
             )
-        evals, evecs = np.linalg.eigh(block.toarray())
+        evals, evecs = np.linalg.eigh(matrix[sl, sl].toarray())
         energies[sl] = evals
-        vectors[sl, sl] = _fix_phases(evecs.astype(np.complex128))
+        vectors[sl, sl] = _fix_phases(evecs)
         sectors[sl] = n
     return SpectralDecomposition(basis, energies, vectors, sectors)
 
@@ -280,8 +317,11 @@ def _weighted_expectation(
     for start in range(0, kept.size, PROPAGATE_CHUNK):
         cols = kept[start : start + PROPAGATE_CHUNK]
         psi = columns[:, cols]
-        left = propagate(psi if bra_op is None else bra_op @ psi)
-        right = propagate(psi if ket_op is None else ket_op @ psi)
+        left = propagate(psi if bra_op is None else _real_matmul(bra_op, psi))
+        if bra_op is None and ket_op is None:
+            right = left
+        else:
+            right = propagate(psi if ket_op is None else _real_matmul(ket_op, psi))
         total += np.einsum("ij,ij->j", left.conj(), A.matrix @ right) @ weights[cols]
     return complex(total)
 
@@ -324,7 +364,7 @@ def heisenberg_operator(
     phases = np.exp(1j * decomposition.energies * t)
     evolved = (phases[:, None] * rotated) * phases.conj()[None, :]
     V = decomposition.vectors
-    return V @ evolved @ V.conj().T
+    return _real_matmul(_real_matmul(V, evolved), V.conj().T)
 
 
 def free_particle_amplitude(x: int, t: float) -> complex:

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SpectralDecomposition, StateVector, _weighted_expectation, eigendecompose
+from .dynamics import (
+    SpectralDecomposition,
+    StateVector,
+    _weighted_expectation,
+    eigendecompose,
+    _real_matmul,
+)
 from .errors import (
     DivergingPartitionFunctionError,
     InvalidArgumentError,
@@ -152,7 +158,7 @@ def expectation(state: GibbsState, A: SparseOperator) -> complex:
     if A.basis.basis_id != state.basis.basis_id:
         raise InvalidArgumentError("observable lives on a different basis")
     V = state.decomp.vectors
-    AV = A.matrix @ V
+    AV = _real_matmul(A.matrix, V)
     diag = np.einsum("ij,ij->j", V.conj(), AV)
     return complex(np.dot(state.weights, diag))
 
@@ -168,7 +174,7 @@ def moment_sup(state, p: float) -> float:
     else:
         probs = (np.abs(state.decomp.vectors) ** 2) @ state.weights
     occ = state.basis.occupations
-    return max(float(np.dot(probs, (1.0 + occ[:, c]) ** float(p))) for c in range(occ.shape[1]))
+    return float(np.max(((1.0 + occ) ** float(p)).T @ probs))
 
 
 def _require_number_conserving(op: SparseOperator, name: str):
@@ -196,14 +202,11 @@ class GreenFunction:
         self.state = state
         self.beta = state.beta
         self._blocks = []
-        V = state.decomp.vectors
+        decomp = state.decomp
         for n, sl in state.included_slices():
-            Vn = V[sl, sl]
-            An = Vn.conj().T @ A.matrix[sl, sl].toarray() @ Vn
-            Bn = Vn.conj().T @ B.matrix[sl, sl].toarray() @ Vn
-            self._blocks.append(
-                (state.decomp.energies[sl], state.shifted[sl], An * Bn.T)
-            )
+            An = decomp.rotate(A.matrix, sl)
+            Bn = decomp.rotate(B.matrix, sl)
+            self._blocks.append((decomp.energies[sl], state.shifted[sl], An * Bn.T))
         self._cache: dict[complex, complex] = {}
 
     def __call__(self, z: complex) -> complex:
@@ -221,7 +224,7 @@ class GreenFunction:
         for energies, shifted, C in self._blocks:
             bra = np.exp(-(self.beta - s) * shifted + 1j * energies * t)
             ket = np.exp(-s * shifted - 1j * energies * t)
-            total += bra @ C @ ket
+            total += bra @ _real_matmul(C, ket)
         value = complex(total / self.state.z_scaled)
         self._cache[z] = value
         return value

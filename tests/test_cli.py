@@ -106,3 +106,9 @@ def test_plot_script_no_axis_advisory(tmp_path):
 
     rep = run_kms_check(cfg)
     assert emit_plot_script(rep, tmp_path / "kms.plt") is None
+
+
+def test_validate_config_nested_typo(tmp_path, capsys):
+    path = write_cfg(tmp_path, {"preset": "chain-10", "thermal": {"betta": 3}})
+    assert main(["validate-config", "--config", path]) == EXIT_CONFIG
+    assert "unknown keys ['betta']" in capsys.readouterr().err

@@ -118,3 +118,30 @@ def test_edges_graph_spec():
     g = build_graph(cfg.graph)
     assert g.n_vertices == 3
     assert g.dist[0, 2] == 1
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("model", "hoping"),
+        ("basis", "sectr"),
+        ("thermal", "betta"),
+        ("observables", "pair"),
+        ("sweeps", "shell"),
+        ("deriv", "range"),
+        ("tolerances", "kms"),
+        ("debug", "dump"),
+    ],
+)
+def test_unknown_nested_keys_rejected(section, key):
+    with pytest.raises(ConfigError, match=rf"{section}: unknown keys \['{key}'\]"):
+        from_preset("chain-10", {section: {key: 1}})
+
+
+def test_nested_section_must_be_object():
+    with pytest.raises(ConfigError, match="thermal: must be a JSON object"):
+        from_preset("chain-10", {"thermal": 3})
+
+
+def test_sweeps_accept_lr_lambda():
+    assert from_preset("chain-10", {"sweeps": {"lr_lambda": 2.0}}).sweeps["lr_lambda"] == 2.0

@@ -26,7 +26,7 @@ from bosonlr import (
     number_operator,
     operator_norm,
 )
-from bosonlr.dynamics import StateVector, inverse_moment_upper_bound
+from bosonlr.dynamics import StateVector, _fix_phases, _real_matmul, inverse_moment_upper_bound
 from bosonlr.operators import SparseOperator
 
 
@@ -299,3 +299,51 @@ def test_batched_heisenberg_expectation_matches_eigenvector_loop():
             assert abs(got - reference(thermal_pairs, B_, t)) <= 1e-12
         krylov = heisenberg_expectation(H, A, psi, B_, 1.9, engine="krylov")
         assert abs(krylov - reference([(1.0, psi.amplitudes)], B_, 1.9)) <= 1e-9
+
+
+def test_real_hamiltonian_gives_float64_eigenvectors():
+    _, _, basis, H = chain_model(4, n_max=3, cap=2, U=0.8)
+    assert not H.matrix.data.imag.any()
+    d = eigendecompose(H)
+    assert d.vectors.dtype == np.float64
+    Hd = H.to_dense()
+    assert np.abs(Hd @ d.vectors - d.vectors * d.energies).max() <= 1e-12
+    assert np.abs(d.vectors.T @ d.vectors - np.eye(basis.dimension)).max() <= 1e-12
+
+
+def test_fix_phases_matches_column_loop():
+    def loop(vecs):
+        for j in range(vecs.shape[1]):
+            col = vecs[:, j]
+            pivot = col[np.argmax(np.abs(col))]
+            if np.abs(pivot) > 0:
+                col *= np.conj(pivot) / np.abs(pivot)
+        return vecs
+
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    ties = np.array([[1j, 0.0, 0.0], [-1j, -1.0, 0.0], [0.5, 1.0, 0.0]])
+    for vecs in (np.linalg.eigh(M + M.conj().T)[1], np.linalg.eigh(M.real + M.real.T)[1], ties):
+        got = _fix_phases(vecs.copy())
+        assert got.dtype == vecs.dtype
+        assert np.array_equal(got, loop(vecs.copy()))
+
+
+def test_real_matmul_matches_plain_product():
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(8)
+    R = rng.standard_normal((6, 5))
+    C = R + 1j * rng.standard_normal((6, 5))
+    x, z = rng.standard_normal((5, 3)), rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    for a, b in ((R, z), (R, z[:, 0]), (C, x), (z[:, 0], R.T), (R, x), (C, z)):
+        got = _real_matmul(a, b)
+        assert got.dtype == np.result_type(a, b)
+        assert got.shape == (a @ b).shape
+        assert np.abs(got - a @ b).max() <= 1e-14
+    # a complex-stored sparse operator with zero imaginary part stays real
+    S = sp.random(6, 5, density=0.4, random_state=rng, format="csr").astype(complex)
+    assert _real_matmul(S, x).dtype == np.float64
+    assert np.abs(_real_matmul(S, x) - S @ x).max() <= 1e-14
+    S_complex = S + 1j * sp.random(6, 5, density=0.4, random_state=rng, format="csr")
+    assert np.abs(_real_matmul(S_complex, x) - S_complex @ x).max() <= 1e-14

@@ -32,7 +32,7 @@ from bosonlr import (
     sandwich,
     two_point,
 )
-from bosonlr.dynamics import PROPAGATE_CHUNK
+from bosonlr.dynamics import PROPAGATE_CHUNK, SpectralDecomposition, StateVector
 from bosonlr.operators import SparseOperator, same_matrix
 
 
@@ -358,3 +358,39 @@ def test_batched_two_point_with_sector_mixing_observable():
     for order in ("AB", "BA"):
         ref = reference_two_point(gam, A, B, 1.4, order, gam.decomp)
         assert abs(two_point(gam, A, B, 1.4, order, engine="dense") - ref) <= 1e-12
+
+
+def test_moment_sup_matches_site_loop():
+    basis, reg, H, gam, A, B = truncated_chain_state()
+    rng = np.random.default_rng(5)
+    amps = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+    psi = StateVector(basis, amps)
+    occ = basis.occupations
+    for state, probs in (
+        (gam, (np.abs(gam.decomp.vectors) ** 2) @ gam.weights),
+        (psi, np.abs(amps) ** 2 / np.sum(np.abs(amps) ** 2)),
+    ):
+        for p in (1.0, 2.5, 6.0):
+            loop = max(float(np.dot(probs, (1.0 + occ[:, c]) ** p)) for c in range(occ.shape[1]))
+            assert moment_sup(state, p) == pytest.approx(loop, rel=1e-14)
+
+
+def test_dense_two_point_propagates_once_without_operators(monkeypatch):
+    # with neither a bra nor a ket operator the two propagated blocks are
+    # the same, so each chunk is propagated once; an explicit identity ket
+    # operator propagates twice and must give the same bits
+    basis, reg, H, gam, A, _ = truncated_chain_state()
+    ident = identity_operator(basis)
+    calls = []
+    propagate_block = SpectralDecomposition.propagate_block
+
+    def counted(self, X, t):
+        calls.append(X.shape[1])
+        return propagate_block(self, X, t)
+
+    monkeypatch.setattr(SpectralDecomposition, "propagate_block", counted)
+    shared = two_point(gam, A, None, 0.8, engine="dense")
+    chunks = len(calls)
+    assert sum(calls) == np.count_nonzero(gam.weights)
+    assert two_point(gam, A, ident, 0.8, engine="dense") == shared
+    assert len(calls) == 3 * chunks
