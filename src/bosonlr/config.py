@@ -33,7 +33,6 @@ DEFAULT_TOLERANCES = {
     "invariance_residual": 1e-9,
     "strip_slack": 1e-9,
     "unitarity": 1e-10,
-    "engine_agreement": 1e-9,
     "bound_slack": 1e-12,
     "local_approx_epsilon": 1e-3,
     "monotone_slack": 0.1,

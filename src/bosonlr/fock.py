@@ -2,7 +2,10 @@
 
 States are occupation vectors (one nonnegative integer per site of the
 region), enumerated in a deterministic order: ascending total particle
-number, then lexicographic.  The symmetric tensor product is never
+number, then lexicographic.  A state's key is the big-endian bytes of
+(total, occupations); bytewise order of the keys is that basis order, so
+the key array is sorted and ``np.searchsorted`` ranks any batch of
+occupation vectors at once.  The symmetric tensor product is never
 materialized; creation/annihilation square-root factors live in the
 operator assembly (:mod:`bosonlr.operators`).
 """
@@ -23,11 +26,13 @@ _basis_counter = itertools.count()
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Enumerated occupation basis with an exact reverse index.
+    """Enumerated occupation basis, ranked through sorted row keys.
 
     ``occupations`` has shape (dimension, n_sites); row k is state k.
     ``totals[k]`` is the particle-number sector of state k.  ``sector``
-    is set when all states share one total, else None.
+    is set when all states share one total, else None.  ``keys[k]`` is
+    the sort key of state k (see :func:`_row_keys`); the keys ascend
+    strictly, which is what :meth:`lookup` relies on.
     """
 
     region: Region
@@ -36,7 +41,7 @@ class FockBasis:
     max_total: int
     occupations: np.ndarray
     totals: np.ndarray
-    index: dict[tuple[int, ...], int]
+    keys: np.ndarray
     basis_id: int = field(default_factory=lambda: next(_basis_counter))
 
     @property
@@ -57,12 +62,22 @@ class FockBasis:
     def state(self, k: int) -> tuple[int, ...]:
         return tuple(int(v) for v in self.occupations[k])
 
+    def lookup(self, rows) -> np.ndarray:
+        """Index of each occupation vector in ``rows`` (shape (m, n_sites)),
+        -1 where a vector is not in the basis (cap or sector violated)."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.n_sites)
+        query = _row_keys(rows.sum(axis=1), rows)
+        pos = np.searchsorted(self.keys, query)
+        found = pos < self.dimension
+        found[found] = self.keys[pos[found]] == query[found]
+        return np.where(found, pos, -1)
+
     def index_of(self, occ) -> int:
         key = tuple(int(v) for v in occ)
-        try:
-            return self.index[key]
-        except KeyError:
-            raise NotInBasisError(f"occupation {key} violates the cap/sector of this basis") from None
+        k = int(self.lookup([key])[0]) if len(key) == self.n_sites else -1
+        if k < 0:
+            raise NotInBasisError(f"occupation {key} violates the cap/sector of this basis")
+        return k
 
     def sector_slices(self) -> list[tuple[int, slice]]:
         """(total_n, index slice) per sector; states are sector-contiguous."""
@@ -105,10 +120,38 @@ def _enumerate_sector(n_sites: int, n: int, cap: int | None) -> list[tuple[int, 
             occ[pos] = v
             rec(pos + 1, remaining - v)
 
-    if n_sites == 0:
-        return []
     rec(0, n)
     return out
+
+
+def _row_keys(totals: np.ndarray, occupations: np.ndarray) -> np.ndarray:
+    """One opaque key per row: the big-endian int64 bytes of (total,
+    occupations).  For nonnegative entries bytewise order is numeric order,
+    so the keys sort by sector, then lexicographically."""
+    rows = np.column_stack([totals, occupations]).astype(">i8")
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _build_basis(region: Region, sectors, cap: int | None, sector: int | None) -> FockBasis:
+    """Basis of every vector whose total lies in ``sectors`` (ascending)."""
+    if len(region) == 0:
+        raise InvalidArgumentError("cannot enumerate a basis over an empty region")
+    s = len(region)
+    dim = sum(sector_dimension(s, n, cap) for n in sectors)
+    if dim > MAX_STATES:
+        raise ResourceLimitError(f"basis would hold {dim} states, above the {MAX_STATES} cap")
+    states = [st for n in sectors for st in _enumerate_sector(s, n, cap)]
+    occupations = np.array(states, dtype=np.int64).reshape(len(states), s)
+    totals = occupations.sum(axis=1)
+    return FockBasis(
+        region=region,
+        site_cap=cap,
+        sector=sector,
+        max_total=sectors[-1] if dim else 0,
+        occupations=occupations,
+        totals=totals,
+        keys=_row_keys(totals, occupations),
+    )
 
 
 def enumerate_basis(region: Region, sector: int | None = None, cap: int | None = None) -> FockBasis:
@@ -120,38 +163,14 @@ def enumerate_basis(region: Region, sector: int | None = None, cap: int | None =
     error.  At least one of the two must be given, otherwise the space is
     infinite.
     """
-    if len(region) == 0:
-        raise InvalidArgumentError("cannot enumerate a basis over an empty region")
     if sector is None and cap is None:
         raise InvalidArgumentError("need a sector or a per-site cap to obtain a finite basis")
     if sector is not None and sector < 0:
         raise InvalidArgumentError("sector must be a nonnegative total particle number")
     if cap is not None and cap < 0:
         raise InvalidArgumentError("per-site cap must be nonnegative")
-    s = len(region)
-    if sector is not None:
-        totals_range = [sector]
-    else:
-        totals_range = list(range(s * cap + 1))
-    dim = sum(sector_dimension(s, n, cap) for n in totals_range)
-    if dim > MAX_STATES:
-        raise ResourceLimitError(f"basis would hold {dim} states, above the {MAX_STATES} cap")
-    states: list[tuple[int, ...]] = []
-    for n in totals_range:
-        states.extend(_enumerate_sector(s, n, cap))
-    occupations = np.array(states, dtype=np.int64).reshape(len(states), s)
-    totals = occupations.sum(axis=1) if states else np.zeros(0, dtype=np.int64)
-    index = {st: k for k, st in enumerate(states)}
-    max_total = int(totals.max()) if len(states) else 0
-    return FockBasis(
-        region=region,
-        site_cap=cap,
-        sector=sector,
-        max_total=max_total,
-        occupations=occupations,
-        totals=totals,
-        index=index,
-    )
+    sectors = [sector] if sector is not None else range(len(region) * cap + 1)
+    return _build_basis(region, sectors, cap, sector)
 
 
 def enumerate_sectors(region: Region, n_max: int, cap: int | None = None) -> FockBasis:
@@ -160,29 +179,9 @@ def enumerate_sectors(region: Region, n_max: int, cap: int | None = None) -> Foc
     States are ordered by sector, then lexicographically, so operators that
     conserve particle number are block-contiguous.
     """
-    if len(region) == 0:
-        raise InvalidArgumentError("cannot enumerate a basis over an empty region")
     if n_max < 0:
         raise InvalidArgumentError("n_max must be nonnegative")
-    s = len(region)
-    dim = sum(sector_dimension(s, n, cap) for n in range(n_max + 1))
-    if dim > MAX_STATES:
-        raise ResourceLimitError(f"basis would hold {dim} states, above the {MAX_STATES} cap")
-    states: list[tuple[int, ...]] = []
-    for n in range(n_max + 1):
-        states.extend(_enumerate_sector(s, n, cap))
-    occupations = np.array(states, dtype=np.int64).reshape(len(states), s)
-    totals = occupations.sum(axis=1) if states else np.zeros(0, dtype=np.int64)
-    index = {st: k for k, st in enumerate(states)}
-    return FockBasis(
-        region=region,
-        site_cap=cap,
-        sector=None,
-        max_total=n_max,
-        occupations=occupations,
-        totals=totals,
-        index=index,
-    )
+    return _build_basis(region, range(n_max + 1), cap, None)
 
 
 def dimension(basis: FockBasis) -> int:

@@ -152,6 +152,29 @@ def _region_columns(basis: FockBasis, region: Region) -> list[int]:
     return [basis.site_column(x) for x in region.sites]
 
 
+def _hop_entries(basis: FockBasis, dst: int, src: int):
+    """(rows, cols, sqrt(n_src (n_dst + 1))) of ``a^*_dst a_src``, where
+    ``dst`` and ``src`` are occupation columns.
+
+    One array pass over the states that hold a particle at ``src``; moves
+    whose target leaves the basis (cap exceeded) are dropped, which is the
+    hard-wall truncation convention.
+    """
+    occ = basis.occupations
+    cols = np.flatnonzero(occ[:, src])
+    target = occ[cols]
+    target[:, src] -= 1
+    target[:, dst] += 1
+    rows = basis.lookup(target)
+    cols, rows = cols[rows >= 0], rows[rows >= 0]
+    return rows, cols, np.sqrt(occ[cols, src] * (occ[cols, dst] + 1.0))
+
+
+def _hop_matrix(basis: FockBasis, rows, cols, vals) -> sparse.csr_matrix:
+    shape = (basis.dimension, basis.dimension)
+    return _pruned(sparse.csr_matrix((vals.astype(np.complex128), (rows, cols)), shape=shape))
+
+
 def hop_term(basis: FockBasis, x: int, y: int) -> SparseOperator:
     """Raw ``a_x^* a_y`` on the basis (not hermitian for x != y).
 
@@ -160,27 +183,8 @@ def hop_term(basis: FockBasis, x: int, y: int) -> SparseOperator:
     """
     if x == y:
         raise InvalidArgumentError("hop_term needs two distinct sites; use number_operator")
-    cx, cy = basis.site_column(x), basis.site_column(y)
-    rows, cols, vals = [], [], []
-    occ = basis.occupations
-    for k in range(basis.dimension):
-        ny = occ[k, cy]
-        if ny == 0:
-            continue
-        target = list(basis.state(k))
-        target[cy] -= 1
-        target[cx] += 1
-        j = basis.index.get(tuple(target))
-        if j is None:
-            continue
-        rows.append(j)
-        cols.append(k)
-        vals.append(np.sqrt(ny * (occ[k, cx] + 1.0)))
-    mat = sparse.csr_matrix(
-        (np.asarray(vals, dtype=np.complex128), (rows, cols)),
-        shape=(basis.dimension, basis.dimension),
-    )
-    return SparseOperator(_pruned(mat), basis, False, support=(min(x, y), max(x, y)))
+    mat = _hop_matrix(basis, *_hop_entries(basis, basis.site_column(x), basis.site_column(y)))
+    return SparseOperator(mat, basis, False, support=(min(x, y), max(x, y)))
 
 
 def assemble_hopping(
@@ -195,34 +199,20 @@ def assemble_hopping(
     _check_region_in_basis(basis, region)
     member = region.as_set()
     factor = 2.0 if ordered else 1.0
-    rows, cols, vals = [], [], []
-    occ = basis.occupations
     cols_of = {x: basis.site_column(x) for x in region.sites}
-    for x, y in g.edges():
-        if x not in member or y not in member:
-            continue
-        cx, cy = cols_of[x], cols_of[y]
-        for k in range(basis.dimension):
-            # a_x^* a_y moves one particle y -> x; the reverse move supplies
-            # the conjugate entry, so hermiticity is exact as stored.
-            for src, dst in ((cy, cx), (cx, cy)):
-                n_src = occ[k, src]
-                if n_src == 0:
-                    continue
-                target = list(basis.state(k))
-                target[src] -= 1
-                target[dst] += 1
-                j = basis.index.get(tuple(target))
-                if j is None:
-                    continue
-                rows.append(j)
-                cols.append(k)
-                vals.append(-J * factor * np.sqrt(n_src * (occ[k, dst] + 1.0)))
-    mat = sparse.csr_matrix(
-        (np.asarray(vals, dtype=np.complex128), (rows, cols)),
-        shape=(basis.dimension, basis.dimension),
-    )
-    return SparseOperator(_pruned(mat), basis, True, support=tuple(region.sites))
+    # a_x^* a_y moves one particle y -> x; the reverse move supplies the
+    # conjugate entry, so hermiticity is exact as stored.
+    entries = [
+        _hop_entries(basis, cols_of[dst], cols_of[src])
+        for x, y in g.edges()
+        if x in member and y in member
+        for dst, src in ((x, y), (y, x))
+    ]
+    # a region without edges still concatenates to an empty matrix
+    empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+    rows, cols, vals = (np.concatenate(part) for part in zip(empty, *entries))
+    mat = _hop_matrix(basis, rows, cols, -J * factor * vals)
+    return SparseOperator(mat, basis, True, support=tuple(region.sites))
 
 
 def _check_region_in_basis(basis: FockBasis, region: Region):
@@ -373,9 +363,10 @@ def operator_norm(
 ) -> float:
     """Largest singular value of an operator.
 
-    Dense SVD for dimension <= 1024; larger operators use power iteration
-    on A^* A with relative tolerance ``tol`` and a seeded start vector.
-    ``method`` forces one path ("dense" or "power").
+    Dense SVD for a dense array and for dimension <= 1024; larger sparse
+    operators use power iteration on A^* A with relative tolerance ``tol``
+    and a seeded start vector.  ``method`` forces one path ("dense" or
+    "power").
     """
     if isinstance(op, SparseOperator):
         mat = op.matrix
@@ -388,7 +379,11 @@ def operator_norm(
         return 0.0
     if method not in ("auto", "dense", "power"):
         raise InvalidArgumentError(f"unknown norm method {method!r}")
-    if method == "dense" or (method == "auto" and dim <= DENSE_NORM_CAP):
+    # power iteration can only underestimate; a dense input is already in
+    # memory, so the size cap that guards the dense route does not apply
+    if method == "auto":
+        method = "dense" if dim <= DENSE_NORM_CAP or not sparse.issparse(mat) else "power"
+    if method == "dense":
         dense = mat.toarray() if sparse.issparse(mat) else mat
         return float(np.linalg.norm(dense, 2))
     rng = np.random.default_rng(seed)

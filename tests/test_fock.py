@@ -69,6 +69,12 @@ def test_index_round_trip():
         index_of(basis, (3, 0, 0))  # violates the cap
     with pytest.raises(NotInBasisError):
         index_of(basis, (1, 1, 0))  # wrong sector
+    with pytest.raises(NotInBasisError):
+        index_of(basis, (1, 2))  # wrong length
+    with pytest.raises(NotInBasisError):
+        index_of(basis, (1, 1, 0, 1))  # wrong length, right total
+    with pytest.raises(NotInBasisError):
+        index_of(basis, (2, 2, -1))  # negative entry, right total
 
 
 def test_sector_decomposition_sums_to_truncated_space():

@@ -27,7 +27,7 @@ from bosonlr import (
     sandwich,
     total_number,
 )
-from bosonlr.operators import dump_operator
+from bosonlr.operators import DENSE_NORM_CAP, dump_operator
 
 
 @pytest.fixture
@@ -236,6 +236,20 @@ def test_operator_norm_power_matches_dense():
 
     got = operator_norm(sp.csr_matrix(A), method="power", tol=1e-12)
     assert got == pytest.approx(np.linalg.norm(A, 2), rel=1e-6)
+
+
+def test_operator_norm_dense_input_above_cap_is_exact():
+    """A dense array above DENSE_NORM_CAP takes the exact route: power
+    iteration stops on stagnation below a near-degenerate top pair."""
+    rng = np.random.default_rng(5)
+    n = 1100
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.concatenate([[1.0, 0.9999], rng.uniform(0.0, 0.5, n - 2)])
+    A = (Q * s) @ Q.T
+    A = 0.5 * (A + A.T)
+    assert n > DENSE_NORM_CAP
+    assert operator_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+    assert operator_norm(A) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_operator_norm_power_nonconvergence():

@@ -10,16 +10,21 @@ from bosonlr import (
     ModelParams,
     SparseOperator,
     assemble_hamiltonian,
+    assemble_hopping,
     build_chain,
     build_grid,
     eigendecompose,
     enumerate_basis,
+    enumerate_sectors,
     fixed_sector_gibbs,
     full_region,
+    hop_term,
     local_observable,
     number_operator,
     two_point,
 )
+from bosonlr.lattice import Region
+from bosonlr.operators import same_matrix
 
 lattices = st.one_of(
     st.builds(build_chain, st.integers(2, 5)),
@@ -67,3 +72,86 @@ def test_gauge_transform_keeps_spectrum_and_number_diagonal_correlations(g, n, J
         value = two_point(gam, A, B, 0.9, order, engine="dense")
         value_gauge = two_point(gam_gauge, A, B, 0.9, order, engine="dense")
         assert abs(value - value_gauge) <= 1e-10
+
+
+@st.composite
+def bases(draw):
+    """A lattice and a basis on it: one sector, sectors 0..n_max, or (with
+    a cap) every capped vector."""
+    g = draw(lattices)
+    cap = draw(st.one_of(st.none(), st.integers(1, 3)))
+    kinds = ["sector", "n_max"] + (["cap"] if cap is not None and g.n_vertices <= 4 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "sector":
+        return g, enumerate_basis(full_region(g), sector=draw(st.integers(0, 3)), cap=cap)
+    if kind == "n_max":
+        return g, enumerate_sectors(full_region(g), draw(st.integers(0, 3)), cap=cap)
+    return g, enumerate_basis(full_region(g), cap=cap)
+
+
+def reference_hops(basis, moves, scale):
+    """The per-state dict loop the vectorised assembly replaced: for every
+    state and every (src, dst) column pair, move one particle src -> dst and
+    keep the move if the target is a basis state."""
+    index = {tuple(int(v) for v in row): k for k, row in enumerate(basis.occupations)}
+    occ = basis.occupations
+    rows, cols, vals = [], [], []
+    for pair in moves:
+        for k in range(basis.dimension):
+            for src, dst in pair:
+                n_src = occ[k, src]
+                if n_src == 0:
+                    continue
+                target = [int(v) for v in occ[k]]
+                target[src] -= 1
+                target[dst] += 1
+                j = index.get(tuple(target))
+                if j is None:
+                    continue
+                rows.append(j)
+                cols.append(k)
+                vals.append(scale * np.sqrt(n_src * (occ[k, dst] + 1.0)))
+    mat = sp.csr_matrix(
+        (np.asarray(vals, dtype=np.complex128), (rows, cols)),
+        shape=(basis.dimension, basis.dimension),
+    )
+    mat.sort_indices()
+    return SparseOperator(mat, basis, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gb=bases(), J=st.floats(0.1, 2.0), data=st.data())
+def test_lookup_ranks_rows_and_hops_match_dict_loop(gb, J, data):
+    g, basis = gb
+    occ, D, cap = basis.occupations, basis.dimension, basis.site_cap
+    assert np.array_equal(basis.lookup(occ), np.arange(D))
+    if D == 0:
+        return
+
+    col = data.draw(st.integers(0, basis.n_sites - 1))
+    bumped = occ.copy()
+    bumped[:, col] += 1
+    outside = basis.totals + 1 > basis.max_total
+    if cap is not None:
+        outside |= bumped[:, col] > cap
+        past_cap = occ.copy()
+        past_cap[:, col] = cap + 1
+        assert (basis.lookup(past_cap) == -1).all()
+    if basis.sector is not None:
+        assert outside.all()
+    assert np.array_equal(basis.lookup(bumped) == -1, outside)
+    dropped = occ.copy()
+    dropped[:, col] -= 1
+    negative = occ[:, col] == 0
+    assert (basis.lookup(dropped)[negative] == -1).all()
+
+    sites = data.draw(st.sets(st.integers(0, g.n_vertices - 1), min_size=1))
+    region = Region(tuple(sorted(sites)), g.graph_id)
+    edges = [(x, y) for x, y in g.edges() if x in sites and y in sites]
+    moves = [((y, x), (x, y)) for x, y in edges]
+    for ordered, factor in ((False, 1.0), (True, 2.0)):
+        got = assemble_hopping(g, region, basis, J=J, ordered=ordered)
+        assert same_matrix(got, reference_hops(basis, moves, -J * factor))
+    x, y = data.draw(st.lists(st.integers(0, g.n_vertices - 1), min_size=2, max_size=2, unique=True))
+    assert same_matrix(hop_term(basis, x, y), reference_hops(basis, [((y, x),)], 1.0))
+    assert same_matrix(hop_term(basis, y, x), reference_hops(basis, [((x, y),)], 1.0))
