@@ -61,6 +61,7 @@ from .operators import (
     assemble_hopping,
     assemble_interaction,
     commutator,
+    conserves_number,
     cutoff_projection,
     hop_term,
     identity_operator,

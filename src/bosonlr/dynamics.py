@@ -103,11 +103,13 @@ class SpectralDecomposition:
             out[sl] = _real_matmul(Vn, coeff)
         return out
 
-    def rotate(self, matrix, sl: slice = slice(None)) -> np.ndarray:
-        """V^* M V: the operator in the eigenbasis (dense), or, for a
-        sector slice ``sl``, that sector's block V_n^* M_n V_n."""
-        V = self.vectors[sl, sl]
-        return _real_matmul(V.conj().T, _real_matmul(matrix[sl, sl], V))
+    def rotate(self, matrix, rows: slice = slice(None), cols: slice | None = None) -> np.ndarray:
+        """V^* M V: the operator in the eigenbasis (dense), or, for sector
+        slices ``rows`` and ``cols`` (default: the same as ``rows``), the
+        block V_m^* M_mn V_n."""
+        cols = rows if cols is None else cols
+        Vm, Vn = self.vectors[rows, rows], self.vectors[cols, cols]
+        return _real_matmul(Vm.conj().T, _real_matmul(matrix[rows, cols], Vn))
 
     def sector_slices(self) -> list[tuple[int, slice]]:
         return self.basis.sector_slices()
@@ -357,14 +359,25 @@ def heisenberg_operator(
     t: float,
     decomposition: SpectralDecomposition | None = None,
 ) -> np.ndarray:
-    """Dense e^{iHt} A e^{-iHt} through the spectral decomposition."""
-    if decomposition is None:
-        decomposition = eigendecompose(H)
-    rotated = decomposition.rotate(A.matrix)
-    phases = np.exp(1j * decomposition.energies * t)
-    evolved = (phases[:, None] * rotated) * phases.conj()[None, :]
-    V = decomposition.vectors
-    return _real_matmul(_real_matmul(V, evolved), V.conj().T)
+    """Dense e^{iHt} A e^{-iHt} through the spectral decomposition.
+
+    The eigenvectors are block-diagonal by sector, so only the sector pairs
+    (m, n) where ``A`` has entries give a nonzero block, V_m (e^{iE_m t}
+    V_m^* A_mn V_n e^{-iE_n t}) V_n^*; a number-conserving ``A`` has the
+    diagonal pairs only.
+    """
+    d = decomposition if decomposition is not None else eigendecompose(H)
+    phases = np.exp(1j * d.energies * t)
+    slices = dict(d.sector_slices())
+    coo = A.matrix.tocoo()
+    pairs = np.unique(np.column_stack([d.basis.totals[coo.row], d.basis.totals[coo.col]]), axis=0)
+    out = np.zeros((d.dimension, d.dimension), dtype=np.complex128)
+    for m, n in pairs:
+        sm, sn = slices[m], slices[n]
+        evolved = (phases[sm, None] * d.rotate(A.matrix, sm, sn)) * phases[sn].conj()
+        Vm, Vn = d.vectors[sm, sm], d.vectors[sn, sn]
+        out[sm, sn] = _real_matmul(_real_matmul(Vm, evolved), Vn.conj().T)
+    return out
 
 
 def free_particle_amplitude(x: int, t: float) -> complex:

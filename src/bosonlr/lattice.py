@@ -8,10 +8,11 @@ estimates, so :func:`surface_parameter` reports all three.
 """
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sparse
+from scipy.sparse.csgraph import shortest_path
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
@@ -85,20 +86,6 @@ def full_region(g: LatticeGraph) -> Region:
     return Region(tuple(range(g.n_vertices)), g.graph_id)
 
 
-def _bfs_distances(adjacency, source: int) -> np.ndarray:
-    n = len(adjacency)
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y in adjacency[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
-
-
 def build_from_edges(n_vertices: int, edges, dim_hint: int = 1) -> LatticeGraph:
     """Graph from an explicit undirected edge list.
 
@@ -120,12 +107,13 @@ def build_from_edges(n_vertices: int, edges, dim_hint: int = 1) -> LatticeGraph:
         nbrs[x].add(y)
         nbrs[y].add(x)
     adjacency = tuple(tuple(sorted(s)) for s in nbrs)
-    dist = np.empty((n_vertices, n_vertices), dtype=np.int64)
-    for x in range(n_vertices):
-        dist[x] = _bfs_distances(adjacency, x)
-    if (dist < 0).any():
+    rows = [x for x, ys in enumerate(adjacency) for _ in ys]
+    cols = [y for ys in adjacency for y in ys]
+    links = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_vertices, n_vertices))
+    hops = shortest_path(links, directed=False, unweighted=True)
+    if np.isinf(hops).any():
         raise InvalidArgumentError("graph is disconnected; hop metric undefined")
-    return LatticeGraph(n_vertices, adjacency, dist, dim_hint)
+    return LatticeGraph(n_vertices, adjacency, hops.astype(np.int64), dim_hint)
 
 
 def build_chain(length: int) -> LatticeGraph:

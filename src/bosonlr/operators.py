@@ -354,6 +354,14 @@ def commutator(A: SparseOperator, B: SparseOperator) -> SparseOperator:
     return SparseOperator(mat, A.basis, False, support=_union_support(A.support, B.support))
 
 
+def conserves_number(op: SparseOperator) -> bool:
+    """True when no stored entry of ``op`` joins two different total
+    particle numbers, so the operator is block-diagonal by sector."""
+    coo = op.matrix.tocoo()
+    totals = op.basis.totals
+    return bool(np.array_equal(totals[coo.row], totals[coo.col]))
+
+
 def operator_norm(
     op,
     tol: float = 1e-8,
@@ -363,28 +371,41 @@ def operator_norm(
 ) -> float:
     """Largest singular value of an operator.
 
-    Dense SVD for a dense array and for dimension <= 1024; larger sparse
-    operators use power iteration on A^* A with relative tolerance ``tol``
-    and a seeded start vector.  ``method`` forces one path ("dense" or
-    "power").
+    A ``SparseOperator`` that conserves particle number is block-diagonal
+    by sector, so its norm is the largest norm over its non-empty sector
+    blocks, each taken alone; any other input is one block.  A block takes
+    the exact dense SVD when it is a dense array or has dimension at most
+    ``DENSE_NORM_CAP``.  A larger sparse block uses power iteration on
+    A^* A with relative tolerance ``tol`` and a seeded start vector, which
+    can only underestimate.  ``method`` forces one path ("dense" or
+    "power") for every block.
     """
-    if isinstance(op, SparseOperator):
-        mat = op.matrix
-    elif sparse.issparse(op):
-        mat = op.tocsr()
-    else:
-        mat = np.asarray(op)
-    dim = mat.shape[0]
-    if dim == 0:
-        return 0.0
     if method not in ("auto", "dense", "power"):
         raise InvalidArgumentError(f"unknown norm method {method!r}")
+    if isinstance(op, SparseOperator) and conserves_number(op):
+        blocks = [op.matrix[sl, sl] for _, sl in op.basis.sector_slices()]
+    elif isinstance(op, SparseOperator):
+        blocks = [op.matrix]
+    elif sparse.issparse(op):
+        blocks = [op.tocsr()]
+    else:
+        blocks = [np.asarray(op)]
+    return max((_block_norm(b, tol, seed, method, max_iter) for b in blocks), default=0.0)
+
+
+def _block_norm(mat, tol, seed, method, max_iter) -> float:
+    dim = mat.shape[0]
+    if dim == 0 or (sparse.issparse(mat) and mat.nnz == 0):
+        return 0.0
     # power iteration can only underestimate; a dense input is already in
     # memory, so the size cap that guards the dense route does not apply
     if method == "auto":
         method = "dense" if dim <= DENSE_NORM_CAP or not sparse.issparse(mat) else "power"
     if method == "dense":
         dense = mat.toarray() if sparse.issparse(mat) else mat
+        # operators are stored complex even when real; a real SVD costs half
+        if np.iscomplexobj(dense) and not dense.imag.any():
+            dense = dense.real
         return float(np.linalg.norm(dense, 2))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

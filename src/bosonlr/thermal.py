@@ -25,7 +25,7 @@ from .errors import (
     InvalidArgumentError,
     TruncationError,
 )
-from .operators import SparseOperator
+from .operators import SparseOperator, conserves_number
 
 DEFAULT_TAIL_TOL = 1e-10
 
@@ -178,9 +178,7 @@ def moment_sup(state, p: float) -> float:
 
 
 def _require_number_conserving(op: SparseOperator, name: str):
-    coo = op.matrix.tocoo()
-    totals = op.basis.totals
-    if coo.nnz and not np.all(totals[coo.row] == totals[coo.col]):
+    if not conserves_number(op):
         raise InvalidArgumentError(f"{name} must conserve the total particle number")
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bosonlr import BoundaryContaminationError
+from bosonlr import BoundaryContaminationError, InvalidArgumentError
 from bosonlr.config import from_dict, from_preset
 from bosonlr.experiments import (
     RUNNERS,
@@ -141,6 +141,27 @@ def test_lr_with_offdiagonal_observable():
     assert rep.passed
     shells = [r for r in rep.records if r["check"] == "shells"]
     assert all(r["measured"] <= r["bound"] for r in shells)
+
+
+def test_lr_rejects_non_conserving_first_observable(monkeypatch):
+    """The measured norm is taken sector block by sector block, which is
+    exact only for a number-conserving observable."""
+    import scipy.sparse as sp
+
+    from bosonlr import experiments
+    from bosonlr.operators import SparseOperator, conserves_number, number_operator
+
+    def mixing_pair(cfg, basis, k=0):
+        # joins the vacuum (sector 0) and the first one-particle state
+        mix = sp.csr_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(basis.dimension,) * 2)
+        A = SparseOperator((number_operator(basis, 2).matrix + mix).tocsr(), basis, True, support=(2,))
+        assert not conserves_number(A)
+        return A, number_operator(basis, 4)
+
+    cfg = small("chain-10", sweeps={"times": [0.25], "shells": [1]})
+    monkeypatch.setattr(experiments, "_pair_observables", mixing_pair)
+    with pytest.raises(InvalidArgumentError, match="conserve"):
+        RUNNERS["lr"](cfg)
 
 
 def test_lr_on_two_dimensional_grid():

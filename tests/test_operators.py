@@ -13,6 +13,7 @@ from bosonlr import (
     assemble_interaction,
     build_chain,
     commutator,
+    conserves_number,
     cutoff_projection,
     enumerate_basis,
     enumerate_sectors,
@@ -27,7 +28,7 @@ from bosonlr import (
     sandwich,
     total_number,
 )
-from bosonlr.operators import DENSE_NORM_CAP, dump_operator
+from bosonlr.operators import DENSE_NORM_CAP, SparseOperator, dump_operator
 
 
 @pytest.fixture
@@ -250,6 +251,24 @@ def test_operator_norm_dense_input_above_cap_is_exact():
     assert n > DENSE_NORM_CAP
     assert operator_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
     assert operator_norm(A) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_operator_norm_conserving_above_cap_is_exact_per_sector():
+    """A conserving operator above DENSE_NORM_CAP whose largest sector block
+    is below it takes the exact route block by block; power iteration on
+    the whole matrix stops on stagnation below the near-degenerate top."""
+    import scipy.sparse as sp
+
+    basis = enumerate_sectors(full_region(build_chain(8)), 5)
+    sizes = [sl.stop - sl.start for _, sl in basis.sector_slices()]
+    assert basis.dimension == 1287 > DENSE_NORM_CAP
+    assert max(sizes) == 792
+    vals = 1.0 - 1e-4 * np.linspace(1.0, 0.0, basis.dimension) ** 2
+    vals[-2:] = [1.0 - 1e-5, 1.0]
+    op = SparseOperator(sp.diags(vals.astype(complex)).tocsr(), basis, True, diagonal=True)
+    assert conserves_number(op)
+    assert operator_norm(op) == pytest.approx(1.0, rel=1e-12)
+    assert operator_norm(op, method="power") < 1.0 - 1e-6
 
 
 def test_operator_norm_power_nonconvergence():

@@ -13,14 +13,17 @@ from bosonlr import (
     assemble_hopping,
     build_chain,
     build_grid,
+    conserves_number,
     eigendecompose,
     enumerate_basis,
     enumerate_sectors,
     fixed_sector_gibbs,
     full_region,
+    heisenberg_operator,
     hop_term,
     local_observable,
     number_operator,
+    operator_norm,
     two_point,
 )
 from bosonlr.lattice import Region
@@ -155,3 +158,49 @@ def test_lookup_ranks_rows_and_hops_match_dict_loop(gb, J, data):
     x, y = data.draw(st.lists(st.integers(0, g.n_vertices - 1), min_size=2, max_size=2, unique=True))
     assert same_matrix(hop_term(basis, x, y), reference_hops(basis, [((y, x),)], 1.0))
     assert same_matrix(hop_term(basis, y, x), reference_hops(basis, [((x, y),)], 1.0))
+
+
+def random_operator(basis, rng, conserving, hermitian):
+    """Random sparse operator on ``basis``: entries only inside sector blocks
+    when ``conserving``, anywhere otherwise."""
+    D = basis.dimension
+    mask = rng.random((D, D)) < 0.3
+    if conserving:
+        mask &= basis.totals[:, None] == basis.totals[None, :]
+    M = np.where(mask, rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)), 0.0)
+    if hermitian:
+        M = M + M.conj().T
+    return SparseOperator(sp.csr_matrix(M), basis, hermitian)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    gb=bases(),
+    J=st.floats(0.1, 1.0),
+    U=st.floats(0.0, 2.0),
+    t=st.floats(-2.0, 2.0),
+    hermitian=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sector_blocked_norm_and_heisenberg_operator_match_whole_matrix(gb, J, U, t, hermitian, seed):
+    """operator_norm of a conserving operator (blocks by sector) against the
+    dense 2-norm, and heisenberg_operator (sector pairs where A has entries)
+    against V (P V^* A V P^*) V^* with P = diag(e^{iEt}), for a conserving A
+    and a hermitian A with entries between sectors."""
+    g, basis = gb
+    assume(basis.dimension > 0)
+    rng = np.random.default_rng(seed)
+    conserving = random_operator(basis, rng, conserving=True, hermitian=hermitian)
+    assert conserves_number(conserving)
+    dense = conserving.to_dense()
+    assert abs(operator_norm(conserving) - np.linalg.norm(dense, 2)) <= 1e-12 * np.linalg.norm(dense, 2)
+
+    H = assemble_hamiltonian(g, full_region(g), basis, ModelParams(hopping=J, onsite=U))
+    d = eigendecompose(H)
+    V, P = d.vectors, np.exp(1j * d.energies * t)
+    mixing = random_operator(basis, rng, conserving=False, hermitian=True)
+    for A in (conserving, mixing):
+        M = A.to_dense()
+        expected = V @ ((P[:, None] * (V.conj().T @ M @ V)) * P.conj()) @ V.conj().T
+        err = np.abs(heisenberg_operator(H, A, t, d) - expected).max()
+        assert err <= 1e-12 * max(1.0, np.linalg.norm(M, 2))
