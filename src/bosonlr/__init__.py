@@ -1,8 +1,9 @@
 """bosonlr: a desk-scale laboratory for finite-lattice boson dynamics.
 
 Builds truncated Fock spaces over finite graphs, assembles lattice-boson
-Hamiltonians, propagates states with dense-spectral or Krylov engines,
-constructs thermal states with certified sector truncation, and verifies
+Hamiltonians, propagates states with dense-spectral or sparse
+(``expm_multiply``) engines, constructs thermal states with certified
+sector truncation, and verifies
 moment-growth, occupation-cutoff, light-cone, and equilibrium certificates
 against exact finite-volume computations.
 """
@@ -75,6 +76,7 @@ from .operators import (
 from .thermal import (
     GibbsState,
     GreenFunction,
+    evolved_two_points,
     expectation,
     fixed_sector_gibbs,
     gibbs_state,

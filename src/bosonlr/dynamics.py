@@ -1,27 +1,25 @@
 """Time evolution engines and exact free-particle references.
 
 Two propagators: dense spectral (exact up to the eigensolver) for sector
-blocks below ``DENSE_CAP``, and a Lanczos-Krylov matrix-exponential action
-with adaptive step halving for everything else.  Natural units throughout:
-hbar = 1, time in inverse units of the hopping energy.
+blocks below ``DENSE_CAP``, and scipy's ``expm_multiply`` action of the
+sparse generator (``_krylov_evolve``, engine "krylov") for everything
+else, which takes a block of columns over a whole time grid in one call.
+Natural units throughout: hbar = 1, time in inverse units of the hopping
+energy.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
+import scipy.sparse.linalg
 
-from .errors import InvalidArgumentError, NumericalFailureError, ResourceLimitError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .fock import FockBasis
 from .operators import SparseOperator
 
 DENSE_CAP = 4096
-KRYLOV_DIM = 30
-KRYLOV_TOL = 1e-10
-_BREAKDOWN = 1e-13
-_MAX_HALVINGS = 60
 # columns per dense propagation block: temporaries stay O(D * chunk)
 PROPAGATE_CHUNK = 64
 
@@ -158,7 +156,7 @@ def eigendecompose(H: SparseOperator, dense_cap: int = DENSE_CAP) -> SpectralDec
 
     Each particle-number block is densified and diagonalized separately,
     which keeps sector labels exact; blocks larger than ``dense_cap``
-    raise a resource error (use the Krylov propagator instead).  When no
+    raise a resource error (use the sparse engine "krylov" instead).  When no
     stored entry of ``H`` has an imaginary part, the blocks are
     diagonalized as real symmetric matrices and ``vectors`` is float64;
     otherwise they are complex hermitian and ``vectors`` is complex128.
@@ -185,90 +183,40 @@ def eigendecompose(H: SparseOperator, dense_cap: int = DENSE_CAP) -> SpectralDec
     return SpectralDecomposition(basis, energies, vectors, sectors)
 
 
-def _lanczos_step(matvec, v0: np.ndarray, dt: float, m: int):
-    """One Krylov approximation of exp(-i dt H) v0 for a unit vector v0.
+def _krylov_evolve(H, X: np.ndarray, times) -> np.ndarray:
+    """exp(-i H t) X for every t in ``times``, stacked as (len(times), D, k).
 
-    Returns (new vector, residual estimate).  A breakdown of the Lanczos
-    recurrence means the Krylov space is invariant and the step is exact.
+    scipy's ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci. Comput. 33
+    (2011) 488) works to double precision.  An ascending grid equal to
+    ``np.linspace(t0, t1, n)`` takes its time-grid algorithm (section 5
+    there), which selects the Taylor degree and step count once for the
+    whole grid: one call from 0 to t1 - t0 on X propagated to t0 (one more
+    call unless t0 = 0).  Any other list takes one call per time, and
+    t = 0 is a copy.  It reads no spectral decomposition.
     """
-    dim = v0.shape[0]
-    m = min(m, dim)
-    V = np.empty((m, dim), dtype=np.complex128)
-    V[0] = v0
-    alphas: list[float] = []
-    betas: list[float] = []
-    happy = False
-    scale = 0.0
-    for j in range(m):
-        w = matvec(V[j])
-        alpha = float(np.vdot(V[j], w).real)
-        w = w - alpha * V[j]
-        if j > 0:
-            w = w - betas[j - 1] * V[j - 1]
-        # full reorthogonalization; m is small so the cost is negligible
-        w = w - V[: j + 1].T @ (V[: j + 1].conj() @ w)
-        beta = float(np.linalg.norm(w))
-        alphas.append(alpha)
-        scale = max(scale, abs(alpha), beta)
-        betas.append(beta)
-        if beta <= _BREAKDOWN * max(scale, 1.0):
-            happy = True
-            break
-        if j + 1 < m:
-            V[j + 1] = w / beta
-    k = len(alphas)
-    diag = np.asarray(alphas)
-    off = np.asarray(betas[: k - 1])
-    if k == 1:
-        evals = diag.copy()
-        S = np.ones((1, 1))
-    else:
-        evals, S = scipy.linalg.eigh_tridiagonal(diag, off)
-    first_row = S[0, :]
+    X = np.asarray(X, dtype=np.complex128)
+    times = np.asarray(times, dtype=np.float64)
+    n = times.size
+    span = times[-1] - times[0] if n else 0.0
+    # scipy's grid algorithm (1.17) is wrong on a descending grid, divides
+    # by zero when span * H underflows, and reuses the span's parameters
+    # for the step to t0 (2e-10 off on [-1, -0.75]); a span that moves no
+    # state past rounding gains nothing from it
+    grid = span * np.abs(H.data).max(initial=0.0) > np.finfo(np.float64).eps
 
-    def krylov_coeffs(s: float) -> np.ndarray:
-        return S @ (np.exp(-1j * evals * s) * first_row)
+    def at(t):
+        return X.copy() if t == 0.0 else scipy.sparse.linalg.expm_multiply(-1j * t * H, X)
 
-    u = krylov_coeffs(dt)
-    if happy:
-        err = 0.0
-    else:
-        tail = max(abs(krylov_coeffs(f * dt)[-1]) for f in (0.25, 0.5, 0.75, 1.0))
-        err = abs(dt) * betas[k - 1] * tail
-    return V[:k].T @ u, err
+    if grid and np.array_equal(times, np.linspace(times[0], times[-1], n)):
+        return scipy.sparse.linalg.expm_multiply(
+            -1j * H, at(times[0]), start=0.0, stop=span, num=n, endpoint=True
+        )
+    return np.stack([at(t) for t in times])
 
 
-def _krylov_evolve(matvec, amps: np.ndarray, t: float, m: int, tol: float) -> np.ndarray:
-    norm = float(np.linalg.norm(amps))
-    if norm == 0.0 or t == 0.0:
-        return amps.astype(np.complex128, copy=True)
-    v = amps / norm
-    remaining = t
-    dt = t
-    halvings = 0
-    while abs(remaining) > 1e-15 * abs(t):
-        if abs(dt) > abs(remaining):
-            dt = remaining
-        w, err = _lanczos_step(matvec, v, dt, m)
-        if err > tol:
-            dt *= 0.5
-            halvings += 1
-            if halvings > _MAX_HALVINGS:
-                raise NumericalFailureError(
-                    f"Krylov propagator stalled: step {dt:.3e} still has residual {err:.3e} > {tol:.1e}"
-                )
-            continue
-        # renormalize to suppress drift accumulated over many steps
-        v = w / np.linalg.norm(w)
-        remaining -= dt
-        dt *= 2.0
-    return norm * v
-
-
-def _propagator(H, basis, t, decomposition, engine, tol, krylov_dim=KRYLOV_DIM):
+def _propagator(H, basis, t, decomposition, engine):
     """exp(-i H t) as a map on (D, k) column blocks; engines as in
-    ``evolve_state``.  The Krylov route propagates column by column and
-    never reads a decomposition."""
+    ``evolve_state``."""
     if not H.hermitian:
         raise InvalidArgumentError("the generator must be hermitian")
     if H.basis.basis_id != basis.basis_id:
@@ -278,14 +226,7 @@ def _propagator(H, basis, t, decomposition, engine, tol, krylov_dim=KRYLOV_DIM):
     if engine == "dense" or (engine == "auto" and decomposition is not None):
         decomp = decomposition if decomposition is not None else eigendecompose(H)
         return lambda X: decomp.propagate_block(X, t)
-
-    def krylov(X):
-        out = np.empty(X.shape, dtype=np.complex128)
-        for j in range(X.shape[1]):
-            out[:, j] = _krylov_evolve(lambda v: H.matrix @ v, X[:, j], t, krylov_dim, tol)
-        return out
-
-    return krylov
+    return lambda X: _krylov_evolve(H.matrix, X, [t])[0]
 
 
 def evolve_state(
@@ -294,26 +235,25 @@ def evolve_state(
     t: float,
     decomposition: SpectralDecomposition | None = None,
     engine: str = "auto",
-    tol: float = KRYLOV_TOL,
-    krylov_dim: int = KRYLOV_DIM,
 ) -> StateVector:
     """exp(-i H t) applied to a state.
 
     Engine "auto" uses the dense spectral route when a decomposition is
-    supplied and the Krylov route otherwise; "dense" computes the
-    decomposition on demand.
+    supplied and the sparse route "krylov" (``_krylov_evolve``: scipy's
+    ``expm_multiply`` on the sparse generator, no decomposition) otherwise;
+    "dense" computes the decomposition on demand.
     """
-    propagate = _propagator(H, psi.basis, t, decomposition, engine, tol, krylov_dim)
+    propagate = _propagator(H, psi.basis, t, decomposition, engine)
     return StateVector(psi.basis, propagate(psi.amplitudes[:, None])[:, 0])
 
 
 def _weighted_expectation(
-    H, A, basis, weights, columns, t, bra_op, ket_op, decomposition, engine, tol=KRYLOV_TOL
+    H, A, basis, weights, columns, t, bra_op, ket_op, decomposition, engine
 ) -> complex:
     """sum_j w_j <U bra_op psi_j, A U ket_op psi_j> with U = exp(-i H t),
     over the columns psi_j with w_j != 0 (a None operator is the identity),
     propagated PROPAGATE_CHUNK columns at a time."""
-    propagate = _propagator(H, basis, t, decomposition, engine, tol)
+    propagate = _propagator(H, basis, t, decomposition, engine)
     kept = np.flatnonzero(weights)
     total = 0.0 + 0.0j
     for start in range(0, kept.size, PROPAGATE_CHUNK):
@@ -336,7 +276,6 @@ def heisenberg_expectation(
     t: float = 0.0,
     decomposition: SpectralDecomposition | None = None,
     engine: str = "auto",
-    tol: float = KRYLOV_TOL,
 ) -> complex:
     """Expectation of the time-evolved observable, gamma(e^{iHt} A e^{-iHt} B).
 
@@ -350,7 +289,7 @@ def heisenberg_expectation(
     else:  # thermal state (duck-typed to avoid a module cycle)
         basis, weights, columns = state.decomp.basis, state.weights, state.decomp.vectors
     ket_op = None if B is None else B.matrix
-    return _weighted_expectation(H, A, basis, weights, columns, t, None, ket_op, decomposition, engine, tol)
+    return _weighted_expectation(H, A, basis, weights, columns, t, None, ket_op, decomposition, engine)
 
 
 def heisenberg_operator(

@@ -371,9 +371,11 @@ def operator_norm(
 ) -> float:
     """Largest singular value of an operator.
 
-    A ``SparseOperator`` that conserves particle number is block-diagonal
-    by sector, so its norm is the largest norm over its non-empty sector
-    blocks, each taken alone; any other input is one block.  A block takes
+    A ``SparseOperator`` flagged ``diagonal`` has norm max |diagonal|,
+    read exactly with no SVD or iteration unless ``method`` forces one.
+    One that conserves particle number is block-diagonal by sector, so
+    its norm is the largest norm over its non-empty sector blocks, each
+    taken alone; any other input is one block.  A block takes
     the exact dense SVD when it is a dense array or has dimension at most
     ``DENSE_NORM_CAP``.  A larger sparse block uses power iteration on
     A^* A with relative tolerance ``tol`` and a seeded start vector, which
@@ -382,6 +384,8 @@ def operator_norm(
     """
     if method not in ("auto", "dense", "power"):
         raise InvalidArgumentError(f"unknown norm method {method!r}")
+    if isinstance(op, SparseOperator) and op.diagonal and method == "auto":
+        return float(np.abs(op.matrix.diagonal()).max(initial=0.0))
     if isinstance(op, SparseOperator) and conserves_number(op):
         blocks = [op.matrix[sl, sl] for _, sl in op.basis.sector_slices()]
     elif isinstance(op, SparseOperator):

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    PROPAGATE_CHUNK,
     SpectralDecomposition,
     StateVector,
+    _krylov_evolve,
+    _real_matmul,
     _weighted_expectation,
     eigendecompose,
-    _real_matmul,
 )
 from .errors import (
     DivergingPartitionFunctionError,
@@ -207,25 +209,49 @@ class GreenFunction:
             self._blocks.append((decomp.energies[sl], state.shifted[sl], An * Bn.T))
         self._cache: dict[complex, complex] = {}
 
-    def __call__(self, z: complex) -> complex:
-        z = complex(z)
+    def _depth(self, z: complex) -> float:
+        """-Im z clamped to [0, beta]; a point off the strip raises."""
         s = -z.imag
         if not -1e-12 <= s <= self.beta + 1e-12:
             raise InvalidArgumentError(
                 f"point {z} lies outside the strip -beta <= Im z <= 0 (beta = {self.beta})"
             )
-        s = min(max(s, 0.0), self.beta)
-        if z in self._cache:
-            return self._cache[z]
-        t = z.real
-        total = 0.0 + 0.0j
+        return min(max(s, 0.0), self.beta)
+
+    def _sum(self, t, s):
+        """F(t - i s) for scalar t and s, or for equal-length arrays: the
+        bra and ket are vectors or (D_n, points) blocks, and ``_real_matmul``
+        reads C as two real GEMVs for one point or one GEMM for many."""
+        outer = np.multiply.outer
+        total = 0.0
         for energies, shifted, C in self._blocks:
-            bra = np.exp(-(self.beta - s) * shifted + 1j * energies * t)
-            ket = np.exp(-s * shifted - 1j * energies * t)
-            total += bra @ _real_matmul(C, ket)
-        value = complex(total / self.state.z_scaled)
-        self._cache[z] = value
-        return value
+            bra = np.exp(-outer(shifted, self.beta - s) + 1j * outer(energies, t))
+            ket = np.exp(-outer(shifted, s) - 1j * outer(energies, t))
+            total += np.einsum("i...,i...->...", bra, _real_matmul(C, ket))
+        return total / self.state.z_scaled
+
+    def __call__(self, z: complex) -> complex:
+        z = complex(z)
+        s = self._depth(z)
+        if z not in self._cache:
+            self._cache[z] = complex(self._sum(z.real, s))
+        return self._cache[z]
+
+    def values(self, points) -> np.ndarray:
+        """F at every point of ``points``, as one complex array.
+
+        Uncached points are evaluated PROPAGATE_CHUNK at a time, one GEMM
+        per sector block.  Every point is checked against the strip before
+        any is evaluated, and the values join the per-point cache.
+        """
+        zs = [complex(z) for z in points]
+        depth = {z: self._depth(z) for z in zs}
+        todo = [z for z in depth if z not in self._cache]
+        for start in range(0, len(todo), PROPAGATE_CHUNK):
+            chunk = todo[start : start + PROPAGATE_CHUNK]
+            t, s = np.array([z.real for z in chunk]), np.array([depth[z] for z in chunk])
+            self._cache.update(zip(chunk, self._sum(t, s).tolist()))
+        return np.array([self._cache[z] for z in zs], dtype=np.complex128)
 
 
 def green_function(state: GibbsState, A: SparseOperator, B: SparseOperator, z: complex) -> complex:
@@ -264,6 +290,49 @@ def two_point(
     return _weighted_expectation(H, A, state.basis, state.weights, columns, t, bra_op, ket_op, decomp, engine)
 
 
+def evolved_two_points(state: GibbsState, pairs, times):
+    """gamma(tau_t(A) B), gamma(B tau_t(A)) and gamma(tau_t(A)) for every
+    pair (A, B) and every t in ``times``, as three complex arrays of shape
+    (len(pairs), len(times)); B = None makes all three the plain value.
+
+    The oracle for the strip boundary values: it reads the state's
+    eigenvectors and weights, never its energies or the spectral sum.
+    PROPAGATE_CHUNK weighted eigenvectors psi at a time go through one
+    ``_krylov_evolve`` call as the block [psi | B_1 psi | B_1^* psi | ...]
+    (B^* psi left out for a hermitian B), over the whole time grid; memory
+    is O(len(times) D chunk (1 + 2 len(pairs))).
+    """
+    H = state.hamiltonian.matrix
+    shape = (len(pairs), len(times))
+    ab, ba, plain = (np.zeros(shape, dtype=np.complex128) for _ in range(3))
+    kept = np.flatnonzero(state.weights)
+    for start in range(0, kept.size, PROPAGATE_CHUNK):
+        cols = kept[start : start + PROPAGATE_CHUNK]
+        psi = state.decomp.vectors[:, cols]
+        blocks = [psi]
+        # per pair: the block holding B psi (AB's ket) and B^* psi (BA's bra)
+        where = []
+        for _, B in pairs:
+            if B is None:
+                where.append((0, 0))
+                continue
+            ket = len(blocks)
+            blocks.append(_real_matmul(B.matrix, psi))
+            if not B.hermitian:
+                blocks.append(_real_matmul(B.matrix.conj().T, psi))
+            where.append((ket, len(blocks) - 1))
+        k, w = len(cols), state.weights[cols]
+        for i, U in enumerate(_krylov_evolve(H, np.hstack(blocks), times)):
+            evolved = [U[:, b * k : (b + 1) * k] for b in range(len(blocks))]
+            for p, (A, _) in enumerate(pairs):
+                ket, bra = where[p]
+                a_psi = A.matrix @ evolved[0]
+                plain[p, i] += np.einsum("ij,ij->j", evolved[0].conj(), a_psi) @ w
+                ab[p, i] += np.einsum("ij,ij->j", evolved[0].conj(), A.matrix @ evolved[ket]) @ w
+                ba[p, i] += np.einsum("ij,ij->j", evolved[bra].conj(), a_psi) @ w
+    return ab, ba, plain
+
+
 def kms_residual(
     state: GibbsState,
     A: SparseOperator,
@@ -274,19 +343,18 @@ def kms_residual(
     """Boundary-value residuals of the strip function at real time t.
 
     Returns (|F(t) - gamma(tau_t(A) B)|, |F(t - i beta) - gamma(B tau_t(A))|),
-    the two sides computed by independent code paths (spectral sum versus
-    Krylov-propagated expectations).
+    the two sides computed by independent code paths (the spectral sum
+    against ``evolved_two_points`` on the one time t).
     """
     if gf is None:
         gf = GreenFunction(state, A, B)
     upper = gf(complex(t, 0.0))
     lower = gf(complex(t, -state.beta))
-    direct_ab = two_point(state, A, B, t, "AB", engine="krylov")
-    direct_ba = two_point(state, A, B, t, "BA", engine="krylov")
-    return (abs(upper - direct_ab), abs(lower - direct_ba))
+    direct_ab, direct_ba, _ = evolved_two_points(state, [(A, B)], [t])
+    return (abs(upper - direct_ab[0, 0]), abs(lower - direct_ba[0, 0]))
 
 
 def invariance_residual(state: GibbsState, A: SparseOperator, t: float) -> float:
     """|gamma(tau_t(A)) - gamma(A)|: stationarity of the thermal state."""
-    evolved = two_point(state, A, None, t, "AB", engine="krylov")
-    return abs(evolved - expectation(state, A))
+    _, _, evolved = evolved_two_points(state, [(A, None)], [t])
+    return abs(evolved[0, 0] - expectation(state, A))

@@ -26,7 +26,13 @@ from bosonlr import (
     number_operator,
     operator_norm,
 )
-from bosonlr.dynamics import StateVector, _fix_phases, _real_matmul, inverse_moment_upper_bound
+from bosonlr.dynamics import (
+    StateVector,
+    _fix_phases,
+    _krylov_evolve,
+    _real_matmul,
+    inverse_moment_upper_bound,
+)
 from bosonlr.operators import SparseOperator
 
 
@@ -133,6 +139,49 @@ def test_engine_agreement():
             dense = evolve_state(H, psi, t, decomposition=d)
             krylov = evolve_state(H, psi, t, engine="krylov")
             assert np.abs(dense.amplitudes - krylov.amplitudes).max() < 1e-9
+
+
+@pytest.mark.parametrize(
+    "times, calls",
+    [
+        ([0.0, 0.5, 1.0], 1),  # a uniform grid from t = 0: one grid call
+        # a uniform grid from t0 != 0: one call to t0, then the grid; scipy's
+        # grid call alone is off by 2e-10 on [-1, -0.75] (|t0| > span)
+        ([-1.0, -0.5, 0.0, 0.5], 2),
+        ([-1.0, -0.75], 2),
+        ([0.0, 0.3, 1.1], 2),  # not uniform: one call per nonzero time
+        ([0.0, -0.5, -1.0], 2),  # descending, where scipy's grid call is wrong
+        ([0.7], 1),
+        ([-0.9], 1),
+        ([0.0], 0),
+    ],
+)
+def test_krylov_evolve_matches_dense_exponential(times, calls, monkeypatch):
+    import scipy.sparse.linalg
+    from scipy.linalg import expm
+
+    _, _, basis, H = chain_model(5, n_max=3, cap=2, U=0.8)
+    rng = np.random.default_rng(7)
+    real = rng.standard_normal((basis.dimension, 3))
+    X = real + 1j * rng.standard_normal((basis.dimension, 3))
+    made = []
+    expm_multiply = scipy.sparse.linalg.expm_multiply
+
+    def counted(*args, **kwargs):
+        made.append(kwargs)
+        return expm_multiply(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counted)
+    Hd = H.to_dense()
+    for block in (X, real):
+        made.clear()
+        out = _krylov_evolve(H.matrix, block, times)
+        assert len(made) == calls
+        assert out.shape == (len(times),) + block.shape and out.dtype == np.complex128
+        for t, got in zip(times, out):
+            assert np.abs(got - expm(-1j * t * Hd) @ block).max() <= 1e-12
+    if times == [0.0]:
+        assert np.array_equal(out[0], real) and not np.shares_memory(out, real)
 
 
 def test_sector_confinement_exact():

@@ -265,10 +265,25 @@ def test_operator_norm_conserving_above_cap_is_exact_per_sector():
     assert max(sizes) == 792
     vals = 1.0 - 1e-4 * np.linspace(1.0, 0.0, basis.dimension) ** 2
     vals[-2:] = [1.0 - 1e-5, 1.0]
-    op = SparseOperator(sp.diags(vals.astype(complex)).tocsr(), basis, True, diagonal=True)
+    # left unflagged, so the sector blocks are read and not the diagonal
+    op = SparseOperator(sp.diags(vals.astype(complex)).tocsr(), basis, True)
     assert conserves_number(op)
     assert operator_norm(op) == pytest.approx(1.0, rel=1e-12)
     assert operator_norm(op, method="power") < 1.0 - 1e-6
+
+
+def test_operator_norm_of_diagonal_operator_is_max_abs_diagonal():
+    """The 1/(1+n) observable on the 9-site, 5-particle sector is one
+    1,287-state block, above DENSE_NORM_CAP: power iteration read its norm
+    as 0.9999999999738033, the diagonal reads it exactly."""
+    basis = enumerate_basis(full_region(build_chain(9)), sector=5)
+    assert basis.dimension == 1287 > DENSE_NORM_CAP
+    op = local_observable(basis, {"kind": "number_function", "site": 2, "fn": "inv_one_plus_n"})
+    assert op.diagonal
+    assert operator_norm(op) == 1.0
+    assert operator_norm(op, method="power") < 1.0
+    signed = local_observable(basis, {"kind": "number_function", "site": 2, "fn": [-3.0, 2.0, 1.0, 0.5, 0.25, 0.1]})
+    assert operator_norm(signed) == 3.0
 
 
 def test_operator_norm_power_nonconvergence():

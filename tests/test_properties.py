@@ -17,6 +17,8 @@ from bosonlr import (
     eigendecompose,
     enumerate_basis,
     enumerate_sectors,
+    evolved_two_points,
+    expectation,
     fixed_sector_gibbs,
     full_region,
     heisenberg_operator,
@@ -26,6 +28,7 @@ from bosonlr import (
     operator_norm,
     two_point,
 )
+from bosonlr.dynamics import _krylov_evolve
 from bosonlr.lattice import Region
 from bosonlr.operators import same_matrix
 
@@ -204,3 +207,73 @@ def test_sector_blocked_norm_and_heisenberg_operator_match_whole_matrix(gb, J, U
         expected = V @ ((P[:, None] * (V.conj().T @ M @ V)) * P.conj()) @ V.conj().T
         err = np.abs(heisenberg_operator(H, A, t, d) - expected).max()
         assert err <= 1e-12 * max(1.0, np.linalg.norm(M, 2))
+
+
+time_grids = st.one_of(
+    # a grid equal to its linspace takes scipy's time-grid algorithm
+    st.builds(
+        lambda a, n: [a + 0.25 * k for k in range(n)],
+        st.sampled_from([-1.0, -0.5, 0.0, 0.25]),
+        st.integers(2, 5),
+    ),
+    # any other list is propagated one time at a time
+    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    gb=bases(),
+    J=st.floats(0.1, 1.0),
+    U=st.floats(0.0, 2.0),
+    times=time_grids,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_propagation_matches_oracle(gb, J, U, times, seed):
+    """The spectral propagator (sector-blocked eigenbasis) against the
+    sparse one (scipy's expm_multiply, no decomposition) on a random block
+    of columns, at every time of a uniform or an arbitrary time list."""
+    g, basis = gb
+    assume(basis.dimension > 0)
+    H = assemble_hamiltonian(g, full_region(g), basis, ModelParams(hopping=J, onsite=U))
+    d = eigendecompose(H)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((basis.dimension, 3)) + 1j * rng.standard_normal((basis.dimension, 3))
+    evolved = _krylov_evolve(H.matrix, X, times)
+    scale = max(1.0, float(np.abs(d.energies).max()))
+    for t, got in zip(times, evolved):
+        assert np.abs(got - d.propagate_block(X, t)).max() <= 1e-11 * scale * max(1.0, abs(t))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    g=lattices,
+    n=st.integers(1, 3),
+    J=st.floats(0.1, 1.0),
+    U=st.floats(0.0, 2.0),
+    beta=st.floats(0.2, 2.0),
+    hermitian=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kms_boundary_residuals_on_random_thermal_states(g, n, J, U, beta, hermitian, seed):
+    """F(t) = gamma(tau_t(A) B) and F(t - i beta) = gamma(B tau_t(A)) for
+    random conserving A and B, the strip sum against time evolution, and
+    the state is stationary: gamma(tau_t(A)) = gamma(A)."""
+    basis = enumerate_basis(full_region(g), sector=n)
+    H = assemble_hamiltonian(g, full_region(g), basis, ModelParams(hopping=J, onsite=U))
+    gam = fixed_sector_gibbs(H, beta)
+    rng = np.random.default_rng(seed)
+
+    def unit(op):
+        norm = operator_norm(op)
+        assume(norm > 0.0)
+        return SparseOperator(op.matrix / norm, basis, op.hermitian)
+
+    A = unit(random_operator(basis, rng, conserving=True, hermitian=True))
+    B = unit(random_operator(basis, rng, conserving=True, hermitian=hermitian))
+    times = [0.0, 0.5, 1.0]
+    ab, ba, plain = evolved_two_points(gam, [(A, B)], times)
+    F = GreenFunction(gam, A, B).values([complex(t, 0.0) for t in times] + [complex(t, -beta) for t in times])
+    assert np.abs(F[:3] - ab[0]).max() < 1e-9
+    assert np.abs(F[3:] - ba[0]).max() < 1e-9
+    assert np.abs(plain[0] - expectation(gam, A)).max() < 1e-9

@@ -17,6 +17,7 @@ from bosonlr import (
     cutoff_projection,
     eigendecompose,
     enumerate_sectors,
+    evolved_two_points,
     expectation,
     fixed_sector_gibbs,
     full_region,
@@ -394,3 +395,63 @@ def test_dense_two_point_propagates_once_without_operators(monkeypatch):
     assert sum(calls) == np.count_nonzero(gam.weights)
     assert two_point(gam, A, ident, 0.8, engine="dense") == shared
     assert len(calls) == 3 * chunks
+
+
+def test_green_values_match_pointwise_calls():
+    # more points than one chunk, both strip edges, a repeated point, and a
+    # real and a complex rotated block (a complex B makes C complex)
+    basis, reg, H, gam, A, B = truncated_chain_state()
+    rng = np.random.default_rng(11)
+    n = PROPAGATE_CHUNK + 37
+    points = [complex(t, -s) for t, s in zip(rng.uniform(-2.0, 2.0, n), rng.uniform(0.0, gam.beta, n))]
+    points += [complex(0.3, 0.0), complex(-0.4, -gam.beta), 0.0, points[5]]
+    B_complex = SparseOperator((1j * B.matrix).tocsr(), basis, False)
+    for B_ in (B, B_complex):
+        got = GreenFunction(gam, A, B_).values(points)
+        assert got.shape == (len(points),) and got.dtype == np.complex128
+        pointwise = GreenFunction(gam, A, B_)
+        assert max(abs(v - pointwise(z)) for v, z in zip(got, points)) <= 1e-14
+    gf = GreenFunction(gam, A, B)
+    with pytest.raises(InvalidArgumentError):
+        gf.values(points[:3] + [complex(0.1, 0.5)])
+    # the whole call is rejected: no point of it was evaluated
+    assert not gf._cache
+    first = gf.values(points[:3])
+    assert np.array_equal(gf.values(points[2::-1]), first[::-1])
+
+
+def test_evolved_two_points_match_per_pair_two_point(monkeypatch):
+    # 70 weighted columns (two chunks); a hermitian B, a non-hermitian B
+    # that moves particles between sectors, and a plain pair (B = None)
+    import bosonlr.thermal as thermal
+
+    basis, reg, H, gam, A, B = truncated_chain_state()
+    rng = np.random.default_rng(3)
+    mixing = sp.random(basis.dimension, basis.dimension, density=0.05, random_state=rng)
+    mixing = (mixing + 1j * sp.random(basis.dimension, basis.dimension, density=0.05, random_state=rng)).tocsr()
+    B_mixing = SparseOperator(mixing, basis, False)
+    P = local_observable(basis, {"kind": "indicator", "site": 0, "level": 1})
+    pairs = [(A, B), (P, B_mixing), (A, None)]
+    widths = []
+    krylov_evolve = thermal._krylov_evolve
+
+    def counted(H_, X, times):
+        widths.append(X.shape[1])
+        return krylov_evolve(H_, X, times)
+
+    monkeypatch.setattr(thermal, "_krylov_evolve", counted)
+    weighted = np.count_nonzero(gam.weights)
+    for times in ([0.0, 0.7, 1.4], [0.0, 0.7, 2.3]):
+        widths.clear()
+        ab, ba, plain = evolved_two_points(gam, pairs, times)
+        # psi, B psi, and B_mixing psi with B_mixing^* psi: four blocks
+        assert widths == [4 * PROPAGATE_CHUNK, 4 * (weighted - PROPAGATE_CHUNK)]
+        for p, (A_, B_) in enumerate(pairs):
+            for i, t in enumerate(times):
+                # the per-pair sparse route costs a parameter selection per
+                # call, so it is read at the longest time only
+                engines = ("dense", "krylov") if t == 2.3 else ("dense",)
+                for got, order, B_order in ((ab, "AB", B_), (ba, "BA", B_), (plain, "AB", None)):
+                    for engine in engines:
+                        want = two_point(gam, A_, B_order, t, order, engine=engine)
+                        assert abs(got[p, i] - want) <= 1e-12
