@@ -23,6 +23,7 @@ from .dynamics import (
     basis_vector,
     binomial_inverse_moment,
     condensate_nonlocality_expectation,
+    correlations,
     eigendecompose,
     evolve_state,
     free_particle_amplitude,
@@ -80,7 +81,6 @@ from .thermal import (
     expectation,
     fixed_sector_gibbs,
     gibbs_state,
-    green_function,
     invariance_residual,
     kms_residual,
     moment_sup,

@@ -64,6 +64,13 @@ _TOP_LEVEL_KEYS = {
     "debug",
 }
 
+# graph and initial_state keys depend on their type: per section, the tag
+# key and the keys each tag value allows next to it
+_TYPED_KEYS = {
+    "graph": ("type", {"chain": {"length"}, "grid": {"dims"}, "edges": {"n_vertices", "edges", "dimension"}}),
+    "initial_state": ("kind", {"gibbs": set(), "gibbs_decoupled": set(), "occupation": {"occupation"}}),
+}
+
 
 def _f(site, fn="inv_one_plus_n"):
     return {"kind": "number_function", "site": site, "fn": fn}
@@ -272,7 +279,6 @@ def resolve_dict(data: dict) -> dict:
         "debug": {"dump_operators": False},
     }
     out = _deep_merge(defaults, merged)
-    # graph and initial_state keys depend on their type and are read per type
     sections = ("model", "basis", "thermal", "observables", "sweeps", "deriv", "tolerances", "debug")
     known = {key: set(defaults[key]) for key in sections}
     known["sweeps"].add("lr_lambda")  # optional, read without a default
@@ -280,6 +286,19 @@ def resolve_dict(data: dict) -> dict:
         _require(isinstance(out[section], dict), section, "must be a JSON object")
         unknown = set(out[section]) - keys
         _require(not unknown, section, f"unknown keys {sorted(unknown)}")
+    # typed sections: check the keys this config supplies against the merged
+    # type, and drop merged-in keys of another type (the default chain's
+    # length under an edges graph), so the resolved dict resolves to itself
+    for section, (tag, allowed) in _TYPED_KEYS.items():
+        _require(isinstance(out[section], dict), section, "must be a JSON object")
+        kind = out[section].get(tag)
+        _require(kind in allowed, f"{section}.{tag}", f"must be one of {sorted(allowed)}")
+        keys = allowed[kind] | {tag}
+        unknown = set(data.get(section, {})) - keys
+        _require(not unknown, section, f"unknown keys {sorted(unknown)} for {tag} {kind!r}")
+        out[section] = {key: val for key, val in out[section].items() if key in keys}
+    if out["initial_state"]["kind"] == "occupation":
+        _require("occupation" in out["initial_state"], "initial_state.occupation", "required for this kind")
     return out
 
 
@@ -292,7 +311,6 @@ def from_dict(data: dict) -> ExperimentConfig:
         _require(e in EXPERIMENT_NAMES, "experiments", f"unknown experiment {e!r}")
 
     graph = raw["graph"]
-    _require(graph.get("type") in ("chain", "grid", "edges"), "graph.type", "must be chain, grid, or edges")
     if graph["type"] == "chain":
         _require(int(graph.get("length", 0)) >= 1, "graph.length", "must be >= 1")
     elif graph["type"] == "grid":

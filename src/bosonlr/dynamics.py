@@ -1,11 +1,14 @@
-"""Time evolution engines and exact free-particle references.
+"""Time evolution engines, the correlation kernel, and exact free-particle
+references.
 
 Two propagators: dense spectral (exact up to the eigensolver) for sector
 blocks below ``DENSE_CAP``, and scipy's ``expm_multiply`` action of the
 sparse generator (``_krylov_evolve``, engine "krylov") for everything
 else, which takes a block of columns over a whole time grid in one call.
-Natural units throughout: hbar = 1, time in inverse units of the hopping
-energy.
+``correlations`` is the one kernel over weighted state columns: every
+time-evolved expectation and two-point value, for a pure or a thermal
+state, of many observable pairs over a whole time grid.  Natural units
+throughout: hbar = 1, time in inverse units of the hopping energy.
 """
 
 import math
@@ -214,9 +217,11 @@ def _krylov_evolve(H, X: np.ndarray, times) -> np.ndarray:
     return np.stack([at(t) for t in times])
 
 
-def _propagator(H, basis, t, decomposition, engine):
-    """exp(-i H t) as a map on (D, k) column blocks; engines as in
-    ``evolve_state``."""
+def _spectral_route(H, basis, decomposition, engine) -> SpectralDecomposition | None:
+    """Check the generator against ``basis`` and resolve ``engine``: the
+    decomposition the dense spectral route propagates with, or None for
+    the sparse route.  "auto" is dense when a decomposition is supplied
+    and sparse otherwise; "dense" computes the decomposition on demand."""
     if not H.hermitian:
         raise InvalidArgumentError("the generator must be hermitian")
     if H.basis.basis_id != basis.basis_id:
@@ -224,9 +229,8 @@ def _propagator(H, basis, t, decomposition, engine):
     if engine not in ("auto", "dense", "krylov"):
         raise InvalidArgumentError(f"unknown engine {engine!r}")
     if engine == "dense" or (engine == "auto" and decomposition is not None):
-        decomp = decomposition if decomposition is not None else eigendecompose(H)
-        return lambda X: decomp.propagate_block(X, t)
-    return lambda X: _krylov_evolve(H.matrix, X, [t])[0]
+        return decomposition if decomposition is not None else eigendecompose(H)
+    return None
 
 
 def evolve_state(
@@ -243,29 +247,72 @@ def evolve_state(
     ``expm_multiply`` on the sparse generator, no decomposition) otherwise;
     "dense" computes the decomposition on demand.
     """
-    propagate = _propagator(H, psi.basis, t, decomposition, engine)
-    return StateVector(psi.basis, propagate(psi.amplitudes[:, None])[:, 0])
+    decomp = _spectral_route(H, psi.basis, decomposition, engine)
+    X = psi.amplitudes[:, None]
+    U = _krylov_evolve(H.matrix, X, [t])[0] if decomp is None else decomp.propagate_block(X, t)
+    return StateVector(psi.basis, U[:, 0])
 
 
-def _weighted_expectation(
-    H, A, basis, weights, columns, t, bra_op, ket_op, decomposition, engine
-) -> complex:
-    """sum_j w_j <U bra_op psi_j, A U ket_op psi_j> with U = exp(-i H t),
-    over the columns psi_j with w_j != 0 (a None operator is the identity),
-    propagated PROPAGATE_CHUNK columns at a time."""
-    propagate = _propagator(H, basis, t, decomposition, engine)
+def correlations(
+    H: SparseOperator,
+    state,
+    pairs,
+    times,
+    decomposition: SpectralDecomposition | None = None,
+    engine: str = "auto",
+):
+    """gamma(tau_t(A) B), gamma(B tau_t(A)) and gamma(tau_t(A)), with
+    tau_t(A) = e^{iHt} A e^{-iHt}, for every pair (A, B) and every t in
+    ``times``, as three complex arrays of shape (len(pairs), len(times));
+    B = None makes all three the plain value.
+
+    ``state`` is a StateVector or a thermal state, whose density-matrix
+    eigenvectors evolve under ``H`` (which may differ from the state's own
+    Hamiltonian, e.g. after a quench).  PROPAGATE_CHUNK weighted columns
+    psi at a time form one block [psi | B_1 psi | B_1^* psi | ...] (B^* psi
+    left out for a hermitian B), propagated over the grid (engines as in
+    ``evolve_state``): densely one ``propagate_block`` call per time, so
+    temporaries stay O(D chunk (1 + 2 len(pairs))), or sparsely in one
+    ``_krylov_evolve`` call, which reads no decomposition.
+    """
+    if isinstance(state, StateVector):
+        basis, weights, columns = state.basis, np.ones(1), state.amplitudes[:, None]
+    else:  # thermal state (duck-typed to avoid a module cycle)
+        basis, weights, columns = state.decomp.basis, state.weights, state.decomp.vectors
+    decomp = _spectral_route(H, basis, decomposition, engine)
+    ab, ba, plain = np.zeros((3, len(pairs), len(times)), dtype=np.complex128)
     kept = np.flatnonzero(weights)
-    total = 0.0 + 0.0j
     for start in range(0, kept.size, PROPAGATE_CHUNK):
         cols = kept[start : start + PROPAGATE_CHUNK]
         psi = columns[:, cols]
-        left = propagate(psi if bra_op is None else _real_matmul(bra_op, psi))
-        if bra_op is None and ket_op is None:
-            right = left
+        blocks = [psi]
+        # per pair: the block holding B psi (AB's ket) and B^* psi (BA's bra)
+        where = []
+        for _, B in pairs:
+            if B is None:
+                where.append((0, 0))
+                continue
+            ket = len(blocks)
+            blocks.append(_real_matmul(B.matrix, psi))
+            if not B.hermitian:
+                blocks.append(_real_matmul(B.matrix.conj().T, psi))
+            where.append((ket, len(blocks) - 1))
+        X = np.hstack(blocks)
+        if decomp is None:
+            grid = _krylov_evolve(H.matrix, X, times)
         else:
-            right = propagate(psi if ket_op is None else _real_matmul(ket_op, psi))
-        total += np.einsum("ij,ij->j", left.conj(), A.matrix @ right) @ weights[cols]
-    return complex(total)
+            grid = (decomp.propagate_block(X, t) for t in times)
+        k, w = len(cols), weights[cols]
+        for i, U in enumerate(grid):
+            evolved = [U[:, b * k : (b + 1) * k] for b in range(len(blocks))]
+            for p, (A, _) in enumerate(pairs):
+                ket, bra = where[p]
+                a_psi = A.matrix @ evolved[0]
+                a_ket = a_psi if ket == 0 else A.matrix @ evolved[ket]
+                plain[p, i] += np.einsum("ij,ij->j", evolved[0].conj(), a_psi) @ w
+                ab[p, i] += np.einsum("ij,ij->j", evolved[0].conj(), a_ket) @ w
+                ba[p, i] += np.einsum("ij,ij->j", evolved[bra].conj(), a_psi) @ w
+    return ab, ba, plain
 
 
 def heisenberg_expectation(
@@ -277,19 +324,9 @@ def heisenberg_expectation(
     decomposition: SpectralDecomposition | None = None,
     engine: str = "auto",
 ) -> complex:
-    """Expectation of the time-evolved observable, gamma(e^{iHt} A e^{-iHt} B).
-
-    The evolved observable is never formed: for a pure state the bra and
-    ket sides are propagated; for a thermal state every eigenvector of its
-    density matrix is propagated under ``H`` (which may differ from the
-    state's own Hamiltonian, e.g. after a quench).
-    """
-    if isinstance(state, StateVector):
-        basis, weights, columns = state.basis, np.ones(1), state.amplitudes[:, None]
-    else:  # thermal state (duck-typed to avoid a module cycle)
-        basis, weights, columns = state.decomp.basis, state.weights, state.decomp.vectors
-    ket_op = None if B is None else B.matrix
-    return _weighted_expectation(H, A, basis, weights, columns, t, None, ket_op, decomposition, engine)
+    """Expectation of the time-evolved observable, gamma(e^{iHt} A e^{-iHt} B),
+    for a pure or a thermal state: one pair at one time of ``correlations``."""
+    return complex(correlations(H, state, [(A, B)], [t], decomposition, engine)[0][0, 0])
 
 
 def heisenberg_operator(

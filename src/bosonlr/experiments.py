@@ -12,6 +12,7 @@ that seed is recorded in the report metadata.
 """
 
 import csv
+import itertools
 import json
 import logging
 import math
@@ -29,13 +30,13 @@ from .dynamics import (
     SpectralDecomposition,
     basis_vector,
     condensate_nonlocality_expectation,
+    correlations,
     eigendecompose,
     free_particle_amplitude,
-    heisenberg_expectation,
     heisenberg_operator,
     inverse_moment_upper_bound,
 )
-from .errors import BoundaryContaminationError, ConfigError, InvalidArgumentError
+from .errors import BoundaryContaminationError, ConfigError, InvalidArgumentError, NotInBasisError
 from .fock import FockBasis, enumerate_basis, enumerate_sectors
 from .lattice import (
     LatticeGraph,
@@ -69,7 +70,6 @@ from .thermal import (
     fixed_sector_gibbs,
     gibbs_state,
     moment_sup,
-    two_point,
 )
 
 log = logging.getLogger("bosonlr")
@@ -222,7 +222,10 @@ def _initial_state(cfg: ExperimentConfig, scene: Scene):
         H0 = assemble_hamiltonian(scene.graph, scene.region, scene.basis, frozen)
         return _thermal_state(cfg, scene, H=H0, decomp=eigendecompose(H0))
     if kind == "occupation":
-        return basis_vector(scene.basis, cfg.initial_state["occupation"])
+        try:
+            return basis_vector(scene.basis, cfg.initial_state["occupation"])
+        except NotInBasisError as exc:  # no basis exists before the run to check it against
+            raise ConfigError(f"initial_state.occupation: {exc}") from exc
     raise ConfigError(f"initial_state.kind: unknown kind {kind!r}")
 
 
@@ -420,17 +423,15 @@ def run_moment_propagation(cfg: ExperimentConfig) -> ExperimentReport:
     eta = gronwall_rate(p, scene.graph.max_degree)
     sites = list(scene.region.sites)
     slack = cfg.tol("bound_slack")
-    moments = {x: number_moment(scene.basis, x, p) for x in sites}
-
-    def measure(t: float):
-        rows = []
-        for x in sites:
-            val = heisenberg_expectation(
-                scene.H, moments[x], state, None, t, decomposition=scene.decomp, engine="dense"
-            )
-            measured = float(val.real)
-            bnd = math.exp(eta * abs(t)) * M
-            rows.append(
+    times = [float(t) for t in cfg.sweeps["times"]]
+    pairs = [(number_moment(scene.basis, x, p), None) for x in sites]
+    _, _, evolved = correlations(scene.H, state, pairs, times, scene.decomp, "dense")
+    records = []
+    for i, t in enumerate(times):
+        bnd = math.exp(eta * abs(t)) * M
+        for k, x in enumerate(sites):
+            measured = float(evolved[k, i].real)
+            records.append(
                 {
                     "t": t,
                     "site": x,
@@ -440,10 +441,6 @@ def run_moment_propagation(cfg: ExperimentConfig) -> ExperimentReport:
                     "pass": measured <= bnd * (1 + slack),
                 }
             )
-        return rows
-
-    chunks = _pmap(measure, [float(t) for t in cfg.sweeps["times"]], cfg.workers)
-    records = [row for chunk in chunks for row in chunk]
     passed = all(r["pass"] for r in records)
     summary = {
         "eta": eta,
@@ -479,7 +476,7 @@ def run_cutoff_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     norm_a = operator_norm(A, seed=cfg.seed)
     norm_b = operator_norm(B, seed=cfg.seed)
     times = [float(t) for t in cfg.sweeps["times"]]
-    base = {t: two_point(gamma, A, B, t, generator=scene.H, generator_decomp=scene.decomp, engine="dense") for t in times}
+    base = correlations(scene.H, gamma, [(A, B)], times, scene.decomp, "dense")[0][0]
     slack = cfg.tol("bound_slack")
 
     def measure(lam: int):
@@ -488,10 +485,10 @@ def run_cutoff_scaling(cfg: ExperimentConfig) -> ExperimentReport:
         # when the cutoff is inactive the generator equals H exactly and
         # reusing its decomposition makes the measured difference exactly 0
         Gd = scene.decomp if same_matrix(G, scene.H) else eigendecompose(G)
+        vals = correlations(G, gamma, [(A, B)], times, Gd, "dense")[0][0]
         rows = []
-        for t in times:
-            val = two_point(gamma, A, B, t, generator=G, generator_decomp=Gd, engine="dense")
-            measured = abs(val - base[t])
+        for t, val, ref in zip(times, vals, base):
+            measured = float(abs(val - ref))
             if lam < cap:
                 inp = BoundInputs(
                     p=p,
@@ -626,15 +623,15 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
     passed = all(r["pass"] for r in records)
 
     gamma = _thermal_state(cfg, scene)
-    norm_b_site = {}
+    sites = [int(s) for s in cfg.sweeps["commutator_sites"]]
+    pairs = [
+        (A, local_observable(scene.basis, {"kind": "number_function", "site": j, "fn": "inv_one_plus_n"}))
+        for j in sites
+    ]
+    ab, ba, _ = correlations(scene.H, gamma, pairs, times, scene.decomp, "dense")
     commutator_rows = []
-    for t in times:
-        for j in [int(s) for s in cfg.sweeps["commutator_sites"]]:
-            Bj = local_observable(scene.basis, {"kind": "number_function", "site": j, "fn": "inv_one_plus_n"})
-            if j not in norm_b_site:
-                norm_b_site[j] = operator_norm(Bj, seed=cfg.seed)
-            ab = two_point(gamma, A, Bj, t, "AB", scene.H, scene.decomp, engine="dense")
-            ba = two_point(gamma, A, Bj, t, "BA", scene.H, scene.decomp, engine="dense")
+    for i, t in enumerate(times):
+        for k, j in enumerate(sites):
             dist = int(min(scene.graph.dist[x, j] for x in X.sites))
             commutator_rows.append(
                 {
@@ -643,7 +640,7 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
                     "t": t,
                     "site": j,
                     "distance": dist,
-                    "measured": abs(ab - ba),
+                    "measured": float(abs(ab[k, i] - ba[k, i])),
                     "bound": "",
                     "ratio": "",
                     "covering": "",
@@ -684,17 +681,15 @@ def run_local_approx(cfg: ExperimentConfig) -> ExperimentReport:
     eps = eps_rels[0] * norm_a * norm_b
     sup_times = [float(t) for t in (cfg.sweeps["sup_times"] or cfg.sweeps["times"])]
     full_sites = scene.region.as_set()
-    full = {t: two_point(gamma, A, B, t, "AB", scene.H, scene.decomp, engine="dense") for t in sup_times}
+    full = correlations(scene.H, gamma, [(A, B)], sup_times, scene.decomp, "dense")[0][0]
 
     def measure(m: int):
         inner = enlargement(scene.graph, X, 2 * m * r)
         covering = inner.as_set() == full_sites
         H_in = assemble_hamiltonian(scene.graph, inner, scene.basis, cfg.model)
         d_in = scene.decomp if same_matrix(H_in, scene.H) else eigendecompose(H_in)
-        sup_val = 0.0
-        for t in sup_times:
-            b = two_point(gamma, A, B, t, "AB", H_in, d_in, engine="dense")
-            sup_val = max(sup_val, abs(full[t] - b))
+        restricted = correlations(H_in, gamma, [(A, B)], sup_times, d_in, "dense")[0][0]
+        sup_val = float(np.abs(full - restricted).max(initial=0.0))
         envelope = m ** (d + 1) * math.exp(-m) + float(m) ** (d - p / 2 + 1)
         return {
             "m": m,
@@ -806,23 +801,16 @@ def run_kms_check(cfg: ExperimentConfig) -> ExperimentReport:
             decomposition=decomp_l,
         )
         A_l, B_l = _pair_observables(cfg, basis_l)
-        trend_vals[L] = {
-            t: two_point(gamma_l, A_l, B_l, t, "AB", H_l, decomp_l, engine="dense") for t in times
-        }
-    vols = sorted(trend_vals)
-    volume_diffs = []
-    for i in range(len(vols)):
-        for j in range(i + 1, len(vols)):
-            for t in times:
-                diff = abs(trend_vals[vols[i]][t] - trend_vals[vols[j]][t])
-                volume_diffs.append(diff)
-                records.append(row("volume-trend", 0, t, diff, "", True, f"{vols[i]}-{vols[j]}"))
+        trend_vals[L] = correlations(H_l, gamma_l, [(A_l, B_l)], times, decomp_l, "dense")[0][0]
+    for u, v in itertools.combinations(sorted(trend_vals), 2):
+        for t, a, b in zip(times, trend_vals[u], trend_vals[v]):
+            records.append(row("volume-trend", 0, t, float(abs(a - b)), "", True, f"{u}-{v}"))
 
     summary = {
         "max_boundary_residual": max(r["value"] for r in records if r["check"] == "boundary"),
         "max_invariance_residual": max(r["value"] for r in records if r["check"] == "invariance"),
         "tail_estimate": gamma.tail_estimate,
-        "volume_trend_max_diff": max(volume_diffs, default=None),
+        "volume_trend_max_diff": max((r["value"] for r in records if r["check"] == "volume-trend"), default=None),
     }
     return _finish(cfg, "kms", cols, records, summary, passed, t0)
 
@@ -928,13 +916,12 @@ def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
         if norm_ab is None:
             norm_ab = operator_norm(A_l, seed=cfg.seed) * operator_norm(B_l, seed=cfg.seed)
 
-        def g(t):
-            return two_point(gamma_l, A_l, B_l, t, "AB", H_xr, d_xr, engine="dense")
-
+        steps = [t + s for t in times for s in (h, -h, 2 * h, -2 * h)]
+        g = correlations(H_xr, gamma_l, [(A_l, B_l)], steps, d_xr, "dense")[0][0].reshape(-1, 4)
         sup_d = 0.0
-        for t in times:
-            d1 = (g(t + h) - g(t - h)) / (2 * h)
-            d2 = (g(t + 2 * h) - g(t - 2 * h)) / (4 * h)
+        for t, (plus, minus, plus2, minus2) in zip(times, g):
+            d1 = complex(plus - minus) / (2 * h)
+            d2 = complex(plus2 - minus2) / (4 * h)
             rich_ok = abs(d1 - d2) <= cfg.tol("richardson")
             richardson_all &= rich_ok
             sup_d = max(sup_d, abs(d1))

@@ -6,7 +6,10 @@ relative weight of the neglected sectors (geometric ratio test on the
 sector partition sums).  The two-point function extends off the real axis
 to the strip -beta <= Im z <= 0 through the double spectral sum, which is
 exact at finite dimension; equilibrium checks compare it against
-independently time-evolved expectations.
+independently time-evolved expectations.  Those come from
+``dynamics.correlations``: ``two_point`` is one pair at one time of it,
+and ``evolved_two_points`` is its sparse route over a whole time grid,
+which reads no energies and no spectral sum.
 """
 
 from dataclasses import dataclass
@@ -17,9 +20,8 @@ from .dynamics import (
     PROPAGATE_CHUNK,
     SpectralDecomposition,
     StateVector,
-    _krylov_evolve,
     _real_matmul,
-    _weighted_expectation,
+    correlations,
     eigendecompose,
 )
 from .errors import (
@@ -254,11 +256,6 @@ class GreenFunction:
         return np.array([self._cache[z] for z in zs], dtype=np.complex128)
 
 
-def green_function(state: GibbsState, A: SparseOperator, B: SparseOperator, z: complex) -> complex:
-    """Single-point strip evaluation; build a GreenFunction for sweeps."""
-    return GreenFunction(state, A, B)(z)
-
-
 def two_point(
     state: GibbsState,
     A: SparseOperator,
@@ -269,68 +266,27 @@ def two_point(
     generator_decomp: SpectralDecomposition | None = None,
     engine: str = "krylov",
 ) -> complex:
-    """gamma(tau_t(A) B) or gamma(B tau_t(A)) by direct time evolution.
+    """gamma(tau_t(A) B) or gamma(B tau_t(A)) by direct time evolution: one
+    pair at one time of ``correlations``.
 
-    This path never touches the spectral double sum: eigenvectors of the
-    density matrix are propagated as states, so it serves as an
-    independent oracle for the strip boundary values.  The evolution
-    ``generator`` defaults to the state's own Hamiltonian but may be any
-    hermitian operator on the same basis (quenches, restricted volumes).
-    ``B=None`` gives the plain evolved expectation gamma(tau_t(A)).
+    The evolution ``generator`` defaults to the state's own Hamiltonian but
+    may be any hermitian operator on the same basis (quenches, restricted
+    volumes).  ``B=None`` gives the plain evolved expectation gamma(tau_t(A)).
     """
     if order not in ("AB", "BA"):
         raise InvalidArgumentError("order must be 'AB' or 'BA'")
+    if engine == "dense" and generator_decomp is None and generator is None:
+        generator_decomp = state.decomp
     H = generator if generator is not None else state.hamiltonian
-    decomp = generator_decomp
-    if engine == "dense" and decomp is None:
-        decomp = state.decomp if generator is None else eigendecompose(H)
-    Bm = None if B is None else B.matrix
-    bra_op, ket_op = (None, Bm) if order == "AB" else (None if Bm is None else Bm.conj().T, None)
-    columns = state.decomp.vectors
-    return _weighted_expectation(H, A, state.basis, state.weights, columns, t, bra_op, ket_op, decomp, engine)
+    ab, ba, _ = correlations(H, state, [(A, B)], [t], generator_decomp, engine)
+    return complex((ab if order == "AB" else ba)[0, 0])
 
 
 def evolved_two_points(state: GibbsState, pairs, times):
-    """gamma(tau_t(A) B), gamma(B tau_t(A)) and gamma(tau_t(A)) for every
-    pair (A, B) and every t in ``times``, as three complex arrays of shape
-    (len(pairs), len(times)); B = None makes all three the plain value.
-
-    The oracle for the strip boundary values: it reads the state's
-    eigenvectors and weights, never its energies or the spectral sum.
-    PROPAGATE_CHUNK weighted eigenvectors psi at a time go through one
-    ``_krylov_evolve`` call as the block [psi | B_1 psi | B_1^* psi | ...]
-    (B^* psi left out for a hermitian B), over the whole time grid; memory
-    is O(len(times) D chunk (1 + 2 len(pairs))).
-    """
-    H = state.hamiltonian.matrix
-    shape = (len(pairs), len(times))
-    ab, ba, plain = (np.zeros(shape, dtype=np.complex128) for _ in range(3))
-    kept = np.flatnonzero(state.weights)
-    for start in range(0, kept.size, PROPAGATE_CHUNK):
-        cols = kept[start : start + PROPAGATE_CHUNK]
-        psi = state.decomp.vectors[:, cols]
-        blocks = [psi]
-        # per pair: the block holding B psi (AB's ket) and B^* psi (BA's bra)
-        where = []
-        for _, B in pairs:
-            if B is None:
-                where.append((0, 0))
-                continue
-            ket = len(blocks)
-            blocks.append(_real_matmul(B.matrix, psi))
-            if not B.hermitian:
-                blocks.append(_real_matmul(B.matrix.conj().T, psi))
-            where.append((ket, len(blocks) - 1))
-        k, w = len(cols), state.weights[cols]
-        for i, U in enumerate(_krylov_evolve(H, np.hstack(blocks), times)):
-            evolved = [U[:, b * k : (b + 1) * k] for b in range(len(blocks))]
-            for p, (A, _) in enumerate(pairs):
-                ket, bra = where[p]
-                a_psi = A.matrix @ evolved[0]
-                plain[p, i] += np.einsum("ij,ij->j", evolved[0].conj(), a_psi) @ w
-                ab[p, i] += np.einsum("ij,ij->j", evolved[0].conj(), A.matrix @ evolved[ket]) @ w
-                ba[p, i] += np.einsum("ij,ij->j", evolved[bra].conj(), a_psi) @ w
-    return ab, ba, plain
+    """``correlations`` of the state under its own Hamiltonian on the sparse
+    route: the oracle for the strip boundary values.  It reads the state's
+    eigenvectors and weights, never its energies or the spectral sum."""
+    return correlations(state.hamiltonian, state, pairs, times, engine="krylov")
 
 
 def kms_residual(

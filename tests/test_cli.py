@@ -112,3 +112,29 @@ def test_validate_config_nested_typo(tmp_path, capsys):
     path = write_cfg(tmp_path, {"preset": "chain-10", "thermal": {"betta": 3}})
     assert main(["validate-config", "--config", path]) == EXIT_CONFIG
     assert "unknown keys ['betta']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"graph": {"lenght": 7}},
+        {"initial_state": {"kind": "occupation", "occupaton": [3, 0, 0, 0, 0, 0]}},
+    ],
+)
+def test_misspelled_typed_key_exits_config(tmp_path, capsys, override):
+    # a typo in graph or initial_state is not ignored: neither the run nor
+    # validate-config gets past the config
+    cfg = write_cfg(tmp_path, {"preset": "chain-6", **override})
+    assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+    assert main(["moments", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "unknown keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("occupation", [[3, 0, 0], [1, 0, 0, 0, 0, 0]])
+def test_occupation_outside_the_basis_exits_config(tmp_path, capsys, occupation):
+    # a wrong length or a wrong particle number for the 3-particle sector
+    # is a config error, not a bound violation
+    override = {"initial_state": {"kind": "occupation", "occupation": occupation}}
+    cfg = write_cfg(tmp_path, {"preset": "chain-6", **override})
+    assert main(["moments", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "initial_state.occupation" in capsys.readouterr().err

@@ -145,3 +145,52 @@ def test_nested_section_must_be_object():
 
 def test_sweeps_accept_lr_lambda():
     assert from_preset("chain-10", {"sweeps": {"lr_lambda": 2.0}}).sweeps["lr_lambda"] == 2.0
+
+
+@pytest.mark.parametrize(
+    "section, value, key",
+    [
+        ("graph", {"lenght": 7}, "lenght"),
+        ("graph", {"type": "grid", "dims": [2, 3], "length": 6}, "length"),
+        ("graph", {"type": "edges", "n_vertices": 2, "edges": [[0, 1]], "dims": [2]}, "dims"),
+        ("initial_state", {"kind": "occupation", "occupaton": [3, 0, 0, 0, 0, 0]}, "occupaton"),
+        ("initial_state", {"kind": "gibbs", "occupation": [3, 0, 0, 0, 0, 0]}, "occupation"),
+    ],
+)
+def test_typed_section_keys_checked_per_type(section, value, key):
+    with pytest.raises(ConfigError, match=rf"{section}: unknown keys \['{key}'\]"):
+        from_preset("chain-6", {section: value})
+
+
+def test_typed_section_accepts_keys_of_its_type():
+    # the chain preset's length under a grid or an edges graph, and the
+    # default chain's length under a preset-free edges graph, are inherited
+    # keys of another type: not an error, and dropped from the resolved
+    # config, which resolves again to the same config
+    grid = {"type": "grid", "dims": [2, 3]}
+    edges = {"type": "edges", "n_vertices": 3, "edges": [[0, 1], [1, 2]], "dimension": 1}
+    occupation = {"kind": "occupation", "occupation": [3, 0, 0, 0, 0, 0]}
+    for cfg, section, want in (
+        (from_preset("chain-6", {"graph": grid}), "graph", grid),
+        (from_preset("chain-6", {"graph": edges}), "graph", edges),
+        (from_dict({"graph": edges, "basis": {"sector": 1}}), "graph", edges),
+        (from_preset("chain-6", {"initial_state": occupation}), "initial_state", occupation),
+        (from_preset("chain-6", {"initial_state": {"kind": "gibbs"}}), "initial_state", {"kind": "gibbs"}),
+    ):
+        assert cfg.to_dict()[section] == want
+        assert from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+@pytest.mark.parametrize(
+    "section, value, match",
+    [
+        ("graph", {"type": "ring"}, "graph.type: must be one of"),
+        ("graph", [7], "graph: must be a JSON object"),
+        ("initial_state", {"kind": "vacuum"}, "initial_state.kind: must be one of"),
+        ("initial_state", {"kind": "occupation"}, "initial_state.occupation: required"),
+        ("initial_state", "gibbs", "initial_state: must be a JSON object"),
+    ],
+)
+def test_typed_section_tag_and_required_keys(section, value, match):
+    with pytest.raises(ConfigError, match=match):
+        from_preset("chain-6", {section: value})

@@ -1,19 +1,27 @@
 """Property tests over random small lattices, couplings and sectors."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_thermal import reference_two_point
+
 from bosonlr import (
     GreenFunction,
     ModelParams,
     SparseOperator,
+    StateVector,
     assemble_hamiltonian,
     assemble_hopping,
     build_chain,
+    build_from_edges,
     build_grid,
     conserves_number,
+    correlations,
+    cutoff_projection,
     eigendecompose,
     enumerate_basis,
     enumerate_sectors,
@@ -21,11 +29,13 @@ from bosonlr import (
     expectation,
     fixed_sector_gibbs,
     full_region,
+    gibbs_state,
     heisenberg_operator,
     hop_term,
     local_observable,
     number_operator,
     operator_norm,
+    sandwich,
     two_point,
 )
 from bosonlr.dynamics import _krylov_evolve
@@ -81,10 +91,20 @@ def test_gauge_transform_keeps_spectrum_and_number_diagonal_correlations(g, n, J
 
 
 @st.composite
-def bases(draw):
+def edge_graphs(draw):
+    """A connected graph from an edge list: a random tree plus a few more
+    edges (repeats allowed)."""
+    n = draw(st.integers(2, 5))
+    tree = [(k, draw(st.integers(0, k - 1))) for k in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    return build_from_edges(n, tree + [(x, y) for x, y in extra if x != y])
+
+
+@st.composite
+def bases(draw, graphs=lattices):
     """A lattice and a basis on it: one sector, sectors 0..n_max, or (with
     a cap) every capped vector."""
-    g = draw(lattices)
+    g = draw(graphs)
     cap = draw(st.one_of(st.none(), st.integers(1, 3)))
     kinds = ["sector", "n_max"] + (["cap"] if cap is not None and g.n_vertices <= 4 else [])
     kind = draw(st.sampled_from(kinds))
@@ -277,3 +297,105 @@ def test_kms_boundary_residuals_on_random_thermal_states(g, n, J, U, beta, hermi
     assert np.abs(F[:3] - ab[0]).max() < 1e-9
     assert np.abs(F[3:] - ba[0]).max() < 1e-9
     assert np.abs(plain[0] - expectation(gam, A)).max() < 1e-9
+
+
+def unit_operator(basis, rng, conserving, hermitian):
+    """``random_operator`` scaled to Frobenius norm 1, so its operator norm
+    is at most 1."""
+    op = random_operator(basis, rng, conserving, hermitian)
+    norm = np.linalg.norm(op.matrix.data)
+    return SparseOperator(op.matrix / norm if norm else op.matrix, basis, hermitian)
+
+
+any_times = st.one_of(
+    time_grids,
+    st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=4).map(lambda ts: sorted(ts, reverse=True)),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(lambda ts: [ts[0], ts[0], ts[1], ts[0]]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    g=lattices,
+    n_max=st.integers(1, 3),
+    cap=st.one_of(st.none(), st.integers(1, 2)),
+    J=st.floats(0.1, 1.0),
+    U=st.floats(0.0, 2.0),
+    beta=st.floats(1.0, 2.0),
+    pure=st.booleans(),
+    kinds=st.lists(st.sampled_from(["hermitian", "non-hermitian", "mixing", None]), min_size=1, max_size=3),
+    times=any_times,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_correlation_routes_match_eigenvector_loop(g, n_max, cap, J, U, beta, pure, kinds, times, seed):
+    """``correlations`` on its dense route (one propagate_block call per
+    time) against its sparse route (expm_multiply over the grid) and the
+    one-column-at-a-time reference, for a pure or a thermal state evolved
+    under a quench generator, on uniform, arbitrary, descending and
+    repeated time lists."""
+    basis = enumerate_sectors(full_region(g), n_max, cap=cap)
+    H = assemble_hamiltonian(g, full_region(g), basis, ModelParams(hopping=J, onsite=U))
+    G = assemble_hamiltonian(g, full_region(g), basis, ModelParams(hopping=1.0, onsite=U + 0.5))
+    dG = eigendecompose(G)
+    rng = np.random.default_rng(seed)
+    if pure:
+        amps = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+        state = StateVector(basis, amps / np.linalg.norm(amps))
+        # the reference reads weights and columns only
+        columns = SimpleNamespace(weights=np.ones(1), decomp=SimpleNamespace(vectors=state.amplitudes[:, None]))
+    else:
+        # a cap can leave the top sectors empty
+        state = columns = gibbs_state(H, beta, -6.0, int(basis.totals.max()), tail_tol=1.0)
+    B_of = {
+        "hermitian": lambda: unit_operator(basis, rng, conserving=True, hermitian=True),
+        "non-hermitian": lambda: unit_operator(basis, rng, conserving=True, hermitian=False),
+        "mixing": lambda: unit_operator(basis, rng, conserving=False, hermitian=bool(rng.integers(2))),
+        None: lambda: None,
+    }
+    pairs = [(unit_operator(basis, rng, conserving=False, hermitian=False), B_of[kind]()) for kind in kinds]
+    dense = correlations(G, state, pairs, times, dG, engine="dense")
+    sparse = correlations(G, state, pairs, times, engine="krylov")
+    for got, want in zip(dense, sparse):
+        assert got.shape == (len(pairs), len(times))
+        assert np.abs(got - want).max() <= 1e-10
+    ab, ba, plain = dense
+    for p, (A, B) in enumerate(pairs):
+        for i, t in enumerate(times):
+            assert abs(ab[p, i] - reference_two_point(columns, A, B, t, "AB", dG)) <= 1e-10
+            assert abs(ba[p, i] - reference_two_point(columns, A, B, t, "BA", dG)) <= 1e-10
+            assert abs(plain[p, i] - reference_two_point(columns, A, None, t, "AB", dG)) <= 1e-10
+
+
+any_graphs = st.one_of(lattices, edge_graphs())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gb=bases(any_graphs),
+    J=st.floats(0.1, 2.0),
+    U=st.floats(0.0, 2.0),
+    offsite=st.lists(st.floats(-1.0, 1.0), max_size=2),
+)
+def test_assembled_hamiltonian_is_hermitian_and_conserves_number(gb, J, U, offsite):
+    """On random chain, grid and edge-list graphs, with and without a site
+    cap, H is hermitian entry by entry as stored and has no entry between
+    sectors."""
+    g, basis = gb
+    H = assemble_hamiltonian(g, full_region(g), basis, ModelParams(hopping=J, onsite=U, offsite=tuple(offsite)))
+    dense = H.to_dense()
+    assert H.hermitian and np.array_equal(dense, dense.conj().T)
+    assert conserves_number(H)
+
+
+@settings(max_examples=30, deadline=None)
+@given(gb=bases(any_graphs), J=st.floats(0.1, 2.0), U=st.floats(0.0, 2.0), data=st.data())
+def test_inactive_cutoff_leaves_hamiltonian_unchanged(gb, J, U, data):
+    """P H P = H for the cutoff projection at any level lam >= the site cap
+    (with no cap: at or above the largest occupation), on any region."""
+    g, basis = gb
+    H = assemble_hamiltonian(g, full_region(g), basis, ModelParams(hopping=J, onsite=U))
+    cap = basis.site_cap if basis.site_cap is not None else basis.max_total
+    lam = data.draw(st.integers(cap, cap + 2))
+    sites = data.draw(st.sets(st.integers(0, g.n_vertices - 1), min_size=1))
+    region = Region(tuple(sorted(sites)), g.graph_id)
+    assert same_matrix(sandwich(cutoff_projection(basis, region, lam), H), H)

@@ -14,6 +14,7 @@ from bosonlr import (
     assemble_hopping,
     assemble_interaction,
     build_chain,
+    correlations,
     cutoff_projection,
     eigendecompose,
     enumerate_sectors,
@@ -22,7 +23,6 @@ from bosonlr import (
     fixed_sector_gibbs,
     full_region,
     gibbs_state,
-    green_function,
     identity_operator,
     invariance_residual,
     kms_residual,
@@ -129,7 +129,7 @@ def test_green_function_identity_pair():
     basis, H, gam = two_site_model()
     ident = identity_operator(basis)
     for z in (0.0, 0.3 - 0.2j, 1.0 - 1.0j):
-        assert green_function(gam, ident, ident, z) == pytest.approx(1.0)
+        assert GreenFunction(gam, ident, ident)(z) == pytest.approx(1.0)
 
 
 def test_green_function_boundary_values_match_direct_evolution():
@@ -254,7 +254,7 @@ def test_degenerate_relabeling_invariance():
     B = local_observable(basis, {"kind": "normalized_hop", "sites": [0, 1]})
     assert expectation(gam1, A) == pytest.approx(expectation(gam2, A), rel=1e-10)
     z = complex(0.4, -0.3)
-    assert green_function(gam1, A, B, z) == pytest.approx(green_function(gam2, A, B, z), abs=1e-10)
+    assert GreenFunction(gam1, A, B)(z) == pytest.approx(GreenFunction(gam2, A, B)(z), abs=1e-10)
 
 
 def test_diverging_partition_function():
@@ -377,9 +377,10 @@ def test_moment_sup_matches_site_loop():
 
 
 def test_dense_two_point_propagates_once_without_operators(monkeypatch):
-    # with neither a bra nor a ket operator the two propagated blocks are
-    # the same, so each chunk is propagated once; an explicit identity ket
-    # operator propagates twice and must give the same bits
+    # with no operator each chunk propagates as the block [psi], once per
+    # time; a hermitian operator adds the one block B psi.  In one call the
+    # identity pair gives the same bits as the plain pair: its ket columns
+    # are propagated in the same block as psi
     basis, reg, H, gam, A, _ = truncated_chain_state()
     ident = identity_operator(basis)
     calls = []
@@ -390,11 +391,17 @@ def test_dense_two_point_propagates_once_without_operators(monkeypatch):
         return propagate_block(self, X, t)
 
     monkeypatch.setattr(SpectralDecomposition, "propagate_block", counted)
+    weighted = np.count_nonzero(gam.weights)
+    widths = [PROPAGATE_CHUNK, weighted - PROPAGATE_CHUNK]
     shared = two_point(gam, A, None, 0.8, engine="dense")
-    chunks = len(calls)
-    assert sum(calls) == np.count_nonzero(gam.weights)
-    assert two_point(gam, A, ident, 0.8, engine="dense") == shared
-    assert len(calls) == 3 * chunks
+    assert calls == widths
+    calls.clear()
+    ab, ba, plain = correlations(H, gam, [(A, None), (A, ident)], [0.8, 1.1], engine="dense")
+    assert calls == [2 * w for w in widths for _ in range(2)]
+    assert np.array_equal(ab[1], plain[0]) and np.array_equal(ba[1], plain[0])
+    assert np.array_equal(ab[0], plain[0]) and np.array_equal(ba[0], plain[0])
+    # a wider block may round differently in the last bit
+    assert abs(plain[0, 0] - shared) <= 1e-15
 
 
 def test_green_values_match_pointwise_calls():
@@ -423,7 +430,7 @@ def test_green_values_match_pointwise_calls():
 def test_evolved_two_points_match_per_pair_two_point(monkeypatch):
     # 70 weighted columns (two chunks); a hermitian B, a non-hermitian B
     # that moves particles between sectors, and a plain pair (B = None)
-    import bosonlr.thermal as thermal
+    import bosonlr.dynamics as dynamics
 
     basis, reg, H, gam, A, B = truncated_chain_state()
     rng = np.random.default_rng(3)
@@ -433,13 +440,13 @@ def test_evolved_two_points_match_per_pair_two_point(monkeypatch):
     P = local_observable(basis, {"kind": "indicator", "site": 0, "level": 1})
     pairs = [(A, B), (P, B_mixing), (A, None)]
     widths = []
-    krylov_evolve = thermal._krylov_evolve
+    krylov_evolve = dynamics._krylov_evolve
 
     def counted(H_, X, times):
         widths.append(X.shape[1])
         return krylov_evolve(H_, X, times)
 
-    monkeypatch.setattr(thermal, "_krylov_evolve", counted)
+    monkeypatch.setattr(dynamics, "_krylov_evolve", counted)
     weighted = np.count_nonzero(gam.weights)
     for times in ([0.0, 0.7, 1.4], [0.0, 0.7, 2.3]):
         widths.clear()
@@ -455,3 +462,22 @@ def test_evolved_two_points_match_per_pair_two_point(monkeypatch):
                     for engine in engines:
                         want = two_point(gam, A_, B_order, t, order, engine=engine)
                         assert abs(got[p, i] - want) <= 1e-12
+
+
+def test_oracle_never_reads_the_spectral_propagator(monkeypatch):
+    # the strip sum is built from the decomposition; the values it is
+    # checked against must not be: evolved_two_points, kms_residual and
+    # invariance_residual run with the dense propagator disabled
+    basis, reg, H, gam, A, B = truncated_chain_state()
+    want = two_point(gam, A, B, 0.6, engine="dense")
+
+    def forbidden(self, X, t):
+        raise AssertionError("the oracle called SpectralDecomposition.propagate_block")
+
+    monkeypatch.setattr(SpectralDecomposition, "propagate_block", forbidden)
+    ab, _, _ = evolved_two_points(gam, [(A, B), (A, None)], [0.0, 0.3, 0.6])
+    assert abs(ab[0, 2] - want) <= 1e-12
+    assert max(kms_residual(gam, A, B, 0.6)) < 1e-9
+    assert invariance_residual(gam, A, 0.6) < 1e-9
+    with pytest.raises(AssertionError, match="propagate_block"):
+        two_point(gam, A, B, 0.6, engine="dense")
