@@ -229,6 +229,25 @@ def _initial_state(cfg: ExperimentConfig, scene: Scene):
     raise ConfigError(f"initial_state.kind: unknown kind {kind!r}")
 
 
+def _volume_state(cfg: ExperimentConfig, L, tail_tol: float):
+    """The configured model's grand-canonical Gibbs state on an L-site
+    chain, for the volume trends: (graph, state, A, B) with the first
+    observable pair on that chain's basis."""
+    graph = build_chain(int(L))
+    region = full_region(graph)
+    basis = enumerate_sectors(region, int(cfg.basis["n_max"]), cfg.basis.get("site_cap"))
+    H = assemble_hamiltonian(graph, region, basis, cfg.model)
+    gamma = gibbs_state(
+        H,
+        float(cfg.thermal["beta"]),
+        float(cfg.thermal["mu"]),
+        int(cfg.basis["n_max"]),
+        tail_tol=tail_tol,
+        decomposition=eigendecompose(H),
+    )
+    return (graph, gamma, *_pair_observables(cfg, basis))
+
+
 def _pair_observables(cfg: ExperimentConfig, basis: FockBasis, k: int = 0):
     if k >= len(cfg.observable_pairs):
         raise ConfigError("observables.pairs: experiment needs an observable pair")
@@ -788,20 +807,10 @@ def run_kms_check(cfg: ExperimentConfig) -> ExperimentReport:
     # volume-growth trend: same local observables in growing volumes
     trend_vals = {}
     for L in cfg.volumes:
-        graph_l = build_chain(int(L))
-        basis_l = enumerate_sectors(full_region(graph_l), int(cfg.basis["n_max"]), cfg.basis.get("site_cap"))
-        H_l = assemble_hamiltonian(graph_l, full_region(graph_l), basis_l, cfg.model)
-        decomp_l = eigendecompose(H_l)
-        gamma_l = gibbs_state(
-            H_l,
-            beta,
-            float(cfg.thermal["mu"]),
-            int(cfg.basis["n_max"]),
-            tail_tol=max(float(cfg.thermal["tail_tol"]), 0.5),
-            decomposition=decomp_l,
-        )
-        A_l, B_l = _pair_observables(cfg, basis_l)
-        trend_vals[L] = correlations(H_l, gamma_l, [(A_l, B_l)], times, decomp_l, "dense")[0][0]
+        _, gamma_l, A_l, B_l = _volume_state(cfg, L, max(float(cfg.thermal["tail_tol"]), 0.5))
+        trend_vals[L] = correlations(
+            gamma_l.hamiltonian, gamma_l, [(A_l, B_l)], times, gamma_l.decomp, "dense"
+        )[0][0]
     for u, v in itertools.combinations(sorted(trend_vals), 2):
         for t, a, b in zip(times, trend_vals[u], trend_vals[v]):
             records.append(row("volume-trend", 0, t, float(abs(a - b)), "", True, f"{u}-{v}"))
@@ -897,22 +906,10 @@ def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
     richardson_all = True
     norm_ab = None
     for L in cfg.volumes:
-        graph_l = build_chain(int(L))
-        basis_l = enumerate_sectors(full_region(graph_l), int(cfg.basis["n_max"]), cfg.basis.get("site_cap"))
-        H_l = assemble_hamiltonian(graph_l, full_region(graph_l), basis_l, cfg.model)
-        decomp_l = eigendecompose(H_l)
-        gamma_l = gibbs_state(
-            H_l,
-            float(cfg.thermal["beta"]),
-            float(cfg.thermal["mu"]),
-            int(cfg.basis["n_max"]),
-            tail_tol=float(cfg.thermal["tail_tol"]),
-            decomposition=decomp_l,
-        )
+        graph_l, gamma_l, A_l, B_l = _volume_state(cfg, L, float(cfg.thermal["tail_tol"]))
         XR = enlargement(graph_l, Region(tuple(X.sites), graph_l.graph_id), R)
-        H_xr = assemble_hamiltonian(graph_l, XR, basis_l, cfg.model)
+        H_xr = assemble_hamiltonian(graph_l, XR, gamma_l.basis, cfg.model)
         d_xr = eigendecompose(H_xr)
-        A_l, B_l = _pair_observables(cfg, basis_l)
         if norm_ab is None:
             norm_ab = operator_norm(A_l, seed=cfg.seed) * operator_norm(B_l, seed=cfg.seed)
 

@@ -15,6 +15,7 @@ which reads no energies and no spectral sum.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .dynamics import (
     PROPAGATE_CHUNK,
@@ -186,13 +187,33 @@ def _require_number_conserving(op: SparseOperator, name: str):
         raise InvalidArgumentError(f"{name} must conserve the total particle number")
 
 
+def _exactly_hermitian(matrix) -> bool:
+    """True when a sparse matrix equals its conjugate transpose entry for
+    entry; O(nnz)."""
+    return (matrix != matrix.conj().T).nnz == 0
+
+
+def _hermitian_matvec(C: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """C @ ket for a hermitian (real symmetric) Fortran-ordered C and a
+    complex vector, reading only the lower triangle of C: one ``zhemv``,
+    or for a real C one ``dsymv`` on each of the real and imaginary
+    parts of the ket."""
+    if np.iscomplexobj(C):
+        return blas.zhemv(1.0, C, ket, lower=1)
+    return blas.dsymv(1.0, C, ket.real, lower=1) + 1j * blas.dsymv(1.0, C, ket.imag, lower=1)
+
+
 class GreenFunction:
     """Two-point function of a thermal state on the strip -beta <= Im z <= 0.
 
     F(t) is the time-ordered expectation of the evolved first observable
     against the second; F(t - i beta) swaps the operator order.  Values
     come from the double spectral sum with overflow-safe exponents, O(D^2)
-    per point after a one-time O(D^3) rotation into the eigenbasis.
+    per point after a one-time O(D^3) rotation into the eigenbasis: each
+    sector block C_jk = A_jk B_kj is read once per point.  For a hermitian
+    pair C is hermitian, and one point costs two real symmetric mat-vecs
+    (one complex hermitian mat-vec under a complex generator) over the
+    lower triangle of C alone.
     Evaluations are cached per point.
     """
 
@@ -203,12 +224,18 @@ class GreenFunction:
         _require_number_conserving(B, "second observable")
         self.state = state
         self.beta = state.beta
+        # from the stored matrices, not the flags a caller may have set wrongly
+        self._hermitian = _exactly_hermitian(A.matrix) and _exactly_hermitian(B.matrix)
+        slices = state.included_slices()
+        # sectors ascend, so the included rows are the first ``_stop``
+        self._stop = slices[-1][1].stop
         self._blocks = []
         decomp = state.decomp
-        for n, sl in state.included_slices():
+        for n, sl in slices:
             An = decomp.rotate(A.matrix, sl)
             Bn = decomp.rotate(B.matrix, sl)
-            self._blocks.append((decomp.energies[sl], state.shifted[sl], An * Bn.T))
+            # Fortran order: the symmetric BLAS mat-vecs read it in place
+            self._blocks.append((sl, np.multiply(An, Bn.T, order="F")))
         self._cache: dict[complex, complex] = {}
 
     def _depth(self, z: complex) -> float:
@@ -222,14 +249,21 @@ class GreenFunction:
 
     def _sum(self, t, s):
         """F(t - i s) for scalar t and s, or for equal-length arrays: the
-        bra and ket are vectors or (D_n, points) blocks, and ``_real_matmul``
-        reads C as two real GEMVs for one point or one GEMM for many."""
+        bra and ket are vectors or (D_n, points) blocks.  The exponentials
+        are taken once over all included rows, sharing the phase
+        e^{-iEt}: bra = e^{-(beta - s) g} conj(phase), ket = e^{-s g} phase,
+        both real factors at most 1.  One point of a hermitian pair reads
+        C by ``_hermitian_matvec``; otherwise ``_real_matmul`` reads it as
+        two real GEMVs for one point or one GEMM for many."""
         outer = np.multiply.outer
+        shifted = self.state.shifted[: self._stop]
+        phase = np.exp(-1j * outer(self.state.decomp.energies[: self._stop], t))
+        bra = np.exp(-outer(shifted, self.beta - s)) * phase.conj()
+        ket = np.exp(-outer(shifted, s)) * phase
+        matvec = _hermitian_matvec if self._hermitian and np.ndim(t) == 0 else _real_matmul
         total = 0.0
-        for energies, shifted, C in self._blocks:
-            bra = np.exp(-outer(shifted, self.beta - s) + 1j * outer(energies, t))
-            ket = np.exp(-outer(shifted, s) - 1j * outer(energies, t))
-            total += np.einsum("i...,i...->...", bra, _real_matmul(C, ket))
+        for rows, C in self._blocks:
+            total += np.einsum("i...,i...->...", bra[rows], matvec(C, ket[rows]))
         return total / self.state.z_scaled
 
     def __call__(self, z: complex) -> complex:

@@ -277,8 +277,10 @@ def test_dense_propagation_matches_oracle(gb, J, U, times, seed):
 )
 def test_kms_boundary_residuals_on_random_thermal_states(g, n, J, U, beta, hermitian, seed):
     """F(t) = gamma(tau_t(A) B) and F(t - i beta) = gamma(B tau_t(A)) for
-    random conserving A and B, the strip sum against time evolution, and
-    the state is stationary: gamma(tau_t(A)) = gamma(A)."""
+    random conserving A and B, the strip sum (as one array and point by
+    point) against time evolution, and the state is stationary:
+    gamma(tau_t(A)) = gamma(A).  For a hermitian pair the strip function
+    reflects: F(t - i (beta - s)) = conj F(t - i s)."""
     basis = enumerate_basis(full_region(g), sector=n)
     H = assemble_hamiltonian(g, full_region(g), basis, ModelParams(hopping=J, onsite=U))
     gam = fixed_sector_gibbs(H, beta)
@@ -293,10 +295,16 @@ def test_kms_boundary_residuals_on_random_thermal_states(g, n, J, U, beta, hermi
     B = unit(random_operator(basis, rng, conserving=True, hermitian=hermitian))
     times = [0.0, 0.5, 1.0]
     ab, ba, plain = evolved_two_points(gam, [(A, B)], times)
-    F = GreenFunction(gam, A, B).values([complex(t, 0.0) for t in times] + [complex(t, -beta) for t in times])
-    assert np.abs(F[:3] - ab[0]).max() < 1e-9
-    assert np.abs(F[3:] - ba[0]).max() < 1e-9
+    boundary = [complex(t, 0.0) for t in times] + [complex(t, -beta) for t in times]
+    gf = GreenFunction(gam, A, B)
+    pointwise = GreenFunction(gam, A, B)
+    for F in (gf.values(boundary), np.array([pointwise(z) for z in boundary])):
+        assert np.abs(F[:3] - ab[0]).max() < 1e-9
+        assert np.abs(F[3:] - ba[0]).max() < 1e-9
     assert np.abs(plain[0] - expectation(gam, A)).max() < 1e-9
+    if hermitian:
+        t, s = rng.uniform(-2.0, 2.0), rng.uniform(0.0, beta)
+        assert abs(gf(complex(t, -(beta - s))) - np.conj(gf(complex(t, -s)))) <= 1e-12
 
 
 def unit_operator(basis, rng, conserving, hermitian):

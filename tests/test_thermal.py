@@ -23,6 +23,7 @@ from bosonlr import (
     fixed_sector_gibbs,
     full_region,
     gibbs_state,
+    hop_term,
     identity_operator,
     invariance_residual,
     kms_residual,
@@ -146,22 +147,38 @@ def test_green_function_boundary_values_match_direct_evolution():
 
 def test_strip_values_against_dense_matrix_exponential():
     # independent oracle: evaluate the strip function by brute-force
-    # complex-time conjugation with dense matrix exponentials
+    # complex-time conjugation with dense matrix exponentials.  A real
+    # hermitian pair reads the lower triangle of a real block, a complex
+    # hermitian generator that of a complex block; the raw hop a_0^* a_1
+    # reads the whole block, also when it is wrongly flagged hermitian
     from scipy.linalg import expm
 
     basis, H, gam = two_site_model(n_max=4, tail_tol=1e-4)
     A = local_observable(basis, {"kind": "number_function", "site": 0, "fn": "inv_one_plus_n"})
     B = local_observable(basis, {"kind": "normalized_hop", "sites": [0, 1]})
-    gf = GreenFunction(gam, A, B)
-    Hd = H.to_dense()
+    hop = hop_term(basis, 0, 1)
+    twisted = SparseOperator(H.matrix + 0.3j * (hop.matrix - hop.matrix.conj().T), basis, True)
+    gam_twisted = gibbs_state(twisted, gam.beta, gam.mu, 4, tail_tol=1e-4)
+    assert np.iscomplexobj(gam_twisted.decomp.vectors)
+    flagged = SparseOperator(hop.matrix, basis, True)
     Nd = np.diag(basis.totals.astype(float))
-    rho = expm(-gam.beta * (Hd - gam.mu * Nd))
-    rho /= np.trace(rho).real
-    for z in (0.2 - 0.3j, -0.7 - 1.0j, 0.5 - 0.05j):
-        W = expm(1j * z * Hd)
-        Winv = expm(-1j * z * Hd)
-        brute = np.trace(rho @ W @ A.to_dense() @ Winv @ B.to_dense())
-        assert gf(z) == pytest.approx(complex(brute), abs=1e-10)
+    cases = [
+        (gam, B, True),
+        (gam_twisted, B, True),
+        (gam, hop, False),
+        (gam, flagged, False),
+    ]
+    for state, B_, triangle in cases:
+        gf = GreenFunction(state, A, B_)
+        assert gf._hermitian is triangle
+        Hd = state.hamiltonian.to_dense()
+        rho = expm(-state.beta * (Hd - state.mu * Nd))
+        rho /= np.trace(rho).real
+        for z in (0.2 - 0.3j, -0.7 - 1.0j, 0.5 - 0.05j):
+            W = expm(1j * z * Hd)
+            Winv = expm(-1j * z * Hd)
+            brute = np.trace(rho @ W @ A.to_dense() @ Winv @ B_.to_dense())
+            assert gf(z) == pytest.approx(complex(brute), abs=1e-10)
 
 
 def test_kms_residuals():
