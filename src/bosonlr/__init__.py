@@ -37,7 +37,6 @@ from .errors import (
     DivergingPartitionFunctionError,
     InvalidArgumentError,
     NotInBasisError,
-    NumericalFailureError,
     ResourceLimitError,
     TruncationError,
 )

@@ -25,7 +25,6 @@ from .errors import (
     ConfigError,
     DivergingPartitionFunctionError,
     InvalidArgumentError,
-    NumericalFailureError,
     ResourceLimitError,
     TruncationError,
 )
@@ -192,7 +191,7 @@ def main(argv=None) -> int:
     except BoundaryContaminationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ResourceLimitError, NumericalFailureError, DivergingPartitionFunctionError, TruncationError) as exc:
+    except (ResourceLimitError, DivergingPartitionFunctionError, TruncationError) as exc:
         print(f"resource/numerical failure: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except InvalidArgumentError as exc:

@@ -42,27 +42,42 @@ DEFAULT_TOLERANCES = {
     "condensate_crosscheck": 1e-12,
 }
 
-_TOP_LEVEL_KEYS = {
-    "schema_version",
-    "preset",
-    "name",
-    "experiments",
-    "graph",
-    "model",
-    "basis",
-    "thermal",
-    "observables",
-    "initial_state",
-    "sweeps",
-    "volumes",
-    "deriv",
-    "cutoff_region",
-    "tolerances",
-    "output_dir",
-    "workers",
-    "seed",
-    "debug",
+# every top-level key and its default; a section default also lists the
+# keys that section accepts
+_DEFAULTS = {
+    "schema_version": SCHEMA_VERSION,
+    "name": "custom",
+    "experiments": [],
+    "graph": {"type": "chain", "length": 2},
+    "model": {"hopping": 1.0, "onsite": 0.0, "offsite": [], "ordered_hopping": False},
+    "basis": {"site_cap": None, "n_max": None, "sector": None},
+    "thermal": {"beta": 1.0, "mu": -1.0, "tail_tol": 1e-10},
+    "observables": {"pairs": []},
+    "initial_state": {"kind": "gibbs"},
+    "sweeps": {
+        "times": [],
+        "cutoffs": [],
+        "shells": [],
+        "moment_p": 4,
+        "displacement_max": 10,
+        "condensate_m": [],
+        "condensate_site": 1,
+        "condensate_time": 0.5,
+        "commutator_sites": [],
+        "sup_times": [],
+        "strip_points": 11,
+        "epsilons": [],
+    },
+    "volumes": [],
+    "deriv": {"range_R": 2, "trend_n_max": []},
+    "cutoff_region": None,
+    "tolerances": DEFAULT_TOLERANCES,
+    "output_dir": None,
+    "workers": None,
+    "debug": {"dump_operators": False},
 }
+
+_TOP_LEVEL_KEYS = set(_DEFAULTS) | {"preset"}
 
 # graph and initial_state keys depend on their type: per section, the tag
 # key and the keys each tag value allows next to it
@@ -201,7 +216,6 @@ class ExperimentConfig:
     tolerances: dict
     output_dir: str | None
     workers: int | None
-    seed: int
     debug: dict
     raw: dict
 
@@ -245,42 +259,9 @@ def resolve_dict(data: dict) -> dict:
         merged = _deep_merge(PRESETS[preset], {k: v for k, v in data.items() if k != "preset"})
     else:
         merged = copy.deepcopy(data)
-    defaults = {
-        "schema_version": SCHEMA_VERSION,
-        "name": merged.get("name", "custom"),
-        "experiments": [],
-        "graph": {"type": "chain", "length": 2},
-        "model": {"hopping": 1.0, "onsite": 0.0, "offsite": [], "ordered_hopping": False},
-        "basis": {"site_cap": None, "n_max": None, "sector": None},
-        "thermal": {"beta": 1.0, "mu": -1.0, "tail_tol": 1e-10},
-        "observables": {"pairs": []},
-        "initial_state": {"kind": "gibbs"},
-        "sweeps": {
-            "times": [],
-            "cutoffs": [],
-            "shells": [],
-            "moment_p": 4,
-            "displacement_max": 10,
-            "condensate_m": [],
-            "condensate_site": 1,
-            "condensate_time": 0.5,
-            "commutator_sites": [],
-            "sup_times": [],
-            "strip_points": 11,
-            "epsilons": [],
-        },
-        "volumes": [],
-        "deriv": {"range_R": 2, "trend_n_max": []},
-        "cutoff_region": None,
-        "tolerances": DEFAULT_TOLERANCES,
-        "output_dir": None,
-        "workers": None,
-        "seed": 1234,
-        "debug": {"dump_operators": False},
-    }
-    out = _deep_merge(defaults, merged)
+    out = _deep_merge(_DEFAULTS, merged)
     sections = ("model", "basis", "thermal", "observables", "sweeps", "deriv", "tolerances", "debug")
-    known = {key: set(defaults[key]) for key in sections}
+    known = {key: set(_DEFAULTS[key]) for key in sections}
     known["sweeps"].add("lr_lambda")  # optional, read without a default
     for section, keys in known.items():
         _require(isinstance(out[section], dict), section, "must be a JSON object")
@@ -383,6 +364,9 @@ def from_dict(data: dict) -> ExperimentConfig:
     for key in ("times", "cutoffs", "shells"):
         vals = sweeps[key]
         _require(list(vals) == sorted(vals), f"sweeps.{key}", "sweep must be ascending")
+    _require(int(sweeps["strip_points"]) >= 1, "sweeps.strip_points", "must be >= 1")
+    # a negative window leaves free-evolution with no propagator rows to check
+    _require(int(sweeps["displacement_max"]) >= 0, "sweeps.displacement_max", "must be >= 0")
 
     workers = raw["workers"]
     if workers is not None:
@@ -409,7 +393,6 @@ def from_dict(data: dict) -> ExperimentConfig:
         tolerances=raw["tolerances"],
         output_dir=raw["output_dir"],
         workers=None if workers is None else int(workers),
-        seed=int(raw["seed"]),
         debug=copy.deepcopy(raw["debug"]),
         raw=raw,
     )
@@ -436,10 +419,18 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_non_finite, parse_float=_finite_float)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    cfg = from_dict(data)
-    if not math.isfinite(cfg.thermal["beta"]):
-        raise ConfigError("thermal.beta: must be finite")
-    return cfg
+    return from_dict(data)
+
+
+def _non_finite(literal: str):
+    raise ConfigError(f"config: non-finite number {literal} is not allowed")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        _non_finite(literal)
+    return value

@@ -17,10 +17,6 @@ class ResourceLimitError(BosonLRError, RuntimeError):
     """Requested computation exceeds a hard size cap (basis/dense limits)."""
 
 
-class NumericalFailureError(BosonLRError, RuntimeError):
-    """Iterative kernel failed to converge; diagnostics in the message."""
-
-
 class DivergingPartitionFunctionError(BosonLRError, RuntimeError):
     """Sector weights fail to decay; thermal truncation cannot be certified."""
 

@@ -6,9 +6,8 @@ a single bound violation fails the experiment (the certificates hold
 exactly for the finite model, so a violation indicates a bug, not
 physics).  Looseness is expected and reported as a measured/bound ratio.
 
-All runners are deterministic given the config; the only randomness in
-the package is the seeded start vector of the power-iteration norm, and
-that seed is recorded in the report metadata.
+All runners are deterministic given the config: nothing in the package
+draws random numbers, so a report is reproduced from its echoed config.
 """
 
 import csv
@@ -138,7 +137,6 @@ def _pmap(fn, items, workers):
 def _finish(cfg: ExperimentConfig, experiment, columns, records, summary, passed, t0):
     metadata = {
         "config": cfg.to_dict(),
-        "seed": cfg.seed,
         "version": _package_version(),
         "runtime_s": round(time.perf_counter() - t0, 3),
     }
@@ -492,8 +490,8 @@ def run_cutoff_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     r = cfg.model.range_hops
     sigma_cnt = _counting_sigma(scene.graph, r)
     eta = gronwall_rate(p, scene.graph.max_degree)
-    norm_a = operator_norm(A, seed=cfg.seed)
-    norm_b = operator_norm(B, seed=cfg.seed)
+    norm_a = operator_norm(A)
+    norm_b = operator_norm(B)
     times = [float(t) for t in cfg.sweeps["times"]]
     base = correlations(scene.H, gamma, [(A, B)], times, scene.decomp, "dense")[0][0]
     slack = cfg.tol("bound_slack")
@@ -585,7 +583,7 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
     d = scene.graph.dim_hint
     p = float(cfg.sweeps["moment_p"])
     sigma_cnt = _counting_sigma(scene.graph, r)
-    norm_a = operator_norm(A, seed=cfg.seed)
+    norm_a = operator_norm(A)
     times = [float(t) for t in cfg.sweeps["times"]]
     slack = cfg.tol("bound_slack")
     full_sites = scene.region.as_set()
@@ -694,8 +692,8 @@ def run_local_approx(cfg: ExperimentConfig) -> ExperimentReport:
     r = cfg.model.range_hops
     d = scene.graph.dim_hint
     p = float(cfg.sweeps["moment_p"])
-    norm_a = operator_norm(A, seed=cfg.seed)
-    norm_b = operator_norm(B, seed=cfg.seed)
+    norm_a = operator_norm(A)
+    norm_b = operator_norm(B)
     eps_rels = [float(e) for e in cfg.sweeps.get("epsilons") or [cfg.tol("local_approx_epsilon")]]
     eps = eps_rels[0] * norm_a * norm_b
     sup_times = [float(t) for t in (cfg.sweeps["sup_times"] or cfg.sweeps["times"])]
@@ -784,7 +782,7 @@ def run_kms_check(cfg: ExperimentConfig) -> ExperimentReport:
     def check_pair(k: int):
         A, B = pairs[k]
         F = GreenFunction(gamma, A, B).values(points)
-        norm_ab = operator_norm(A, seed=cfg.seed) * operator_norm(B, seed=cfg.seed)
+        norm_ab = operator_norm(A) * operator_norm(B)
         limit = cfg.tol("kms_residual")
         rows = []
         for i, t in enumerate(times):
@@ -911,7 +909,7 @@ def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
         H_xr = assemble_hamiltonian(graph_l, XR, gamma_l.basis, cfg.model)
         d_xr = eigendecompose(H_xr)
         if norm_ab is None:
-            norm_ab = operator_norm(A_l, seed=cfg.seed) * operator_norm(B_l, seed=cfg.seed)
+            norm_ab = operator_norm(A_l) * operator_norm(B_l)
 
         steps = [t + s for t in times for s in (h, -h, 2 * h, -2 * h)]
         g = correlations(H_xr, gamma_l, [(A_l, B_l)], steps, d_xr, "dense")[0][0].reshape(-1, 4)

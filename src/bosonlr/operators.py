@@ -24,15 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse import csgraph
 
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .fock import FockBasis
 from .lattice import LatticeGraph, Region
 
 PRUNE_TOL = 1e-15
 
 DENSE_NORM_CAP = 1024
-POWER_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -362,73 +362,64 @@ def conserves_number(op: SparseOperator) -> bool:
     return bool(np.array_equal(totals[coo.row], totals[coo.col]))
 
 
-def operator_norm(
-    op,
-    tol: float = 1e-8,
-    seed: int = 0,
-    method: str = "auto",
-    max_iter: int = POWER_MAX_ITER,
-) -> float:
-    """Largest singular value of an operator.
+def operator_norm(op, seed=None) -> float:
+    """Largest singular value of an operator, exact.
 
-    A ``SparseOperator`` flagged ``diagonal`` has norm max |diagonal|,
-    read exactly with no SVD or iteration unless ``method`` forces one.
-    One that conserves particle number is block-diagonal by sector, so
-    its norm is the largest norm over its non-empty sector blocks, each
-    taken alone; any other input is one block.  A block takes
-    the exact dense SVD when it is a dense array or has dimension at most
-    ``DENSE_NORM_CAP``.  A larger sparse block uses power iteration on
-    A^* A with relative tolerance ``tol`` and a seeded start vector, which
-    can only underestimate.  ``method`` forces one path ("dense" or
-    "power") for every block.
+    A dense array takes one SVD.  A sparse matrix, bare or the ``matrix``
+    of a ``SparseOperator``, is block-diagonal over the connected
+    components of its sparsity pattern, so its norm is the largest block
+    norm; blocks of one size are stacked and take one batched SVD.  No
+    flag of the operator is read: components are at least as fine as its
+    sector blocks and its support blocks, and a diagonal operator gives
+    1x1 blocks.  A component above ``DENSE_NORM_CAP`` raises
+    ``ResourceLimitError``; an estimate, which could undercut a bound that
+    scales with the norm, is never returned.
+
+    ``seed`` is read by nothing; it is kept because the benchmark's
+    ``thermal-spectral`` workload passes it.
     """
-    if method not in ("auto", "dense", "power"):
-        raise InvalidArgumentError(f"unknown norm method {method!r}")
-    if isinstance(op, SparseOperator) and op.diagonal and method == "auto":
-        return float(np.abs(op.matrix.diagonal()).max(initial=0.0))
-    if isinstance(op, SparseOperator) and conserves_number(op):
-        blocks = [op.matrix[sl, sl] for _, sl in op.basis.sector_slices()]
-    elif isinstance(op, SparseOperator):
-        blocks = [op.matrix]
-    elif sparse.issparse(op):
-        blocks = [op.tocsr()]
-    else:
-        blocks = [np.asarray(op)]
-    return max((_block_norm(b, tol, seed, method, max_iter) for b in blocks), default=0.0)
-
-
-def _block_norm(mat, tol, seed, method, max_iter) -> float:
-    dim = mat.shape[0]
-    if dim == 0 or (sparse.issparse(mat) and mat.nnz == 0):
+    mat = op.matrix if isinstance(op, SparseOperator) else op
+    if not sparse.issparse(mat):
+        dense = _real_if_exact(np.asarray(mat))
+        return float(np.linalg.norm(dense, 2)) if dense.size else 0.0
+    if mat.shape[0] != mat.shape[1]:
+        raise InvalidArgumentError(f"operator norm of a sparse matrix needs a square shape, got {mat.shape}")
+    coo = sparse.coo_matrix(mat)
+    coo.sum_duplicates()
+    if coo.nnz == 0:
         return 0.0
-    # power iteration can only underestimate; a dense input is already in
-    # memory, so the size cap that guards the dense route does not apply
-    if method == "auto":
-        method = "dense" if dim <= DENSE_NORM_CAP or not sparse.issparse(mat) else "power"
-    if method == "dense":
-        dense = mat.toarray() if sparse.issparse(mat) else mat
-        # operators are stored complex even when real; a real SVD costs half
-        if np.iscomplexobj(dense) and not dense.imag.any():
-            dense = dense.real
-        return float(np.linalg.norm(dense, 2))
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    adj = mat.conj().T
-    lam = 0.0
-    for _ in range(max_iter):
-        w = adj @ (mat @ v)
-        lam_new = float(np.linalg.norm(w))
-        if lam_new == 0.0:
-            return 0.0
-        v = w / lam_new
-        if abs(lam_new - lam) <= tol * lam_new:
-            return float(np.sqrt(lam_new))
-        lam = lam_new
-    raise NumericalFailureError(
-        f"operator norm power iteration did not converge in {max_iter} steps "
-        f"(last estimate {np.sqrt(lam):.6e})"
-    )
+    pattern = sparse.csr_matrix((np.ones(coo.nnz), (coo.row, coo.col)), shape=coo.shape)
+    _, labels = csgraph.connected_components(pattern, directed=False)
+    sizes = np.bincount(labels)
+    if sizes.max() > DENSE_NORM_CAP:
+        raise ResourceLimitError(
+            f"operator norm: a connected block of {sizes.max()} states is above "
+            f"DENSE_NORM_CAP = {DENSE_NORM_CAP}; no estimate is returned"
+        )
+    # position of each row inside its component, and of each component
+    # among the components of its size
+    order = np.argsort(labels, kind="stable")
+    rank = np.empty_like(labels)
+    rank[order] = np.arange(len(labels)) - (np.cumsum(sizes) - sizes)[labels[order]]
+    slot = np.empty_like(sizes)
+    data = _real_if_exact(coo.data)
+    comp = labels[coo.row]
+    best = 0.0
+    for size in np.unique(sizes):
+        members = sizes == size
+        slot[members] = np.arange(np.count_nonzero(members))
+        sel = members[comp]
+        stack = np.zeros((np.count_nonzero(members), size, size), dtype=data.dtype)
+        stack[slot[comp[sel]], rank[coo.row[sel]], rank[coo.col[sel]]] = data[sel]
+        best = max(best, float(np.linalg.norm(stack, 2, axis=(1, 2)).max()))
+    return best
+
+
+def _real_if_exact(values: np.ndarray) -> np.ndarray:
+    # operators are stored complex even when real; a real SVD costs half
+    if np.iscomplexobj(values) and not values.imag.any():
+        return values.real
+    return values
 
 
 _NAMED_FUNCTIONS = {

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import bosonlr
 from bosonlr.cli import EXIT_CONFIG, EXIT_PASS, EXIT_RESOURCE, emit_plot_script, main
 from bosonlr.config import from_dict
 from bosonlr.experiments import run_moment_propagation
@@ -138,3 +141,50 @@ def test_occupation_outside_the_basis_exits_config(tmp_path, capsys, occupation)
     cfg = write_cfg(tmp_path, {"preset": "chain-6", **override})
     assert main(["moments", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "initial_state.occupation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        ({"preset": "chain-6", "seed": 1}, "unknown keys ['seed']"),
+        ({"preset": "two-site", "sweeps": {"strip_points": 0}}, "sweeps.strip_points: must be >= 1"),
+        ({"preset": "chain-81", "sweeps": {"displacement_max": -1}}, "sweeps.displacement_max: must be >= 0"),
+    ],
+)
+def test_rejected_config_exits_before_the_run(tmp_path, capsys, data, match):
+    # no strip grid (a crash) and no propagator rows (a vacuous PASS) are
+    # config errors, as is the seed key that nothing reads
+    cfg = write_cfg(tmp_path, data)
+    assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+    assert main(["all", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, literal",
+    [
+        ('{"preset": "chain-6", "sweeps": {"times": [NaN]}}', "NaN"),
+        ('{"preset": "chain-6", "thermal": {"beta": Infinity}}', "Infinity"),
+        ('{"preset": "chain-6", "thermal": {"mu": -1e999}}', "-1e999"),
+    ],
+)
+def test_non_finite_number_exits_config(tmp_path, capsys, text, literal):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+    assert f"non-finite number {literal} " in capsys.readouterr().err
+
+
+def test_module_entry_point_exits_config_as_a_process(tmp_path):
+    cfg = write_cfg(tmp_path, {"preset": "chain-6", "seed": 1})
+    src = os.path.dirname(os.path.dirname(bosonlr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bosonlr.cli", "validate-config", "--config", cfg],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "unknown keys ['seed']" in proc.stderr

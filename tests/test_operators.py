@@ -3,11 +3,12 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bosonlr import (
     InvalidArgumentError,
     ModelParams,
-    NumericalFailureError,
+    ResourceLimitError,
     assemble_hamiltonian,
     assemble_hopping,
     assemble_interaction,
@@ -216,7 +217,12 @@ def test_operator_norm_basics():
     assert operator_norm(identity_operator(basis)) == pytest.approx(1.0)
     T = assemble_hopping(g, full_region(g), basis, J=1.0)
     assert operator_norm(T) == pytest.approx(1.0)
-    assert operator_norm(T, method="power") == pytest.approx(1.0, abs=1e-7)
+    # a rectangular array has a norm; a rectangular sparse matrix has no
+    # blocks to split into
+    ones = np.ones((2, 3))
+    assert operator_norm(ones) == pytest.approx(math.sqrt(6.0))
+    with pytest.raises(InvalidArgumentError, match="square"):
+        operator_norm(sp.csr_matrix(ones))
 
 
 def test_operator_norm_properties():
@@ -229,19 +235,9 @@ def test_operator_norm_properties():
         assert operator_norm(A @ B) <= operator_norm(A) * operator_norm(B) * (1 + 1e-12)
 
 
-def test_operator_norm_power_matches_dense():
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((40, 40))
-    A = A + A.T  # well-separated top singular value after squaring, typically
-    import scipy.sparse as sp
-
-    got = operator_norm(sp.csr_matrix(A), method="power", tol=1e-12)
-    assert got == pytest.approx(np.linalg.norm(A, 2), rel=1e-6)
-
-
 def test_operator_norm_dense_input_above_cap_is_exact():
-    """A dense array above DENSE_NORM_CAP takes the exact route: power
-    iteration stops on stagnation below a near-degenerate top pair."""
+    """A dense array above DENSE_NORM_CAP is already in memory, so it takes
+    one exact SVD, also with a near-degenerate top pair."""
     rng = np.random.default_rng(5)
     n = 1100
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -254,43 +250,52 @@ def test_operator_norm_dense_input_above_cap_is_exact():
 
 
 def test_operator_norm_conserving_above_cap_is_exact_per_sector():
-    """A conserving operator above DENSE_NORM_CAP whose largest sector block
-    is below it takes the exact route block by block; power iteration on
-    the whole matrix stops on stagnation below the near-degenerate top."""
-    import scipy.sparse as sp
-
+    """An operator above DENSE_NORM_CAP with a near-degenerate top, left
+    unflagged, is read block by block and exactly."""
     basis = enumerate_sectors(full_region(build_chain(8)), 5)
     sizes = [sl.stop - sl.start for _, sl in basis.sector_slices()]
     assert basis.dimension == 1287 > DENSE_NORM_CAP
     assert max(sizes) == 792
     vals = 1.0 - 1e-4 * np.linspace(1.0, 0.0, basis.dimension) ** 2
     vals[-2:] = [1.0 - 1e-5, 1.0]
-    # left unflagged, so the sector blocks are read and not the diagonal
     op = SparseOperator(sp.diags(vals.astype(complex)).tocsr(), basis, True)
     assert conserves_number(op)
     assert operator_norm(op) == pytest.approx(1.0, rel=1e-12)
-    assert operator_norm(op, method="power") < 1.0 - 1e-6
 
 
 def test_operator_norm_of_diagonal_operator_is_max_abs_diagonal():
-    """The 1/(1+n) observable on the 9-site, 5-particle sector is one
-    1,287-state block, above DENSE_NORM_CAP: power iteration read its norm
-    as 0.9999999999738033, the diagonal reads it exactly."""
+    """The 1/(1+n) observable on the 9-site, 5-particle sector, above
+    DENSE_NORM_CAP, splits into 1x1 blocks and reads its norm exactly
+    (power iteration read 0.9999999999738033)."""
     basis = enumerate_basis(full_region(build_chain(9)), sector=5)
     assert basis.dimension == 1287 > DENSE_NORM_CAP
     op = local_observable(basis, {"kind": "number_function", "site": 2, "fn": "inv_one_plus_n"})
     assert op.diagonal
     assert operator_norm(op) == 1.0
-    assert operator_norm(op, method="power") < 1.0
     signed = local_observable(basis, {"kind": "number_function", "site": 2, "fn": [-3.0, 2.0, 1.0, 0.5, 0.25, 0.1]})
     assert operator_norm(signed) == 3.0
 
 
-def test_operator_norm_power_nonconvergence():
-    rng = np.random.default_rng(1)
-    A = rng.standard_normal((8, 8))
-    with pytest.raises(NumericalFailureError):
-        operator_norm(A, method="power", tol=0.0, max_iter=2)
+def test_operator_norm_of_normalized_hop_above_cap_is_exact():
+    """On the 9-site, 5-particle sector the normalized hop splits into
+    blocks of at most six states; its norm is 5 / (2 sqrt(30)), where power
+    iteration read 0.45643546358076675."""
+    basis = enumerate_basis(full_region(build_chain(9)), sector=5)
+    assert basis.dimension == 1287 > DENSE_NORM_CAP
+    hop = local_observable(basis, {"kind": "normalized_hop", "sites": [3, 4]})
+    assert operator_norm(hop) == pytest.approx(0.4564354645876384, rel=1e-15)
+    assert operator_norm(hop) == pytest.approx(5.0 / (2.0 * math.sqrt(30.0)), rel=1e-15)
+
+
+def test_operator_norm_of_connected_block_above_cap_raises():
+    """A connected 1,287-state Hamiltonian is one block above DENSE_NORM_CAP:
+    no estimate is returned, as an operator or as a bare matrix."""
+    g = build_chain(9)
+    basis = enumerate_basis(full_region(g), sector=5)
+    H = assemble_hamiltonian(g, full_region(g), basis, ModelParams(hopping=1.0, onsite=1.0))
+    for op in (H, H.matrix):
+        with pytest.raises(ResourceLimitError, match="1287 states"):
+            operator_norm(op)
 
 
 def test_local_observable_kinds():

@@ -1,5 +1,6 @@
 """Property tests over random small lattices, couplings and sectors."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -183,14 +184,16 @@ def test_lookup_ranks_rows_and_hops_match_dict_loop(gb, J, data):
     assert same_matrix(hop_term(basis, y, x), reference_hops(basis, [((x, y),)], 1.0))
 
 
-def random_operator(basis, rng, conserving, hermitian):
+def random_operator(basis, rng, conserving, hermitian, real=False, density=0.3):
     """Random sparse operator on ``basis``: entries only inside sector blocks
-    when ``conserving``, anywhere otherwise."""
+    when ``conserving``, anywhere otherwise; ``density`` is the share of
+    entries drawn, and ``real`` stores a zero imaginary part."""
     D = basis.dimension
-    mask = rng.random((D, D)) < 0.3
+    mask = rng.random((D, D)) < density
     if conserving:
         mask &= basis.totals[:, None] == basis.totals[None, :]
-    M = np.where(mask, rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)), 0.0)
+    values = rng.standard_normal((D, D)) + (0.0 if real else 1j * rng.standard_normal((D, D)))
+    M = np.where(mask, values, 0.0 + 0.0j)
     if hermitian:
         M = M + M.conj().T
     return SparseOperator(sp.csr_matrix(M), basis, hermitian)
@@ -227,6 +230,32 @@ def test_sector_blocked_norm_and_heisenberg_operator_match_whole_matrix(gb, J, U
         expected = V @ ((P[:, None] * (V.conj().T @ M @ V)) * P.conj()) @ V.conj().T
         err = np.abs(heisenberg_operator(H, A, t, d) - expected).max()
         assert err <= 1e-12 * max(1.0, np.linalg.norm(M, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gb=bases(),
+    conserving=st.booleans(),
+    hermitian=st.booleans(),
+    real=st.booleans(),
+    density=st.sampled_from([0.02, 0.1, 0.3]),
+    diagonal=st.booleans(),
+    support=st.sampled_from([None, (0,)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_operator_norm_matches_dense_whatever_the_flags(gb, conserving, hermitian, real, density, diagonal, support, seed):
+    """operator_norm reads the stored matrix and no flag: a random sparse
+    operator, conserving or not, real or complex, with a missing or wrong
+    support and a diagonal flag set at random, has the dense 2-norm, as an
+    operator and as a bare matrix."""
+    _, basis = gb
+    assume(basis.dimension > 0)
+    rng = np.random.default_rng(seed)
+    op = random_operator(basis, rng, conserving, hermitian, real=real, density=density)
+    op = replace(op, diagonal=diagonal, support=support)
+    expected = np.linalg.norm(op.to_dense(), 2)
+    assert abs(operator_norm(op) - expected) <= 1e-12 * expected
+    assert abs(operator_norm(op.matrix) - expected) <= 1e-12 * expected
 
 
 time_grids = st.one_of(
