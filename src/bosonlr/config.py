@@ -8,6 +8,7 @@ can be reproduced from its own output.
 import copy
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -283,8 +284,24 @@ def resolve_dict(data: dict) -> dict:
     return out
 
 
+def _require_finite(value, path: str):
+    """Raise ConfigError naming the key path of the first non-finite float
+    anywhere in ``value`` (nested dicts and lists); integers are exact and
+    never checked (a huge one does not convert to float)."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{path}[{i}]")
+    elif isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: non-finite number {json.dumps(float(value))} is not allowed")
+
+
 def from_dict(data: dict) -> ExperimentConfig:
     raw = resolve_dict(data)
+    _require_finite(raw, "")
     _require(raw["schema_version"] == SCHEMA_VERSION, "schema_version", f"expected {SCHEMA_VERSION}")
 
     experiments = tuple(raw["experiments"])
@@ -419,18 +436,8 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh, parse_constant=_non_finite, parse_float=_finite_float)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return from_dict(data)
 
-
-def _non_finite(literal: str):
-    raise ConfigError(f"config: non-finite number {literal} is not allowed")
-
-
-def _finite_float(literal: str) -> float:
-    value = float(literal)
-    if not math.isfinite(value):
-        _non_finite(literal)
-    return value

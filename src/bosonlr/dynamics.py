@@ -2,9 +2,11 @@
 references.
 
 Two propagators: dense spectral (exact up to the eigensolver) for sector
-blocks below ``DENSE_CAP``, and scipy's ``expm_multiply`` action of the
-sparse generator (``_krylov_evolve``, engine "krylov") for everything
-else, which takes a block of columns over a whole time grid in one call.
+blocks below ``DENSE_CAP``, each diagonalized as its even and odd halves
+under the site reversal when it commutes with that reversal exactly, and
+scipy's ``expm_multiply`` action of the sparse generator
+(``_krylov_evolve``, engine "krylov") for everything else, which takes a
+block of columns over a whole time grid in one call.
 ``correlations`` is the one kernel over weighted state columns: every
 time-evolved expectation and two-point value, for a pure or a thermal
 state, of many observable pairs over a whole time grid.  Natural units
@@ -23,6 +25,9 @@ from .fock import FockBasis
 from .operators import SparseOperator
 
 DENSE_CAP = 4096
+# smallest sector block diagonalized as two mirror halves: below it the
+# fixed cost of a second eigh and the reordering outweighs the cubic saving
+MIRROR_MIN = 64
 # columns per dense propagation block: temporaries stay O(D * chunk)
 PROPAGATE_CHUNK = 64
 
@@ -154,6 +159,73 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
+def _mirror_layout(matrix, basis: FockBasis) -> list | None:
+    """Per sector of ``basis`` (as ``sector_slices`` lists them), the rows
+    of its block under the site reversal p (occupations read back to
+    front): ``(q, a, b)`` with ``q`` the rows as [lo | fixed | hi], where
+    lo[k] < hi[k] = p(lo[k]), ``a`` pairs and ``b - a`` fixed rows, or None
+    for a sector without a pair or below ``MIRROR_MIN`` states.  None for
+    the whole operator when no sector reaches ``MIRROR_MIN``, a reversed
+    state lies outside the basis, or the diagonal of ``matrix`` already
+    differs from its mirror image."""
+    slices = basis.sector_slices()
+    if all(sl.stop - sl.start < MIRROR_MIN for _, sl in slices):
+        return None
+    mirror = basis.lookup(basis.occupations[:, ::-1])
+    diagonal = matrix.diagonal()
+    if (mirror < 0).any() or not np.array_equal(diagonal[mirror], diagonal):
+        return None
+    rows = np.arange(basis.dimension)
+    kind = np.sign(rows - mirror) + 1  # 0 lo, 1 fixed, 2 hi
+    order = np.lexsort((np.minimum(rows, mirror), kind, basis.totals))
+    layout = []
+    for _, sl in slices:
+        a, b = np.searchsorted(kind[order[sl]], (1, 2))
+        big = a and sl.stop - sl.start >= MIRROR_MIN
+        layout.append((order[sl] - sl.start, a, b) if big else None)
+    return layout
+
+
+def _mirror_eigh(block: np.ndarray, q: np.ndarray, a: int, b: int):
+    """``np.linalg.eigh`` of a sector block through its two halves under
+    the site reversal p, or None unless M[p(x), p(y)] == M[x, y] holds
+    entry for entry (``q``, ``a``, ``b`` as in ``_mirror_layout``).
+
+    M then commutes with p, so it is block-diagonal on the even vectors
+    (e_lo + e_hi)/sqrt2 and the fixed e_x, where it reads
+    [[M_ll + M_lh, sqrt2 M_lf], [sqrt2 M_fl, M_ff]], and on the odd
+    vectors (e_lo - e_hi)/sqrt2, where it reads M_ll - M_lh.  The
+    eigenpairs of both halves are mapped back to the block's rows and
+    merged by a stable sort on energy, even before odd on a tie.
+    """
+    m = block.take(q, 0).take(q, 1)
+    lo, fx, hi = slice(0, a), slice(a, b), slice(b, None)
+    if not (
+        np.array_equal(m[hi, hi], m[lo, lo])
+        and np.array_equal(m[hi, lo], m[lo, hi])
+        and np.array_equal(m[hi, fx], m[lo, fx])
+        and np.array_equal(m[fx, hi], m[fx, lo])
+    ):
+        return None
+    odd = m[lo, lo] - m[lo, hi]
+    even = m[:b, :b]
+    even[lo, lo] += m[lo, hi]
+    even[lo, fx] *= math.sqrt(2.0)
+    even[fx, lo] *= math.sqrt(2.0)
+    e_even, w_even = np.linalg.eigh(even)
+    e_odd, w_odd = np.linalg.eigh(odd)
+    w_even[lo] *= math.sqrt(0.5)
+    w_odd *= math.sqrt(0.5)
+    vecs = np.zeros_like(m)
+    vecs[q[:b], :b] = w_even
+    vecs[q[b:], :b] = w_even[lo]
+    vecs[q[:a], b:] = w_odd
+    vecs[q[b:], b:] = -w_odd
+    energies = np.concatenate([e_even, e_odd])
+    merged = np.argsort(energies, kind="stable")
+    return energies[merged], vecs[:, merged]
+
+
 def eigendecompose(H: SparseOperator, dense_cap: int = DENSE_CAP) -> SpectralDecomposition:
     """Full eigensystem of a hermitian operator, sector block by block.
 
@@ -163,6 +235,14 @@ def eigendecompose(H: SparseOperator, dense_cap: int = DENSE_CAP) -> SpectralDec
     stored entry of ``H`` has an imaginary part, the blocks are
     diagonalized as real symmetric matrices and ``vectors`` is float64;
     otherwise they are complex hermitian and ``vectors`` is complex128.
+
+    A block of at least ``MIRROR_MIN`` states that equals its image under
+    the site reversal entry for entry (a uniform chain, or a row-major
+    grid under point inversion) is diagonalized as its even and odd halves
+    (``_mirror_eigh``), about a quarter of the LAPACK work.  Any other
+    block, or a basis not closed under the reversal, takes one ``eigh``,
+    with the same bits as without the split.  Either way the eigenpairs
+    are in (sector, energy) order with the phases of ``_fix_phases``.
     """
     if not H.hermitian:
         raise InvalidArgumentError("eigendecompose expects a hermitian operator")
@@ -173,13 +253,17 @@ def eigendecompose(H: SparseOperator, dense_cap: int = DENSE_CAP) -> SpectralDec
     energies = np.empty(dim)
     vectors = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
     sectors = np.empty(dim, dtype=np.int64)
-    for n, sl in basis.sector_slices():
+    slices = basis.sector_slices()
+    layout = _mirror_layout(matrix, basis) or [None] * len(slices)
+    for (n, sl), halves in zip(slices, layout):
         size = sl.stop - sl.start
         if size > dense_cap:
             raise ResourceLimitError(
                 f"sector {n} has dimension {size}, above the dense cap {dense_cap}"
             )
-        evals, evecs = np.linalg.eigh(matrix[sl, sl].toarray())
+        block = matrix[sl, sl].toarray()
+        split = None if halves is None else _mirror_eigh(block, *halves)
+        evals, evecs = np.linalg.eigh(block) if split is None else split
         energies[sl] = evals
         vectors[sl, sl] = _fix_phases(evecs)
         sectors[sl] = n

@@ -172,7 +172,8 @@ def test_non_finite_number_exits_config(tmp_path, capsys, text, literal):
     path = tmp_path / "cfg.json"
     path.write_text(text)
     assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
-    assert f"non-finite number {literal} " in capsys.readouterr().err
+    # json.load reads each literal as a float, which from_dict rejects
+    assert f"non-finite number {json.dumps(float(literal))} " in capsys.readouterr().err
 
 
 def test_module_entry_point_exits_config_as_a_process(tmp_path):

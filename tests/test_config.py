@@ -89,6 +89,19 @@ def test_beta_positive():
         from_dict({"preset": "two-site", "thermal": {"beta": -1.0}})
 
 
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        ({"sweeps": {"times": [float("nan")]}}, r"sweeps\.times\[0\]: non-finite number NaN "),
+        ({"thermal": {"beta": float("inf")}}, r"thermal\.beta: non-finite number Infinity "),
+    ],
+)
+def test_in_process_non_finite_number_rejected(overrides, match):
+    # a config built in Python never passes through json.load
+    with pytest.raises(ConfigError, match=match):
+        from_preset("chain-6", overrides)
+
+
 def test_hopping_normalization_guard():
     with pytest.raises(ConfigError, match="hopping"):
         from_dict({"preset": "chain-6", "model": {"hopping": 2.0}})

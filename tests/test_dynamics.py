@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bosonlr import (
+    GreenFunction,
     InvalidArgumentError,
     ModelParams,
     ResourceLimitError,
@@ -11,11 +12,14 @@ from bosonlr import (
     basis_vector,
     binomial_inverse_moment,
     build_chain,
+    build_from_edges,
     condensate_nonlocality_expectation,
     eigendecompose,
     enumerate_basis,
     enumerate_sectors,
+    enlargement,
     evolve_state,
+    fixed_sector_gibbs,
     gibbs_state,
     free_particle_amplitude,
     full_region,
@@ -25,8 +29,10 @@ from bosonlr import (
     local_observable,
     number_operator,
     operator_norm,
+    region,
 )
 from bosonlr.dynamics import (
+    SpectralDecomposition,
     StateVector,
     _fix_phases,
     _krylov_evolve,
@@ -72,6 +78,100 @@ def test_eigendecompose_residuals_and_unitarity():
     assert list(d.sectors) == sorted(d.sectors)
     for n, sl in d.sector_slices():
         assert np.all(basis.totals[sl] == n)
+
+
+def plain_eigendecompose(H):
+    """``eigendecompose`` without the mirror split: one eigh per sector
+    block, then ``_fix_phases``."""
+    real = not H.matrix.data.imag.any()
+    matrix = H.matrix.real if real else H.matrix
+    dim = H.basis.dimension
+    energies = np.empty(dim)
+    vectors = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
+    for _, sl in H.basis.sector_slices():
+        energies[sl], evecs = np.linalg.eigh(matrix[sl, sl].toarray())
+        vectors[sl, sl] = _fix_phases(evecs)
+    return SpectralDecomposition(H.basis, energies, vectors, H.basis.totals.copy())
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """The order of every np.linalg.eigh call made during the test."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return sizes
+
+
+def test_mirror_symmetric_sectors_split_in_two(eigh_sizes):
+    # 8 sites: no palindrome holds 3 particles, so the 120 states pair up;
+    # sectors below MIRROR_MIN (1, 8 and 36 states) keep one eigh
+    _, _, basis, H = chain_model(8, n_max=3, U=0.7)
+    d = eigendecompose(H)
+    assert eigh_sizes == [1, 8, 36, 60, 60]
+    ref = plain_eigendecompose(H)
+    scale = float(np.abs(ref.energies).max())
+    assert np.abs(d.energies - ref.energies).max() <= 1e-12 * scale
+    assert np.abs(H.to_dense() @ d.vectors - d.vectors * d.energies).max() <= 1e-12 * scale
+    # 7 sites, 3 particles: the 4 palindromes sit in the even half
+    _, _, _, H7 = chain_model(7, sector=3, U=0.7)
+    eigh_sizes.clear()
+    eigendecompose(H7)
+    assert eigh_sizes == [(84 + 4) // 2, (84 - 4) // 2]
+
+
+def test_asymmetric_operators_keep_one_eigh_bit_for_bit(eigh_sizes):
+    g, _, basis, H = chain_model(8, sector=3, U=0.7)
+    params = ModelParams(hopping=1.0, onsite=0.7)
+    # interactions and hops only near site 1, as the local-approximation
+    # check builds H_in from an off-centre enlargement
+    off_centre = assemble_hamiltonian(g, enlargement(g, region(g, [1]), 2), basis, params)
+    potential = SparseOperator(H.matrix + 0.3 * number_operator(basis, 2).matrix, basis, True)
+    # a path 0-1-...-7 with one chord, which no site reversal maps to itself
+    edges = build_from_edges(8, [(k, k + 1) for k in range(7)] + [(0, 2)])
+    graph_basis = enumerate_basis(full_region(edges), sector=3)
+    on_edges = assemble_hamiltonian(edges, full_region(edges), graph_basis, params)
+    for op in (off_centre, potential, on_edges):
+        eigh_sizes.clear()
+        d = eigendecompose(op)
+        assert eigh_sizes == [120]
+        ref = plain_eigendecompose(op)
+        assert np.array_equal(d.energies, ref.energies)
+        assert np.array_equal(d.vectors, ref.vectors)
+        assert np.array_equal(d.sectors, ref.sectors)
+
+
+def test_mirror_split_is_deterministic():
+    # eigenvectors of the halves tie in magnitude at a row and its mirror
+    # image; _fix_phases must settle each tie the same way every call
+    _, _, _, H = chain_model(7, n_max=4, cap=3, U=0.4)
+    first, second = eigendecompose(H), eigendecompose(H)
+    assert np.array_equal(first.vectors, second.vectors)
+    assert np.array_equal(first.energies, second.energies)
+
+
+def test_mirror_split_matches_plain_eigh_at_1287_states(eigh_sizes):
+    # the 9-site, 5-particle chain of the thermal benchmark
+    _, _, basis, H = chain_model(9, sector=5, U=1.0)
+    d = eigendecompose(H)
+    assert sorted(eigh_sizes) == [(1287 - 15) // 2, (1287 + 15) // 2]  # 15 palindromes
+    ref = plain_eigendecompose(H)
+    scale = float(np.abs(ref.energies).max())
+    assert np.abs(d.energies - ref.energies).max() <= 1e-12 * scale
+    V = d.vectors
+    assert np.abs(H.matrix @ V - V * d.energies).max() <= 1e-12 * scale
+    assert np.abs(V.T @ V - np.eye(basis.dimension)).max() <= 1e-12
+    A = local_observable(basis, {"kind": "normalized_hop", "sites": [3, 4]})
+    B = local_observable(basis, {"kind": "number_function", "site": 6, "fn": "inv_one_plus_n"})
+    points = [0.0, 1.5, complex(-0.7, -0.4), complex(2.0, -1.0)]
+    got = GreenFunction(fixed_sector_gibbs(H, 1.0, d), A, B).values(points)
+    want = GreenFunction(fixed_sector_gibbs(H, 1.0, ref), A, B).values(points)
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_eigendecompose_dense_cap():

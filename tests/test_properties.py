@@ -2,12 +2,14 @@
 
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_dynamics import plain_eigendecompose
 from test_thermal import reference_two_point
 
 from bosonlr import (
@@ -39,6 +41,7 @@ from bosonlr import (
     sandwich,
     two_point,
 )
+from bosonlr import dynamics
 from bosonlr.dynamics import _krylov_evolve
 from bosonlr.lattice import Region
 from bosonlr.operators import same_matrix
@@ -89,6 +92,71 @@ def test_gauge_transform_keeps_spectrum_and_number_diagonal_correlations(g, n, J
         value = two_point(gam, A, B, 0.9, order, engine="dense")
         value_gauge = two_point(gam_gauge, A, B, 0.9, order, engine="dense")
         assert abs(value - value_gauge) <= 1e-10
+
+
+@settings(deadline=None)
+@given(
+    g=st.one_of(
+        st.builds(build_chain, st.integers(2, 6)),
+        st.builds(build_grid, st.sampled_from([(2, 2), (2, 3), (3, 2)])),
+    ),
+    n=st.integers(1, 3),
+    grand=st.booleans(),
+    J=st.floats(0.1, 1.0),
+    U=st.floats(0.0, 2.0),
+    offsite=st.floats(0.0, 1.0),
+    gauge=st.booleans(),
+    beta=st.floats(1.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mirror_split_matches_one_eigh_per_sector(g, n, grand, J, U, offsite, gauge, beta, seed):
+    """Every sector with a mirror pair goes through the even/odd split
+    (MIRROR_MIN lowered to 1), on chains and on grids (point inversion),
+    canonical or capped grand-canonical, real or under a gauge transform
+    whose phases are exactly mirror-symmetric (complex hopping that keeps
+    the symmetry).  Against one eigh per sector: the spectrum, the
+    eigen-residual, orthonormality, the block layout and (sector, energy)
+    order, and thermal correlations and strip values."""
+    region = full_region(g)
+    basis = enumerate_sectors(region, n, cap=2) if grand else enumerate_basis(region, sector=n)
+    H = assemble_hamiltonian(g, region, basis, ModelParams(hopping=J, onsite=U, offsite=(offsite,)))
+    rng = np.random.default_rng(seed)
+    if gauge:
+        theta = rng.uniform(0.0, 2.0 * np.pi, g.n_vertices)
+        occ = basis.occupations
+        # a + b == b + a exactly, so a state and its mirror image share a phase
+        phi = occ @ theta + occ[:, ::-1] @ theta
+        W = sp.diags(np.exp(0.5j * phi))
+        H = SparseOperator((W @ H.matrix @ W.conj().T).tocsr(), basis, True)
+    with mock.patch.object(dynamics, "MIRROR_MIN", 1):
+        d = eigendecompose(H)
+    ref = plain_eigendecompose(H)
+    assert d.vectors.dtype == ref.vectors.dtype
+    Hd = H.to_dense()
+    scale = max(1.0, float(np.abs(ref.energies).max()))
+    assert np.array_equal(d.sectors, basis.totals)
+    for _, sl in basis.sector_slices():
+        assert np.abs(d.energies[sl] - np.linalg.eigvalsh(Hd[sl, sl])).max() <= 1e-12 * scale
+        assert np.all(np.diff(d.energies[sl]) >= 0.0)
+    V = d.vectors
+    assert np.abs(Hd @ V - V * d.energies).max() <= 1e-12 * scale
+    assert np.abs(V.conj().T @ V - np.eye(basis.dimension)).max() <= 1e-12
+    assert not V[basis.totals[:, None] != basis.totals[None, :]].any()
+
+    if grand:
+        states = [gibbs_state(H, beta, -6.0, n, tail_tol=1.0, decomposition=x) for x in (d, ref)]
+    else:
+        states = [fixed_sector_gibbs(H, beta, x) for x in (d, ref)]
+    A = unit_operator(basis, rng, conserving=True, hermitian=False)
+    B = unit_operator(basis, rng, conserving=True, hermitian=True)
+    times, points = [0.0, 0.8], [0.0, complex(0.6, -0.5 * beta), complex(-1.1, -beta)]
+    split, single = (
+        correlations(H, gam, [(A, B), (B, None)], times, x, "dense") for gam, x in zip(states, (d, ref))
+    )
+    for got, want in zip(split, single):
+        assert np.abs(got - want).max() <= 1e-10
+    got, want = (GreenFunction(gam, A, B).values(points) for gam in states)
+    assert np.abs(got - want).max() <= 1e-10
 
 
 @st.composite
