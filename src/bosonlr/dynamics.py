@@ -7,10 +7,14 @@ under the site reversal when it commutes with that reversal exactly, and
 scipy's ``expm_multiply`` action of the sparse generator
 (``_krylov_evolve``, engine "krylov") for everything else, which takes a
 block of columns over a whole time grid in one call.
-``correlations`` is the one kernel over weighted state columns: every
-time-evolved expectation and two-point value, for a pure or a thermal
-state, of many observable pairs over a whole time grid.  Natural units
-throughout: hbar = 1, time in inverse units of the hopping energy.
+``correlations`` is the one kernel for every time-evolved expectation
+and two-point value, for a pure or a thermal state, of many observable
+pairs over a whole time grid.  Its dense route takes a thermal state into
+the generator's eigenbasis once and sums spectrally, O(n^3) once per
+sector pair and O(n^2) per time; a pure state propagates its one column
+per time, and the sparse route propagates weighted columns over the grid.
+Natural units throughout: hbar = 1, time in inverse units of the hopping
+energy.
 """
 
 import math
@@ -352,18 +356,24 @@ def correlations(
 
     ``state`` is a StateVector or a thermal state, whose density-matrix
     eigenvectors evolve under ``H`` (which may differ from the state's own
-    Hamiltonian, e.g. after a quench).  PROPAGATE_CHUNK weighted columns
-    psi at a time form one block [psi | B_1 psi | B_1^* psi | ...] (B^* psi
-    left out for a hermitian B), propagated over the grid (engines as in
-    ``evolve_state``): densely one ``propagate_block`` call per time, so
-    temporaries stay O(D chunk (1 + 2 len(pairs))), or sparsely in one
-    ``_krylov_evolve`` call, which reads no decomposition.
+    Hamiltonian, e.g. after a quench).  Engines are as in ``evolve_state``.
+    The dense route of a thermal state is the double spectral sum of
+    ``_thermal_correlations``: O(n^3) once per sector pair, then O(n^2)
+    per time.  Every other case propagates weighted columns psi,
+    PROPAGATE_CHUNK at a time, as one block [psi | B_1 psi | B_1^* psi |
+    ...] (B^* psi left out for a hermitian B): a StateVector on the dense
+    route takes one ``propagate_block`` call per time, since one column
+    costs O(D^2) a time where rotating A costs O(D^3), and the sparse
+    route takes one ``_krylov_evolve`` call over the grid, which reads no
+    decomposition, so temporaries stay O(D chunk (1 + 2 len(pairs))).
     """
     if isinstance(state, StateVector):
         basis, weights, columns = state.basis, np.ones(1), state.amplitudes[:, None]
     else:  # thermal state (duck-typed to avoid a module cycle)
         basis, weights, columns = state.decomp.basis, state.weights, state.decomp.vectors
     decomp = _spectral_route(H, basis, decomposition, engine)
+    if decomp is not None and not isinstance(state, StateVector):
+        return _thermal_correlations(decomp, state, pairs, times)
     ab, ba, plain = np.zeros((3, len(pairs), len(times)), dtype=np.complex128)
     kept = np.flatnonzero(weights)
     for start in range(0, kept.size, PROPAGATE_CHUNK):
@@ -399,6 +409,98 @@ def correlations(
     return ab, ba, plain
 
 
+def _sector_pairs(matrix, basis: FockBasis) -> list[tuple[int, int]]:
+    """The (row sector, column sector) pairs where ``matrix`` stores an
+    entry, in ascending order."""
+    coo = matrix.tocoo()
+    found = np.unique(np.column_stack([basis.totals[coo.row], basis.totals[coo.col]]), axis=0)
+    return [(int(m), int(n)) for m, n in found]
+
+
+def _thermal_correlations(d: SpectralDecomposition, state, pairs, times):
+    """``correlations`` of a thermal state on the dense route, as the exact
+    double spectral sum over the eigenpairs (e, U) of the generator:
+    gamma(tau_t(A) B) = sum_{m n} sum_kl e^{i(e_k - e_l)t} A~_kl M_lk over
+    the sector pairs (m, n) where A has entries, with A~ = U_m^* A_mn U_n.
+
+    Everything but the phases P = e^{-iet} is formed once.  The state's
+    weighted columns on sector m, R_m = V_m sqrt(w_m), and their B-images
+    go into the eigenbasis: Y_m = U_m^* R_m and Z_(n<-m) = U_n^* B_nm R_m,
+    plus U_n^* (B^*)_nm R_m for BA's bra when B is not hermitian.  M is
+    the Gram block Z_(n<-m) Y_m^* for AB, Y_n Z_(m<-n)^* for BA and
+    Y_m Y_m^* for the plain value; each array is then
+    einsum(conj(P_m), (A~ o M^T) P_n) over the whole grid.  A~ is rotated
+    once per distinct A object of the call and sector pair.  Temporaries
+    are O(n_m n_n) per sector pair, the size of the decomposition's own
+    blocks, plus the O(D len(times)) phases.
+    """
+    slices = dict(d.sector_slices())
+    weights = state.weights
+    phases = np.exp(-1j * np.multiply.outer(d.energies, np.asarray(times, dtype=np.float64)))
+
+    def into(n, X):
+        """U_n^* X"""
+        return _real_matmul(d.vectors[slices[n], slices[n]].conj().T, X)
+
+    roots = {}
+    for m, sl in slices.items():
+        kept = np.flatnonzero(weights[sl])
+        if kept.size:
+            roots[m] = state.decomp.vectors[sl, sl][:, kept] * np.sqrt(weights[sl][kept])
+    Y = {m: into(m, R) for m, R in roots.items()}
+
+    def images(op):
+        """Z_(n<-m) keyed (n, m), for every weighted sector m and every
+        sector n that ``op`` reaches from it."""
+        Z = {}
+        for m, R in roots.items():
+            image = _real_matmul(op[:, slices[m]], R)
+            for n, sl in slices.items():
+                if image[sl].any():
+                    Z[n, m] = into(n, image[sl])
+        return Z
+
+    def gram(X, W):
+        # X W^*; np.conjugate copies even a real W, so numpy never takes its
+        # same-buffer SYRK path and Y Y^* has the bits of Z Y^* when Z == Y
+        return _real_matmul(X, np.conjugate(W).T)
+
+    def spectral_sum(terms):
+        """sum_kl conj(P_mk) C_kl P_nl over the grid, summed over the
+        (m, n, C) of ``terms``."""
+        total = np.zeros(len(times), dtype=np.complex128)
+        for m, n, C in terms:
+            total += np.einsum("kt,kt->t", phases[slices[m]].conj(), _real_matmul(C, phases[slices[n]]))
+        return total
+
+    M_plain = {m: gram(Ym, Ym) for m, Ym in Y.items()}
+    ab, ba, plain = np.zeros((3, len(pairs), len(times)), dtype=np.complex128)
+    groups = {}
+    for p, (A, _) in enumerate(pairs):
+        groups.setdefault(id(A), (A, []))[1].append(p)
+    for A, members in groups.values():
+        rotated = {}
+
+        def tilde(m, n):
+            if (m, n) not in rotated:
+                rotated[m, n] = d.rotate(A.matrix, slices[m], slices[n])
+            return rotated[m, n]
+
+        a_pairs = _sector_pairs(A.matrix, d.basis)
+        plain_A = spectral_sum((m, n, tilde(m, n) * M_plain[m].T) for m, n in a_pairs if m == n and m in Y)
+        for p in members:
+            B = pairs[p][1]
+            plain[p] = plain_A
+            if B is None:
+                ab[p] = ba[p] = plain_A
+                continue
+            Z = images(B.matrix)
+            Zh = Z if B.hermitian else images(B.matrix.conj().T)
+            ab[p] = spectral_sum((m, n, tilde(m, n) * gram(Z[n, m], Y[m]).T) for m, n in a_pairs if (n, m) in Z)
+            ba[p] = spectral_sum((m, n, tilde(m, n) * gram(Y[n], Zh[m, n]).T) for m, n in a_pairs if (m, n) in Zh)
+    return ab, ba, plain
+
+
 def heisenberg_expectation(
     H: SparseOperator,
     A: SparseOperator,
@@ -429,10 +531,8 @@ def heisenberg_operator(
     d = decomposition if decomposition is not None else eigendecompose(H)
     phases = np.exp(1j * d.energies * t)
     slices = dict(d.sector_slices())
-    coo = A.matrix.tocoo()
-    pairs = np.unique(np.column_stack([d.basis.totals[coo.row], d.basis.totals[coo.col]]), axis=0)
     out = np.zeros((d.dimension, d.dimension), dtype=np.complex128)
-    for m, n in pairs:
+    for m, n in _sector_pairs(A.matrix, d.basis):
         sm, sn = slices[m], slices[n]
         evolved = (phases[sm, None] * d.rotate(A.matrix, sm, sn)) * phases[sn].conj()
         Vm, Vn = d.vectors[sm, sm], d.vectors[sn, sn]

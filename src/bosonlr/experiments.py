@@ -596,7 +596,7 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
         H_in = assemble_hamiltonian(scene.graph, inner, scene.basis, cfg.model)
         G_in = sandwich(P, H_in)
         G_full = sandwich(P, scene.H)
-        d_full = eigendecompose(G_full)
+        d_full = scene.decomp if same_matrix(G_full, scene.H) else eigendecompose(G_full)
         d_in = d_full if same_matrix(G_in, G_full) else eigendecompose(G_in)
         covering = inner.as_set() == full_sites
         rows = []
@@ -907,7 +907,7 @@ def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
         graph_l, gamma_l, A_l, B_l = _volume_state(cfg, L, float(cfg.thermal["tail_tol"]))
         XR = enlargement(graph_l, Region(tuple(X.sites), graph_l.graph_id), R)
         H_xr = assemble_hamiltonian(graph_l, XR, gamma_l.basis, cfg.model)
-        d_xr = eigendecompose(H_xr)
+        d_xr = gamma_l.decomp if same_matrix(H_xr, gamma_l.hamiltonian) else eigendecompose(H_xr)
         if norm_ab is None:
             norm_ab = operator_norm(A_l) * operator_norm(B_l)
 

@@ -370,8 +370,9 @@ def operator_norm(op, seed=None) -> float:
     components of its sparsity pattern, so its norm is the largest block
     norm; blocks of one size are stacked and take one batched SVD.  No
     flag of the operator is read: components are at least as fine as its
-    sector blocks and its support blocks, and a diagonal operator gives
-    1x1 blocks.  A component above ``DENSE_NORM_CAP`` raises
+    sector blocks and its support blocks, and a matrix whose stored
+    entries all sit on the diagonal gives 1x1 blocks, whose norm is its
+    largest |entry| with no SVD.  A component above ``DENSE_NORM_CAP`` raises
     ``ResourceLimitError``; an estimate, which could undercut a bound that
     scales with the norm, is never returned.
 
@@ -388,6 +389,8 @@ def operator_norm(op, seed=None) -> float:
     coo.sum_duplicates()
     if coo.nnz == 0:
         return 0.0
+    if np.array_equal(coo.row, coo.col):  # 1x1 components: the norm is max |entry|
+        return float(np.abs(coo.data).max())
     pattern = sparse.csr_matrix((np.ones(coo.nnz), (coo.row, coo.col)), shape=coo.shape)
     _, labels = csgraph.connected_components(pattern, directed=False)
     sizes = np.bincount(labels)

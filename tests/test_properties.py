@@ -326,6 +326,30 @@ def test_operator_norm_matches_dense_whatever_the_flags(gb, conserving, hermitia
     assert abs(operator_norm(op.matrix) - expected) <= 1e-12 * expected
 
 
+entry_values = st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)) | st.just(0j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 12),
+    entries=st.lists(st.tuples(st.integers(0, 11), entry_values), min_size=1, max_size=20),
+    cancel=st.booleans(),
+)
+def test_diagonal_operator_norm_is_its_largest_entry(dim, entries, cancel):
+    """A sparse matrix whose entries all sit on the diagonal, complex, zero
+    and duplicated (duplicates add; ``cancel`` adds the negative of the
+    first entry to its row), has the dense 2-norm."""
+    rows = [i % dim for i, _ in entries]
+    data = [v for _, v in entries]
+    if cancel:
+        rows.append(rows[0])
+        data.append(-data[0])
+    mat = sp.coo_matrix((np.array(data), (rows, rows)), shape=(dim, dim))
+    expected = np.linalg.norm(mat.toarray(), 2)
+    # duplicates may add in another order than toarray's
+    assert abs(operator_norm(mat) - expected) <= 1e-12 * (1.0 + np.abs(data).sum())
+
+
 time_grids = st.one_of(
     # a grid equal to its linspace takes scipy's time-grid algorithm
     st.builds(
@@ -433,8 +457,9 @@ any_times = st.one_of(
     seed=st.integers(0, 2**32 - 1),
 )
 def test_correlation_routes_match_eigenvector_loop(g, n_max, cap, J, U, beta, pure, kinds, times, seed):
-    """``correlations`` on its dense route (one propagate_block call per
-    time) against its sparse route (expm_multiply over the grid) and the
+    """``correlations`` on its dense route (the spectral sum for a thermal
+    state, one propagate_block call per time for a pure one) against its
+    sparse route (expm_multiply over the grid) and the
     one-column-at-a-time reference, for a pure or a thermal state evolved
     under a quench generator, on uniform, arbitrary, descending and
     repeated time lists."""
@@ -469,6 +494,41 @@ def test_correlation_routes_match_eigenvector_loop(g, n_max, cap, J, U, beta, pu
             assert abs(ab[p, i] - reference_two_point(columns, A, B, t, "AB", dG)) <= 1e-10
             assert abs(ba[p, i] - reference_two_point(columns, A, B, t, "BA", dG)) <= 1e-10
             assert abs(plain[p, i] - reference_two_point(columns, A, None, t, "AB", dG)) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    g=lattices,
+    n_max=st.integers(1, 3),
+    grand=st.booleans(),
+    J=st.floats(0.1, 1.0),
+    U=st.floats(0.0, 2.0),
+    beta=st.floats(1.0, 2.0),
+    conserving=st.booleans(),
+    times=any_times,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_thermal_spectral_sum_identities(g, n_max, grand, J, U, beta, conserving, times, seed):
+    """The dense thermal route of ``correlations``, on a grand-canonical or
+    a fixed-sector state: the state's own decomposition and a freshly
+    recomputed, equal one give the same values; under the state's own
+    Hamiltonian the plain value is constant over the grid; and for exactly
+    hermitian A and B, gamma(B tau_t(A)) = conj gamma(tau_t(A) B)."""
+    region = full_region(g)
+    basis = enumerate_sectors(region, n_max) if grand else enumerate_basis(region, sector=n_max)
+    H = assemble_hamiltonian(g, region, basis, ModelParams(hopping=J, onsite=U))
+    gam = gibbs_state(H, beta, -6.0, n_max, tail_tol=1.0) if grand else fixed_sector_gibbs(H, beta)
+    rng = np.random.default_rng(seed)
+    A = unit_operator(basis, rng, conserving=conserving, hermitian=True)
+    B = unit_operator(basis, rng, conserving=conserving, hermitian=True)
+    pairs = [(A, B), (A, None)]
+    own = correlations(H, gam, pairs, times, gam.decomp, "dense")
+    fresh = correlations(H, gam, pairs, times, eigendecompose(H), "dense")
+    for got, want in zip(own, fresh):
+        assert np.abs(got - want).max() <= 1e-12
+    ab, ba, plain = own
+    assert np.abs(plain - plain[:, :1]).max() <= 1e-12
+    assert np.abs(ba[0] - np.conj(ab[0])).max() <= 1e-12
 
 
 any_graphs = st.one_of(lattices, edge_graphs())

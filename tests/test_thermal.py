@@ -34,7 +34,7 @@ from bosonlr import (
     sandwich,
     two_point,
 )
-from bosonlr.dynamics import PROPAGATE_CHUNK, SpectralDecomposition, StateVector
+from bosonlr.dynamics import PROPAGATE_CHUNK, SpectralDecomposition, StateVector, _krylov_evolve, _real_matmul
 from bosonlr.operators import SparseOperator, same_matrix
 
 
@@ -394,10 +394,10 @@ def test_moment_sup_matches_site_loop():
 
 
 def test_dense_two_point_propagates_once_without_operators(monkeypatch):
-    # with no operator each chunk propagates as the block [psi], once per
-    # time; a hermitian operator adds the one block B psi.  In one call the
-    # identity pair gives the same bits as the plain pair: its ket columns
-    # are propagated in the same block as psi
+    # a thermal state on the dense route is one spectral sum and propagates
+    # nothing; a StateVector propagates its one column (and B psi) once per
+    # time.  In one call the identity pair gives the same bits as the plain
+    # pair: its Gram block Z Y^* is Y Y^*, formed by the same GEMM
     basis, reg, H, gam, A, _ = truncated_chain_state()
     ident = identity_operator(basis)
     calls = []
@@ -408,17 +408,76 @@ def test_dense_two_point_propagates_once_without_operators(monkeypatch):
         return propagate_block(self, X, t)
 
     monkeypatch.setattr(SpectralDecomposition, "propagate_block", counted)
-    weighted = np.count_nonzero(gam.weights)
-    widths = [PROPAGATE_CHUNK, weighted - PROPAGATE_CHUNK]
     shared = two_point(gam, A, None, 0.8, engine="dense")
-    assert calls == widths
-    calls.clear()
     ab, ba, plain = correlations(H, gam, [(A, None), (A, ident)], [0.8, 1.1], engine="dense")
-    assert calls == [2 * w for w in widths for _ in range(2)]
+    assert calls == []
     assert np.array_equal(ab[1], plain[0]) and np.array_equal(ba[1], plain[0])
     assert np.array_equal(ab[0], plain[0]) and np.array_equal(ba[0], plain[0])
-    # a wider block may round differently in the last bit
+    # a wider phase block may round differently in the last bit
     assert abs(plain[0, 0] - shared) <= 1e-15
+    psi = StateVector(basis, gam.decomp.vectors[:, 0])
+    correlations(H, psi, [(A, None)], [0.8, 1.1, 1.4], engine="dense")
+    assert calls == [1, 1, 1]
+    calls.clear()
+    correlations(H, psi, [(A, None), (A, ident)], [0.8, 1.1], engine="dense")
+    assert calls == [2, 2]
+
+
+def column_loop_reference(columns, weights, pairs, times, evolve):
+    """The column loop of ``correlations``, operation for operation:
+    PROPAGATE_CHUNK weighted columns psi at a time, the block
+    [psi | B psi | B^* psi ...] evolved by ``evolve(X)`` over the grid, and
+    the weighted inner products accumulated chunk by chunk."""
+    ab, ba, plain = np.zeros((3, len(pairs), len(times)), dtype=np.complex128)
+    kept = np.flatnonzero(weights)
+    for start in range(0, kept.size, PROPAGATE_CHUNK):
+        cols = kept[start : start + PROPAGATE_CHUNK]
+        psi = columns[:, cols]
+        blocks, where = [psi], []
+        for _, B in pairs:
+            if B is None:
+                where.append((0, 0))
+                continue
+            ket = len(blocks)
+            blocks.append(_real_matmul(B.matrix, psi))
+            if not B.hermitian:
+                blocks.append(_real_matmul(B.matrix.conj().T, psi))
+            where.append((ket, len(blocks) - 1))
+        k, w = len(cols), weights[cols]
+        for i, U in enumerate(evolve(np.hstack(blocks))):
+            evolved = [U[:, b * k : (b + 1) * k] for b in range(len(blocks))]
+            for p, (A, _) in enumerate(pairs):
+                ket, bra = where[p]
+                a_psi = A.matrix @ evolved[0]
+                a_ket = a_psi if ket == 0 else A.matrix @ evolved[ket]
+                plain[p, i] += np.einsum("ij,ij->j", evolved[0].conj(), a_psi) @ w
+                ab[p, i] += np.einsum("ij,ij->j", evolved[0].conj(), a_ket) @ w
+                ba[p, i] += np.einsum("ij,ij->j", evolved[bra].conj(), a_psi) @ w
+    return ab, ba, plain
+
+
+def test_state_vector_and_sparse_routes_keep_the_column_loop_bits():
+    # the dense StateVector route and the sparse route propagate columns;
+    # the thermal dense route is the only one that sums spectrally.  Both
+    # keep the bits of the column loop, on a hermitian, a sector-mixing and
+    # no second observable, with two chunks on the sparse thermal route
+    basis, reg, H, gam, A, B = truncated_chain_state()
+    rng = np.random.default_rng(17)
+    mixing = sp.random(basis.dimension, basis.dimension, density=0.05, random_state=rng)
+    B_mixing = SparseOperator((mixing + 1j * mixing.T).tocsr(), basis, False)
+    pairs = [(A, B), (A, B_mixing), (B, None)]
+    times = [0.0, 0.7, 2.3]
+    amps = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+    psi = StateVector(basis, amps / np.linalg.norm(amps))
+    got = correlations(H, psi, pairs, times, gam.decomp, "dense")
+    want = column_loop_reference(
+        psi.amplitudes[:, None], np.ones(1), pairs, times, lambda X: (gam.decomp.propagate_block(X, t) for t in times)
+    )
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for state, columns, weights in ((psi, psi.amplitudes[:, None], np.ones(1)), (gam, gam.decomp.vectors, gam.weights)):
+        got = correlations(H, state, pairs, times, engine="krylov")
+        want = column_loop_reference(columns, weights, pairs, times, lambda X: _krylov_evolve(H.matrix, X, times))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_green_values_match_pointwise_calls():
@@ -484,17 +543,27 @@ def test_evolved_two_points_match_per_pair_two_point(monkeypatch):
 def test_oracle_never_reads_the_spectral_propagator(monkeypatch):
     # the strip sum is built from the decomposition; the values it is
     # checked against must not be: evolved_two_points, kms_residual and
-    # invariance_residual run with the dense propagator disabled
+    # invariance_residual run with the dense propagator and the rotation
+    # into the eigenbasis disabled
     basis, reg, H, gam, A, B = truncated_chain_state()
     want = two_point(gam, A, B, 0.6, engine="dense")
+    gf = GreenFunction(gam, A, B)
 
-    def forbidden(self, X, t):
-        raise AssertionError("the oracle called SpectralDecomposition.propagate_block")
+    def forbidden(name):
+        def method(self, *args):
+            raise AssertionError(f"the oracle called SpectralDecomposition.{name}")
 
-    monkeypatch.setattr(SpectralDecomposition, "propagate_block", forbidden)
+        return method
+
+    for name in ("propagate_block", "rotate"):
+        monkeypatch.setattr(SpectralDecomposition, name, forbidden(name))
     ab, _, _ = evolved_two_points(gam, [(A, B), (A, None)], [0.0, 0.3, 0.6])
     assert abs(ab[0, 2] - want) <= 1e-12
-    assert max(kms_residual(gam, A, B, 0.6)) < 1e-9
+    assert max(kms_residual(gam, A, B, 0.6, gf)) < 1e-9
     assert invariance_residual(gam, A, 0.6) < 1e-9
-    with pytest.raises(AssertionError, match="propagate_block"):
+    # the controls: both dense routes trip the guard
+    with pytest.raises(AssertionError, match="rotate"):
         two_point(gam, A, B, 0.6, engine="dense")
+    psi = StateVector(basis, gam.decomp.vectors[:, 0])
+    with pytest.raises(AssertionError, match="propagate_block"):
+        correlations(H, psi, [(A, B)], [0.6], gam.decomp, "dense")
