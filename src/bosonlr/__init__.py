@@ -27,6 +27,7 @@ from .dynamics import (
     eigendecompose,
     evolve_state,
     free_particle_amplitude,
+    heisenberg_blocks,
     heisenberg_expectation,
     heisenberg_operator,
 )

@@ -13,8 +13,11 @@ pairs over a whole time grid.  Its dense route takes a thermal state into
 the generator's eigenbasis once and sums spectrally, O(n^3) once per
 sector pair and O(n^2) per time; a pure state propagates its one column
 per time, and the sparse route propagates weighted columns over the grid.
-Natural units throughout: hbar = 1, time in inverse units of the hopping
-energy.
+``heisenberg_blocks`` evolves an observable over a time grid as its
+nonzero sector blocks: one rotation into the eigenbasis per sector pair,
+then phases and a back-rotation per time; ``heisenberg_operator`` is its
+one-time scatter into a dense array.  Natural units throughout: hbar = 1,
+time in inverse units of the hopping energy.
 """
 
 import math
@@ -515,28 +518,53 @@ def heisenberg_expectation(
     return complex(correlations(H, state, [(A, B)], [t], decomposition, engine)[0][0, 0])
 
 
+def heisenberg_blocks(
+    H: SparseOperator,
+    A: SparseOperator,
+    times,
+    decomposition: SpectralDecomposition | None = None,
+) -> list[dict[tuple[int, int], np.ndarray]]:
+    """The nonzero sector blocks of e^{iHt} A e^{-iHt} for every t in
+    ``times``: one dict {(m, n): block} per time.
+
+    The eigenvectors are block-diagonal by sector, so only the sector pairs
+    (m, n) where ``A`` has entries give a nonzero block,
+    V_m (e^{iE_m t} A~_mn e^{-iE_n t}) V_n^*; a number-conserving ``A`` has
+    the diagonal pairs only.  A~_mn = V_m^* A_mn V_n is rotated once per
+    sector pair, and only the phases and the back-rotation are repeated per
+    time, so the result holds len(times) sum_(m, n) n_m n_n entries and no
+    D x D array.
+    """
+    d = decomposition if decomposition is not None else eigendecompose(H)
+    slices = dict(d.sector_slices())
+    rotated = {(m, n): d.rotate(A.matrix, slices[m], slices[n]) for m, n in _sector_pairs(A.matrix, d.basis)}
+    out = []
+    for t in times:
+        phases = np.exp(1j * d.energies * t)
+        blocks = {}
+        for (m, n), tilde in rotated.items():
+            sm, sn = slices[m], slices[n]
+            evolved = (phases[sm, None] * tilde) * phases[sn].conj()
+            Vm, Vn = d.vectors[sm, sm], d.vectors[sn, sn]
+            blocks[m, n] = _real_matmul(_real_matmul(Vm, evolved), Vn.conj().T)
+        out.append(blocks)
+    return out
+
+
 def heisenberg_operator(
     H: SparseOperator,
     A: SparseOperator,
     t: float,
     decomposition: SpectralDecomposition | None = None,
 ) -> np.ndarray:
-    """Dense e^{iHt} A e^{-iHt} through the spectral decomposition.
-
-    The eigenvectors are block-diagonal by sector, so only the sector pairs
-    (m, n) where ``A`` has entries give a nonzero block, V_m (e^{iE_m t}
-    V_m^* A_mn V_n e^{-iE_n t}) V_n^*; a number-conserving ``A`` has the
-    diagonal pairs only.
-    """
+    """Dense e^{iHt} A e^{-iHt} through the spectral decomposition: the
+    blocks of ``heisenberg_blocks`` at the one time ``t``, scattered into a
+    D x D array that is zero off them."""
     d = decomposition if decomposition is not None else eigendecompose(H)
-    phases = np.exp(1j * d.energies * t)
     slices = dict(d.sector_slices())
     out = np.zeros((d.dimension, d.dimension), dtype=np.complex128)
-    for m, n in _sector_pairs(A.matrix, d.basis):
-        sm, sn = slices[m], slices[n]
-        evolved = (phases[sm, None] * d.rotate(A.matrix, sm, sn)) * phases[sn].conj()
-        Vm, Vn = d.vectors[sm, sm], d.vectors[sn, sn]
-        out[sm, sn] = _real_matmul(_real_matmul(Vm, evolved), Vn.conj().T)
+    for (m, n), block in heisenberg_blocks(H, A, [t], d)[0].items():
+        out[slices[m], slices[n]] = block
     return out
 
 

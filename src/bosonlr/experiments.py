@@ -32,7 +32,7 @@ from .dynamics import (
     correlations,
     eigendecompose,
     free_particle_amplitude,
-    heisenberg_operator,
+    heisenberg_blocks,
     inverse_moment_upper_bound,
 )
 from .errors import BoundaryContaminationError, ConfigError, InvalidArgumentError, NotInBasisError
@@ -587,7 +587,9 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
     times = [float(t) for t in cfg.sweeps["times"]]
     slack = cfg.tol("bound_slack")
     full_sites = scene.region.as_set()
-    sectors = [sl for _, sl in scene.basis.sector_slices()]
+    # tau_t(A) under the scene's own H, shared by every shell whose full
+    # generator is that H (all of them when the cutoff sits at the cap)
+    scene_blocks = heisenberg_blocks(scene.H, A, times, scene.decomp)
 
     def measure(m: int):
         inner = enlargement(scene.graph, X, 2 * m * r)
@@ -599,11 +601,12 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
         d_full = scene.decomp if same_matrix(G_full, scene.H) else eigendecompose(G_full)
         d_in = d_full if same_matrix(G_in, G_full) else eigendecompose(G_in)
         covering = inner.as_set() == full_sites
+        full = scene_blocks if d_full is scene.decomp else heisenberg_blocks(G_full, A, times, d_full)
+        evolved_in = full if d_in is d_full else heisenberg_blocks(G_in, A, times, d_in)
         rows = []
-        for t in times:
-            T_in = heisenberg_operator(G_in, A, t, d_in)
-            T_full = heisenberg_operator(G_full, A, t, d_full)
-            measured = max(operator_norm(T_in[sl, sl] - T_full[sl, sl]) for sl in sectors)
+        for t, T_in, T_full in zip(times, evolved_in, full):
+            # A conserves number, so its blocks are the sector-diagonal ones
+            measured = max((operator_norm(T_in[k] - T_full[k]) for k in T_full), default=0.0)
             inp = BoundInputs(
                 sigma=sigma_cnt,
                 d=d,

@@ -5,7 +5,10 @@ number operators and their moments, per-site occupation cutoff projections,
 and bounded gauge-invariant observables.  All matrix elements are exact
 integer / square-root-of-integer arithmetic in double precision; entries
 with magnitude at or below ``PRUNE_TOL`` are dropped so the stored pattern
-is clean.
+is clean.  The hopping moves of all edges are ranked in the basis by one
+batched ``FockBasis.lookup`` (split into batches of at most
+max(occupations.size, ``HOP_BATCH_ENTRIES``) target entries), and the
+interaction reads a site-pair coupling table built once.
 
 Conventions
 -----------
@@ -31,6 +34,8 @@ from .fock import FockBasis
 from .lattice import LatticeGraph, Region
 
 PRUNE_TOL = 1e-15
+# target entries (moved states x sites) one batched hop lookup may hold
+HOP_BATCH_ENTRIES = 2**20
 
 DENSE_NORM_CAP = 1024
 
@@ -152,22 +157,43 @@ def _region_columns(basis: FockBasis, region: Region) -> list[int]:
     return [basis.site_column(x) for x in region.sites]
 
 
-def _hop_entries(basis: FockBasis, dst: int, src: int):
-    """(rows, cols, sqrt(n_src (n_dst + 1))) of ``a^*_dst a_src``, where
-    ``dst`` and ``src`` are occupation columns.
+def _hop_entries(basis: FockBasis, moves):
+    """(rows, cols, sqrt(n_src (n_dst + 1))) of ``sum a^*_dst a_src`` over
+    ``moves``, an array of (dst, src) occupation-column pairs, with the
+    entries of each move in turn.
 
-    One array pass over the states that hold a particle at ``src``; moves
-    whose target leaves the basis (cap exceeded) are dropped, which is the
-    hard-wall truncation convention.
+    Every (move, state with a particle at src) pair is gathered, move-major,
+    by one ``np.nonzero``, and the targets are ranked by one ``lookup`` per
+    batch of moves whose targets hold at most
+    max(occupations.size, HOP_BATCH_ENTRIES) entries (a single move never
+    exceeds occupations.size).  Moves whose target leaves the basis (cap
+    exceeded) are dropped, which is the hard-wall truncation convention.
     """
     occ = basis.occupations
-    cols = np.flatnonzero(occ[:, src])
-    target = occ[cols]
-    target[:, src] -= 1
-    target[:, dst] += 1
-    rows = basis.lookup(target)
-    cols, rows = cols[rows >= 0], rows[rows >= 0]
-    return rows, cols, np.sqrt(occ[cols, src] * (occ[cols, dst] + 1.0))
+    moves = np.asarray(moves, dtype=np.int64).reshape(-1, 2)
+    held = (occ > 0).T  # held[c, k]: state k has a particle on column c
+    budget = max(occ.size, HOP_BATCH_ENTRIES)
+    # target entries per move, and the first move of each batch
+    cost = held.sum(axis=1)[moves[:, 1]] * basis.n_sites
+    starts, used = [0], 0
+    for k, c in enumerate(cost.tolist()):
+        if used + c > budget:
+            starts.append(k)
+            used = 0
+        used += c
+    parts = []
+    for lo, hi in zip(starts, starts[1:] + [len(moves)]):
+        move, cols = np.nonzero(held[moves[lo:hi, 1]])
+        dst, src = moves[lo + move, 0], moves[lo + move, 1]
+        pick = np.arange(cols.size)
+        target = occ[cols]
+        target[pick, src] -= 1
+        target[pick, dst] += 1
+        rows = basis.lookup(target)
+        kept = rows >= 0
+        cols, dst, src = cols[kept], dst[kept], src[kept]
+        parts.append((rows[kept], cols, np.sqrt(occ[cols, src] * (occ[cols, dst] + 1.0))))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _hop_matrix(basis: FockBasis, rows, cols, vals) -> sparse.csr_matrix:
@@ -183,7 +209,7 @@ def hop_term(basis: FockBasis, x: int, y: int) -> SparseOperator:
     """
     if x == y:
         raise InvalidArgumentError("hop_term needs two distinct sites; use number_operator")
-    mat = _hop_matrix(basis, *_hop_entries(basis, basis.site_column(x), basis.site_column(y)))
+    mat = _hop_matrix(basis, *_hop_entries(basis, [(basis.site_column(x), basis.site_column(y))]))
     return SparseOperator(mat, basis, False, support=(min(x, y), max(x, y)))
 
 
@@ -202,15 +228,13 @@ def assemble_hopping(
     cols_of = {x: basis.site_column(x) for x in region.sites}
     # a_x^* a_y moves one particle y -> x; the reverse move supplies the
     # conjugate entry, so hermiticity is exact as stored.
-    entries = [
-        _hop_entries(basis, cols_of[dst], cols_of[src])
+    moves = [
+        (cols_of[dst], cols_of[src])
         for x, y in g.edges()
         if x in member and y in member
         for dst, src in ((x, y), (y, x))
     ]
-    # a region without edges still concatenates to an empty matrix
-    empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
-    rows, cols, vals = (np.concatenate(part) for part in zip(empty, *entries))
+    rows, cols, vals = _hop_entries(basis, moves)
     mat = _hop_matrix(basis, rows, cols, -J * factor * vals)
     return SparseOperator(mat, basis, True, support=tuple(region.sites))
 
@@ -241,24 +265,29 @@ def assemble_interaction(
             if x != y and v_table.get((y, x)) != val:
                 raise InvalidArgumentError(f"interaction table asymmetric at pair ({x}, {y})")
 
-    def coupling(x: int, y: int) -> float:
-        if v_table is not None:
-            return v_table.get((x, y), 0.0)
-        return params.v(int(g.dist[x, y]))
-
-    occ = basis.occupations
-    values = np.zeros(basis.dimension)
     sites = list(region.sites)
-    for i, x in enumerate(sites):
-        cx = basis.site_column(x)
-        nx = occ[:, cx]
-        u = coupling(x, x)
-        if u != 0.0:
-            values += u * nx * (nx - 1)
-        for y in sites[i + 1 :]:
-            vxy = coupling(x, y)
-            if vxy != 0.0:
-                values += 2.0 * vxy * nx * occ[:, basis.site_column(y)]
+    # couplings[i, j] = v(sites[i], sites[j]), from each distinct distance or
+    # the table
+    if v_table is None:
+        dist, inverse = np.unique(g.dist[np.ix_(sites, sites)], return_inverse=True)
+        couplings = np.array([params.v(int(k)) for k in dist])[inverse].reshape(len(sites), len(sites))
+    else:
+        couplings = np.zeros((len(sites), len(sites)))
+        index = {x: i for i, x in enumerate(sites)}
+        for (x, y), val in v_table.items():
+            if x in index and y in index:
+                couplings[index[x], index[y]] = val
+    occ = basis.occupations
+    columns = [occ[:, basis.site_column(x)] for x in sites]
+    values = np.zeros(basis.dimension)
+    # the nonzero couplings of the upper triangle, row by row: the on-site
+    # term of a site, then its pairs in site order
+    for i, j in zip(*np.nonzero(np.triu(couplings))):
+        nx = columns[i]
+        if i == j:
+            values += couplings[i, i] * nx * (nx - 1)
+        else:
+            values += 2.0 * couplings[i, j] * nx * columns[j]
     return _diag_operator(basis, values, support=tuple(region.sites))
 
 
@@ -365,16 +394,17 @@ def conserves_number(op: SparseOperator) -> bool:
 def operator_norm(op, seed=None) -> float:
     """Largest singular value of an operator, exact.
 
-    A dense array takes one SVD.  A sparse matrix, bare or the ``matrix``
-    of a ``SparseOperator``, is block-diagonal over the connected
-    components of its sparsity pattern, so its norm is the largest block
-    norm; blocks of one size are stacked and take one batched SVD.  No
-    flag of the operator is read: components are at least as fine as its
-    sector blocks and its support blocks, and a matrix whose stored
-    entries all sit on the diagonal gives 1x1 blocks, whose norm is its
-    largest |entry| with no SVD.  A component above ``DENSE_NORM_CAP`` raises
-    ``ResourceLimitError``; an estimate, which could undercut a bound that
-    scales with the norm, is never returned.
+    A dense array takes one SVD, unless no entry is nonzero (an exact
+    difference of equal operators), when it is 0.0.  A sparse matrix, bare
+    or the ``matrix`` of a ``SparseOperator``, is block-diagonal over the
+    connected components of its sparsity pattern, so its norm is the
+    largest block norm; blocks of one size are stacked and take one
+    batched SVD.  No flag of the operator is read: components are at least
+    as fine as its sector blocks and its support blocks, and a matrix whose
+    stored entries all sit on the diagonal gives 1x1 blocks, whose norm is
+    its largest |entry| with no SVD.  A component above ``DENSE_NORM_CAP``
+    raises ``ResourceLimitError``; an estimate, which could undercut a
+    bound that scales with the norm, is never returned.
 
     ``seed`` is read by nothing; it is kept because the benchmark's
     ``thermal-spectral`` workload passes it.
@@ -382,7 +412,7 @@ def operator_norm(op, seed=None) -> float:
     mat = op.matrix if isinstance(op, SparseOperator) else op
     if not sparse.issparse(mat):
         dense = _real_if_exact(np.asarray(mat))
-        return float(np.linalg.norm(dense, 2)) if dense.size else 0.0
+        return float(np.linalg.norm(dense, 2)) if dense.any() else 0.0
     if mat.shape[0] != mat.shape[1]:
         raise InvalidArgumentError(f"operator norm of a sparse matrix needs a square shape, got {mat.shape}")
     coo = sparse.coo_matrix(mat)

@@ -276,3 +276,97 @@ def test_exact_zero_at_cap_and_on_covering_shells():
     assert [r["covering"] for r in rows] == [False, True]
     assert rows[0]["sup_difference"] > 0.0
     assert rows[1]["sup_difference"] == 0.0
+
+
+def per_time_shell_norms(cfg):
+    """The shell sweep of ``lr`` as a loop over times: per shell and time,
+    the dense ``heisenberg_operator`` of both generators and the largest
+    norm of their difference over the sector blocks, keyed (m, t)."""
+    from bosonlr import (
+        assemble_hamiltonian,
+        cutoff_projection,
+        eigendecompose,
+        enlargement,
+        heisenberg_operator,
+        operator_norm,
+        sandwich,
+    )
+    from bosonlr.experiments import _pair_observables, _support_region, build_scene
+    from bosonlr.operators import same_matrix
+
+    scene = build_scene(cfg)
+    A, _ = _pair_observables(cfg, scene.basis)
+    X = _support_region(scene.graph, A)
+    lam, r = int(cfg.sweeps["lr_lambda"]), cfg.model.range_hops
+    sectors = [sl for _, sl in scene.basis.sector_slices()]
+    out = {}
+    for m in cfg.sweeps["shells"]:
+        inner = enlargement(scene.graph, X, 2 * m * r)
+        P = cutoff_projection(scene.basis, enlargement(scene.graph, X, (2 * m + 1) * r), lam)
+        G_in = sandwich(P, assemble_hamiltonian(scene.graph, inner, scene.basis, cfg.model))
+        G_full = sandwich(P, scene.H)
+        d_full = scene.decomp if same_matrix(G_full, scene.H) else eigendecompose(G_full)
+        d_in = d_full if same_matrix(G_in, G_full) else eigendecompose(G_in)
+        for t in cfg.sweeps["times"]:
+            T_in = heisenberg_operator(G_in, A, t, d_in)
+            T_full = heisenberg_operator(G_full, A, t, d_full)
+            out[m, t] = max(operator_norm(T_in[sl, sl] - T_full[sl, sl]) for sl in sectors)
+    return out
+
+
+@pytest.fixture
+def sweep_rotations(monkeypatch):
+    """Every ``SpectralDecomposition.rotate`` call made inside
+    ``heisenberg_blocks`` as called by the experiments, as (decomposition,
+    rows, cols); the decompositions are kept alive so their ids stay
+    distinct."""
+    from bosonlr import experiments
+    from bosonlr.dynamics import SpectralDecomposition
+
+    calls, inside = [], []
+    rotate, blocks = SpectralDecomposition.rotate, experiments.heisenberg_blocks
+
+    def counting_rotate(self, matrix, rows=slice(None), cols=None):
+        if inside:
+            calls.append((self, rows.start, (rows if cols is None else cols).start))
+        return rotate(self, matrix, rows, cols)
+
+    def flagged_blocks(*args, **kwargs):
+        inside.append(True)
+        try:
+            return blocks(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(SpectralDecomposition, "rotate", counting_rotate)
+    monkeypatch.setattr(experiments, "heisenberg_blocks", flagged_blocks)
+    return calls
+
+
+def test_lr_sweep_below_the_cap_matches_the_per_time_loop(sweep_rotations):
+    """With the cutoff below the site cap every shell has its own full
+    generator, so no shell reads the scene's blocks.  Each row still equals
+    the per-time loop bit for bit at both times, the covering shell reads
+    exactly 0.0, and each (decomposition, sector pair) is rotated once."""
+    cfg = small("chain-10", sweeps={"lr_lambda": 1, "times": [0.25, 0.5]}, workers=1)
+    rows = [r for r in RUNNERS["lr"](cfg).records if r["check"] == "shells"]
+    oracle = per_time_shell_norms(cfg)
+    assert sorted((r["m"], r["t"]) for r in rows) == sorted(oracle)
+    for r in rows:
+        assert r["measured"] == oracle[r["m"], r["t"]]
+        assert (r["measured"] == 0.0) == r["covering"]
+    assert sum(r["covering"] for r in rows) == 2
+    keys = [(id(d), m, n) for d, m, n in sweep_rotations]
+    assert len(keys) == len(set(keys))
+
+
+def test_lr_sweep_rotates_each_observable_once_per_generator(sweep_rotations):
+    """On the shipped preset (cutoff at the cap) the scene's blocks serve
+    every full generator: four generators (the scene's H and three inner
+    shells) times four sectors make 16 rotations, where one dense operator
+    per shell, side and time made 64."""
+    cfg = small("chain-10", workers=1)
+    assert RUNNERS["lr"](cfg).passed
+    keys = [(id(d), m, n) for d, m, n in sweep_rotations]
+    assert len(keys) == len(set(keys)) == 16
+    assert len({id(d) for d, _, _ in sweep_rotations}) == 4

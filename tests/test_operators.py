@@ -13,6 +13,8 @@ from bosonlr import (
     assemble_hopping,
     assemble_interaction,
     build_chain,
+    build_from_edges,
+    build_grid,
     commutator,
     conserves_number,
     cutoff_projection,
@@ -29,7 +31,7 @@ from bosonlr import (
     sandwich,
     total_number,
 )
-from bosonlr.operators import DENSE_NORM_CAP, SparseOperator, dump_operator
+from bosonlr.operators import DENSE_NORM_CAP, SparseOperator, _hop_matrix, _pruned, dump_operator, same_matrix
 
 
 @pytest.fixture
@@ -363,3 +365,174 @@ def test_basis_mismatch_rejected():
     B = number_operator(b2, 0)
     with pytest.raises(InvalidArgumentError):
         commutator(A, B)
+
+
+def reference_hop_entries(basis, dst, src):
+    """One move a^*_dst a_src (occupation columns) with its own lookup: the
+    per-edge kernel the batched assembly replaced."""
+    occ = basis.occupations
+    cols = np.flatnonzero(occ[:, src])
+    target = occ[cols]
+    target[:, src] -= 1
+    target[:, dst] += 1
+    rows = basis.lookup(target)
+    cols, rows = cols[rows >= 0], rows[rows >= 0]
+    return rows, cols, np.sqrt(occ[cols, src] * (occ[cols, dst] + 1.0))
+
+
+def reference_hopping(g, reg, basis, J, ordered):
+    """The kinetic term edge by edge, one lookup per move."""
+    member = reg.as_set()
+    entries = [
+        reference_hop_entries(basis, basis.site_column(dst), basis.site_column(src))
+        for x, y in g.edges()
+        if x in member and y in member
+        for dst, src in ((x, y), (y, x))
+    ]
+    empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+    rows, cols, vals = (np.concatenate(part) for part in zip(empty, *entries))
+    return _hop_matrix(basis, rows, cols, -J * (2.0 if ordered else 1.0) * vals)
+
+
+def reference_interaction(g, reg, basis, params, v_table=None):
+    """The interaction term with one coupling call per site pair."""
+
+    def coupling(x, y):
+        if v_table is not None:
+            return v_table.get((x, y), 0.0)
+        return params.v(int(g.dist[x, y]))
+
+    occ = basis.occupations
+    values = np.zeros(basis.dimension)
+    sites = list(reg.sites)
+    for i, x in enumerate(sites):
+        nx = occ[:, basis.site_column(x)]
+        u = coupling(x, x)
+        if u != 0.0:
+            values += u * nx * (nx - 1)
+        for y in sites[i + 1 :]:
+            vxy = coupling(x, y)
+            if vxy != 0.0:
+                values += 2.0 * vxy * nx * occ[:, basis.site_column(y)]
+    return sp.diags(values.astype(np.complex128), 0, format="csr")
+
+
+def reference_op(basis, mat):
+    """A reference matrix as an operator, pruned as assembly prunes."""
+    return SparseOperator(_pruned(mat), basis, False)
+
+
+def assembly_cases(seed):
+    """(graph, basis, region, params, v_table) over chains, grids and edge
+    graphs; capped and uncapped, one sector and several, every capped
+    vector; the full region and random subregions; on-site and off-site
+    couplings, ordered hopping and symmetric interaction tables."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 6))
+    tree = [(k, int(rng.integers(k))) for k in range(1, n)]
+    extra = [(int(x), int(y)) for x, y in rng.integers(n, size=(3, 2)) if x != y]
+    graphs = [
+        build_chain(int(rng.integers(3, 6))),
+        build_grid([(2, 2), (2, 3), (3, 2)][rng.integers(3)]),
+        build_from_edges(n, tree + extra),
+    ]
+    for g in graphs:
+        full = full_region(g)
+        bases = [
+            enumerate_basis(full, sector=3),
+            enumerate_basis(full, sector=3, cap=1),
+            enumerate_sectors(full, 3),
+            enumerate_sectors(full, 4, cap=2),
+            enumerate_basis(full, cap=2),
+        ]
+        for basis in bases:
+            sub = sorted(rng.choice(g.n_vertices, size=rng.integers(1, g.n_vertices), replace=False))
+            for reg in (full, region(g, sub)):
+                offsite = tuple(rng.uniform(-1.0, 1.0, rng.integers(0, 3)))
+                params = ModelParams(
+                    hopping=rng.uniform(0.1, 2.0),
+                    onsite=rng.choice([0.0, rng.uniform(-1.0, 1.0)]),
+                    offsite=offsite,
+                    ordered_hopping=bool(rng.integers(2)),
+                )
+                v_table = {}
+                for x in reg.sites:
+                    for y in reg.sites:
+                        if x <= y and rng.random() < 0.5:
+                            v_table[x, y] = v_table[y, x] = rng.uniform(-1.0, 1.0)
+                yield g, basis, reg, params, v_table
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_batched_assembly_matches_per_edge_and_per_pair_loops(seed):
+    """One lookup per batch of moves and one coupling table give the same
+    indptr, indices and data as one lookup per move and one coupling call
+    per site pair."""
+    for g, basis, reg, params, v_table in assembly_cases(seed):
+        J, ordered = params.hopping, params.ordered_hopping
+        hopping = reference_hopping(g, reg, basis, J, ordered)
+        interaction = reference_interaction(g, reg, basis, params)
+        assert same_matrix(assemble_hopping(g, reg, basis, J, ordered), reference_op(basis, hopping))
+        assert same_matrix(assemble_interaction(g, reg, basis, params), reference_op(basis, interaction))
+        assert same_matrix(
+            assemble_interaction(g, reg, basis, params, v_table),
+            reference_op(basis, reference_interaction(g, reg, basis, params, v_table)),
+        )
+        assert same_matrix(assemble_hamiltonian(g, reg, basis, params), reference_op(basis, hopping + interaction))
+        x, y = reg.sites[0], reg.sites[-1]
+        if x != y:
+            want = _hop_matrix(basis, *reference_hop_entries(basis, basis.site_column(x), basis.site_column(y)))
+            assert same_matrix(hop_term(basis, x, y), reference_op(basis, want))
+
+
+def test_batched_hop_lookup_splits_at_its_entry_budget(monkeypatch):
+    """With the batch constant patched low the budget is occupations.size:
+    the moves of a 6-site chain split into several lookups, none holding
+    more target entries than the budget, and the matrix keeps its bits."""
+    from bosonlr import operators
+    from bosonlr.fock import FockBasis
+
+    g = build_chain(6)
+    basis = enumerate_sectors(full_region(g), 4, cap=2)
+    want = reference_op(basis, reference_hopping(g, full_region(g), basis, 0.7, False))
+    sizes = []
+    lookup = FockBasis.lookup
+
+    def spy(self, rows):
+        sizes.append(np.asarray(rows).size)
+        return lookup(self, rows)
+
+    monkeypatch.setattr(operators, "HOP_BATCH_ENTRIES", 1)
+    monkeypatch.setattr(FockBasis, "lookup", spy)
+    got = assemble_hopping(g, full_region(g), basis, 0.7)
+    assert len(sizes) >= 2
+    assert max(sizes) <= basis.occupations.size
+    assert same_matrix(got, want)
+    monkeypatch.setattr(operators, "HOP_BATCH_ENTRIES", 2**20)
+    sizes.clear()
+    assert same_matrix(assemble_hopping(g, full_region(g), basis, 0.7), want)
+    assert len(sizes) == 1
+
+
+def test_operator_norm_of_an_all_zero_array_takes_no_svd(monkeypatch):
+    """An exact difference of equal operators is 0.0 without an SVD, real,
+    complex or empty; one 1e-300 entry is not zero and takes the SVD."""
+    norm = np.linalg.norm
+    seen = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called on an all-zero array")
+
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    for zero in (np.zeros((3, 3)), np.zeros((4, 4), dtype=np.complex128), np.zeros((0, 0))):
+        assert operator_norm(zero) == 0.0
+
+    def spy(*args, **kwargs):
+        seen.append(args[0].shape)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    tiny = np.zeros((3, 3), dtype=np.complex128)
+    tiny[1, 2] = 1e-300
+    assert operator_norm(tiny) == pytest.approx(1e-300, rel=1e-12)
+    assert seen == [(3, 3)]

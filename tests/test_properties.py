@@ -33,6 +33,7 @@ from bosonlr import (
     fixed_sector_gibbs,
     full_region,
     gibbs_state,
+    heisenberg_blocks,
     heisenberg_operator,
     hop_term,
     local_observable,
@@ -42,7 +43,7 @@ from bosonlr import (
     two_point,
 )
 from bosonlr import dynamics
-from bosonlr.dynamics import _krylov_evolve
+from bosonlr.dynamics import _krylov_evolve, _real_matmul, _sector_pairs
 from bosonlr.lattice import Region
 from bosonlr.operators import same_matrix
 
@@ -360,6 +361,66 @@ time_grids = st.one_of(
     # any other list is propagated one time at a time
     st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
 )
+
+
+def rotate_phase_back_rotate(d, A, t):
+    """Dense e^{iHt} A e^{-iHt} by the formula applied at each time: per
+    sector pair where A has entries, rotate A into the eigenbasis, apply
+    the phases and rotate back."""
+    phases = np.exp(1j * d.energies * t)
+    slices = dict(d.sector_slices())
+    out = np.zeros((d.dimension, d.dimension), dtype=np.complex128)
+    for m, n in _sector_pairs(A.matrix, d.basis):
+        sm, sn = slices[m], slices[n]
+        evolved = (phases[sm, None] * d.rotate(A.matrix, sm, sn)) * phases[sn].conj()
+        Vm, Vn = d.vectors[sm, sm], d.vectors[sn, sn]
+        out[sm, sn] = _real_matmul(_real_matmul(Vm, evolved), Vn.conj().T)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    gb=bases(),
+    J=st.floats(0.1, 1.0),
+    U=st.floats(0.0, 2.0),
+    gauge=st.booleans(),
+    times=time_grids,
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_heisenberg_blocks_scatter_to_heisenberg_operator_bitwise(gb, J, U, gauge, times, data, seed):
+    """``heisenberg_blocks`` rotates A once and applies the phases per time;
+    scattered into a D x D array it gives ``heisenberg_operator`` at every
+    time of the grid, and that gives the rotate -> phase -> back-rotate
+    formula, bit for bit, for a real generator and a gauge-complex one,
+    with a diagonal A, a normalized hop and a sector-mixing A."""
+    g, basis = gb
+    assume(basis.dimension > 0)
+    rng = np.random.default_rng(seed)
+    H = assemble_hamiltonian(g, full_region(g), basis, ModelParams(hopping=J, onsite=U))
+    if gauge:
+        theta = rng.uniform(0.0, 2.0 * np.pi, g.n_vertices)
+        W = sp.diags(np.exp(1j * (basis.occupations @ theta)))
+        H = SparseOperator((W @ H.matrix @ W.conj().T).tocsr(), basis, True)
+    d = eigendecompose(H)
+    x, y = data.draw(st.lists(st.integers(0, g.n_vertices - 1), min_size=2, max_size=2, unique=True))
+    observables = [
+        local_observable(basis, {"kind": "number_function", "site": x, "fn": "inv_one_plus_n"}),
+        local_observable(basis, {"kind": "normalized_hop", "sites": [x, y]}),
+        random_operator(basis, rng, conserving=False, hermitian=data.draw(st.booleans())),
+    ]
+    slices = dict(d.sector_slices())
+    for A in observables:
+        evolved = heisenberg_blocks(H, A, times, d)
+        assert len(evolved) == len(times)
+        for t, blocks in zip(times, evolved):
+            assert sorted(blocks) == _sector_pairs(A.matrix, basis)
+            scattered = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
+            for (m, n), block in blocks.items():
+                scattered[slices[m], slices[n]] = block
+            dense = heisenberg_operator(H, A, t, d)
+            assert np.array_equal(scattered, dense)
+            assert np.array_equal(dense, rotate_phase_back_rotate(d, A, t))
 
 
 @settings(max_examples=30, deadline=None)
