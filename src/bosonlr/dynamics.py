@@ -37,6 +37,12 @@ DENSE_CAP = 4096
 MIRROR_MIN = 64
 # columns per dense propagation block: temporaries stay O(D * chunk)
 PROPAGATE_CHUNK = 64
+# smallest sparse block ``rotate`` takes over the rows it acts on: below it
+# finding those rows costs more than the GEMM it saves.  Measured on a
+# 2-CPU host, one BLAS thread, chain sectors: a two-site hop (half to two
+# thirds of the rows active) took 1.0-1.5x the plain time up to 210 states
+# and 0.6-0.8x from 220 on; a one-site 1/(1+n) crossed over near 165
+ACTIVE_ROWS_MIN = 220
 
 
 @dataclass(frozen=True)
@@ -119,10 +125,31 @@ class SpectralDecomposition:
     def rotate(self, matrix, rows: slice = slice(None), cols: slice | None = None) -> np.ndarray:
         """V^* M V: the operator in the eigenbasis (dense), or, for sector
         slices ``rows`` and ``cols`` (default: the same as ``rows``), the
-        block V_m^* M_mn V_n."""
+        block V_m^* M_mn V_n.
+
+        A sparse block of at least ``ACTIVE_ROWS_MIN`` rows and columns is
+        rotated over the rows it acts on: with c its most frequent diagonal
+        value (0 off the diagonal sector pairs), V_m^* M V_n is
+        V_m[R]^* (M - cI)[R] V_n + cI, where R are the rows at which
+        M - cI stores an entry.  A local observable leaves most rows alone
+        (1/(1+n_x) is 1 wherever site x is empty), so the GEMM shrinks by
+        the share of rows it touches.  A block that acts on every row keeps
+        the plain formula, bit for bit.
+        """
         cols = rows if cols is None else cols
         Vm, Vn = self.vectors[rows, rows], self.vectors[cols, cols]
-        return _real_matmul(Vm.conj().T, _real_matmul(matrix[rows, cols], Vn))
+        block = matrix[rows, cols]
+        if sparse.issparse(block) and min(block.shape) >= ACTIVE_ROWS_MIN:
+            block = block.tocsr()
+            active, c = _active_rows(block, square=rows == cols)
+            if active.size < block.shape[0]:
+                if c:  # only on a square block
+                    block = block - c * sparse.identity(block.shape[0], format="csr")
+                out = _real_matmul(Vm[active].conj().T, _real_matmul(block[active], Vn))
+                if c:
+                    out[np.diag_indices(len(out))] += c
+                return out
+        return _real_matmul(Vm.conj().T, _real_matmul(block, Vn))
 
     def sector_slices(self) -> list[tuple[int, slice]]:
         return self.basis.sector_slices()
@@ -153,11 +180,36 @@ def _real_matmul(a, b) -> np.ndarray:
     return (a @ parts).view(np.complex128)
 
 
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Scale each column so its largest-magnitude entry (the first, on
-    ties) is real positive; real columns are scaled by +-1."""
-    cols = np.arange(vecs.shape[1])
-    pivots = vecs[np.argmax(np.abs(vecs), axis=0), cols]
+def _active_rows(block, square: bool):
+    """(R, c) for a CSR block: c is the most frequent value on the
+    diagonal of a square block (the smallest of equally frequent ones; 0.0
+    when it is not real, or off the diagonal sector pairs), and R the rows
+    where M - cI has a nonzero entry."""
+    row_of = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+    stored = block.data != 0
+    if not square:
+        return np.unique(row_of[stored]), 0.0
+    diagonal = block.diagonal()
+    values, counts = np.unique(diagonal, return_counts=True)
+    c = values[np.argmax(counts)]
+    c = float(c.real) if c.imag == 0 else 0.0
+    active = diagonal != c
+    active[row_of[stored & (block.indices != row_of)]] = True
+    return np.flatnonzero(active), c
+
+
+def _fix_phases(vecs: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Scale each column, in place, so its largest-magnitude entry (the
+    first, on ties) is real positive; real columns are scaled by +-1.
+    Ties go to the smallest of ``rows``, the block rows that the rows of
+    ``vecs`` stand for (default: their own order)."""
+    mags = np.abs(vecs)
+    if rows is None:
+        first = np.argmax(mags, axis=0)
+    else:
+        order = np.argsort(rows)
+        first = order[np.argmax(mags[order], axis=0)]
+    pivots = vecs[first, np.arange(vecs.shape[1])]
     mags = np.abs(pivots)
     nonzero = mags > 0
     factors = np.ones_like(pivots)
@@ -193,19 +245,27 @@ def _mirror_layout(matrix, basis: FockBasis) -> list | None:
     return layout
 
 
-def _mirror_eigh(block: np.ndarray, q: np.ndarray, a: int, b: int):
-    """``np.linalg.eigh`` of a sector block through its two halves under
-    the site reversal p, or None unless M[p(x), p(y)] == M[x, y] holds
-    entry for entry (``q``, ``a``, ``b`` as in ``_mirror_layout``).
+def _mirror_eigh(block, q: np.ndarray, a: int, b: int, out: np.ndarray):
+    """Eigenvalues of a sparse sector block through its two halves under
+    the site reversal p, with the eigenvectors written into ``out`` (the
+    block's zeroed slice of the result), or None, writing nothing, unless
+    M[p(x), p(y)] == M[x, y] holds entry for entry (``q``, ``a``, ``b`` as
+    in ``_mirror_layout``).
 
     M then commutes with p, so it is block-diagonal on the even vectors
     (e_lo + e_hi)/sqrt2 and the fixed e_x, where it reads
     [[M_ll + M_lh, sqrt2 M_lf], [sqrt2 M_fl, M_ff]], and on the odd
-    vectors (e_lo - e_hi)/sqrt2, where it reads M_ll - M_lh.  The
-    eigenpairs of both halves are mapped back to the block's rows and
+    vectors (e_lo - e_hi)/sqrt2, where it reads M_ll - M_lh.  The block is
+    densified once, already permuted.  Each half's eigenvectors get their
+    phases and go straight to their rows of ``out``; the columns are then
     merged by a stable sort on energy, even before odd on a tie.
     """
-    m = block.take(q, 0).take(q, 1)
+    # the dense block, rows and columns in the order q, scattered from the
+    # CSR arrays: duplicates add up in storage order, as ``toarray`` adds them
+    block, at = block.tocsr(), np.empty_like(q)
+    at[q] = np.arange(q.size)
+    m = np.zeros(block.shape, dtype=block.dtype)
+    np.add.at(m, (np.repeat(at, np.diff(block.indptr)), at[block.indices]), block.data)
     lo, fx, hi = slice(0, a), slice(a, b), slice(b, None)
     if not (
         np.array_equal(m[hi, hi], m[lo, lo])
@@ -221,16 +281,25 @@ def _mirror_eigh(block: np.ndarray, q: np.ndarray, a: int, b: int):
     even[fx, lo] *= math.sqrt(2.0)
     e_even, w_even = np.linalg.eigh(even)
     e_odd, w_odd = np.linalg.eigh(odd)
+    del m, even, odd  # the dense block is read; free it before the phases
     w_even[lo] *= math.sqrt(0.5)
     w_odd *= math.sqrt(0.5)
-    vecs = np.zeros_like(m)
-    vecs[q[:b], :b] = w_even
-    vecs[q[b:], :b] = w_even[lo]
-    vecs[q[:a], b:] = w_odd
-    vecs[q[b:], b:] = -w_odd
+    # a lo row comes before its hi image, so each half's own rows decide
+    # the phase its columns would get in the whole block, and a hi row
+    # copies (or negates) an already scaled lo row
+    _fix_phases(w_even, q[:b])
+    _fix_phases(w_odd, q[:a])
     energies = np.concatenate([e_even, e_odd])
+    out[q[:b], :b] = w_even
+    out[q[b:], :b] = w_even[lo]
+    out[q[:a], b:] = w_odd
+    out[q[b:], b:] = np.negative(w_odd, out=w_odd)
+    # columns into (energy, even before odd) order, a band of rows at a time
     merged = np.argsort(energies, kind="stable")
-    return energies[merged], vecs[:, merged]
+    for start in range(0, q.size, PROPAGATE_CHUNK):
+        band = out[start : start + PROPAGATE_CHUNK]
+        band[:] = band[:, merged]
+    return energies[merged]
 
 
 def eigendecompose(H: SparseOperator, dense_cap: int = DENSE_CAP) -> SpectralDecomposition:
@@ -268,11 +337,12 @@ def eigendecompose(H: SparseOperator, dense_cap: int = DENSE_CAP) -> SpectralDec
             raise ResourceLimitError(
                 f"sector {n} has dimension {size}, above the dense cap {dense_cap}"
             )
-        block = matrix[sl, sl].toarray()
-        split = None if halves is None else _mirror_eigh(block, *halves)
-        evals, evecs = np.linalg.eigh(block) if split is None else split
+        block = matrix[sl, sl]
+        evals = None if halves is None else _mirror_eigh(block, *halves, vectors[sl, sl])
+        if evals is None:
+            evals, evecs = np.linalg.eigh(block.toarray())
+            vectors[sl, sl] = _fix_phases(evecs)
         energies[sl] = evals
-        vectors[sl, sl] = _fix_phases(evecs)
         sectors[sl] = n
     return SpectralDecomposition(basis, energies, vectors, sectors)
 

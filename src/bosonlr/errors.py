@@ -18,11 +18,11 @@ class ResourceLimitError(BosonLRError, RuntimeError):
 
 
 class DivergingPartitionFunctionError(BosonLRError, RuntimeError):
-    """Sector weights fail to decay; thermal truncation cannot be certified."""
+    """Sector weights fail to decay; the thermal truncation is refused."""
 
 
 class TruncationError(BosonLRError, RuntimeError):
-    """Certified truncation tail exceeds the configured tolerance."""
+    """Estimated truncation tail exceeds the configured tolerance."""
 
 
 class BoundaryContaminationError(BosonLRError, RuntimeError):

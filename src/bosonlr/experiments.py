@@ -11,11 +11,13 @@ draws random numbers, so a report is reproduced from its echoed config.
 """
 
 import csv
+import functools
 import itertools
 import json
 import logging
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -180,7 +182,12 @@ class Scene:
     basis: FockBasis
     params: ModelParams
     H: SparseOperator
-    decomp: SpectralDecomposition
+
+    @functools.cached_property
+    def decomp(self) -> SpectralDecomposition:
+        """The spectral decomposition of H, made on first use: a runner
+        that never reads it (``derivative``) never decomposes H."""
+        return eigendecompose(self.H)
 
 
 def build_scene(cfg: ExperimentConfig) -> Scene:
@@ -188,11 +195,10 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
     basis = build_basis(graph, cfg.basis)
     reg = full_region(graph)
     H = assemble_hamiltonian(graph, reg, basis, cfg.model)
-    decomp = eigendecompose(H)
     if cfg.debug.get("dump_operators") and cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)
         dump_operator(H, os.path.join(cfg.output_dir, f"{cfg.name}-hamiltonian.mtx"))
-    return Scene(graph, reg, basis, cfg.model, H, decomp)
+    return Scene(graph, reg, basis, cfg.model, H)
 
 
 def _thermal_state(cfg: ExperimentConfig, scene: Scene, H=None, decomp=None) -> GibbsState:
@@ -587,9 +593,17 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
     times = [float(t) for t in cfg.sweeps["times"]]
     slack = cfg.tol("bound_slack")
     full_sites = scene.region.as_set()
-    # tau_t(A) under the scene's own H, shared by every shell whose full
-    # generator is that H (all of them when the cutoff sits at the cap)
-    scene_blocks = heisenberg_blocks(scene.H, A, times, scene.decomp)
+    lock, on_scene = threading.Lock(), []
+
+    def scene_evolution():
+        """(decomposition, tau_t(A) blocks) under the scene's own H, made on
+        first use and shared by every shell whose full generator is that H:
+        all of them when the cutoff sits at the cap, none below it.  The
+        lock makes parallel shells wait for one computation."""
+        with lock:
+            if not on_scene:
+                on_scene.append((scene.decomp, heisenberg_blocks(scene.H, A, times, scene.decomp)))
+        return on_scene[0]
 
     def measure(m: int):
         inner = enlargement(scene.graph, X, 2 * m * r)
@@ -598,10 +612,13 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
         H_in = assemble_hamiltonian(scene.graph, inner, scene.basis, cfg.model)
         G_in = sandwich(P, H_in)
         G_full = sandwich(P, scene.H)
-        d_full = scene.decomp if same_matrix(G_full, scene.H) else eigendecompose(G_full)
+        if same_matrix(G_full, scene.H):
+            d_full, full = scene_evolution()
+        else:
+            d_full = eigendecompose(G_full)
+            full = heisenberg_blocks(G_full, A, times, d_full)
         d_in = d_full if same_matrix(G_in, G_full) else eigendecompose(G_in)
         covering = inner.as_set() == full_sites
-        full = scene_blocks if d_full is scene.decomp else heisenberg_blocks(G_full, A, times, d_full)
         evolved_in = full if d_in is d_full else heisenberg_blocks(G_in, A, times, d_in)
         rows = []
         for t, T_in, T_full in zip(times, evolved_in, full):
@@ -707,8 +724,11 @@ def run_local_approx(cfg: ExperimentConfig) -> ExperimentReport:
         inner = enlargement(scene.graph, X, 2 * m * r)
         covering = inner.as_set() == full_sites
         H_in = assemble_hamiltonian(scene.graph, inner, scene.basis, cfg.model)
-        d_in = scene.decomp if same_matrix(H_in, scene.H) else eigendecompose(H_in)
-        restricted = correlations(H_in, gamma, [(A, B)], sup_times, d_in, "dense")[0][0]
+        if same_matrix(H_in, scene.H):  # the full sum, already made
+            restricted = full
+        else:
+            d_in = eigendecompose(H_in)
+            restricted = correlations(H_in, gamma, [(A, B)], sup_times, d_in, "dense")[0][0]
         sup_val = float(np.abs(full - restricted).max(initial=0.0))
         envelope = m ** (d + 1) * math.exp(-m) + float(m) ** (d - p / 2 + 1)
         return {

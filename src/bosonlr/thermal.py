@@ -1,9 +1,10 @@
 """Finite-volume thermal states and their equilibrium diagnostics.
 
 The grand-canonical state is a sector-truncated Boltzmann ensemble over a
-spectral decomposition; every state carries a certified bound on the
-relative weight of the neglected sectors (geometric ratio test on the
-sector partition sums).  The two-point function extends off the real axis
+spectral decomposition; every state carries an estimate of the relative
+weight of the neglected sectors (a geometric ratio test on the sector
+partition sums, which assumes they keep decaying, so it is not a bound).
+The two-point function extends off the real axis
 to the strip -beta <= Im z <= 0 through the double spectral sum, which is
 exact at finite dimension; equilibrium checks compare it against
 independently time-evolved expectations.  Those come from
@@ -42,7 +43,8 @@ class GibbsState:
     ``weights[j]`` is the normalized Boltzmann weight of eigenpair j
     (zero beyond ``n_max``); ``shifted`` holds E_j - mu n_j minus its
     minimum, the overflow-safe exponents reused by the strip evaluation;
-    ``tail_estimate`` bounds the relative weight of all neglected sectors.
+    ``tail_estimate`` estimates the relative weight of all neglected
+    sectors (see ``gibbs_state``).
     """
 
     decomp: SpectralDecomposition
@@ -72,13 +74,15 @@ def gibbs_state(
     tail_tol: float = DEFAULT_TAIL_TOL,
     decomposition: SpectralDecomposition | None = None,
 ) -> GibbsState:
-    """Grand-canonical state over sectors 0..n_max with a certified tail.
+    """Grand-canonical state over sectors 0..n_max with an estimated tail.
 
-    The tail bound extrapolates the sector partition sums geometrically:
-    with q = z[n_max] / z[n_max - 1] < 1, the neglected weight is at most
-    z[n_max] q / (1 - q) relative to the kept sum.  Non-decaying sector
-    weights (q >= 1) mean the chemical potential is too large for the
-    model and no truncation can be certified.
+    The tail estimate extrapolates the sector partition sums geometrically:
+    with q = z[n_max] / z[n_max - 1] < 1, it takes the neglected weight as
+    z[n_max] q / (1 - q) relative to the kept sum.  That holds only while
+    the ratio of successive sector sums keeps falling past n_max, which
+    nothing checks, so the value is an estimate, not a bound.  Sector sums
+    that do not decay at the edge (q >= 1) mean the chemical potential is
+    too large for the model, and the state is refused.
     """
     if beta <= 0:
         raise InvalidArgumentError("inverse temperature must be positive")
@@ -111,7 +115,7 @@ def gibbs_state(
     tail = z_sector[n_max] * q / (1.0 - q) / z_scaled
     if tail >= tail_tol:
         raise TruncationError(
-            f"certified tail {tail:.3e} exceeds the configured tolerance {tail_tol:.1e}; "
+            f"estimated tail {tail:.3e} exceeds the configured tolerance {tail_tol:.1e}; "
             "raise n_max"
         )
     return GibbsState(
@@ -194,13 +198,9 @@ def _exactly_hermitian(matrix) -> bool:
 
 
 def _hermitian_matvec(C: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """C @ ket for a hermitian (real symmetric) Fortran-ordered C and a
-    complex vector, reading only the lower triangle of C: one ``zhemv``,
-    or for a real C one ``dsymv`` on each of the real and imaginary
-    parts of the ket."""
-    if np.iscomplexobj(C):
-        return blas.zhemv(1.0, C, ket, lower=1)
-    return blas.dsymv(1.0, C, ket.real, lower=1) + 1j * blas.dsymv(1.0, C, ket.imag, lower=1)
+    """C @ ket for a complex hermitian Fortran-ordered C, reading only its
+    lower triangle: one ``zhemv``."""
+    return blas.zhemv(1.0, C, ket, lower=1)
 
 
 class GreenFunction:
@@ -211,10 +211,10 @@ class GreenFunction:
     come from the double spectral sum with overflow-safe exponents, O(D^2)
     per point after a one-time O(D^3) rotation into the eigenbasis: each
     sector block C_jk = A_jk B_kj is read once per point.  For a hermitian
-    pair C is hermitian, and one point costs two real symmetric mat-vecs
-    (one complex hermitian mat-vec under a complex generator) over the
-    lower triangle of C alone.
-    Evaluations are cached per point.
+    pair C is hermitian, and one point reads the lower triangle of C
+    alone: two real symmetric mat-vecs summed in real arithmetic
+    (``_real_point``), or one complex hermitian mat-vec under a complex
+    generator.  Evaluations are cached per point.
     """
 
     def __init__(self, state: GibbsState, A: SparseOperator, B: SparseOperator):
@@ -233,9 +233,13 @@ class GreenFunction:
         decomp = state.decomp
         for n, sl in slices:
             An = decomp.rotate(A.matrix, sl)
-            Bn = decomp.rotate(B.matrix, sl)
-            # Fortran order: the symmetric BLAS mat-vecs read it in place
-            self._blocks.append((sl, np.multiply(An, Bn.T, order="F")))
+            Bt = decomp.rotate(B.matrix, sl).T
+            # C in Fortran order, so the symmetric BLAS mat-vecs read it in
+            # place; formed in B~'s buffer when that is already laid out so
+            own = Bt.flags.f_contiguous and Bt.dtype == np.result_type(An, Bt)
+            self._blocks.append((sl, np.multiply(An, Bt, out=Bt if own else None, order="F")))
+        # a real hermitian C takes the real-arithmetic point (``_real_point``)
+        self._real = self._hermitian and not any(np.iscomplexobj(C) for _, C in self._blocks)
         self._cache: dict[complex, complex] = {}
 
     def _depth(self, z: complex) -> float:
@@ -252,9 +256,10 @@ class GreenFunction:
         bra and ket are vectors or (D_n, points) blocks.  The exponentials
         are taken once over all included rows, sharing the phase
         e^{-iEt}: bra = e^{-(beta - s) g} conj(phase), ket = e^{-s g} phase,
-        both real factors at most 1.  One point of a hermitian pair reads
-        C by ``_hermitian_matvec``; otherwise ``_real_matmul`` reads it as
-        two real GEMVs for one point or one GEMM for many."""
+        both real factors at most 1.  One point of a hermitian pair (here
+        with a complex C) reads C by ``_hermitian_matvec``; otherwise
+        ``_real_matmul`` reads it as two real GEMVs for one point or one
+        GEMM for many."""
         outer = np.multiply.outer
         shifted = self.state.shifted[: self._stop]
         phase = np.exp(-1j * outer(self.state.decomp.energies[: self._stop], t))
@@ -266,11 +271,33 @@ class GreenFunction:
             total += np.einsum("i...,i...->...", bra[rows], matvec(C, ket[rows]))
         return total / self.state.z_scaled
 
+    def _real_point(self, t: float, s: float) -> complex:
+        """F(t - i s) for a real hermitian pair in real arithmetic.  With
+        a = e^{-(beta - s) g}, b = e^{-s g}, c = cos(Et) and n = sin(Et),
+        the bra is a(c + i n) and the ket b(c - i n), so C ket = u - i v
+        with u = C (b c) and v = C (b n), two ``dsymv`` calls over the
+        lower triangle of C, and bra . C ket is
+        a c . u + a n . v + i (a n . u - a c . v)."""
+        shifted = self.state.shifted[: self._stop]
+        phase = self.state.decomp.energies[: self._stop] * t
+        cos, sin = np.cos(phase), np.sin(phase)
+        bra = np.exp(-shifted * (self.beta - s))
+        ket = np.exp(-shifted * s)
+        bra_c, bra_s, ket_c, ket_s = bra * cos, bra * sin, ket * cos, ket * sin
+        re = im = 0.0
+        for rows, C in self._blocks:
+            u = blas.dsymv(1.0, C, ket_c[rows], lower=1)
+            v = blas.dsymv(1.0, C, ket_s[rows], lower=1)
+            re += bra_c[rows] @ u + bra_s[rows] @ v
+            im += bra_s[rows] @ u - bra_c[rows] @ v
+        return complex(re, im) / self.state.z_scaled
+
     def __call__(self, z: complex) -> complex:
         z = complex(z)
         s = self._depth(z)
         if z not in self._cache:
-            self._cache[z] = complex(self._sum(z.real, s))
+            point = self._real_point if self._real else self._sum
+            self._cache[z] = complex(point(z.real, s))
         return self._cache[z]
 
     def values(self, points) -> np.ndarray:

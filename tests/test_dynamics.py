@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,11 +32,14 @@ from bosonlr import (
     operator_norm,
     region,
 )
+from bosonlr import dynamics
 from bosonlr.dynamics import (
     SpectralDecomposition,
     StateVector,
+    _active_rows,
     _fix_phases,
     _krylov_evolve,
+    _mirror_layout,
     _real_matmul,
     inverse_moment_upper_bound,
 )
@@ -94,6 +98,55 @@ def plain_eigendecompose(H):
     return SpectralDecomposition(H.basis, energies, vectors, H.basis.totals.copy())
 
 
+def split_eigendecompose(H):
+    """``eigendecompose`` with the mirror split as first written: the dense
+    block permuted by two ``take`` calls, both halves' eigenvectors copied
+    into a zero-filled block, the columns gathered into merged order, then
+    ``_fix_phases`` on the whole block.  Sectors that do not split take
+    one eigh, as in ``plain_eigendecompose``."""
+    ref = plain_eigendecompose(H)
+    matrix = H.matrix.real if ref.vectors.dtype == np.float64 else H.matrix
+    layout = _mirror_layout(matrix, H.basis) or [None] * len(H.basis.sector_slices())
+    for (_, sl), halves in zip(H.basis.sector_slices(), layout):
+        if halves is None:
+            continue
+        q, a, b = halves
+        m = matrix[sl, sl].toarray().take(q, 0).take(q, 1)
+        lo, fx, hi = slice(0, a), slice(a, b), slice(b, None)
+        if not (
+            np.array_equal(m[hi, hi], m[lo, lo])
+            and np.array_equal(m[hi, lo], m[lo, hi])
+            and np.array_equal(m[hi, fx], m[lo, fx])
+            and np.array_equal(m[fx, hi], m[fx, lo])
+        ):
+            continue
+        odd = m[lo, lo] - m[lo, hi]
+        even = m[:b, :b]
+        even[lo, lo] += m[lo, hi]
+        even[lo, fx] *= math.sqrt(2.0)
+        even[fx, lo] *= math.sqrt(2.0)
+        e_even, w_even = np.linalg.eigh(even)
+        e_odd, w_odd = np.linalg.eigh(odd)
+        w_even[lo] *= math.sqrt(0.5)
+        w_odd *= math.sqrt(0.5)
+        vecs = np.zeros_like(m)
+        vecs[q[:b], :b] = w_even
+        vecs[q[b:], :b] = w_even[lo]
+        vecs[q[:a], b:] = w_odd
+        vecs[q[b:], b:] = -w_odd
+        energies = np.concatenate([e_even, e_odd])
+        merged = np.argsort(energies, kind="stable")
+        ref.energies[sl] = energies[merged]
+        ref.vectors[sl, sl] = _fix_phases(vecs[:, merged])
+    return ref
+
+
+def assert_same_bits(d, ref):
+    assert np.array_equal(d.energies, ref.energies)
+    assert np.array_equal(d.vectors, ref.vectors)
+    assert np.array_equal(d.sectors, ref.sectors)
+
+
 @pytest.fixture
 def eigh_sizes(monkeypatch):
     """The order of every np.linalg.eigh call made during the test."""
@@ -114,6 +167,7 @@ def test_mirror_symmetric_sectors_split_in_two(eigh_sizes):
     _, _, basis, H = chain_model(8, n_max=3, U=0.7)
     d = eigendecompose(H)
     assert eigh_sizes == [1, 8, 36, 60, 60]
+    assert_same_bits(d, split_eigendecompose(H))
     ref = plain_eigendecompose(H)
     scale = float(np.abs(ref.energies).max())
     assert np.abs(d.energies - ref.energies).max() <= 1e-12 * scale
@@ -155,11 +209,12 @@ def test_mirror_split_is_deterministic():
     assert np.array_equal(first.energies, second.energies)
 
 
-def test_mirror_split_matches_plain_eigh_at_1287_states(eigh_sizes):
+def test_mirror_split_matches_plain_eigh_at_1287_states(eigh_sizes, monkeypatch):
     # the 9-site, 5-particle chain of the thermal benchmark
     _, _, basis, H = chain_model(9, sector=5, U=1.0)
     d = eigendecompose(H)
     assert sorted(eigh_sizes) == [(1287 - 15) // 2, (1287 + 15) // 2]  # 15 palindromes
+    assert_same_bits(d, split_eigendecompose(H))
     ref = plain_eigendecompose(H)
     scale = float(np.abs(ref.energies).max())
     assert np.abs(d.energies - ref.energies).max() <= 1e-12 * scale
@@ -168,10 +223,48 @@ def test_mirror_split_matches_plain_eigh_at_1287_states(eigh_sizes):
     assert np.abs(V.T @ V - np.eye(basis.dimension)).max() <= 1e-12
     A = local_observable(basis, {"kind": "normalized_hop", "sites": [3, 4]})
     B = local_observable(basis, {"kind": "number_function", "site": 6, "fn": "inv_one_plus_n"})
+    # the hop acts on the 1287 - C(11, 5) states with a particle on site 3
+    # or 4, 1/(1+n_6) (mostly 1) on the 1287 - C(12, 5) with one on site 6
+    products = []
+
+    def recording(a, b):
+        products.append((a.shape, b.shape))
+        return _real_matmul(a, b)
+
+    monkeypatch.setattr(dynamics, "_real_matmul", recording)
+    for op, rows, shift in ((A, 825, 0.0), (B, 495, 1.0)):
+        active, c = _active_rows(op.matrix.tocsr(), square=True)
+        assert (active.size, c) == (rows, shift)
+        products.clear()
+        got = d.rotate(op.matrix)
+        # (M - cI) V_n and the GEMM after it, both over the active rows alone
+        assert products == [((rows, 1287), (1287, 1287)), ((1287, rows), (rows, 1287))]
+        want = V.T @ (op.matrix.real @ V)
+        assert np.abs(got - want).max() <= 1e-13 * operator_norm(op)
     points = [0.0, 1.5, complex(-0.7, -0.4), complex(2.0, -1.0)]
     got = GreenFunction(fixed_sector_gibbs(H, 1.0, d), A, B).values(points)
     want = GreenFunction(fixed_sector_gibbs(H, 1.0, ref), A, B).values(points)
     assert np.abs(got - want).max() <= 1e-12
+
+
+def test_split_sector_allocates_at_most_three_blocks(eigh_sizes):
+    # 8 sites, 5 particles: one 792-state sector, split in two.  Past the
+    # result, the split holds the permuted dense block, the two halves and
+    # their eigenvectors: about 1.8 D^2 doubles, where a zero-filled copy of
+    # the eigenvectors and a merged-column copy of it took about 4.7 D^2
+    _, _, basis, H = chain_model(8, sector=5, U=1.0)
+    D = basis.dimension
+    assert D >= 700
+    tracemalloc.start()
+    try:
+        d = eigendecompose(H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(eigh_sizes) == 2
+    result = d.energies.nbytes + d.vectors.nbytes + d.sectors.nbytes
+    assert peak - result <= 3 * D * D * 8
+    assert_same_bits(d, split_eigendecompose(H))
 
 
 def test_eigendecompose_dense_cap():

@@ -343,13 +343,31 @@ def sweep_rotations(monkeypatch):
     return calls
 
 
-def test_lr_sweep_below_the_cap_matches_the_per_time_loop(sweep_rotations):
+@pytest.fixture
+def scenes(monkeypatch):
+    """Every Scene the experiments build during the test."""
+    from bosonlr import experiments
+
+    built, build = [], experiments.build_scene
+
+    def recording(cfg):
+        built.append(build(cfg))
+        return built[-1]
+
+    monkeypatch.setattr(experiments, "build_scene", recording)
+    return built
+
+
+def test_lr_sweep_below_the_cap_matches_the_per_time_loop(sweep_rotations, scenes):
     """With the cutoff below the site cap every shell has its own full
-    generator, so no shell reads the scene's blocks.  Each row still equals
-    the per-time loop bit for bit at both times, the covering shell reads
-    exactly 0.0, and each (decomposition, sector pair) is rotated once."""
+    generator, so no shell reads the scene's blocks, and A is never evolved
+    under the scene's H.  Each row still equals the per-time loop bit for
+    bit at both times, the covering shell reads exactly 0.0, and each
+    (decomposition, sector pair) is rotated once."""
     cfg = small("chain-10", sweeps={"lr_lambda": 1, "times": [0.25, 0.5]}, workers=1)
     rows = [r for r in RUNNERS["lr"](cfg).records if r["check"] == "shells"]
+    (scene,) = scenes
+    assert sweep_rotations and not any(d is scene.decomp for d, _, _ in sweep_rotations)
     oracle = per_time_shell_norms(cfg)
     assert sorted((r["m"], r["t"]) for r in rows) == sorted(oracle)
     for r in rows:
@@ -370,3 +388,44 @@ def test_lr_sweep_rotates_each_observable_once_per_generator(sweep_rotations):
     keys = [(id(d), m, n) for d, m, n in sweep_rotations]
     assert len(keys) == len(set(keys)) == 16
     assert len({id(d) for d, _, _ in sweep_rotations}) == 4
+
+
+def test_local_approx_reuses_the_full_sum_on_the_scene_hamiltonian(monkeypatch):
+    """On the shipped preset (shells 1-4) the last shell's H_in is the
+    scene's H, so its restricted sum is the full one already made: the
+    full sum and the four shells take four ``correlations`` calls, not
+    five, and that shell reads exactly 0.0."""
+    from bosonlr import experiments
+    from bosonlr.config import config_for_experiment
+
+    calls, correlations = [], experiments.correlations
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return correlations(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "correlations", counted)
+    report = RUNNERS["local-approx"](config_for_experiment("local-approx"))
+    assert report.passed
+    assert len(calls) == 4
+    covering = [r for r in report.records if r["covering"]]
+    assert covering and all(r["sup_difference"] == 0.0 for r in covering)
+
+
+def test_derivative_never_decomposes_the_scene_hamiltonian(monkeypatch, scenes):
+    """``derivative`` reads the scene's graph, basis and H but never its
+    spectral decomposition, which is made on first use only."""
+    from bosonlr import experiments
+    from bosonlr.config import config_for_experiment
+
+    decomposed, eigendecompose = [], experiments.eigendecompose
+
+    def recording(H, *args, **kwargs):
+        decomposed.append(H)
+        return eigendecompose(H, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "eigendecompose", recording)
+    assert RUNNERS["derivative"](config_for_experiment("derivative")).passed
+    (scene,) = scenes
+    assert decomposed and not any(H is scene.H for H in decomposed)
+    assert "decomp" not in vars(scene)

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from test_dynamics import plain_eigendecompose
+from test_dynamics import assert_same_bits, plain_eigendecompose, split_eigendecompose
 from test_thermal import reference_two_point
 
 from bosonlr import (
@@ -131,6 +131,7 @@ def test_mirror_split_matches_one_eigh_per_sector(g, n, grand, J, U, offsite, ga
         H = SparseOperator((W @ H.matrix @ W.conj().T).tocsr(), basis, True)
     with mock.patch.object(dynamics, "MIRROR_MIN", 1):
         d = eigendecompose(H)
+        assert_same_bits(d, split_eigendecompose(H))
     ref = plain_eigendecompose(H)
     assert d.vectors.dtype == ref.vectors.dtype
     Hd = H.to_dense()
@@ -487,6 +488,124 @@ def test_kms_boundary_residuals_on_random_thermal_states(g, n, J, U, beta, hermi
     if hermitian:
         t, s = rng.uniform(-2.0, 2.0), rng.uniform(0.0, beta)
         assert abs(gf(complex(t, -(beta - s))) - np.conj(gf(complex(t, -s)))) <= 1e-12
+
+
+def full_pattern_operator(basis, rng):
+    """A hermitian operator with every entry of every sector block stored
+    and a random diagonal: every row is active whatever the shift."""
+    D = basis.dimension
+    M = np.where(basis.totals[:, None] == basis.totals[None, :], rng.standard_normal((D, D)), 0.0)
+    return SparseOperator(sp.csr_matrix((M + M.T).astype(complex)), basis, True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gb=bases(),
+    J=st.floats(0.1, 1.0),
+    U=st.floats(0.0, 2.0),
+    gauge=st.booleans(),
+    cut=st.integers(1, 40),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_active_row_rotation_matches_dense_rotation(gb, J, U, gauge, cut, data, seed):
+    """``rotate`` against the dense V_m^* M V_n within 1e-13 ||M|| for a
+    diagonal A (mostly 1), a normalized hop, a sector-mixing A and a
+    full-pattern A, on every sector pair where A has entries and on the
+    whole matrix, under a real and a gauge-complex generator, with
+    ``ACTIVE_ROWS_MIN`` drawn so that blocks fall on both sides of it.
+    The rows R and the shift c are found here from the dense block.  A
+    block below the cut, or with every row active, has the bits of the
+    plain formula; any other has the bits of V_m[R]^* ((M - cI)[R] V_n) + cI."""
+    g, basis = gb
+    assume(basis.dimension > 0)
+    rng = np.random.default_rng(seed)
+    H = assemble_hamiltonian(g, full_region(g), basis, ModelParams(hopping=J, onsite=U))
+    if gauge:
+        theta = rng.uniform(0.0, 2.0 * np.pi, g.n_vertices)
+        W = sp.diags(np.exp(1j * (basis.occupations @ theta)))
+        H = SparseOperator((W @ H.matrix @ W.conj().T).tocsr(), basis, True)
+    d = eigendecompose(H)
+    x, y = data.draw(st.lists(st.integers(0, g.n_vertices - 1), min_size=2, max_size=2, unique=True))
+    observables = [
+        local_observable(basis, {"kind": "number_function", "site": x, "fn": "inv_one_plus_n"}),
+        local_observable(basis, {"kind": "normalized_hop", "sites": [x, y]}),
+        random_operator(basis, rng, conserving=False, hermitian=data.draw(st.booleans())),
+        full_pattern_operator(basis, rng),
+    ]
+    slices = dict(d.sector_slices())
+    with mock.patch.object(dynamics, "ACTIVE_ROWS_MIN", cut):
+        for A in observables:
+            dense = A.matrix.toarray()
+            norm = float(np.linalg.norm(dense, 2))
+            blocks = [(slices[m], slices[n]) for m, n in _sector_pairs(A.matrix, basis)]
+            for rows, cols in blocks + [(slice(None), slice(None))]:
+                got = d.rotate(A.matrix, rows, cols)
+                Vm, Vn = d.vectors[rows, rows], d.vectors[cols, cols]
+                assert np.abs(got - Vm.conj().T @ dense[rows, cols] @ Vn).max() <= 1e-13 * norm
+                block = dense[rows, cols]
+                c = 0.0
+                if rows == cols:
+                    values, counts = np.unique(np.diag(block), return_counts=True)
+                    mode = values[np.argmax(counts)]
+                    c = float(mode.real) if mode.imag == 0 else 0.0
+                R = np.flatnonzero((block - c * np.eye(*block.shape)).any(axis=1))
+                sparse_block = A.matrix[rows, cols]
+                if min(block.shape) < cut or R.size == block.shape[0]:
+                    want = _real_matmul(Vm.conj().T, _real_matmul(sparse_block, Vn))
+                else:
+                    shifted = sparse_block - c * sp.identity(block.shape[0], format="csr") if c else sparse_block
+                    want = _real_matmul(Vm[R].conj().T, _real_matmul(shifted.tocsr()[R], Vn))
+                    if c:
+                        want[np.diag_indices(block.shape[0])] += c
+                assert np.array_equal(got, want)
+
+
+def complex_point(gf, z):
+    """F(z) by the complex strip formula: bra = e^{-(beta - s) g} e^{iEt}
+    and ket = e^{-s g} e^{-iEt}, summed as bra . (C @ ket) per block.
+    Returns the value and the sum of the absolute terms, its scale."""
+    t, s = z.real, -z.imag
+    state, stop = gf.state, gf._stop
+    phase = np.exp(-1j * state.decomp.energies[:stop] * t)
+    bra = np.exp(-state.shifted[:stop] * (gf.beta - s)) * phase.conj()
+    ket = np.exp(-state.shifted[:stop] * s) * phase
+    value = scale = 0.0
+    for rows, C in gf._blocks:
+        value += bra[rows] @ (C @ ket[rows])
+        scale += np.abs(bra[rows]) @ (np.abs(C) @ np.abs(ket[rows]))
+    return value / state.z_scaled, scale / state.z_scaled
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    g=lattices,
+    n_max=st.integers(1, 3),
+    grand=st.booleans(),
+    J=st.floats(0.1, 1.0),
+    U=st.floats(0.0, 2.0),
+    beta=st.floats(1.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_real_arithmetic_strip_point_matches_complex_formula(g, n_max, grand, J, U, beta, seed):
+    """One strip point of a real hermitian pair, summed from cos, sin and
+    two ``dsymv`` calls per block in real arithmetic, against the complex
+    bra . C ket formula within 1e-14 of the sum of the absolute terms, on
+    both strip edges and inside, at negative, zero and positive t."""
+    region = full_region(g)
+    basis = enumerate_sectors(region, n_max, cap=2) if grand else enumerate_basis(region, sector=n_max)
+    H = assemble_hamiltonian(g, region, basis, ModelParams(hopping=J, onsite=U))
+    gam = gibbs_state(H, beta, -6.0, n_max, tail_tol=1.0) if grand else fixed_sector_gibbs(H, beta)
+    rng = np.random.default_rng(seed)
+    A, B = (random_operator(basis, rng, conserving=True, hermitian=True, real=True) for _ in range(2))
+    gf = GreenFunction(gam, A, B)
+    assert gf._real
+    ts, ss = rng.uniform(-2.0, 2.0, 4), rng.uniform(0.0, beta, 4)
+    points = [complex(t, -s) for t, s in zip(ts, ss)] + [complex(-1.3, 0.0), complex(0.0, -0.4 * beta)]
+    points += [complex(0.8, -beta), 0.0]
+    for z in points:
+        want, scale = complex_point(gf, z)
+        assert abs(gf(z) - want) <= 1e-14 * scale
 
 
 def unit_operator(basis, rng, conserving, hermitian):
