@@ -26,10 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg
+from scipy.linalg import blas
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .fock import FockBasis
-from .operators import SparseOperator
+from .operators import SparseOperator, _component_stacks, _components
 
 DENSE_CAP = 4096
 # smallest sector block diagonalized as two mirror halves: below it the
@@ -43,6 +44,13 @@ PROPAGATE_CHUNK = 64
 # thirds of the rows active) took 1.0-1.5x the plain time up to 210 states
 # and 0.6-0.8x from 220 on; a one-site 1/(1+n) crossed over near 165
 ACTIVE_ROWS_MIN = 220
+# smallest real symmetric block ``rotate_lower`` factors for two SYRKs:
+# below it the components, batched eigh and row gathers (about 1 ms)
+# cost more than the halved GEMM saves.  Measured as above, chain
+# sectors, against ``rotate``: a two-site hop took 1.8-1.95x at 210-252
+# states, 1.05x at 330 and 0.55-0.83x from 462 on (0.59x at 1,287); a
+# one-site 1/(1+n) 1.3x at 330, 0.78-1.08x at 462-495, 0.61x at 1,287
+SYRK_ROWS_MIN = 450
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,66 @@ class SpectralDecomposition:
                     out[np.diag_indices(len(out))] += c
                 return out
         return _real_matmul(Vm.conj().T, _real_matmul(block, Vn))
+
+    def rotate_lower(self, matrix, rows: slice) -> np.ndarray:
+        """The lower triangle of V_n^* M V_n for the sector slice ``rows``;
+        the upper triangle of the result is unspecified.
+
+        A real, exactly symmetric sparse block of at least
+        ``SYRK_ROWS_MIN`` rows under real eigenvectors is factored
+        instead of multiplied.  With c and R as in ``rotate``, M - cI is
+        block-diagonal over the connected components of its pattern on R;
+        one batched ``eigh`` per component size gives
+        (M - cI)[r, r] = U diag(lam) U^T on each component's rows r, so with
+        X+- = sqrt|lam+-| U+-^T V[r] over the positive and the other
+        eigenvalues of all components, V^T M V = X+^T X+ - X-^T X- + cI:
+        two ``dsyrk`` calls that write the lower triangle alone, half the
+        flops of the GEMM in ``rotate``.  A block whose components are too
+        large for that to pay, and any other block, takes ``rotate``.
+        """
+        V = self.vectors[rows, rows]
+        n = V.shape[0]
+        if n < SYRK_ROWS_MIN or np.iscomplexobj(V) or not sparse.issparse(matrix):
+            return self.rotate(matrix, rows)
+        block = matrix[rows, rows].tocsr()
+        if np.iscomplexobj(block):
+            if block.data.imag.any():
+                return self.rotate(matrix, rows)
+            block = block.real
+        if (block != block.T).nnz:
+            return self.rotate(matrix, rows)
+        active, c = _active_rows(block, square=True)
+        shifted = block[active][:, active] - c * sparse.identity(active.size, format="csr")
+        coo = shifted.tocoo()
+        coo.sum_duplicates()
+        coo.eliminate_zeros()
+        labels, sizes = _components(coo)
+        # the component products cost 2 n sum k^2 flops, the SYRK saves
+        # n^2 |R| over the GEMM
+        if 2 * np.sum(sizes.astype(np.float64) ** 2) >= n * active.size > 0:
+            return self.rotate(matrix, rows)
+        # X+ fills X from the top, X- from the bottom
+        X = np.empty((active.size, n))
+        top, bottom = 0, active.size
+        for comp_rows, stack in _component_stacks(coo, coo.data, labels, sizes):
+            lam, U = np.linalg.eigh(stack)
+            W = V[active[comp_rows]]
+            if stack.shape[1] > 1:
+                W = np.matmul(U.transpose(0, 2, 1), W)
+            lam, W = lam.ravel(), W.reshape(lam.size, n)
+            W *= np.sqrt(np.abs(lam))[:, None]
+            pos = lam > 0
+            k = np.count_nonzero(pos)
+            np.compress(pos, W, axis=0, out=X[top : top + k])
+            np.compress(~pos, W, axis=0, out=X[bottom - (lam.size - k) : bottom])
+            top, bottom = top + k, bottom - (lam.size - k)
+            del W
+        out = np.zeros((n, n), order="F")
+        for alpha, part in ((1.0, X[:top]), (-1.0, X[top:])):
+            if len(part):
+                out = blas.dsyrk(alpha, part.T, beta=1.0, c=out, lower=1, overwrite_c=1)
+        out[np.diag_indices(n)] += c
+        return out
 
     def sector_slices(self) -> list[tuple[int, slice]]:
         return self.basis.sector_slices()

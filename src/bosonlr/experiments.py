@@ -505,10 +505,12 @@ def run_cutoff_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     def measure(lam: int):
         P = cutoff_projection(scene.basis, Y, lam)
         G = sandwich(P, scene.H)
-        # when the cutoff is inactive the generator equals H exactly and
-        # reusing its decomposition makes the measured difference exactly 0
-        Gd = scene.decomp if same_matrix(G, scene.H) else eigendecompose(G)
-        vals = correlations(G, gamma, [(A, B)], times, Gd, "dense")[0][0]
+        # when the cutoff is inactive the generator equals H exactly, its
+        # sum is ``base`` itself, and the measured difference is exactly 0
+        if same_matrix(G, scene.H):
+            vals = base
+        else:
+            vals = correlations(G, gamma, [(A, B)], times, eigendecompose(G), "dense")[0][0]
         rows = []
         for t, val, ref in zip(times, vals, base):
             measured = float(abs(val - ref))

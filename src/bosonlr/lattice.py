@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
@@ -109,6 +108,9 @@ def build_from_edges(n_vertices: int, edges, dim_hint: int = 1) -> LatticeGraph:
     adjacency = tuple(tuple(sorted(s)) for s in nbrs)
     rows = [x for x, ys in enumerate(adjacency) for _ in ys]
     cols = [y for ys in adjacency for y in ys]
+    # imported here: ``import bosonlr`` stays clear of csgraph's modules
+    from scipy.sparse.csgraph import shortest_path
+
     links = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_vertices, n_vertices))
     hops = shortest_path(links, directed=False, unweighted=True)
     if np.isinf(hops).any():

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse import csgraph
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .fock import FockBasis
@@ -421,31 +420,51 @@ def operator_norm(op, seed=None) -> float:
         return 0.0
     if np.array_equal(coo.row, coo.col):  # 1x1 components: the norm is max |entry|
         return float(np.abs(coo.data).max())
-    pattern = sparse.csr_matrix((np.ones(coo.nnz), (coo.row, coo.col)), shape=coo.shape)
-    _, labels = csgraph.connected_components(pattern, directed=False)
-    sizes = np.bincount(labels)
+    labels, sizes = _components(coo)
     if sizes.max() > DENSE_NORM_CAP:
         raise ResourceLimitError(
             f"operator norm: a connected block of {sizes.max()} states is above "
             f"DENSE_NORM_CAP = {DENSE_NORM_CAP}; no estimate is returned"
         )
+    stacks = _component_stacks(coo, _real_if_exact(coo.data), labels, sizes)
+    return max(float(np.linalg.norm(stack, 2, axis=(1, 2)).max()) for _, stack in stacks)
+
+
+def _components(coo):
+    """(labels, sizes) of the connected components of the sparsity pattern
+    of a square COO matrix: the component of each row, and the number of
+    rows of each component."""
+    # imported here: ``import bosonlr`` stays clear of csgraph's modules
+    from scipy.sparse import csgraph
+
+    pattern = sparse.csr_matrix((np.ones(coo.nnz), (coo.row, coo.col)), shape=coo.shape)
+    _, labels = csgraph.connected_components(pattern, directed=False)
+    return labels, np.bincount(labels)
+
+
+def _component_stacks(coo, data, labels, sizes):
+    """Per component size k, in ascending order, ``(rows, stack)``: the
+    rows of each component of that size, ascending, as a (count, k) array,
+    and the entries ``data`` of a COO matrix (duplicates summed) on them,
+    as a (count, k, k) stack of dense blocks for one batched LAPACK call."""
     # position of each row inside its component, and of each component
     # among the components of its size
     order = np.argsort(labels, kind="stable")
     rank = np.empty_like(labels)
     rank[order] = np.arange(len(labels)) - (np.cumsum(sizes) - sizes)[labels[order]]
     slot = np.empty_like(sizes)
-    data = _real_if_exact(coo.data)
     comp = labels[coo.row]
-    best = 0.0
     for size in np.unique(sizes):
         members = sizes == size
-        slot[members] = np.arange(np.count_nonzero(members))
+        count = np.count_nonzero(members)
+        slot[members] = np.arange(count)
         sel = members[comp]
-        stack = np.zeros((np.count_nonzero(members), size, size), dtype=data.dtype)
+        stack = np.zeros((count, size, size), dtype=data.dtype)
         stack[slot[comp[sel]], rank[coo.row[sel]], rank[coo.col[sel]]] = data[sel]
-        best = max(best, float(np.linalg.norm(stack, 2, axis=(1, 2)).max()))
-    return best
+        rows = np.empty((count, size), dtype=labels.dtype)
+        inside = np.flatnonzero(members[labels])
+        rows[slot[labels[inside]], rank[inside]] = inside
+        yield rows, stack
 
 
 def _real_if_exact(values: np.ndarray) -> np.ndarray:

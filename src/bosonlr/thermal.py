@@ -6,8 +6,12 @@ weight of the neglected sectors (a geometric ratio test on the sector
 partition sums, which assumes they keep decaying, so it is not a bound).
 The two-point function extends off the real axis
 to the strip -beta <= Im z <= 0 through the double spectral sum, which is
-exact at finite dimension; equilibrium checks compare it against
-independently time-evolved expectations.  Those come from
+exact at finite dimension (``GreenFunction``: for a real hermitian pair
+it builds and reads only the lower triangle of C = A~ o B~^T, rotated by
+two SYRKs per large block, merges small sector blocks up to
+``MERGE_ROWS_MAX`` rows and keeps each point's phase and decay factors);
+equilibrium checks compare it against independently time-evolved
+expectations.  Those come from
 ``dynamics.correlations``: ``two_point`` is one pair at one time of it,
 and ``evolved_two_points`` is its sparse route over a whole time grid,
 which reads no energies and no spectral sum.
@@ -34,6 +38,16 @@ from .errors import (
 from .operators import SparseOperator, conserves_number
 
 DEFAULT_TAIL_TOL = 1e-10
+# most rows of one block of merged sector blocks in ``GreenFunction``.
+# Measured per point of a real hermitian pair on a 2-CPU host, one BLAS
+# thread, grand-canonical chains: the six sectors of 6 sites to n = 5
+# took 62-65 us as six blocks, 40-45 us as [210 | 252] rows and 48-52 us
+# as one 462-row block; 8 sites to n = 4, 55-79 us as [165 | 330] and
+# 72-101 us as one 495-row block; no merge past 256 rows ever gained
+MERGE_ROWS_MAX = 256
+# t values and depths s whose point factors ``GreenFunction`` keeps: a
+# strip grid of up to this many depths reuses every decay factor
+FACTOR_CACHE_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -203,6 +217,15 @@ def _hermitian_matvec(C: np.ndarray, ket: np.ndarray) -> np.ndarray:
     return blas.zhemv(1.0, C, ket, lower=1)
 
 
+def _kept(cache: dict, key, make):
+    """make(key), kept in ``cache`` for the last FACTOR_CACHE_MAX keys."""
+    if key not in cache:
+        if len(cache) >= FACTOR_CACHE_MAX:
+            del cache[next(iter(cache))]
+        cache[key] = make(key)
+    return cache[key]
+
+
 class GreenFunction:
     """Two-point function of a thermal state on the strip -beta <= Im z <= 0.
 
@@ -210,11 +233,22 @@ class GreenFunction:
     against the second; F(t - i beta) swaps the operator order.  Values
     come from the double spectral sum with overflow-safe exponents, O(D^2)
     per point after a one-time O(D^3) rotation into the eigenbasis: each
-    sector block C_jk = A_jk B_kj is read once per point.  For a hermitian
-    pair C is hermitian, and one point reads the lower triangle of C
-    alone: two real symmetric mat-vecs summed in real arithmetic
-    (``_real_point``), or one complex hermitian mat-vec under a complex
-    generator.  Evaluations are cached per point.
+    sector block C_jk = A_jk B_kj is read once per point.  Adjacent sector
+    blocks are held as one block-diagonal block while it stays within
+    ``MERGE_ROWS_MAX`` rows, so a point makes its BLAS calls per block, not
+    per sector.
+
+    For a hermitian pair C is hermitian, and one point reads the lower
+    triangle of C alone.  A real hermitian pair (``_real``) builds only
+    that triangle: A~ and B~ are symmetric, so C_jk = A~_jk B~_jk there,
+    from ``SpectralDecomposition.rotate_lower`` (two ``dsyrk`` calls for
+    a local observable on a sector of at least ``SYRK_ROWS_MIN`` states).
+    Its point takes two ``dsymv`` calls summed in real arithmetic
+    (``_real_point``), with cos and sin of E t kept per t and both decay
+    factors per depth s for the last ``FACTOR_CACHE_MAX`` of each;
+    ``values`` reads the same triangle with ``dsymm``.  Under a complex
+    generator a hermitian point takes one complex hermitian mat-vec.
+    Evaluations are cached per point.
     """
 
     def __init__(self, state: GibbsState, A: SparseOperator, B: SparseOperator):
@@ -224,23 +258,44 @@ class GreenFunction:
         _require_number_conserving(B, "second observable")
         self.state = state
         self.beta = state.beta
+        decomp = state.decomp
         # from the stored matrices, not the flags a caller may have set wrongly
         self._hermitian = _exactly_hermitian(A.matrix) and _exactly_hermitian(B.matrix)
-        slices = state.included_slices()
+        real = not (np.iscomplexobj(decomp.vectors) or A.matrix.data.imag.any() or B.matrix.data.imag.any())
+        self._real = self._hermitian and real
+        slices = [sl for _, sl in state.included_slices()]
         # sectors ascend, so the included rows are the first ``_stop``
-        self._stop = slices[-1][1].stop
+        self._stop = slices[-1].stop
+        groups = [[slices[0]]]
+        for sl in slices[1:]:
+            if sl.stop - groups[-1][0].start <= MERGE_ROWS_MAX:
+                groups[-1].append(sl)
+            else:
+                groups.append([sl])
         self._blocks = []
-        decomp = state.decomp
-        for n, sl in slices:
-            An = decomp.rotate(A.matrix, sl)
-            Bt = decomp.rotate(B.matrix, sl).T
-            # C in Fortran order, so the symmetric BLAS mat-vecs read it in
-            # place; formed in B~'s buffer when that is already laid out so
-            own = Bt.flags.f_contiguous and Bt.dtype == np.result_type(An, Bt)
-            self._blocks.append((sl, np.multiply(An, Bt, out=Bt if own else None, order="F")))
-        # a real hermitian C takes the real-arithmetic point (``_real_point``)
-        self._real = self._hermitian and not any(np.iscomplexobj(C) for _, C in self._blocks)
+        for group in groups:
+            span = slice(group[0].start, group[-1].stop)
+            C = None
+            if len(group) > 1:
+                size = span.stop - span.start
+                C = np.zeros((size, size), dtype=np.float64 if real else np.complex128, order="F")
+            for sl in group:
+                if self._real:
+                    An, Bt = decomp.rotate_lower(A.matrix, sl), decomp.rotate_lower(B.matrix, sl)
+                else:
+                    An, Bt = decomp.rotate(A.matrix, sl), decomp.rotate(B.matrix, sl).T
+                if C is None:
+                    # C in Fortran order, so the symmetric BLAS calls read it
+                    # in place; formed in B~'s buffer when that is laid out so
+                    own = Bt.flags.f_contiguous and Bt.dtype == np.result_type(An, Bt)
+                    C = np.multiply(An, Bt, out=Bt if own else None, order="F")
+                else:
+                    at = slice(sl.start - span.start, sl.stop - span.start)
+                    np.multiply(An, Bt, out=C[at, at])
+            self._blocks.append((span, C))
         self._cache: dict[complex, complex] = {}
+        self._phases: dict[float, tuple] = {}
+        self._decays: dict[float, tuple] = {}
 
     def _depth(self, z: complex) -> float:
         """-Im z clamped to [0, beta]; a point off the strip raises."""
@@ -250,6 +305,25 @@ class GreenFunction:
                 f"point {z} lies outside the strip -beta <= Im z <= 0 (beta = {self.beta})"
             )
         return min(max(s, 0.0), self.beta)
+
+    def _factors(self, t, s):
+        """(cos Et, sin Et) and the decays (e^{-(beta - s) g}, e^{-s g}) over
+        the included rows, for scalar t and s or for equal-length arrays
+        (then of shape (rows, points)).  Scalar factors are kept for the
+        last ``FACTOR_CACHE_MAX`` values of t and of s."""
+        outer = np.multiply.outer
+        energies, shifted = self.state.decomp.energies[: self._stop], self.state.shifted[: self._stop]
+
+        def phases(t):
+            phase = outer(energies, t)
+            return np.cos(phase), np.sin(phase)
+
+        def decays(s):
+            return np.exp(-outer(shifted, self.beta - s)), np.exp(-outer(shifted, s))
+
+        if np.ndim(t):
+            return phases(t), decays(s)
+        return _kept(self._phases, t, phases), _kept(self._decays, s, decays)
 
     def _sum(self, t, s):
         """F(t - i s) for scalar t and s, or for equal-length arrays: the
@@ -277,12 +351,12 @@ class GreenFunction:
         the bra is a(c + i n) and the ket b(c - i n), so C ket = u - i v
         with u = C (b c) and v = C (b n), two ``dsymv`` calls over the
         lower triangle of C, and bra . C ket is
-        a c . u + a n . v + i (a n . u - a c . v)."""
-        shifted = self.state.shifted[: self._stop]
-        phase = self.state.decomp.energies[: self._stop] * t
-        cos, sin = np.cos(phase), np.sin(phase)
-        bra = np.exp(-shifted * (self.beta - s))
-        ket = np.exp(-shifted * s)
+        a c . u + a n . v + i (a n . u - a c . v).  At t = 0, n = 0: one
+        ``dsymv``, and the imaginary part is exactly 0."""
+        (cos, sin), (bra, ket) = self._factors(t, s)
+        if t == 0.0:
+            re = sum(bra[rows] @ blas.dsymv(1.0, C, ket[rows], lower=1) for rows, C in self._blocks)
+            return complex(re, 0.0) / self.state.z_scaled
         bra_c, bra_s, ket_c, ket_s = bra * cos, bra * sin, ket * cos, ket * sin
         re = im = 0.0
         for rows, C in self._blocks:
@@ -291,6 +365,21 @@ class GreenFunction:
             re += bra_c[rows] @ u + bra_s[rows] @ v
             im += bra_s[rows] @ u - bra_c[rows] @ v
         return complex(re, im) / self.state.z_scaled
+
+    def _real_points(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """``_real_point`` at every (t, s) pair of two equal-length arrays,
+        reading the lower triangle of each block with one ``dsymm`` on the
+        columns [b c | b n] of all points."""
+        (cos, sin), (bra, ket) = self._factors(t, s)
+        bra_c, bra_s = bra * cos, bra * sin
+        kets = np.concatenate([ket * cos, ket * sin], axis=1)
+        re = im = 0.0
+        for rows, C in self._blocks:
+            uv = blas.dsymm(1.0, C, kets[rows], lower=1)
+            u, v, ac, an = uv[:, : len(t)], uv[:, len(t) :], bra_c[rows], bra_s[rows]
+            re = re + (ac * u + an * v).sum(axis=0)
+            im = im + (an * u - ac * v).sum(axis=0)
+        return (re + 1j * im) / self.state.z_scaled
 
     def __call__(self, z: complex) -> complex:
         z = complex(z)
@@ -303,17 +392,19 @@ class GreenFunction:
     def values(self, points) -> np.ndarray:
         """F at every point of ``points``, as one complex array.
 
-        Uncached points are evaluated PROPAGATE_CHUNK at a time, one GEMM
-        per sector block.  Every point is checked against the strip before
-        any is evaluated, and the values join the per-point cache.
+        Uncached points are evaluated PROPAGATE_CHUNK at a time, one
+        ``dsymm`` (real hermitian pair) or GEMM per block.  Every point is
+        checked against the strip before any is evaluated, and the values
+        join the per-point cache.
         """
         zs = [complex(z) for z in points]
         depth = {z: self._depth(z) for z in zs}
         todo = [z for z in depth if z not in self._cache]
+        evaluate = self._real_points if self._real else self._sum
         for start in range(0, len(todo), PROPAGATE_CHUNK):
             chunk = todo[start : start + PROPAGATE_CHUNK]
             t, s = np.array([z.real for z in chunk]), np.array([depth[z] for z in chunk])
-            self._cache.update(zip(chunk, self._sum(t, s).tolist()))
+            self._cache.update(zip(chunk, evaluate(t, s).tolist()))
         return np.array([self._cache[z] for z in zs], dtype=np.complex128)
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bosonlr import (
     GreenFunction,
@@ -26,6 +27,7 @@ from bosonlr import (
     full_region,
     heisenberg_expectation,
     heisenberg_operator,
+    hop_term,
     identity_operator,
     local_observable,
     number_operator,
@@ -589,3 +591,62 @@ def test_real_matmul_matches_plain_product():
     assert np.abs(_real_matmul(S, x) - S @ x).max() <= 1e-14
     S_complex = S + 1j * sp.random(6, 5, density=0.4, random_state=rng, format="csr")
     assert np.abs(_real_matmul(S_complex, x) - S_complex @ x).max() <= 1e-14
+
+
+def shifted_operator(basis, parts, shift=0.0):
+    """The real symmetric sum of ``parts`` (operators or sparse matrices)
+    plus shift times the identity."""
+    total = sum((p.matrix if isinstance(p, SparseOperator) else p) for p in parts)
+    return SparseOperator((total + shift * sp.identity(basis.dimension)).tocsr(), basis, True)
+
+
+def test_rotate_lower_takes_two_syrks_on_every_kind_of_spectrum(monkeypatch):
+    """With the gate at one row, a 56-state sector block takes the SYRK
+    route for an A whose shifted spectrum is all negative (1/(1+n), c = 1),
+    all positive (n_x + 2, c = 2), of both signs (a hop, c = 0) and of both
+    signs with c = 0.5 (two hops and a number on three sites): the lower
+    triangle is within 1e-13 ||M|| of V^T M V, the upper one is never
+    written, and the SYRK signs are the spectrum's.  Below the gate, under
+    a complex generator, and for a block that is not symmetric or whose
+    components are too large, it is ``rotate``'s result bit for bit."""
+    g, _, basis, H = chain_model(6, sector=3, U=0.5)
+    d = eigendecompose(H)
+    sl = basis.sector_slices()[0][1]
+    V = d.vectors[sl, sl]
+    hop = local_observable(basis, {"kind": "normalized_hop", "sites": [2, 3]})
+    hops = [hop, hop_term(basis, 4, 5).matrix, hop_term(basis, 5, 4).matrix]
+    cases = [
+        (local_observable(basis, {"kind": "number_function", "site": 2, "fn": "inv_one_plus_n"}), [-1.0]),
+        (shifted_operator(basis, [number_operator(basis, 2)], 2.0), [1.0]),
+        (hop, [1.0, -1.0]),
+        (shifted_operator(basis, hops + [number_operator(basis, 0)], 0.5), [1.0, -1.0]),
+    ]
+    for A, _ in cases:
+        assert np.array_equal(d.rotate_lower(A.matrix, sl), d.rotate(A.matrix, sl))
+    syrk, signs = dynamics.blas.dsyrk, []
+
+    def spy(alpha, *args, **kwargs):
+        signs.append(alpha)
+        return syrk(alpha, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "SYRK_ROWS_MIN", 1)
+    monkeypatch.setattr(dynamics.blas, "dsyrk", spy)
+    for A, want_signs in cases:
+        signs.clear()
+        got = d.rotate_lower(A.matrix, sl)
+        M = A.matrix.toarray().real
+        assert signs == want_signs
+        assert got.flags.f_contiguous and not np.triu(got, 1).any()
+        assert np.abs(np.tril(got - V.T @ M[sl, sl] @ V)).max() <= 1e-13 * np.linalg.norm(M, 2)
+    signs.clear()
+    rng = np.random.default_rng(3)
+    upper = np.triu(rng.standard_normal((56, 56)) * (rng.random((56, 56)) < 0.05))
+    skew = SparseOperator(sp.csr_matrix(upper), basis, False)
+    dense = SparseOperator(sp.csr_matrix(np.ones((56, 56))), basis, True)
+    for A in (skew, dense):
+        assert np.array_equal(d.rotate_lower(A.matrix, sl), d.rotate(A.matrix, sl))
+    W = sp.diags(np.exp(1j * (basis.occupations @ rng.uniform(0.0, 2.0 * np.pi, 6))))
+    d_gauge = eigendecompose(SparseOperator((W @ H.matrix @ W.conj().T).tocsr(), basis, True))
+    assert d_gauge.vectors.dtype == np.complex128
+    assert np.array_equal(d_gauge.rotate_lower(hop.matrix, sl), d_gauge.rotate(hop.matrix, sl))
+    assert signs == []

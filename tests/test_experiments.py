@@ -412,6 +412,31 @@ def test_local_approx_reuses_the_full_sum_on_the_scene_hamiltonian(monkeypatch):
     assert covering and all(r["sup_difference"] == 0.0 for r in covering)
 
 
+def test_cutoff_at_the_cap_reuses_the_full_sum(monkeypatch):
+    """At the cap the cutoff generator is the scene's H entry for entry,
+    so its sum is the full one already made: on the shipped preset
+    (chain-4, cutoffs 1-4 and the cap 5) the full sum and the four active
+    cutoffs take five ``correlations`` calls, not six, and the cap reads
+    exactly 0.0."""
+    from bosonlr import experiments
+    from bosonlr.config import config_for_experiment
+
+    calls, correlations = [], experiments.correlations
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return correlations(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "correlations", counted)
+    cfg = config_for_experiment("cutoff")
+    assert cfg.graph == {"type": "chain", "length": 4}
+    report = RUNNERS["cutoff"](cfg)
+    assert report.passed
+    assert len(calls) == 5
+    at_cap = [r for r in report.records if r["at_cap"]]
+    assert at_cap and all(r["measured"] == 0.0 for r in at_cap)
+
+
 def test_derivative_never_decomposes_the_scene_hamiltonian(monkeypatch, scenes):
     """``derivative`` reads the scene's graph, basis and H but never its
     spectral decomposition, which is made on first use only."""

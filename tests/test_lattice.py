@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -167,3 +171,20 @@ def test_region_validation():
         region(g, [5])
     r = region(g, [2, 0, 2])
     assert r.sites == (0, 2)
+
+
+def test_import_leaves_csgraph_unloaded():
+    """``import bosonlr`` loads none of scipy's csgraph modules, whose
+    resident memory a run that never builds a graph or splits an operator
+    into components would carry; those functions import them on first
+    call."""
+    import bosonlr
+
+    src = os.path.dirname(os.path.dirname(bosonlr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, bosonlr; print(sorted(m for m in sys.modules if 'csgraph' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    build_chain(3)
+    assert "scipy.sparse.csgraph" in sys.modules

@@ -42,7 +42,7 @@ from bosonlr import (
     sandwich,
     two_point,
 )
-from bosonlr import dynamics
+from bosonlr import dynamics, thermal
 from bosonlr.dynamics import _krylov_evolve, _real_matmul, _sector_pairs
 from bosonlr.lattice import Region
 from bosonlr.operators import same_matrix
@@ -561,10 +561,62 @@ def test_active_row_rotation_matches_dense_rotation(gb, J, U, gauge, cut, data, 
                 assert np.array_equal(got, want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    gb=bases(),
+    J=st.floats(0.1, 1.0),
+    U=st.floats(0.0, 2.0),
+    shift=st.sampled_from([0.0, 1.0, -2.5]),
+    sign=st.sampled_from([1.0, -1.0, 0.0]),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_syrk_lower_triangle_matches_dense_rotation(gb, J, U, shift, sign, data, seed):
+    """``rotate_lower`` with ``SYRK_ROWS_MIN`` at one row, on every sector
+    block, against the lower triangle of the dense V^T M V within
+    1e-13 ||M||: a diagonal A that is the shift c on about half the rows
+    and c plus positive, negative or mixed values on the rest, a hop on
+    (x, y) plus c I, and that hop, a raw hop on (y, z) (on (x, y) for two
+    sites) and the number on x plus c I.  A block
+    the SYRK route does not take (a small one whose components cost too
+    much) has ``rotate``'s bits."""
+    g, basis = gb
+    D = basis.dimension
+    assume(D > 0)
+    rng = np.random.default_rng(seed)
+    H = assemble_hamiltonian(g, full_region(g), basis, ModelParams(hopping=J, onsite=U))
+    d = eigendecompose(H)
+    sites = data.draw(st.permutations(range(g.n_vertices)))
+    x, y, z = sites[0], sites[1], sites[-1]
+    signs = sign if sign else rng.choice([-1.0, 1.0], D)
+    values = np.where(rng.random(D) < 0.5, signs * rng.uniform(0.5, 2.0, D), 0.0)
+    identity = sp.identity(D, format="csr")
+    hop = local_observable(basis, {"kind": "normalized_hop", "sites": [x, y]}).matrix
+    far = (y, z) if z != y else (x, y)
+    pair = hop_term(basis, *far).matrix + hop_term(basis, *far[::-1]).matrix
+    observables = [
+        sp.diags(shift + values).tocsr(),
+        (hop + shift * identity).tocsr(),
+        (pair + 2.0 * hop + number_operator(basis, x).matrix + shift * identity).tocsr(),
+    ]
+    with mock.patch.object(dynamics, "SYRK_ROWS_MIN", 1):
+        for M in observables:
+            dense = M.toarray().real
+            norm = float(np.linalg.norm(dense, 2))
+            for _, sl in d.sector_slices():
+                V = d.vectors[sl, sl]
+                got = d.rotate_lower(M, sl)
+                assert np.abs(np.tril(got - V.T @ dense[sl, sl] @ V)).max() <= 1e-13 * norm
+                if np.triu(got, 1).any():
+                    assert np.array_equal(got, d.rotate(M, sl))
+
+
 def complex_point(gf, z):
     """F(z) by the complex strip formula: bra = e^{-(beta - s) g} e^{iEt}
     and ket = e^{-s g} e^{-iEt}, summed as bra . (C @ ket) per block.
-    Returns the value and the sum of the absolute terms, its scale."""
+    Returns the value and the sum of the absolute terms, its scale.  A
+    real hermitian pair stores the lower triangle of C alone, which is
+    mirrored into a full matrix here."""
     t, s = z.real, -z.imag
     state, stop = gf.state, gf._stop
     phase = np.exp(-1j * state.decomp.energies[:stop] * t)
@@ -572,6 +624,8 @@ def complex_point(gf, z):
     ket = np.exp(-state.shifted[:stop] * s) * phase
     value = scale = 0.0
     for rows, C in gf._blocks:
+        if gf._real:
+            C = np.tril(C) + np.tril(C, -1).T
         value += bra[rows] @ (C @ ket[rows])
         scale += np.abs(bra[rows]) @ (np.abs(C) @ np.abs(ket[rows]))
     return value / state.z_scaled, scale / state.z_scaled
@@ -585,20 +639,31 @@ def complex_point(gf, z):
     J=st.floats(0.1, 1.0),
     U=st.floats(0.0, 2.0),
     beta=st.floats(1.0, 2.0),
+    local=st.booleans(),
+    merge=st.sampled_from([0, 5, 256]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_real_arithmetic_strip_point_matches_complex_formula(g, n_max, grand, J, U, beta, seed):
+def test_real_arithmetic_strip_point_matches_complex_formula(g, n_max, grand, J, U, beta, local, merge, seed):
     """One strip point of a real hermitian pair, summed from cos, sin and
     two ``dsymv`` calls per block in real arithmetic, against the complex
     bra . C ket formula within 1e-14 of the sum of the absolute terms, on
-    both strip edges and inside, at negative, zero and positive t."""
+    both strip edges and inside, at negative, zero and positive t.  C is
+    built with ``SYRK_ROWS_MIN`` at one row, so a local pair (a hop and
+    1/(1+n)) takes the SYRK route, and with sector blocks merged up to
+    ``MERGE_ROWS_MAX`` = 0 (none), 5 or 256 rows."""
     region = full_region(g)
     basis = enumerate_sectors(region, n_max, cap=2) if grand else enumerate_basis(region, sector=n_max)
     H = assemble_hamiltonian(g, region, basis, ModelParams(hopping=J, onsite=U))
     gam = gibbs_state(H, beta, -6.0, n_max, tail_tol=1.0) if grand else fixed_sector_gibbs(H, beta)
     rng = np.random.default_rng(seed)
-    A, B = (random_operator(basis, rng, conserving=True, hermitian=True, real=True) for _ in range(2))
-    gf = GreenFunction(gam, A, B)
+    if local:
+        x, y = rng.permutation(g.n_vertices)[:2]
+        A = local_observable(basis, {"kind": "normalized_hop", "sites": [int(x), int(y)]})
+        B = local_observable(basis, {"kind": "number_function", "site": int(y), "fn": "inv_one_plus_n"})
+    else:
+        A, B = (random_operator(basis, rng, conserving=True, hermitian=True, real=True) for _ in range(2))
+    with mock.patch.object(dynamics, "SYRK_ROWS_MIN", 1), mock.patch.object(thermal, "MERGE_ROWS_MAX", merge):
+        gf = GreenFunction(gam, A, B)
     assert gf._real
     ts, ss = rng.uniform(-2.0, 2.0, 4), rng.uniform(0.0, beta, 4)
     points = [complex(t, -s) for t, s in zip(ts, ss)] + [complex(-1.3, 0.0), complex(0.0, -0.4 * beta)]

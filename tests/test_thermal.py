@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from bosonlr import (
     sandwich,
     two_point,
 )
+from bosonlr import dynamics, thermal
 from bosonlr.dynamics import PROPAGATE_CHUNK, SpectralDecomposition, StateVector, _krylov_evolve, _real_matmul
 from bosonlr.operators import SparseOperator, same_matrix
 
@@ -480,19 +482,26 @@ def test_state_vector_and_sparse_routes_keep_the_column_loop_bits():
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def test_green_values_match_pointwise_calls():
+def test_green_values_match_pointwise_calls(monkeypatch):
     # more points than one chunk, both strip edges, a repeated point, and a
-    # real and a complex rotated block (a complex B makes C complex)
+    # real hermitian pair (lower triangle, ``dsymm``; every block through
+    # the SYRK route), a non-hermitian pair (a complex B makes C complex)
+    # and a hermitian pair under a gauge-complex generator
     basis, reg, H, gam, A, B = truncated_chain_state()
     rng = np.random.default_rng(11)
     n = PROPAGATE_CHUNK + 37
     points = [complex(t, -s) for t, s in zip(rng.uniform(-2.0, 2.0, n), rng.uniform(0.0, gam.beta, n))]
     points += [complex(0.3, 0.0), complex(-0.4, -gam.beta), 0.0, points[5]]
     B_complex = SparseOperator((1j * B.matrix).tocsr(), basis, False)
-    for B_ in (B, B_complex):
-        got = GreenFunction(gam, A, B_).values(points)
+    W = sp.diags(np.exp(1j * (basis.occupations @ rng.uniform(0.0, 2.0 * np.pi, 4))))
+    H_gauge = SparseOperator((W @ H.matrix @ W.conj().T).tocsr(), basis, True)
+    gam_gauge = gibbs_state(H_gauge, 1.0, -1.0, 4, tail_tol=0.5)
+    monkeypatch.setattr(dynamics, "SYRK_ROWS_MIN", 1)
+    for state, B_, real in ((gam, B, True), (gam, B_complex, False), (gam_gauge, B, False)):
+        got = GreenFunction(state, A, B_).values(points)
         assert got.shape == (len(points),) and got.dtype == np.complex128
-        pointwise = GreenFunction(gam, A, B_)
+        pointwise = GreenFunction(state, A, B_)
+        assert pointwise._real == real
         assert max(abs(v - pointwise(z)) for v, z in zip(got, points)) <= 1e-14
     gf = GreenFunction(gam, A, B)
     with pytest.raises(InvalidArgumentError):
@@ -501,6 +510,93 @@ def test_green_values_match_pointwise_calls():
     assert not gf._cache
     first = gf.values(points[:3])
     assert np.array_equal(gf.values(points[2::-1]), first[::-1])
+
+
+def test_merged_sector_blocks_stay_within_the_merge_bound(monkeypatch):
+    """Adjacent sector blocks share one block-diagonal block while it
+    stays within ``MERGE_ROWS_MAX`` rows, and a sector above the bound
+    stays alone: 6 sites to n = 5 (sectors of 1, 6, 21, 56, 126 and 252
+    states) hold [210 | 252] rows at the shipped bound of 256, and
+    [28 | 56 | 126 | 252] at a bound of 30.  Entries between two merged
+    sectors are exactly zero, and the strip values of both layouts agree
+    with one block per sector."""
+    g = build_chain(6)
+    reg = full_region(g)
+    basis = enumerate_sectors(reg, 5)
+    H = assemble_hamiltonian(g, reg, basis, ModelParams(hopping=0.2, onsite=1.0))
+    gam = gibbs_state(H, 1.0, -3.0, 5, tail_tol=1e-6)
+    A = local_observable(basis, {"kind": "normalized_hop", "sites": [2, 3]})
+    B = local_observable(basis, {"kind": "number_function", "site": 4, "fn": "inv_one_plus_n"})
+    points = [complex(t, -s) for t in (-1.5, 0.0, 0.7) for s in (0.0, 0.4, 1.0)]
+    spans, shipped = {}, thermal.MERGE_ROWS_MAX
+    for bound in (0, shipped, 30):
+        monkeypatch.setattr(thermal, "MERGE_ROWS_MAX", bound)
+        gf = GreenFunction(gam, A, B)
+        spans[bound] = [(rows.start, rows.stop) for rows, _ in gf._blocks]
+        for rows, C in gf._blocks:
+            assert C.shape == (rows.stop - rows.start,) * 2 and C.flags.f_contiguous
+            sectors = basis.totals[rows]
+            assert not C[sectors[:, None] != sectors[None, :]].any()
+        values = gf.values(points)
+        if bound:
+            assert np.abs(values - reference).max() <= 1e-14 * np.abs(reference).max()
+        else:
+            reference = values
+    assert spans[shipped] == [(0, 210), (210, 462)]
+    assert spans[30] == [(0, 28), (28, 84), (84, 210), (210, 462)]
+    assert spans[0] == [(sl.start, sl.stop) for _, sl in basis.sector_slices()]
+
+
+def test_strip_points_keep_their_bits_in_any_order(monkeypatch):
+    """The factors cached per t and per depth s make no point depend on
+    the points before it: a t-major grid, the same grid shuffled, and the
+    shuffled grid with room for three factors per cache (evicting on
+    almost every point) give the same bits.  A point at t = 0 takes one
+    ``dsymv`` per block and has an imaginary part of exactly 0.0."""
+    basis, reg, H, gam, A, B = truncated_chain_state()
+    grid = [complex(t, -s) for t in np.linspace(-2.0, 2.0, 9) for s in np.linspace(0.0, gam.beta, 7)]
+    order = np.random.default_rng(2).permutation(len(grid))
+    t_major = GreenFunction(gam, B, A)
+    assert t_major._real
+    want = [t_major(z) for z in grid]
+    shuffled = GreenFunction(gam, B, A)
+    got = {k: shuffled(grid[k]) for k in order}
+    monkeypatch.setattr(thermal, "FACTOR_CACHE_MAX", 3)
+    small = GreenFunction(gam, B, A)
+    got_small = {k: small(grid[k]) for k in order}
+    assert len(small._phases) == len(small._decays) == 3
+    bits = np.array(want).view(np.int64)
+    assert np.array_equal(bits, np.array([got[k] for k in range(len(grid))]).view(np.int64))
+    assert np.array_equal(bits, np.array([got_small[k] for k in range(len(grid))]).view(np.int64))
+    for k, value in enumerate(want):
+        if grid[k].real == 0.0:
+            assert value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0
+
+
+def test_thermal_expectation_and_moments_keep_their_formula_and_memory():
+    """``expectation`` and ``moment_sup`` of a real decomposition keep the
+    bits of sum_j w_j (V^* A V)_jj and (|V|^2) w, and at D = 462 neither
+    holds more than one D x D temporary (tracemalloc peak): a real V is
+    never copied for its conjugate, and |V| is squared in place."""
+    g = build_chain(6)
+    reg = full_region(g)
+    basis = enumerate_sectors(reg, 5)
+    H = assemble_hamiltonian(g, reg, basis, ModelParams(hopping=0.2, onsite=1.0))
+    gam = gibbs_state(H, 1.0, -3.0, 5, tail_tol=1e-6)
+    V = gam.decomp.vectors
+    assert V.dtype == np.float64
+    A = local_observable(basis, {"kind": "normalized_hop", "sites": [2, 3]})
+    want = complex(np.dot(gam.weights, np.einsum("ij,ij->j", V.conj(), _real_matmul(A.matrix, V))))
+    probs = (np.abs(V) ** 2) @ gam.weights
+    moment = float(np.max(((1.0 + basis.occupations) ** 2.0).T @ probs))
+    one = V.nbytes
+    for run, expected in ((lambda: expectation(gam, A), want), (lambda: moment_sup(gam, 2.0), moment)):
+        tracemalloc.start()
+        got = run()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert got == expected
+        assert peak <= 1.1 * one
 
 
 def test_evolved_two_points_match_per_pair_two_point(monkeypatch):
