@@ -45,12 +45,13 @@ PROPAGATE_CHUNK = 64
 # and 0.6-0.8x from 220 on; a one-site 1/(1+n) crossed over near 165
 ACTIVE_ROWS_MIN = 220
 # smallest real symmetric block ``rotate_lower`` factors for two SYRKs:
-# below it the components, batched eigh and row gathers (about 1 ms)
-# cost more than the halved GEMM saves.  Measured as above, chain
-# sectors, against ``rotate``: a two-site hop took 1.8-1.95x at 210-252
-# states, 1.05x at 330 and 0.55-0.83x from 462 on (0.59x at 1,287); a
-# one-site 1/(1+n) 1.3x at 330, 0.78-1.08x at 462-495, 0.61x at 1,287
-SYRK_ROWS_MIN = 450
+# below it the components, batched eigh and row gathers cost more than
+# the halved GEMM saves.  Measured against ``rotate`` on a 2-CPU host,
+# one BLAS thread, chain sectors, two runs: a two-site hop took
+# 1.24-1.36x at 455-462 states, 1.07-1.10x at 715, 0.97-1.04x at 792 and
+# 0.73-0.94x from 816 on (0.70x at 1,287); a one-site 1/(1+n) took
+# 0.98-1.19x at 455-560 and 0.73-0.83x from 715 on (0.65x at 1,287)
+SYRK_ROWS_MIN = 800
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ class SpectralDecomposition:
         # n^2 |R| over the GEMM
         if 2 * np.sum(sizes.astype(np.float64) ** 2) >= n * active.size > 0:
             return self.rotate(matrix, rows)
-        # X+ fills X from the top, X- from the bottom
+        # X+ fills X from the top, X- from the bottom, each in W's row order
         X = np.empty((active.size, n))
         top, bottom = 0, active.size
         for comp_rows, stack in _component_stacks(coo, coo.data, labels, sizes):
@@ -207,10 +208,11 @@ class SpectralDecomposition:
             lam, W = lam.ravel(), W.reshape(lam.size, n)
             W *= np.sqrt(np.abs(lam))[:, None]
             pos = lam > 0
-            k = np.count_nonzero(pos)
-            np.compress(pos, W, axis=0, out=X[top : top + k])
-            np.compress(~pos, W, axis=0, out=X[bottom - (lam.size - k) : bottom])
-            top, bottom = top + k, bottom - (lam.size - k)
+            rank = np.cumsum(pos)  # X+ rows up to and including each row
+            k = int(rank[-1])
+            bottom -= lam.size - k
+            X[np.where(pos, top + rank - 1, bottom + np.arange(lam.size) - rank)] = W
+            top += k
             del W
         out = np.zeros((n, n), order="F")
         for alpha, part in ((1.0, X[:top]), (-1.0, X[top:])):
@@ -272,11 +274,11 @@ def _fix_phases(vecs: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     Ties go to the smallest of ``rows``, the block rows that the rows of
     ``vecs`` stand for (default: their own order)."""
     mags = np.abs(vecs)
-    if rows is None:
-        first = np.argmax(mags, axis=0)
-    else:
-        order = np.argsort(rows)
-        first = order[np.argmax(mags[order], axis=0)]
+    # where each column peaks, as booleans: only they are read in the
+    # order of ``rows``
+    peaks = mags == mags.max(axis=0)
+    order = np.arange(len(vecs)) if rows is None else np.argsort(rows)
+    first = order[np.argmax(peaks[order], axis=0)]
     pivots = vecs[first, np.arange(vecs.shape[1])]
     mags = np.abs(pivots)
     nonzero = mags > 0
@@ -323,50 +325,62 @@ def _mirror_eigh(block, q: np.ndarray, a: int, b: int, out: np.ndarray):
     M then commutes with p, so it is block-diagonal on the even vectors
     (e_lo + e_hi)/sqrt2 and the fixed e_x, where it reads
     [[M_ll + M_lh, sqrt2 M_lf], [sqrt2 M_fl, M_ff]], and on the odd
-    vectors (e_lo - e_hi)/sqrt2, where it reads M_ll - M_lh.  The block is
-    densified once, already permuted.  Each half's eigenvectors get their
-    phases and go straight to their rows of ``out``; the columns are then
-    merged by a stable sort on energy, even before odd on a tie.
+    vectors (e_lo - e_hi)/sqrt2, where it reads M_ll - M_lh.  Both halves
+    are filled from the stored entries, and the symmetry is checked on
+    them, O(nnz log nnz): no dense copy of the whole block is formed.
+    Each half's eigenvectors get their phases and go straight to their
+    rows and their columns of ``out``, merged by a stable sort on energy,
+    even before odd on a tie.
     """
-    # the dense block, rows and columns in the order q, scattered from the
-    # CSR arrays: duplicates add up in storage order, as ``toarray`` adds them
+    n = q.size
     block, at = block.tocsr(), np.empty_like(q)
-    at[q] = np.arange(q.size)
-    m = np.zeros(block.shape, dtype=block.dtype)
-    np.add.at(m, (np.repeat(at, np.diff(block.indptr)), at[block.indices]), block.data)
-    lo, fx, hi = slice(0, a), slice(a, b), slice(b, None)
-    if not (
-        np.array_equal(m[hi, hi], m[lo, lo])
-        and np.array_equal(m[hi, lo], m[lo, hi])
-        and np.array_equal(m[hi, fx], m[lo, fx])
-        and np.array_equal(m[fx, hi], m[fx, lo])
-    ):
+    at[q] = np.arange(n)
+    # the stored entries at (row, column) in the order q, keyed row * n +
+    # column: duplicates add up in storage order, as ``toarray`` adds them,
+    # and zeros are dropped, so equal keys and values mean equal matrices
+    stored = at[np.repeat(np.arange(n), np.diff(block.indptr))] * n + at[block.indices]
+    keys, where = np.unique(stored, return_inverse=True)
+    vals = np.zeros(keys.size, dtype=block.dtype)
+    np.add.at(vals, where, block.data)
+    keys, vals = keys[vals != 0], vals[vals != 0]
+    rows, cols = np.divmod(keys, n)
+    mirror = np.arange(n)  # p in the order q: lo k <-> hi b + k
+    mirror[:a] += b
+    mirror[b:] -= b
+    image = mirror[rows] * n + mirror[cols]
+    order = np.argsort(image)
+    if not (np.array_equal(image[order], keys) and np.array_equal(vals[order], vals)):
         return None
-    odd = m[lo, lo] - m[lo, hi]
-    even = m[:b, :b]
-    even[lo, lo] += m[lo, hi]
-    even[lo, fx] *= math.sqrt(2.0)
-    even[fx, lo] *= math.sqrt(2.0)
+    # one half at a time, each freed once diagonalized
+    lo_row, inner, lh = rows < a, (rows < b) & (cols < b), (rows < a) & (cols >= b)
+    even = np.zeros((b, b), dtype=block.dtype)
+    cross = lo_row != (cols < a)  # M_lf and M_fl, on the inner entries
+    even[rows[inner], cols[inner]] = np.where(cross, vals * math.sqrt(2.0), vals)[inner]
+    even[rows[lh], cols[lh] - b] += vals[lh]
     e_even, w_even = np.linalg.eigh(even)
-    e_odd, w_odd = np.linalg.eigh(odd)
-    del m, even, odd  # the dense block is read; free it before the phases
-    w_even[lo] *= math.sqrt(0.5)
-    w_odd *= math.sqrt(0.5)
+    del even
     # a lo row comes before its hi image, so each half's own rows decide
     # the phase its columns would get in the whole block, and a hi row
     # copies (or negates) an already scaled lo row
+    w_even[:a] *= math.sqrt(0.5)
     _fix_phases(w_even, q[:b])
+    ll = lo_row & (cols < a)
+    odd = np.zeros((a, a), dtype=block.dtype)
+    odd[rows[ll], cols[ll]] = vals[ll]
+    odd[rows[lh], cols[lh] - b] -= vals[lh]
+    e_odd, w_odd = np.linalg.eigh(odd)
+    del odd
+    w_odd *= math.sqrt(0.5)
     _fix_phases(w_odd, q[:a])
     energies = np.concatenate([e_even, e_odd])
-    out[q[:b], :b] = w_even
-    out[q[b:], :b] = w_even[lo]
-    out[q[:a], b:] = w_odd
-    out[q[b:], b:] = np.negative(w_odd, out=w_odd)
-    # columns into (energy, even before odd) order, a band of rows at a time
     merged = np.argsort(energies, kind="stable")
-    for start in range(0, q.size, PROPAGATE_CHUNK):
-        band = out[start : start + PROPAGATE_CHUNK]
-        band[:] = band[:, merged]
+    place = np.empty(n, dtype=np.intp)  # the column of each eigenpair
+    place[merged] = np.arange(n)
+    even_cols, odd_cols = place[:b], place[b:]
+    out[np.ix_(q[:b], even_cols)] = w_even
+    out[np.ix_(q[b:], even_cols)] = w_even[:a]
+    out[np.ix_(q[:a], odd_cols)] = w_odd
+    out[np.ix_(q[b:], odd_cols)] = np.negative(w_odd, out=w_odd)
     return energies[merged]
 
 

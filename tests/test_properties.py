@@ -673,6 +673,56 @@ def test_real_arithmetic_strip_point_matches_complex_formula(g, n_max, grand, J,
         assert abs(gf(z) - want) <= 1e-14 * scale
 
 
+def same_bits(x, y) -> bool:
+    """Both parts of two complex numbers equal to the last bit; a zero's
+    sign aside (x - x and -x + x are both +0.0)."""
+    # adding +0.0 turns -0.0 into +0.0 and leaves every other value as it is
+    bits = (np.array([x, y], dtype=np.complex128) + 0.0).view(np.int64)
+    return np.array_equal(bits[:2], bits[2:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    g=lattices,
+    n_max=st.integers(1, 3),
+    grand=st.booleans(),
+    J=st.floats(0.1, 1.0),
+    U=st.floats(0.0, 2.0),
+    beta=st.floats(0.5, 2.0),
+    local=st.booleans(),
+    t=st.floats(0.05, 3.0),
+    depth=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_time_mirror_of_a_real_hermitian_pair_is_exact(g, n_max, grand, J, U, beta, local, t, depth, seed):
+    """Time reversal: for a real H and real hermitian A and B,
+    F(-t - i s) = conj F(t - i s).  Evaluating either point of the pair
+    fills the other with the conjugate, and that is bit for bit what a
+    fresh ``GreenFunction`` evaluates directly there (numpy's sin is odd
+    and its cos even to the last bit, and every sum negates exactly), on
+    canonical and grand-canonical states, local and random pairs."""
+    region = full_region(g)
+    basis = enumerate_sectors(region, n_max, cap=2) if grand else enumerate_basis(region, sector=n_max)
+    H = assemble_hamiltonian(g, region, basis, ModelParams(hopping=J, onsite=U))
+    gam = gibbs_state(H, beta, -6.0, n_max, tail_tol=1.0) if grand else fixed_sector_gibbs(H, beta)
+    rng = np.random.default_rng(seed)
+    if local:
+        x, y = rng.permutation(g.n_vertices)[:2]
+        A = local_observable(basis, {"kind": "normalized_hop", "sites": [int(x), int(y)]})
+        B = local_observable(basis, {"kind": "number_function", "site": int(y), "fn": "inv_one_plus_n"})
+    else:
+        A, B = (random_operator(basis, rng, conserving=True, hermitian=True, real=True) for _ in range(2))
+    s = depth * beta
+    for first, second in ((complex(t, -s), complex(-t, -s)), (complex(-t, -s), complex(t, -s))):
+        gf = GreenFunction(gam, A, B)
+        assert gf._real
+        value = gf(first)
+        assert second in gf._cache
+        folded = gf(second)
+        assert same_bits(folded, value.conjugate())
+        assert same_bits(folded, GreenFunction(gam, A, B)(second))
+
+
 def unit_operator(basis, rng, conserving, hermitian):
     """``random_operator`` scaled to Frobenius norm 1, so its operator norm
     is at most 1."""

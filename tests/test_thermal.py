@@ -512,6 +512,62 @@ def test_green_values_match_pointwise_calls(monkeypatch):
     assert np.array_equal(gf.values(points[2::-1]), first[::-1])
 
 
+def test_green_values_evaluate_one_column_per_exact_mirror_pair(monkeypatch):
+    """For a real hermitian pair, F(-t - i s) = conj F(t - i s), so
+    ``values`` evaluates one point of each exact mirror pair: a 9 x 5 grid
+    on t in [-2, 2] (every t mirrored exactly, t = 0 its own mirror) plus
+    one point whose mirror is not asked for takes 5 + 4 x 5 + 1 = 26
+    points, two ``dsymm`` columns [b c | b n] each per block.  Every value
+    matches a pointwise call within 1e-14, and each mirror is cached as
+    the exact conjugate."""
+    basis, reg, H, gam, A, B = truncated_chain_state()
+    grid = [complex(t, -s) for t in np.linspace(-2.0, 2.0, 9) for s in np.linspace(0.0, gam.beta, 5)]
+    grid.append(complex(0.3, -0.2))
+    columns, dsymm = [], thermal.blas.dsymm
+
+    def spy(alpha, a, b, **kwargs):
+        columns.append(b.shape[1])
+        return dsymm(alpha, a, b, **kwargs)
+
+    monkeypatch.setattr(thermal.blas, "dsymm", spy)
+    gf = GreenFunction(gam, A, B)
+    got = gf.values(grid)
+    assert gf._real
+    assert columns == [2 * 26] * len(gf._blocks)
+    pointwise = GreenFunction(gam, A, B)
+    assert max(abs(v - pointwise(z)) for v, z in zip(got, grid)) <= 1e-14
+    for z in grid:
+        assert gf._cache[complex(-z.real, z.imag)] == gf._cache[z].conjugate()
+
+
+def test_complex_pairs_are_never_folded(monkeypatch):
+    """Under a gauge-complex generator a hermitian pair has no time
+    mirror: F(-t) is not conj F(t), and both points are evaluated, one
+    ``_sum`` each, point by point and through ``values``."""
+    basis, reg, H, gam, A, B = truncated_chain_state()
+    W = sp.diags(np.exp(1j * (basis.occupations @ np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 4))))
+    H_gauge = SparseOperator((W @ H.matrix @ W.conj().T).tocsr(), basis, True)
+    gam_gauge = gibbs_state(H_gauge, 1.0, -1.0, 4, tail_tol=0.5)
+    calls, evaluate = [], GreenFunction._sum
+
+    def spy(self, t, s):
+        calls.append(np.size(t))
+        return evaluate(self, t, s)
+
+    monkeypatch.setattr(GreenFunction, "_sum", spy)
+    z, mirror = complex(0.9, -0.3), complex(-0.9, -0.3)
+    gf = GreenFunction(gam_gauge, A, B)
+    assert gf._hermitian and not gf._real
+    value = gf(z)
+    assert mirror not in gf._cache
+    assert abs(gf(mirror) - value.conjugate()) > 1e-3
+    assert calls == [1, 1]
+    calls.clear()
+    got = GreenFunction(gam_gauge, A, B).values([z, mirror])
+    assert np.abs(got - [value, gf(mirror)]).max() <= 1e-14
+    assert calls == [2]
+
+
 def test_merged_sector_blocks_stay_within_the_merge_bound(monkeypatch):
     """Adjacent sector blocks share one block-diagonal block while it
     stays within ``MERGE_ROWS_MAX`` rows, and a sector above the bound
