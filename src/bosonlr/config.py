@@ -88,6 +88,26 @@ _TYPED_KEYS = {
 }
 
 
+# the JSON type of every value from_dict and the runners read, by key path:
+# "[kind]" is a list of them, and a trailing "?" also allows null.  An int
+# is a number with an integral value; a boolean is never a number
+_TYPES = {
+    "number": "model.hopping model.onsite thermal.beta thermal.mu thermal.tail_tol sweeps.moment_p "
+    "sweeps.condensate_time " + " ".join(f"tolerances.{key}" for key in DEFAULT_TOLERANCES),
+    "[number]": "model.offsite sweeps.times sweeps.sup_times sweeps.epsilons",
+    "int": "graph.length graph.n_vertices graph.dimension sweeps.displacement_max sweeps.condensate_site "
+    "sweeps.strip_points deriv.range_R",
+    "int?": "basis.site_cap basis.n_max basis.sector sweeps.lr_lambda workers",
+    "[int]": "graph.dims initial_state.occupation sweeps.cutoffs sweeps.shells sweeps.condensate_m "
+    "sweeps.commutator_sites volumes deriv.trend_n_max",
+    "[int]?": "cutoff_region",
+    "bool": "model.ordered_hopping debug.dump_operators",
+    "[str]": "experiments",
+    "str?": "output_dir",
+}
+_WANTED = {"number": "a number", "int": "an integer", "bool": "true or false", "str": "a string"}
+
+
 def _f(site, fn="inv_one_plus_n"):
     return {"kind": "number_function", "site": site, "fn": fn}
 
@@ -242,12 +262,6 @@ def _require(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
-def _graph_dimension(graph: dict) -> int:
-    if graph["type"] == "grid":
-        return len(graph["dims"])
-    return int(graph.get("dimension", 1))
-
-
 def resolve_dict(data: dict) -> dict:
     """Apply preset inheritance and fill defaults, returning a plain dict."""
     if not isinstance(data, dict):
@@ -299,8 +313,36 @@ def _require_finite(value, path: str):
             raise ConfigError(f"{path}: non-finite number {json.dumps(float(value))} is not allowed")
 
 
+def _is(kind: str, value) -> bool:
+    if kind in ("bool", "str"):
+        return isinstance(value, bool if kind == "bool" else str)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return kind == "number" or isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
+def _require_types(raw: dict):
+    """Raise ConfigError naming the key path of the first value whose type
+    differs from ``_TYPES``; absent keys are not checked."""
+    for kind, paths in _TYPES.items():
+        single = kind.strip("[]?")
+        for path in paths.split():
+            section, _, key = path.rpartition(".")
+            holder = raw[section] if section else raw
+            value = holder.get(key)
+            if key not in holder or (value is None and kind.endswith("?")):
+                continue
+            items = [(path, value)]
+            if kind.startswith("["):
+                _require(isinstance(value, (list, tuple)), path, f"must be a list, got {value!r}")
+                items = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+            for where, item in items:
+                _require(_is(single, item), where, f"must be {_WANTED[single]}, got {item!r}")
+
+
 def from_dict(data: dict) -> ExperimentConfig:
     raw = resolve_dict(data)
+    _require_types(raw)
     _require_finite(raw, "")
     _require(raw["schema_version"] == SCHEMA_VERSION, "schema_version", f"expected {SCHEMA_VERSION}")
 
@@ -342,7 +384,7 @@ def from_dict(data: dict) -> ExperimentConfig:
     _require(float(thermal["tail_tol"]) > 0, "thermal.tail_tol", "must be positive")
 
     sweeps = raw["sweeps"]
-    d = _graph_dimension(graph)
+    d = len(graph["dims"]) if graph["type"] == "grid" else int(graph.get("dimension", 1))
     p = float(sweeps["moment_p"])
     if {"lr", "local-approx"} & set(experiments):
         _require(

@@ -92,9 +92,9 @@ class SpectralDecomposition:
     Columns of ``vectors`` are orthonormal eigenvectors; eigenpairs are
     ordered by (sector, energy) and each eigenvector carries a fixed global
     phase (largest-magnitude component real positive) so repeated runs are
-    bit-reproducible.  ``vectors`` is float64 when the operator has no
-    imaginary entry (a real symmetric generator has real eigenvectors) and
-    complex128 otherwise; every method takes real or complex operands and
+    bit-reproducible.  ``vectors`` is float64 for a real operator (a real
+    symmetric generator has real eigenvectors) and complex128 for a
+    complex one; every method takes real or complex operands and
     multiplies a real block with ``_real_matmul``.
     """
 
@@ -178,13 +178,9 @@ class SpectralDecomposition:
         """
         V = self.vectors[rows, rows]
         n = V.shape[0]
-        if n < SYRK_ROWS_MIN or np.iscomplexobj(V) or not sparse.issparse(matrix):
+        if n < SYRK_ROWS_MIN or np.iscomplexobj(V) or np.iscomplexobj(matrix) or not sparse.issparse(matrix):
             return self.rotate(matrix, rows)
         block = matrix[rows, rows].tocsr()
-        if np.iscomplexobj(block):
-            if block.data.imag.any():
-                return self.rotate(matrix, rows)
-            block = block.real
         if (block != block.T).nnz:
             return self.rotate(matrix, rows)
         active, c = _active_rows(block, square=True)
@@ -233,13 +229,11 @@ def _real_matmul(a, b) -> np.ndarray:
     and the imaginary part of the other.  A complex vector takes two real
     GEMVs (a GEMM with two columns packs ``a`` first, which costs more than
     reading it twice); a complex block is read as the real matrix of its
-    interleaved parts, one real GEMM on both at once.  A sparse complex
-    ``a`` with no imaginary entry multiplies as real, giving a real result.
+    interleaved parts, one real GEMM on both at once.
     """
     a_complex, b_complex = np.iscomplexobj(a), np.iscomplexobj(b)
     if sparse.issparse(a) and a_complex and not b_complex:
-        out = a.real @ b
-        return out + 1j * (a.imag @ b) if a.data.imag.any() else out
+        return a.real @ b + 1j * (a.imag @ b)
     if a_complex == b_complex:
         return a @ b
     if a_complex:  # dense complex @ real = (real^T @ complex^T)^T
@@ -389,10 +383,10 @@ def eigendecompose(H: SparseOperator, dense_cap: int = DENSE_CAP) -> SpectralDec
 
     Each particle-number block is densified and diagonalized separately,
     which keeps sector labels exact; blocks larger than ``dense_cap``
-    raise a resource error (use the sparse engine "krylov" instead).  When no
-    stored entry of ``H`` has an imaginary part, the blocks are
-    diagonalized as real symmetric matrices and ``vectors`` is float64;
-    otherwise they are complex hermitian and ``vectors`` is complex128.
+    raise a resource error (use the sparse engine "krylov" instead).
+    ``vectors`` takes the dtype of ``H.matrix``: a real ``H`` (float64 by
+    the storage rule of ``SparseOperator``) is diagonalized as real
+    symmetric blocks, a complex one as complex hermitian blocks.
 
     A block of at least ``MIRROR_MIN`` states that equals its image under
     the site reversal entry for entry (a uniform chain, or a row-major
@@ -406,10 +400,9 @@ def eigendecompose(H: SparseOperator, dense_cap: int = DENSE_CAP) -> SpectralDec
         raise InvalidArgumentError("eigendecompose expects a hermitian operator")
     basis = H.basis
     dim = basis.dimension
-    real = not H.matrix.data.imag.any()
-    matrix = H.matrix.real if real else H.matrix
+    matrix = H.matrix
     energies = np.empty(dim)
-    vectors = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
+    vectors = np.zeros((dim, dim), dtype=matrix.dtype)
     sectors = np.empty(dim, dtype=np.int64)
     slices = basis.sector_slices()
     layout = _mirror_layout(matrix, basis) or [None] * len(slices)

@@ -879,7 +879,7 @@ def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
         Xr = enlargement(graph, Region(tuple(X.sites), graph.graph_id), r)
         Hd = assemble_hamiltonian(graph, Xr, basis, cfg.model).to_dense()
         H2 = Hd @ Hd
-        w = 1.0 + total_number(basis, Xr).matrix.diagonal().real ** 4
+        w = 1.0 + total_number(basis, Xr).matrix.diagonal() ** 4
         c = float(scipy.linalg.eigh(H2, np.diag(w), eigvals_only=True)[-1])
         return c, min_eig(c, H2, w), H2, w
 

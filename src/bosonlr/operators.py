@@ -10,6 +10,11 @@ batched ``FockBasis.lookup`` (split into batches of at most
 max(occupations.size, ``HOP_BATCH_ENTRIES``) target entries), and the
 interaction reads a site-pair coupling table built once.
 
+Storage rule: ``SparseOperator`` stores its matrix as float64 unless a
+stored entry has a nonzero imaginary part, and as complex128 then.  Every
+operator this module assembles is real, so consumers read the dtype
+(``np.iscomplexobj``) instead of scanning entries.
+
 Conventions
 -----------
 * Hopping sums run over unordered edges once, each edge contributing
@@ -79,6 +84,9 @@ class SparseOperator:
 
     ``hermitian`` and ``diagonal`` are set by the assembly routines that
     guarantee them; ``support`` records the sites an observable acts on.
+    ``matrix`` is stored as float64 unless some stored entry has a nonzero
+    imaginary part, and as complex128 then; integer, boolean and
+    single-precision data are cast on construction.
     """
 
     matrix: sparse.csr_matrix
@@ -87,19 +95,16 @@ class SparseOperator:
     diagonal: bool = False
     support: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        mat = self.matrix
+        if np.iscomplexobj(mat) and not mat.data.imag.any():
+            mat = mat.real
+        dtype = np.complex128 if np.iscomplexobj(mat) else np.float64
+        object.__setattr__(self, "matrix", mat.astype(dtype, copy=False))
+
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
-    def dagger(self) -> "SparseOperator":
-        if self.hermitian:
-            return self
-        return SparseOperator(
-            _pruned(self.matrix.conj().T.tocsr()), self.basis, False, self.diagonal, self.support
-        )
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -137,10 +142,11 @@ def _pruned(mat: sparse.csr_matrix) -> sparse.csr_matrix:
 
 
 def _diag_operator(basis: FockBasis, values: np.ndarray, support=None) -> SparseOperator:
-    values = np.asarray(values, dtype=np.complex128)
+    values = np.asarray(values)
+    # at least float64: sparse.diags takes no booleans
+    values = values.astype(np.result_type(values, np.float64), copy=False)
     mat = _pruned(sparse.diags(values, 0, shape=(basis.dimension, basis.dimension), format="csr"))
-    hermitian = bool(np.allclose(values.imag, 0.0, atol=0.0))
-    return SparseOperator(mat, basis, hermitian, diagonal=True, support=support)
+    return SparseOperator(mat, basis, not values.imag.any(), diagonal=True, support=support)
 
 
 def identity_operator(basis: FockBasis) -> SparseOperator:
@@ -148,8 +154,7 @@ def identity_operator(basis: FockBasis) -> SparseOperator:
 
 
 def zero_operator(basis: FockBasis) -> SparseOperator:
-    mat = sparse.csr_matrix((basis.dimension, basis.dimension), dtype=np.complex128)
-    return SparseOperator(mat, basis, True, diagonal=True)
+    return SparseOperator(sparse.csr_matrix((basis.dimension, basis.dimension)), basis, True, diagonal=True)
 
 
 def _region_columns(basis: FockBasis, region: Region) -> list[int]:
@@ -197,7 +202,7 @@ def _hop_entries(basis: FockBasis, moves):
 
 def _hop_matrix(basis: FockBasis, rows, cols, vals) -> sparse.csr_matrix:
     shape = (basis.dimension, basis.dimension)
-    return _pruned(sparse.csr_matrix((vals.astype(np.complex128), (rows, cols)), shape=shape))
+    return _pruned(sparse.csr_matrix((vals, (rows, cols)), shape=shape))
 
 
 def hop_term(basis: FockBasis, x: int, y: int) -> SparseOperator:
@@ -350,7 +355,7 @@ def sandwich(P: SparseOperator, H: SparseOperator) -> SparseOperator:
     _check_same_basis(P, H)
     if not P.diagonal:
         raise InvalidArgumentError("sandwich expects a diagonal projection")
-    mask = P.matrix.diagonal().real
+    mask = P.matrix.diagonal()
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise InvalidArgumentError("sandwich expects a 0/1 projection")
     coo = H.matrix.tocoo()
@@ -468,7 +473,8 @@ def _component_stacks(coo, data, labels, sizes):
 
 
 def _real_if_exact(values: np.ndarray) -> np.ndarray:
-    # operators are stored complex even when real; a real SVD costs half
+    # a dense or bare scipy input may be complex with no imaginary entry
+    # (the Heisenberg blocks at t = 0); a real SVD costs half
     if np.iscomplexobj(values) and not values.imag.any():
         return values.real
     return values
@@ -516,11 +522,7 @@ def local_observable(basis: FockBasis, spec: dict) -> SparseOperator:
             func = fn
         else:
             raise InvalidArgumentError("number_function needs fn as name, table, or callable")
-        if "site" in spec:
-            col = basis.site_column(int(spec["site"]))
-            vals = np.array([func(int(n)) for n in basis.occupations[:, col]])
-            return _diag_operator(basis, vals, support=(int(spec["site"]),))
-        sites = [int(s) for s in spec["sites"]]
+        sites = [int(spec["site"])] if "site" in spec else [int(s) for s in spec["sites"]]
         cols = [basis.site_column(s) for s in sites]
         vals = np.array([func(*(int(v) for v in row)) for row in basis.occupations[:, cols]])
         return _diag_operator(basis, vals, support=tuple(sorted(sites)))

@@ -277,7 +277,7 @@ class GreenFunction:
         decomp = state.decomp
         # from the stored matrices, not the flags a caller may have set wrongly
         self._hermitian = _exactly_hermitian(A.matrix) and _exactly_hermitian(B.matrix)
-        real = not (np.iscomplexobj(decomp.vectors) or A.matrix.data.imag.any() or B.matrix.data.imag.any())
+        real = not any(map(np.iscomplexobj, (decomp.vectors, A.matrix, B.matrix)))
         self._real = self._hermitian and real
         slices = [sl for _, sl in state.included_slices()]
         # sectors ascend, so the included rows are the first ``_stop``

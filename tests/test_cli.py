@@ -161,6 +161,33 @@ def test_rejected_config_exits_before_the_run(tmp_path, capsys, data, match):
 
 
 @pytest.mark.parametrize(
+    "override, match",
+    [
+        ({"thermal": {"beta": "hot"}}, "thermal.beta: must be a number, got 'hot'"),
+        ({"thermal": {"beta": None}}, "thermal.beta: must be a number, got None"),
+        ({"thermal": {"beta": True}}, "thermal.beta: must be a number, got True"),
+        ({"model": {"hopping": "x"}}, "model.hopping: must be a number"),
+        ({"workers": "x"}, "workers: must be an integer"),
+        ({"volumes": [2, "x"]}, "volumes[1]: must be an integer"),
+        ({"graph": {"type": "chain", "length": [3]}}, "graph.length: must be an integer, got [3]"),
+        ({"graph": {"type": "chain", "length": 6.5}}, "graph.length: must be an integer, got 6.5"),
+        ({"sweeps": {"cutoffs": [1, "a"]}}, "sweeps.cutoffs[1]: must be an integer"),
+        ({"sweeps": {"times": [0.0, "a"]}}, "sweeps.times[1]: must be a number"),
+        ({"sweeps": {"times": 0.5}}, "sweeps.times: must be a list"),
+    ],
+)
+def test_value_of_the_wrong_type_exits_config(tmp_path, capsys, override, match):
+    # a wrong JSON type is a config error naming its key path, not a
+    # traceback with the violation code
+    cfg = write_cfg(tmp_path, {"preset": "chain-6", **override})
+    assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+    assert main(["moments", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count(f"config error: {match}") == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "text, literal",
     [
         ('{"preset": "chain-6", "sweeps": {"times": [NaN]}}', "NaN"),

@@ -586,10 +586,13 @@ def test_real_matmul_matches_plain_product():
         assert got.dtype == np.result_type(a, b)
         assert got.shape == (a @ b).shape
         assert np.abs(got - a @ b).max() <= 1e-14
-    # a complex-stored sparse operator with zero imaginary part stays real
+    # a complex matrix with zero imaginary part is stored real, so a real
+    # operator's product with a real block stays real
     S = sp.random(6, 5, density=0.4, random_state=rng, format="csr").astype(complex)
-    assert _real_matmul(S, x).dtype == np.float64
-    assert np.abs(_real_matmul(S, x) - S @ x).max() <= 1e-14
+    stored = SparseOperator(S, enumerate_basis(full_region(build_chain(2)), cap=1), False).matrix
+    assert stored.dtype == np.float64
+    assert _real_matmul(stored, x).dtype == np.float64
+    assert np.abs(_real_matmul(stored, x) - S @ x).max() <= 1e-14
     S_complex = S + 1j * sp.random(6, 5, density=0.4, random_state=rng, format="csr")
     assert np.abs(_real_matmul(S_complex, x) - S_complex @ x).max() <= 1e-14
 

@@ -22,6 +22,7 @@ from bosonlr import (
     build_chain,
     build_from_edges,
     build_grid,
+    commutator,
     conserves_number,
     correlations,
     cutoff_projection,
@@ -36,16 +37,19 @@ from bosonlr import (
     heisenberg_blocks,
     heisenberg_operator,
     hop_term,
+    identity_operator,
     local_observable,
+    number_moment,
     number_operator,
     operator_norm,
     sandwich,
+    total_number,
     two_point,
 )
 from bosonlr import dynamics, thermal
 from bosonlr.dynamics import _krylov_evolve, _real_matmul, _sector_pairs
 from bosonlr.lattice import Region
-from bosonlr.operators import same_matrix
+from bosonlr.operators import same_matrix, zero_operator
 
 lattices = st.one_of(
     st.builds(build_chain, st.integers(2, 5)),
@@ -93,6 +97,66 @@ def test_gauge_transform_keeps_spectrum_and_number_diagonal_correlations(g, n, J
         value = two_point(gam, A, B, 0.9, order, engine="dense")
         value_gauge = two_point(gam_gauge, A, B, 0.9, order, engine="dense")
         assert abs(value - value_gauge) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    g=lattices,
+    n=st.integers(1, 3),
+    J=st.floats(0.1, 1.0),
+    U=st.floats(0.0, 2.0),
+    p=st.floats(1.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_operators_are_stored_real_unless_an_entry_is_complex(g, n, J, U, p, seed):
+    """Every operator the package builds on a real model holds float64
+    data, whatever the dtype of what it was built from (int- and
+    bool-valued observable functions, complex64 and int32 matrices); a
+    gauge-transformed H with complex hopping holds complex128, and the
+    eigenvectors follow the matrix's dtype."""
+    region = full_region(g)
+    basis = enumerate_sectors(region, n, cap=2)
+    rng = np.random.default_rng(seed)
+    x, y = (int(v) for v in rng.choice(g.n_vertices, size=2, replace=False))
+    H = assemble_hamiltonian(g, region, basis, ModelParams(hopping=J, onsite=U))
+    hop = hop_term(basis, x, y)
+    P = cutoff_projection(basis, Region((x,), g.graph_id), 1)
+    built = [
+        H,
+        hop,
+        number_operator(basis, x),
+        number_moment(basis, x, p),
+        total_number(basis),
+        total_number(basis, Region((x, y), g.graph_id)),
+        P,
+        identity_operator(basis),
+        zero_operator(basis),
+        local_observable(basis, {"kind": "number_function", "site": x, "fn": "inv_one_plus_n"}),
+        local_observable(basis, {"kind": "number_function", "site": x, "fn": [1.0, 0.5, 0.25]}),
+        local_observable(basis, {"kind": "number_function", "site": x, "fn": lambda k: 3 - k}),
+        local_observable(basis, {"kind": "number_function", "sites": [x, y], "fn": lambda a, b: a * b}),
+        local_observable(basis, {"kind": "number_function", "site": x, "fn": lambda k: k == 1}),
+        local_observable(basis, {"kind": "indicator", "site": x, "level": 1}),
+        local_observable(basis, {"kind": "normalized_hop", "sites": [x, y]}),
+        sandwich(P, H),
+        commutator(H, hop),
+        commutator(number_operator(basis, x), P),
+        H @ hop,
+        SparseOperator(H.matrix.astype(np.complex64), basis, True),
+        SparseOperator(hop.matrix.astype(np.int32), basis, False),
+    ]
+    for op in built:
+        assert op.matrix.dtype == np.float64
+    assert eigendecompose(H).vectors.dtype == np.float64
+
+    theta = rng.uniform(0.0, 2.0 * np.pi, g.n_vertices)
+    W = sp.diags(np.exp(1j * (basis.occupations @ theta)))
+    gauged = (W @ H.matrix @ W.conj().T).tocsr()
+    assume(gauged.data.imag.any())
+    H_gauge = SparseOperator(gauged, basis, True)
+    assert H_gauge.matrix.dtype == np.complex128
+    assert (H_gauge @ hop).matrix.dtype == np.complex128
+    assert eigendecompose(H_gauge).vectors.dtype == np.complex128
 
 
 @settings(deadline=None)
