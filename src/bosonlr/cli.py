@@ -16,6 +16,7 @@ from .config import (
     ALL_ORDER,
     EXPERIMENT_NAMES,
     PRESETS,
+    check_experiments,
     config_for_experiment,
     from_preset,
     parse_config,
@@ -131,6 +132,8 @@ def _resolve_config(args, experiment: str):
         cfg = from_preset(args.preset)
     else:
         cfg = config_for_experiment(experiment)
+    # a subcommand runs its experiment whether or not the config lists it
+    check_experiments(cfg.raw, [experiment])
     return cfg
 
 

@@ -107,6 +107,10 @@ _TYPES = {
 }
 _WANTED = {"number": "a number", "int": "an integer", "bool": "true or false", "str": "a string"}
 
+# the integer fields ``operators.local_observable`` reads, per observable
+# kind; a number_function names one "site" or, in process, several "sites"
+_OBSERVABLE_INTS = {"number_function": ("site",), "indicator": ("site", "level"), "normalized_hop": ("sites",)}
+
 
 def _f(site, fn="inv_one_plus_n"):
     return {"kind": "number_function", "site": site, "fn": fn}
@@ -340,6 +344,61 @@ def _require_types(raw: dict):
                 _require(_is(single, item), where, f"must be {_WANTED[single]}, got {item!r}")
 
 
+def _ints(value, size: int | None = None) -> bool:
+    """True for a nonempty list of integers, of ``size`` of them if given."""
+    n = len(value) if isinstance(value, (list, tuple)) else 0
+    return n > 0 and n == (size or n) and all(_is("int", item) for item in value)
+
+
+def _require_observable(spec, path: str):
+    """Raise ConfigError naming the key path of the first malformed part
+    of an observable spec: its kind and the integer fields of that kind."""
+    _require(isinstance(spec, dict), path, f"must be an observable object, got {spec!r}")
+    kind = spec.get("kind")
+    _require(kind in _OBSERVABLE_INTS, f"{path}.kind", f"must be one of {sorted(_OBSERVABLE_INTS)}, got {kind!r}")
+    for key in ("sites",) if kind == "number_function" and "site" not in spec else _OBSERVABLE_INTS[kind]:
+        value, size = spec.get(key), 2 if kind == "normalized_hop" else None
+        ok = _ints(value, size) if key == "sites" else _is("int", value)
+        wanted = f"list {size or 'one or more'} integers" if key == "sites" else "be an integer"
+        _require(ok, f"{path}.{key}", f"must {wanted}, got {value!r}")
+
+
+def check_experiments(raw: dict, experiments) -> None:
+    """Raise ConfigError unless a resolved config ``raw`` holds what each
+    of ``experiments`` reads.  ``from_dict`` runs this for the listed
+    experiments, the command line for the one a subcommand runs."""
+    sweeps, basis, graph = raw["sweeps"], raw["basis"], raw["graph"]
+    d = len(graph["dims"]) if graph["type"] == "grid" else int(graph.get("dimension", 1))
+    p = float(sweeps["moment_p"])
+    if {"lr", "local-approx"} & set(experiments):
+        _require(
+            p > 2 * d + 2,
+            "sweeps.moment_p",
+            f"must satisfy p > 2d+2 = {2 * d + 2} for light-cone experiments (got {p})",
+        )
+        _require(bool(sweeps["shells"]), "sweeps.shells", "need a shell sweep")
+    if "cutoff" in experiments:
+        _require(p >= 2, "sweeps.moment_p", "cutoff certificate needs p >= 2")
+        _require(bool(sweeps["cutoffs"]), "sweeps.cutoffs", "need a cutoff sweep")
+        cap = basis.get("site_cap")
+        _require(cap is not None, "basis.site_cap", "cutoff experiment needs a capped reference basis")
+        _require(
+            all(int(l) < int(cap) for l in sweeps["cutoffs"]),
+            "sweeps.cutoffs",
+            f"every swept cutoff must sit strictly below the reference cap {cap}",
+        )
+    if {"cutoff", "lr", "local-approx", "kms", "derivative"} & set(experiments):
+        _require(bool(raw["observables"]["pairs"]), "observables.pairs", "need observable pairs")
+    if {"moments", "cutoff", "lr", "local-approx", "kms", "derivative"} & set(experiments):
+        _require(bool(sweeps["times"]), "sweeps.times", "need a time grid")
+    hopping = float(raw["model"]["hopping"])
+    if {"moments", "cutoff", "lr", "local-approx"} & set(experiments) and hopping > 1.0 + 1e-12:
+        raise ConfigError(
+            "model.hopping: analytic certificates are normalized to hopping <= 1 "
+            f"(time in inverse hopping units); got {hopping}"
+        )
+
+
 def from_dict(data: dict) -> ExperimentConfig:
     raw = resolve_dict(data)
     _require_types(raw)
@@ -359,6 +418,8 @@ def from_dict(data: dict) -> ExperimentConfig:
     else:
         _require(int(graph.get("n_vertices", 0)) >= 1, "graph.n_vertices", "must be >= 1")
         _require(isinstance(graph.get("edges"), list), "graph.edges", "need an edge list")
+        for i, edge in enumerate(graph["edges"]):
+            _require(_ints(edge, 2), f"graph.edges[{i}]", f"must be a pair of integers, got {edge!r}")
 
     model_raw = raw["model"]
     model = ModelParams(
@@ -383,43 +444,14 @@ def from_dict(data: dict) -> ExperimentConfig:
     _require(float(thermal["beta"]) > 0, "thermal.beta", "must be positive")
     _require(float(thermal["tail_tol"]) > 0, "thermal.tail_tol", "must be positive")
 
-    sweeps = raw["sweeps"]
-    d = len(graph["dims"]) if graph["type"] == "grid" else int(graph.get("dimension", 1))
-    p = float(sweeps["moment_p"])
-    if {"lr", "local-approx"} & set(experiments):
-        _require(
-            p > 2 * d + 2,
-            "sweeps.moment_p",
-            f"must satisfy p > 2d+2 = {2 * d + 2} for light-cone experiments (got {p})",
-        )
-        _require(bool(sweeps["shells"]), "sweeps.shells", "need a shell sweep")
-    if "cutoff" in experiments:
-        _require(p >= 2, "sweeps.moment_p", "cutoff certificate needs p >= 2")
-        _require(bool(sweeps["cutoffs"]), "sweeps.cutoffs", "need a cutoff sweep")
-        cap = basis.get("site_cap")
-        _require(cap is not None, "basis.site_cap", "cutoff experiment needs a capped reference basis")
-        _require(
-            all(int(l) < int(cap) for l in sweeps["cutoffs"]),
-            "sweeps.cutoffs",
-            f"every swept cutoff must sit strictly below the reference cap {cap}",
-        )
-    needs_pairs = {"cutoff", "lr", "local-approx", "kms", "derivative"} & set(experiments)
-    if needs_pairs:
-        _require(bool(raw["observables"]["pairs"]), "observables.pairs", "need observable pairs")
-    if {"moments", "cutoff", "lr", "local-approx", "kms", "derivative"} & set(experiments):
-        _require(bool(sweeps["times"]), "sweeps.times", "need a time grid")
     _require(
         model.hopping >= 0.0,
         "model.hopping",
         "bound evaluators assume a nonnegative hopping normalization",
     )
-    bound_experiments = {"moments", "cutoff", "lr", "local-approx"} & set(experiments)
-    if bound_experiments and model.hopping > 1.0 + 1e-12:
-        raise ConfigError(
-            "model.hopping: analytic certificates are normalized to hopping <= 1 "
-            f"(time in inverse hopping units); got {model.hopping}"
-        )
+    check_experiments(raw, experiments)
 
+    sweeps = raw["sweeps"]
     for key in ("times", "cutoffs", "shells"):
         vals = sweeps[key]
         _require(list(vals) == sorted(vals), f"sweeps.{key}", "sweep must be ascending")
@@ -431,6 +463,12 @@ def from_dict(data: dict) -> ExperimentConfig:
     if workers is not None:
         _require(int(workers) >= 1, "workers", "must be >= 1")
 
+    _require(isinstance(raw["observables"]["pairs"], list), "observables.pairs", "must be a list of pairs")
+    for i, pair in enumerate(raw["observables"]["pairs"]):
+        ok = isinstance(pair, (list, tuple)) and len(pair) == 2
+        _require(ok, f"observables.pairs[{i}]", f"must be a pair of observables, got {pair!r}")
+        for j, spec in enumerate(pair):
+            _require_observable(spec, f"observables.pairs[{i}][{j}]")
     pairs = tuple((copy.deepcopy(a), copy.deepcopy(b)) for a, b in raw["observables"]["pairs"])
     cutoff_region = raw["cutoff_region"]
     if cutoff_region is not None:

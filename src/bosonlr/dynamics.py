@@ -38,12 +38,6 @@ DENSE_CAP = 4096
 MIRROR_MIN = 64
 # columns per dense propagation block: temporaries stay O(D * chunk)
 PROPAGATE_CHUNK = 64
-# smallest sparse block ``rotate`` takes over the rows it acts on: below it
-# finding those rows costs more than the GEMM it saves.  Measured on a
-# 2-CPU host, one BLAS thread, chain sectors: a two-site hop (half to two
-# thirds of the rows active) took 1.0-1.5x the plain time up to 210 states
-# and 0.6-0.8x from 220 on; a one-site 1/(1+n) crossed over near 165
-ACTIVE_ROWS_MIN = 220
 # smallest real symmetric block ``rotate_lower`` factors for two SYRKs:
 # below it the components, batched eigh and row gathers cost more than
 # the halved GEMM saves.  Measured against ``rotate`` on a 2-CPU host,
@@ -134,31 +128,10 @@ class SpectralDecomposition:
     def rotate(self, matrix, rows: slice = slice(None), cols: slice | None = None) -> np.ndarray:
         """V^* M V: the operator in the eigenbasis (dense), or, for sector
         slices ``rows`` and ``cols`` (default: the same as ``rows``), the
-        block V_m^* M_mn V_n.
-
-        A sparse block of at least ``ACTIVE_ROWS_MIN`` rows and columns is
-        rotated over the rows it acts on: with c its most frequent diagonal
-        value (0 off the diagonal sector pairs), V_m^* M V_n is
-        V_m[R]^* (M - cI)[R] V_n + cI, where R are the rows at which
-        M - cI stores an entry.  A local observable leaves most rows alone
-        (1/(1+n_x) is 1 wherever site x is empty), so the GEMM shrinks by
-        the share of rows it touches.  A block that acts on every row keeps
-        the plain formula, bit for bit.
-        """
+        block V_m^* M_mn V_n."""
         cols = rows if cols is None else cols
         Vm, Vn = self.vectors[rows, rows], self.vectors[cols, cols]
-        block = matrix[rows, cols]
-        if sparse.issparse(block) and min(block.shape) >= ACTIVE_ROWS_MIN:
-            block = block.tocsr()
-            active, c = _active_rows(block, square=rows == cols)
-            if active.size < block.shape[0]:
-                if c:  # only on a square block
-                    block = block - c * sparse.identity(block.shape[0], format="csr")
-                out = _real_matmul(Vm[active].conj().T, _real_matmul(block[active], Vn))
-                if c:
-                    out[np.diag_indices(len(out))] += c
-                return out
-        return _real_matmul(Vm.conj().T, _real_matmul(block, Vn))
+        return _real_matmul(Vm.conj().T, _real_matmul(matrix[rows, cols], Vn))
 
     def rotate_lower(self, matrix, rows: slice) -> np.ndarray:
         """The lower triangle of V_n^* M V_n for the sector slice ``rows``;
@@ -166,8 +139,8 @@ class SpectralDecomposition:
 
         A real, exactly symmetric sparse block of at least
         ``SYRK_ROWS_MIN`` rows under real eigenvectors is factored
-        instead of multiplied.  With c and R as in ``rotate``, M - cI is
-        block-diagonal over the connected components of its pattern on R;
+        instead of multiplied.  With c and R from ``_active_rows``, M - cI
+        is block-diagonal over the connected components of its pattern on R;
         one batched ``eigh`` per component size gives
         (M - cI)[r, r] = U diag(lam) U^T on each component's rows r, so with
         X+- = sqrt|lam+-| U+-^T V[r] over the positive and the other
@@ -183,7 +156,7 @@ class SpectralDecomposition:
         block = matrix[rows, rows].tocsr()
         if (block != block.T).nnz:
             return self.rotate(matrix, rows)
-        active, c = _active_rows(block, square=True)
+        active, c = _active_rows(block)
         shifted = block[active][:, active] - c * sparse.identity(active.size, format="csr")
         coo = shifted.tocoo()
         coo.sum_duplicates()
@@ -244,21 +217,17 @@ def _real_matmul(a, b) -> np.ndarray:
     return (a @ parts).view(np.complex128)
 
 
-def _active_rows(block, square: bool):
-    """(R, c) for a CSR block: c is the most frequent value on the
-    diagonal of a square block (the smallest of equally frequent ones; 0.0
-    when it is not real, or off the diagonal sector pairs), and R the rows
-    where M - cI has a nonzero entry."""
+def _active_rows(block):
+    """(R, c) for a square CSR block: c is the most frequent value on its
+    diagonal (the smallest of equally frequent ones; 0.0 when it is not
+    real), and R the rows where M - cI has a nonzero entry."""
     row_of = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
-    stored = block.data != 0
-    if not square:
-        return np.unique(row_of[stored]), 0.0
     diagonal = block.diagonal()
     values, counts = np.unique(diagonal, return_counts=True)
     c = values[np.argmax(counts)]
     c = float(c.real) if c.imag == 0 else 0.0
     active = diagonal != c
-    active[row_of[stored & (block.indices != row_of)]] = True
+    active[row_of[(block.data != 0) & (block.indices != row_of)]] = True
     return np.flatnonzero(active), c
 
 
@@ -717,26 +686,13 @@ def free_particle_amplitude(x: int, t: float) -> complex:
     """Amplitude at displacement x after free evolution from a point source.
 
     For the nearest-neighbor kinetic term at unit hopping the exact answer
-    is i^{|x|} J_{|x|}(2t); the Bessel value is summed from its absolutely
-    convergent power series with term-ratio termination at 1e-16, which is
-    stable at all desk-scale arguments (upward recurrences are not).
+    is i^{|x|} J_{|x|}(2t), with the Bessel value from scipy's ``jv``.
     """
+    # imported here: ``import bosonlr`` stays clear of scipy.special
+    from scipy.special import jv
+
     n = abs(int(x))
-    t = float(t)
-    if t == 0.0:
-        return complex(1.0 if n == 0 else 0.0)
-    # leading term t^n / n!, through logs to dodge factorial overflow
-    mag = math.exp(n * math.log(abs(t)) - math.lgamma(n + 1)) if n else 1.0
-    term = mag if (t > 0 or n % 2 == 0) else -mag
-    total = term
-    k = 0
-    while True:
-        term *= -(t * t) / ((k + 1) * (k + n + 1))
-        total += term
-        k += 1
-        if abs(term) <= 1e-16 * (abs(total) + 1e-300) or k > 1000:
-            break
-    return (1j**n) * total
+    return complex((1j**n) * jv(n, 2.0 * float(t)))
 
 
 def binomial_inverse_moment(m: int, p: float) -> float:
@@ -747,7 +703,10 @@ def binomial_inverse_moment(m: int, p: float) -> float:
         raise InvalidArgumentError(f"probability {p} outside [0, 1]")
     if p == 0.0:
         return 1.0
-    return float((1.0 - (1.0 - p) ** (m + 1)) / ((m + 1) * p))
+    if p == 1.0:
+        return 1.0 / (m + 1)
+    # 1 - (1 - p)^(m + 1) without cancellation at small p
+    return -math.expm1((m + 1) * math.log1p(-p)) / ((m + 1) * p)
 
 
 def inverse_moment_upper_bound(m: int, p: float) -> float:

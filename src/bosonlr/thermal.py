@@ -212,12 +212,6 @@ def _exactly_hermitian(matrix) -> bool:
     return (matrix != matrix.conj().T).nnz == 0
 
 
-def _hermitian_matvec(C: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """C @ ket for a complex hermitian Fortran-ordered C, reading only its
-    lower triangle: one ``zhemv``."""
-    return blas.zhemv(1.0, C, ket, lower=1)
-
-
 def _kept(cache: dict, key, make):
     """make(key), kept in ``cache`` for the last FACTOR_CACHE_MAX keys."""
     value = cache.get(key)
@@ -240,17 +234,15 @@ class GreenFunction:
     ``MERGE_ROWS_MAX`` rows, so a point makes its BLAS calls per block, not
     per sector.
 
-    For a hermitian pair C is hermitian, and one point reads the lower
-    triangle of C alone.  A real hermitian pair (``_real``) builds only
-    that triangle: A~ and B~ are symmetric, so C_jk = A~_jk B~_jk there,
+    A real hermitian pair (``_real``) builds and reads only the lower
+    triangle of C: A~ and B~ are symmetric, so C_jk = A~_jk B~_jk there,
     from ``SpectralDecomposition.rotate_lower`` (two ``dsyrk`` calls for
     a local observable on a sector of at least ``SYRK_ROWS_MIN`` states).
     Its point takes two ``dsymv`` calls summed in real arithmetic
     (``_real_point``), with cos and sin of E t kept per t and both decay
     factors per depth s for the last ``FACTOR_CACHE_MAX`` of each;
-    ``values`` reads the same triangle with ``dsymm``.  Under a complex
-    generator a hermitian point takes one complex hermitian mat-vec.
-    Evaluations are cached per point.
+    ``values`` reads the same triangle with ``dsymm``.  Any other pair
+    reads the whole of C (``_sum``).  Evaluations are cached per point.
 
     A real pair under a real generator is time-reversal symmetric:
     F(-t - i s) = conj F(t - i s) (Bratteli & Robinson, vol. 2, 5.3).
@@ -339,19 +331,17 @@ class GreenFunction:
         bra and ket are vectors or (D_n, points) blocks.  The exponentials
         are taken once over all included rows, sharing the phase
         e^{-iEt}: bra = e^{-(beta - s) g} conj(phase), ket = e^{-s g} phase,
-        both real factors at most 1.  One point of a hermitian pair (here
-        with a complex C) reads C by ``_hermitian_matvec``; otherwise
-        ``_real_matmul`` reads it as two real GEMVs for one point or one
-        GEMM for many."""
+        both real factors at most 1.  ``_real_matmul`` reads the whole of
+        C: two real GEMVs for one point of a real C, otherwise one GEMV or
+        GEMM."""
         outer = np.multiply.outer
         shifted = self.state.shifted[: self._stop]
         phase = np.exp(-1j * outer(self.state.decomp.energies[: self._stop], t))
         bra = np.exp(-outer(shifted, self.beta - s)) * phase.conj()
         ket = np.exp(-outer(shifted, s)) * phase
-        matvec = _hermitian_matvec if self._hermitian and np.ndim(t) == 0 else _real_matmul
         total = 0.0
         for rows, C in self._blocks:
-            total += np.einsum("i...,i...->...", bra[rows], matvec(C, ket[rows]))
+            total += np.einsum("i...,i...->...", bra[rows], _real_matmul(C, ket[rows]))
         return total / self.state.z_scaled
 
     def _real_point(self, t: float, s: float) -> complex:

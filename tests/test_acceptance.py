@@ -50,7 +50,7 @@ def test_criterion_1_free_propagator_oracle():
             occ = [0] * 81
             occ[center + x] = 1
             worst = max(worst, abs(amps[basis.index_of(occ)] - free_particle_amplitude(x, t)))
-    verdict(1, f"propagator vs series oracle, max err {worst:.2e}", worst < 1e-8)
+    verdict(1, f"propagator vs Bessel oracle, max err {worst:.2e}", worst < 1e-8)
 
 
 def test_criterion_2_exact_algebra_invariants():

@@ -216,3 +216,70 @@ def test_module_entry_point_exits_config_as_a_process(tmp_path):
     )
     assert proc.returncode == EXIT_CONFIG
     assert "unknown keys ['seed']" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "sweeps",
+    [{"times": [2.0, 12.0]}, {"condensate_site": 8, "condensate_m": [1, 10, 100]}],
+)
+def test_free_evolution_passes_at_long_times_and_far_sites(tmp_path, sweeps):
+    # the Bessel oracle keeps its digits at t = 12, and E[1/(1+X)] at
+    # p = 8.9e-15 (site 8 at t = 0.5) matches its direct sum
+    cfg = write_cfg(tmp_path, {"preset": "chain-81", "sweeps": sweeps})
+    assert main(["free-evolution", "--config", cfg, "--out", str(tmp_path)]) == EXIT_PASS
+
+
+_F2 = {"kind": "number_function", "site": 2, "fn": "inv_one_plus_n"}
+
+
+def _with_pairs(pairs):
+    return {"preset": "chain-4", "observables": {"pairs": pairs}}
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        (_with_pairs([5]), "observables.pairs[0]: must be a pair of observables, got 5"),
+        (_with_pairs([[_F2]]), "observables.pairs[0]: must be a pair"),
+        (_with_pairs({"a": 1}), "observables.pairs: must be a list of pairs"),
+        (
+            {"preset": "chain-6", "graph": {"type": "edges", "n_vertices": 3, "edges": [[0]]}},
+            "graph.edges[0]: must be a pair of integers, got [0]",
+        ),
+        (_with_pairs([[dict(_F2, site="a"), _F2]]), "observables.pairs[0][0].site: must be an integer, got 'a'"),
+        (
+            _with_pairs([[_F2, {"kind": "normalized_hop", "sites": [0, 1, 2]}]]),
+            "observables.pairs[0][1].sites: must list 2 integers, got [0, 1, 2]",
+        ),
+        (
+            _with_pairs([[{"kind": "indicator", "site": 1}, _F2]]),
+            "observables.pairs[0][0].level: must be an integer, got None",
+        ),
+        (_with_pairs([[{"kind": "parity", "site": 1}, _F2]]), "observables.pairs[0][0].kind: must be one of"),
+    ],
+)
+def test_malformed_pair_or_edge_exits_config(tmp_path, capsys, data, match):
+    # a malformed pair, edge or observable field is a config error naming
+    # its key path, in validate-config and before a run
+    cfg = write_cfg(tmp_path, data)
+    assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+    assert main(["cutoff", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count(f"config error: {match}") == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        ({"preset": "chain-6"}, "sweeps.cutoffs: need a cutoff sweep"),
+        ({"preset": "chain-6", "sweeps": {"cutoffs": [1]}}, "basis.site_cap: cutoff experiment needs a capped"),
+    ],
+)
+def test_subcommand_checks_the_experiment_it_runs(tmp_path, capsys, data, match):
+    # chain-6 lists only moments, so validate-config accepts it; the
+    # cutoff subcommand runs cutoff on it and checks what cutoff reads
+    cfg = write_cfg(tmp_path, data)
+    assert main(["validate-config", "--config", cfg]) == EXIT_PASS
+    assert main(["cutoff", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert f"config error: {match}" in capsys.readouterr().err

@@ -174,17 +174,22 @@ def test_region_validation():
 
 
 def test_import_leaves_csgraph_unloaded():
-    """``import bosonlr`` loads none of scipy's csgraph modules, whose
-    resident memory a run that never builds a graph or splits an operator
-    into components would carry; those functions import them on first
-    call."""
+    """``import bosonlr`` loads none of scipy's csgraph or special
+    modules, whose resident memory a run that never builds a graph, splits
+    an operator into components or evaluates the free propagator would
+    carry; those functions import them on first call."""
     import bosonlr
 
     src = os.path.dirname(os.path.dirname(bosonlr.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, bosonlr; print(sorted(m for m in sys.modules if 'csgraph' in m))"
+    code = (
+        "import sys, bosonlr; "
+        "print(sorted(m for m in sys.modules if 'csgraph' in m or m.startswith('scipy.special')))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     build_chain(3)
     assert "scipy.sparse.csgraph" in sys.modules
+    bosonlr.free_particle_amplitude(1, 0.5)
+    assert "scipy.special" in sys.modules

@@ -19,6 +19,7 @@ from bosonlr import (
     StateVector,
     assemble_hamiltonian,
     assemble_hopping,
+    binomial_inverse_moment,
     build_chain,
     build_from_edges,
     build_grid,
@@ -48,6 +49,7 @@ from bosonlr import (
 )
 from bosonlr import dynamics, thermal
 from bosonlr.dynamics import _krylov_evolve, _real_matmul, _sector_pairs
+from bosonlr.experiments import _binomial_direct
 from bosonlr.lattice import Region
 from bosonlr.operators import same_matrix, zero_operator
 
@@ -554,6 +556,19 @@ def test_kms_boundary_residuals_on_random_thermal_states(g, n, J, U, beta, hermi
         assert abs(gf(complex(t, -(beta - s))) - np.conj(gf(complex(t, -s)))) <= 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 100),
+    p=st.one_of(st.floats(1e-15, 1.0), st.floats(-15.0, 0.0).map(lambda e: 10.0**e)),
+)
+def test_binomial_inverse_moment_matches_the_direct_sum(m, p):
+    """E[1/(1+X)] for X ~ Binomial(m, p) against the term-by-term sum
+    within a relative 1e-12, down to p = 1e-15, where 1 - (1 - p)^(m+1)
+    in floating point keeps almost no correct digit."""
+    want = _binomial_direct(m, p)
+    assert abs(binomial_inverse_moment(m, p) - want) <= 1e-12 * want
+
+
 def full_pattern_operator(basis, rng):
     """A hermitian operator with every entry of every sector block stored
     and a random diagonal: every row is active whatever the shift."""
@@ -568,19 +583,16 @@ def full_pattern_operator(basis, rng):
     J=st.floats(0.1, 1.0),
     U=st.floats(0.0, 2.0),
     gauge=st.booleans(),
-    cut=st.integers(1, 40),
     data=st.data(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_active_row_rotation_matches_dense_rotation(gb, J, U, gauge, cut, data, seed):
+def test_active_row_rotation_matches_dense_rotation(gb, J, U, gauge, data, seed):
     """``rotate`` against the dense V_m^* M V_n within 1e-13 ||M|| for a
-    diagonal A (mostly 1), a normalized hop, a sector-mixing A and a
-    full-pattern A, on every sector pair where A has entries and on the
-    whole matrix, under a real and a gauge-complex generator, with
-    ``ACTIVE_ROWS_MIN`` drawn so that blocks fall on both sides of it.
-    The rows R and the shift c are found here from the dense block.  A
-    block below the cut, or with every row active, has the bits of the
-    plain formula; any other has the bits of V_m[R]^* ((M - cI)[R] V_n) + cI."""
+    diagonal A (mostly 1, so few rows active), a normalized hop, a
+    sector-mixing A and a full-pattern A (every row active), on every
+    sector pair where A has entries and on the whole matrix, under a real
+    and a gauge-complex generator; every block has the bits of the plain
+    formula V_m^* (M V_n)."""
     g, basis = gb
     assume(basis.dimension > 0)
     rng = np.random.default_rng(seed)
@@ -598,31 +610,16 @@ def test_active_row_rotation_matches_dense_rotation(gb, J, U, gauge, cut, data, 
         full_pattern_operator(basis, rng),
     ]
     slices = dict(d.sector_slices())
-    with mock.patch.object(dynamics, "ACTIVE_ROWS_MIN", cut):
-        for A in observables:
-            dense = A.matrix.toarray()
-            norm = float(np.linalg.norm(dense, 2))
-            blocks = [(slices[m], slices[n]) for m, n in _sector_pairs(A.matrix, basis)]
-            for rows, cols in blocks + [(slice(None), slice(None))]:
-                got = d.rotate(A.matrix, rows, cols)
-                Vm, Vn = d.vectors[rows, rows], d.vectors[cols, cols]
-                assert np.abs(got - Vm.conj().T @ dense[rows, cols] @ Vn).max() <= 1e-13 * norm
-                block = dense[rows, cols]
-                c = 0.0
-                if rows == cols:
-                    values, counts = np.unique(np.diag(block), return_counts=True)
-                    mode = values[np.argmax(counts)]
-                    c = float(mode.real) if mode.imag == 0 else 0.0
-                R = np.flatnonzero((block - c * np.eye(*block.shape)).any(axis=1))
-                sparse_block = A.matrix[rows, cols]
-                if min(block.shape) < cut or R.size == block.shape[0]:
-                    want = _real_matmul(Vm.conj().T, _real_matmul(sparse_block, Vn))
-                else:
-                    shifted = sparse_block - c * sp.identity(block.shape[0], format="csr") if c else sparse_block
-                    want = _real_matmul(Vm[R].conj().T, _real_matmul(shifted.tocsr()[R], Vn))
-                    if c:
-                        want[np.diag_indices(block.shape[0])] += c
-                assert np.array_equal(got, want)
+    for A in observables:
+        dense = A.matrix.toarray()
+        norm = float(np.linalg.norm(dense, 2))
+        blocks = [(slices[m], slices[n]) for m, n in _sector_pairs(A.matrix, basis)]
+        for rows, cols in blocks + [(slice(None), slice(None))]:
+            got = d.rotate(A.matrix, rows, cols)
+            Vm, Vn = d.vectors[rows, rows], d.vectors[cols, cols]
+            assert np.abs(got - Vm.conj().T @ dense[rows, cols] @ Vn).max() <= 1e-13 * norm
+            want = _real_matmul(Vm.conj().T, _real_matmul(A.matrix[rows, cols], Vn))
+            assert np.array_equal(got, want)
 
 
 @settings(max_examples=40, deadline=None)
