@@ -115,7 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to a JSON config file")
     common.add_argument("--preset", choices=sorted(PRESETS), help="named preset to run")
     common.add_argument("--out", help="output directory (overrides BOSONLR_OUT)")
-    common.add_argument("--workers", type=int, help="sweep worker count")
     for name in EXPERIMENT_NAMES:
         sub.add_parser(name, parents=[common], help=f"run the {name} experiment")
     p_all = sub.add_parser("all", parents=[common], help="run every preset, cheap first")
@@ -172,8 +171,6 @@ def main(argv=None) -> int:
             worst = EXIT_PASS
             for preset in ALL_ORDER:
                 cfg = parse_config(args.config) if args.config else from_preset(preset)
-                if args.workers:
-                    cfg = _with_workers(cfg, args.workers)
                 out_dir = _output_dir(args, cfg)
                 for experiment in cfg.experiments:
                     code = _run_one(experiment, cfg, out_dir)
@@ -185,8 +182,6 @@ def main(argv=None) -> int:
             return worst
         experiment = args.command
         cfg = _resolve_config(args, experiment)
-        if args.workers:
-            cfg = _with_workers(cfg, args.workers)
         return _run_one(experiment, cfg, _output_dir(args, cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -200,14 +195,6 @@ def main(argv=None) -> int:
     except InvalidArgumentError as exc:
         print(f"invalid argument: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-
-def _with_workers(cfg, workers: int):
-    data = cfg.to_dict()
-    data["workers"] = workers
-    from .config import from_dict
-
-    return from_dict(data)
 
 
 def entry():

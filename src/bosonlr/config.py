@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .operators import ModelParams
+from .operators import _NAMED_FUNCTIONS, ModelParams
 
 SCHEMA_VERSION = 1
 
@@ -74,7 +74,6 @@ _DEFAULTS = {
     "cutoff_region": None,
     "tolerances": DEFAULT_TOLERANCES,
     "output_dir": None,
-    "workers": None,
     "debug": {"dump_operators": False},
 }
 
@@ -97,7 +96,7 @@ _TYPES = {
     "[number]": "model.offsite sweeps.times sweeps.sup_times sweeps.epsilons",
     "int": "graph.length graph.n_vertices graph.dimension sweeps.displacement_max sweeps.condensate_site "
     "sweeps.strip_points deriv.range_R",
-    "int?": "basis.site_cap basis.n_max basis.sector sweeps.lr_lambda workers",
+    "int?": "basis.site_cap basis.n_max basis.sector sweeps.lr_lambda",
     "[int]": "graph.dims initial_state.occupation sweeps.cutoffs sweeps.shells sweeps.condensate_m "
     "sweeps.commutator_sites volumes deriv.trend_n_max",
     "[int]?": "cutoff_region",
@@ -240,7 +239,6 @@ class ExperimentConfig:
     cutoff_region: tuple[int, ...] | None
     tolerances: dict
     output_dir: str | None
-    workers: int | None
     debug: dict
     raw: dict
 
@@ -352,7 +350,8 @@ def _ints(value, size: int | None = None) -> bool:
 
 def _require_observable(spec, path: str):
     """Raise ConfigError naming the key path of the first malformed part
-    of an observable spec: its kind and the integer fields of that kind."""
+    of an observable spec: its kind, the integer fields of that kind and a
+    number_function's ``fn``."""
     _require(isinstance(spec, dict), path, f"must be an observable object, got {spec!r}")
     kind = spec.get("kind")
     _require(kind in _OBSERVABLE_INTS, f"{path}.kind", f"must be one of {sorted(_OBSERVABLE_INTS)}, got {kind!r}")
@@ -361,6 +360,17 @@ def _require_observable(spec, path: str):
         ok = _ints(value, size) if key == "sites" else _is("int", value)
         wanted = f"list {size or 'one or more'} integers" if key == "sites" else "be an integer"
         _require(ok, f"{path}.{key}", f"must {wanted}, got {value!r}")
+    fn, where = spec.get("fn"), f"{path}.fn"
+    if kind != "number_function" or callable(fn):
+        return  # a callable is set in process and takes one occupation per site
+    _require("fn" in spec, where, "required: a function name or a table of numbers")
+    if "site" not in spec:
+        _require(len(spec["sites"]) == 1, where, f"a name or a table takes one site, got sites {spec['sites']!r}")
+    if isinstance(fn, str):
+        _require(fn in _NAMED_FUNCTIONS, where, f"unknown function {fn!r}; have {sorted(_NAMED_FUNCTIONS)}")
+    else:
+        ok = isinstance(fn, (list, tuple)) and len(fn) > 0 and all(_is("number", v) for v in fn)
+        _require(ok, where, f"must be a function name or a nonempty list of numbers, got {fn!r}")
 
 
 def check_experiments(raw: dict, experiments) -> None:
@@ -389,7 +399,12 @@ def check_experiments(raw: dict, experiments) -> None:
         )
     if {"cutoff", "lr", "local-approx", "kms", "derivative"} & set(experiments):
         _require(bool(raw["observables"]["pairs"]), "observables.pairs", "need observable pairs")
-    if {"moments", "cutoff", "lr", "local-approx", "kms", "derivative"} & set(experiments):
+    if "free-evolution" in experiments:
+        _require(graph["type"] == "chain", "graph.type", "free-evolution runs on a chain")
+        _require(basis.get("sector") == 1, "basis.sector", "free-evolution needs the one-particle sector")
+        L, xmax = int(graph["length"]), int(sweeps["displacement_max"])
+        _require(0 <= L // 2 - xmax and L // 2 + xmax < L, "sweeps.displacement_max", "window exceeds the chain")
+    if {"free-evolution", "moments", "cutoff", "lr", "local-approx", "kms", "derivative"} & set(experiments):
         _require(bool(sweeps["times"]), "sweeps.times", "need a time grid")
     hopping = float(raw["model"]["hopping"])
     if {"moments", "cutoff", "lr", "local-approx"} & set(experiments) and hopping > 1.0 + 1e-12:
@@ -459,10 +474,6 @@ def from_dict(data: dict) -> ExperimentConfig:
     # a negative window leaves free-evolution with no propagator rows to check
     _require(int(sweeps["displacement_max"]) >= 0, "sweeps.displacement_max", "must be >= 0")
 
-    workers = raw["workers"]
-    if workers is not None:
-        _require(int(workers) >= 1, "workers", "must be >= 1")
-
     _require(isinstance(raw["observables"]["pairs"], list), "observables.pairs", "must be a list of pairs")
     for i, pair in enumerate(raw["observables"]["pairs"]):
         ok = isinstance(pair, (list, tuple)) and len(pair) == 2
@@ -489,7 +500,6 @@ def from_dict(data: dict) -> ExperimentConfig:
         cutoff_region=cutoff_region,
         tolerances=raw["tolerances"],
         output_dir=raw["output_dir"],
-        workers=None if workers is None else int(workers),
         debug=copy.deepcopy(raw["debug"]),
         raw=raw,
     )

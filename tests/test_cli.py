@@ -149,11 +149,16 @@ def test_occupation_outside_the_basis_exits_config(tmp_path, capsys, occupation)
         ({"preset": "chain-6", "seed": 1}, "unknown keys ['seed']"),
         ({"preset": "two-site", "sweeps": {"strip_points": 0}}, "sweeps.strip_points: must be >= 1"),
         ({"preset": "chain-81", "sweeps": {"displacement_max": -1}}, "sweeps.displacement_max: must be >= 0"),
+        ({"preset": "chain-6", "experiments": ["free-evolution"]}, "basis.sector: free-evolution needs the one"),
+        ({"preset": "chain-81", "sweeps": {"times": []}}, "sweeps.times: need a time grid"),
+        ({"preset": "chain-81", "graph": {"type": "chain", "length": 20}}, "sweeps.displacement_max: window exceeds"),
+        ({"preset": "chain-81", "graph": {"type": "grid", "dims": [9, 9]}}, "graph.type: free-evolution runs on a"),
     ],
 )
 def test_rejected_config_exits_before_the_run(tmp_path, capsys, data, match):
     # no strip grid (a crash) and no propagator rows (a vacuous PASS) are
-    # config errors, as is the seed key that nothing reads
+    # config errors, as is the seed key that nothing reads; so is a config
+    # free-evolution cannot run, in validate-config as well
     cfg = write_cfg(tmp_path, data)
     assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
     assert main(["all", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -167,7 +172,7 @@ def test_rejected_config_exits_before_the_run(tmp_path, capsys, data, match):
         ({"thermal": {"beta": None}}, "thermal.beta: must be a number, got None"),
         ({"thermal": {"beta": True}}, "thermal.beta: must be a number, got True"),
         ({"model": {"hopping": "x"}}, "model.hopping: must be a number"),
-        ({"workers": "x"}, "workers: must be an integer"),
+        ({"workers": 2}, "config: unknown keys ['workers']"),
         ({"volumes": [2, "x"]}, "volumes[1]: must be an integer"),
         ({"graph": {"type": "chain", "length": [3]}}, "graph.length: must be an integer, got [3]"),
         ({"graph": {"type": "chain", "length": 6.5}}, "graph.length: must be an integer, got 6.5"),
@@ -256,6 +261,23 @@ def _with_pairs(pairs):
             "observables.pairs[0][0].level: must be an integer, got None",
         ),
         (_with_pairs([[{"kind": "parity", "site": 1}, _F2]]), "observables.pairs[0][0].kind: must be one of"),
+        (_with_pairs([[{"kind": "number_function", "site": 1}, _F2]]), "observables.pairs[0][0].fn: required"),
+        (_with_pairs([[dict(_F2, fn="nope"), _F2]]), "observables.pairs[0][0].fn: unknown function 'nope'"),
+        (
+            _with_pairs([[{"kind": "number_function", "sites": [1, 2], "fn": "inv_one_plus_n"}, _F2]]),
+            "observables.pairs[0][0].fn: a name or a table takes one site, got sites [1, 2]",
+        ),
+        (
+            _with_pairs([[{"kind": "number_function", "sites": [1, 2], "fn": [1.0, 0.5]}, _F2]]),
+            "observables.pairs[0][0].fn: a name or a table takes one site",
+        ),
+        (
+            _with_pairs([[dict(_F2, fn=[1.0, "x"]), _F2]]),
+            "observables.pairs[0][0].fn: must be a function name or a nonempty list of numbers, got [1.0, 'x']",
+        ),
+        (_with_pairs([[dict(_F2, fn=[]), _F2]]), "observables.pairs[0][0].fn: must be a function name or a nonempty"),
+        (_with_pairs([[dict(_F2, fn=[True]), _F2]]), "observables.pairs[0][0].fn: must be a function name or a"),
+        (_with_pairs([[dict(_F2, fn=2), _F2]]), "observables.pairs[0][0].fn: must be a function name or a"),
     ],
 )
 def test_malformed_pair_or_edge_exits_config(tmp_path, capsys, data, match):
@@ -283,3 +305,14 @@ def test_subcommand_checks_the_experiment_it_runs(tmp_path, capsys, data, match)
     assert main(["validate-config", "--config", cfg]) == EXIT_PASS
     assert main(["cutoff", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert f"config error: {match}" in capsys.readouterr().err
+
+
+def test_workers_is_neither_a_config_key_nor_an_option(tmp_path, capsys):
+    # every sweep runs on the calling thread, so nothing reads a worker count
+    cfg = write_cfg(tmp_path, {"preset": "chain-4", "workers": 2})
+    assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+    assert main(["cutoff", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("config error: config: unknown keys ['workers']") == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["cutoff", "--workers", "2"])
+    assert exc.value.code == EXIT_CONFIG

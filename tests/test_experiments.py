@@ -1,5 +1,6 @@
 import csv
 import json
+import threading
 
 import pytest
 
@@ -263,14 +264,13 @@ def test_write_report_bad_path():
 def test_exact_zero_at_cap_and_on_covering_shells():
     # both sides of these rows go through the same decomposition, so they
     # must agree bit for bit, not merely to rounding
-    cfg = small("chain-4", basis={"site_cap": 4, "n_max": 8}, sweeps={"cutoffs": [2]}, workers=2)
+    cfg = small("chain-4", basis={"site_cap": 4, "n_max": 8}, sweeps={"cutoffs": [2]})
     at_cap = [r for r in run_cutoff_scaling(cfg).records if r["at_cap"]]
     assert at_cap and all(r["measured"] == 0.0 for r in at_cap)
     cfg = small(
         "chain-10",
         graph={"type": "chain", "length": 8},
         sweeps={"times": [0.25], "shells": [2, 3], "sup_times": [0.1, 0.25, 0.4]},
-        workers=2,
     )
     rows = RUNNERS["local-approx"](cfg).records
     assert [r["covering"] for r in rows] == [False, True]
@@ -364,7 +364,7 @@ def test_lr_sweep_below_the_cap_matches_the_per_time_loop(sweep_rotations, scene
     under the scene's H.  Each row still equals the per-time loop bit for
     bit at both times, the covering shell reads exactly 0.0, and each
     (decomposition, sector pair) is rotated once."""
-    cfg = small("chain-10", sweeps={"lr_lambda": 1, "times": [0.25, 0.5]}, workers=1)
+    cfg = small("chain-10", sweeps={"lr_lambda": 1, "times": [0.25, 0.5]})
     rows = [r for r in RUNNERS["lr"](cfg).records if r["check"] == "shells"]
     (scene,) = scenes
     assert sweep_rotations and not any(d is scene.decomp for d, _, _ in sweep_rotations)
@@ -383,7 +383,7 @@ def test_lr_sweep_rotates_each_observable_once_per_generator(sweep_rotations):
     every full generator: four generators (the scene's H and three inner
     shells) times four sectors make 16 rotations, where one dense operator
     per shell, side and time made 64."""
-    cfg = small("chain-10", workers=1)
+    cfg = small("chain-10")
     assert RUNNERS["lr"](cfg).passed
     keys = [(id(d), m, n) for d, m, n in sweep_rotations]
     assert len(keys) == len(set(keys)) == 16
@@ -454,3 +454,31 @@ def test_derivative_never_decomposes_the_scene_hamiltonian(monkeypatch, scenes):
     (scene,) = scenes
     assert decomposed and not any(H is scene.H for H in decomposed)
     assert "decomp" not in vars(scene)
+
+
+_SHELLS = {
+    "graph": {"type": "chain", "length": 8},
+    "sweeps": {"times": [0.25], "shells": [1, 2], "commutator_sites": [4, 5], "sup_times": [0.1, 0.25]},
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, preset, overrides",
+    [
+        ("cutoff", "chain-4", {"basis": {"site_cap": 4, "n_max": 8}, "sweeps": {"cutoffs": [1, 2]}}),
+        ("lr", "chain-10", _SHELLS),
+        ("local-approx", "chain-10", _SHELLS),
+        (
+            "kms",
+            "two-site",
+            {"basis": {"n_max": 4}, "thermal": {"tail_tol": 1e-5}, "sweeps": {"strip_points": 3}, "volumes": [2]},
+        ),
+    ],
+)
+def test_sweeps_start_no_thread(monkeypatch, experiment, preset, overrides):
+    # every sweep point runs on the calling thread
+    def refuse(self):
+        raise AssertionError(f"{experiment} started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert RUNNERS[experiment](small(preset, **overrides)).passed
