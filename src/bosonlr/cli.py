@@ -132,7 +132,7 @@ def _resolve_config(args, experiment: str):
     else:
         cfg = config_for_experiment(experiment)
     # a subcommand runs its experiment whether or not the config lists it
-    check_experiments(cfg.raw, [experiment])
+    check_experiments(cfg, [experiment])
     return cfg
 
 

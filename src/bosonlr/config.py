@@ -35,7 +35,6 @@ DEFAULT_TOLERANCES = {
     "strip_slack": 1e-9,
     "unitarity": 1e-10,
     "bound_slack": 1e-12,
-    "local_approx_epsilon": 1e-3,
     "monotone_slack": 0.1,
     "deriv_step": 1e-4,
     "richardson": 1e-5,
@@ -50,7 +49,7 @@ _DEFAULTS = {
     "name": "custom",
     "experiments": [],
     "graph": {"type": "chain", "length": 2},
-    "model": {"hopping": 1.0, "onsite": 0.0, "offsite": [], "ordered_hopping": False},
+    "model": {"hopping": 1.0, "onsite": 0.0, "offsite": []},
     "basis": {"site_cap": None, "n_max": None, "sector": None},
     "thermal": {"beta": 1.0, "mu": -1.0, "tail_tol": 1e-10},
     "observables": {"pairs": []},
@@ -67,7 +66,7 @@ _DEFAULTS = {
         "commutator_sites": [],
         "sup_times": [],
         "strip_points": 11,
-        "epsilons": [],
+        "epsilons": [1e-3],
     },
     "volumes": [],
     "deriv": {"range_R": 2, "trend_n_max": []},
@@ -89,18 +88,21 @@ _TYPED_KEYS = {
 
 # the JSON type of every value from_dict and the runners read, by key path:
 # "[kind]" is a list of them, and a trailing "?" also allows null.  An int
-# is a number with an integral value; a boolean is never a number
+# is a number with an integral value; a boolean is never a number.  This is
+# the one place a value's type is decided: from_dict reads an int as a
+# Python int (3.0 too) and a number as a finite float
 _TYPES = {
     "number": "model.hopping model.onsite thermal.beta thermal.mu thermal.tail_tol sweeps.moment_p "
     "sweeps.condensate_time " + " ".join(f"tolerances.{key}" for key in DEFAULT_TOLERANCES),
     "[number]": "model.offsite sweeps.times sweeps.sup_times sweeps.epsilons",
-    "int": "graph.length graph.n_vertices graph.dimension sweeps.displacement_max sweeps.condensate_site "
-    "sweeps.strip_points deriv.range_R",
+    "int": "schema_version graph.length graph.n_vertices graph.dimension sweeps.displacement_max "
+    "sweeps.condensate_site sweeps.strip_points deriv.range_R",
     "int?": "basis.site_cap basis.n_max basis.sector sweeps.lr_lambda",
     "[int]": "graph.dims initial_state.occupation sweeps.cutoffs sweeps.shells sweeps.condensate_m "
     "sweeps.commutator_sites volumes deriv.trend_n_max",
     "[int]?": "cutoff_region",
-    "bool": "model.ordered_hopping debug.dump_operators",
+    "bool": "debug.dump_operators",
+    "str": "name",
     "[str]": "experiments",
     "str?": "output_dir",
 }
@@ -323,23 +325,39 @@ def _is(kind: str, value) -> bool:
     return kind == "number" or isinstance(value, numbers.Integral) or float(value).is_integer()
 
 
-def _require_types(raw: dict):
-    """Raise ConfigError naming the key path of the first value whose type
-    differs from ``_TYPES``; absent keys are not checked."""
+def _typed(kind: str, value, path: str):
+    """``value`` as the Python type of the single ``_TYPES`` kind ``kind``."""
+    _require(_is(kind, value), path, f"must be {_WANTED[kind]}, got {value!r}")
+    if kind == "int":
+        return int(value)
+    if kind == "number":
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: must be a finite number, got an integer too large for a float") from None
+    return value
+
+
+def _require_types(raw: dict) -> dict:
+    """A deep copy of ``raw`` with every value ``_TYPES`` names as its
+    Python type.  Raise ConfigError naming the key path of the first value
+    whose type differs from ``_TYPES``, or of an integer too large for a
+    float where a number is wanted; absent keys are not checked."""
+    typed = copy.deepcopy(raw)
     for kind, paths in _TYPES.items():
         single = kind.strip("[]?")
         for path in paths.split():
             section, _, key = path.rpartition(".")
-            holder = raw[section] if section else raw
+            holder = typed[section] if section else typed
             value = holder.get(key)
             if key not in holder or (value is None and kind.endswith("?")):
                 continue
-            items = [(path, value)]
             if kind.startswith("["):
                 _require(isinstance(value, (list, tuple)), path, f"must be a list, got {value!r}")
-                items = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
-            for where, item in items:
-                _require(_is(single, item), where, f"must be {_WANTED[single]}, got {item!r}")
+                holder[key] = [_typed(single, item, f"{path}[{i}]") for i, item in enumerate(value)]
+            else:
+                holder[key] = _typed(single, value, path)
+    return typed
 
 
 def _ints(value, size: int | None = None) -> bool:
@@ -371,15 +389,17 @@ def _require_observable(spec, path: str):
     else:
         ok = isinstance(fn, (list, tuple)) and len(fn) > 0 and all(_is("number", v) for v in fn)
         _require(ok, where, f"must be a function name or a nonempty list of numbers, got {fn!r}")
+        for i, v in enumerate(fn):  # the table is read as floats
+            _typed("number", v, f"{where}[{i}]")
 
 
-def check_experiments(raw: dict, experiments) -> None:
-    """Raise ConfigError unless a resolved config ``raw`` holds what each
-    of ``experiments`` reads.  ``from_dict`` runs this for the listed
-    experiments, the command line for the one a subcommand runs."""
-    sweeps, basis, graph = raw["sweeps"], raw["basis"], raw["graph"]
-    d = len(graph["dims"]) if graph["type"] == "grid" else int(graph.get("dimension", 1))
-    p = float(sweeps["moment_p"])
+def check_experiments(cfg: ExperimentConfig, experiments) -> None:
+    """Raise ConfigError unless ``cfg`` holds what each of ``experiments``
+    reads.  ``from_dict`` runs this for the listed experiments, the command
+    line for the one a subcommand runs."""
+    sweeps, basis, graph = cfg.sweeps, cfg.basis, cfg.graph
+    d = len(graph["dims"]) if graph["type"] == "grid" else graph.get("dimension", 1)
+    p = sweeps["moment_p"]
     if {"lr", "local-approx"} & set(experiments):
         _require(
             p > 2 * d + 2,
@@ -393,20 +413,20 @@ def check_experiments(raw: dict, experiments) -> None:
         cap = basis.get("site_cap")
         _require(cap is not None, "basis.site_cap", "cutoff experiment needs a capped reference basis")
         _require(
-            all(int(l) < int(cap) for l in sweeps["cutoffs"]),
+            all(l < cap for l in sweeps["cutoffs"]),
             "sweeps.cutoffs",
             f"every swept cutoff must sit strictly below the reference cap {cap}",
         )
     if {"cutoff", "lr", "local-approx", "kms", "derivative"} & set(experiments):
-        _require(bool(raw["observables"]["pairs"]), "observables.pairs", "need observable pairs")
+        _require(bool(cfg.observable_pairs), "observables.pairs", "need observable pairs")
     if "free-evolution" in experiments:
         _require(graph["type"] == "chain", "graph.type", "free-evolution runs on a chain")
         _require(basis.get("sector") == 1, "basis.sector", "free-evolution needs the one-particle sector")
-        L, xmax = int(graph["length"]), int(sweeps["displacement_max"])
+        L, xmax = graph["length"], sweeps["displacement_max"]
         _require(0 <= L // 2 - xmax and L // 2 + xmax < L, "sweeps.displacement_max", "window exceeds the chain")
     if {"free-evolution", "moments", "cutoff", "lr", "local-approx", "kms", "derivative"} & set(experiments):
         _require(bool(sweeps["times"]), "sweeps.times", "need a time grid")
-    hopping = float(raw["model"]["hopping"])
+    hopping = cfg.model.hopping
     if {"moments", "cutoff", "lr", "local-approx"} & set(experiments) and hopping > 1.0 + 1e-12:
         raise ConfigError(
             "model.hopping: analytic certificates are normalized to hopping <= 1 "
@@ -415,36 +435,35 @@ def check_experiments(raw: dict, experiments) -> None:
 
 
 def from_dict(data: dict) -> ExperimentConfig:
+    """Resolve, type and validate a config.  Every field of the result
+    holds typed values (see ``_TYPES``); ``raw``, which reports echo, holds
+    the resolved config as written."""
     raw = resolve_dict(data)
-    _require_types(raw)
+    typed = _require_types(raw)
     _require_finite(raw, "")
-    _require(raw["schema_version"] == SCHEMA_VERSION, "schema_version", f"expected {SCHEMA_VERSION}")
+    _require(typed["schema_version"] == SCHEMA_VERSION, "schema_version", f"expected {SCHEMA_VERSION}")
 
-    experiments = tuple(raw["experiments"])
+    experiments = tuple(typed["experiments"])
     for e in experiments:
         _require(e in EXPERIMENT_NAMES, "experiments", f"unknown experiment {e!r}")
 
-    graph = raw["graph"]
+    graph = typed["graph"]
     if graph["type"] == "chain":
-        _require(int(graph.get("length", 0)) >= 1, "graph.length", "must be >= 1")
+        _require(graph.get("length", 0) >= 1, "graph.length", "must be >= 1")
     elif graph["type"] == "grid":
         dims = graph.get("dims", [])
-        _require(bool(dims) and all(int(d) >= 1 for d in dims), "graph.dims", "need positive dims")
+        _require(bool(dims) and all(d >= 1 for d in dims), "graph.dims", "need positive dims")
     else:
-        _require(int(graph.get("n_vertices", 0)) >= 1, "graph.n_vertices", "must be >= 1")
+        _require(graph.get("n_vertices", 0) >= 1, "graph.n_vertices", "must be >= 1")
         _require(isinstance(graph.get("edges"), list), "graph.edges", "need an edge list")
         for i, edge in enumerate(graph["edges"]):
             _require(_ints(edge, 2), f"graph.edges[{i}]", f"must be a pair of integers, got {edge!r}")
 
-    model_raw = raw["model"]
-    model = ModelParams(
-        hopping=float(model_raw["hopping"]),
-        onsite=float(model_raw["onsite"]),
-        offsite=tuple(float(v) for v in model_raw["offsite"]),
-        ordered_hopping=bool(model_raw.get("ordered_hopping", False)),
-    )
+    m = typed["model"]
+    model = ModelParams(hopping=m["hopping"], onsite=m["onsite"], offsite=tuple(m["offsite"]))
+    _require(model.hopping >= 0.0, "model.hopping", "bound evaluators assume a nonnegative hopping normalization")
 
-    basis = raw["basis"]
+    basis = typed["basis"]
     has_sector = basis.get("sector") is not None
     has_nmax = basis.get("n_max") is not None
     _require(
@@ -453,56 +472,50 @@ def from_dict(data: dict) -> ExperimentConfig:
         "exactly one of sector (canonical) or n_max (grand canonical) must be set",
     )
     if basis.get("site_cap") is not None:
-        _require(int(basis["site_cap"]) >= 0, "basis.site_cap", "must be nonnegative")
+        _require(basis["site_cap"] >= 0, "basis.site_cap", "must be nonnegative")
 
-    thermal = raw["thermal"]
-    _require(float(thermal["beta"]) > 0, "thermal.beta", "must be positive")
-    _require(float(thermal["tail_tol"]) > 0, "thermal.tail_tol", "must be positive")
+    thermal = typed["thermal"]
+    _require(thermal["beta"] > 0, "thermal.beta", "must be positive")
+    _require(thermal["tail_tol"] > 0, "thermal.tail_tol", "must be positive")
 
-    _require(
-        model.hopping >= 0.0,
-        "model.hopping",
-        "bound evaluators assume a nonnegative hopping normalization",
-    )
-    check_experiments(raw, experiments)
-
-    sweeps = raw["sweeps"]
+    sweeps = typed["sweeps"]
     for key in ("times", "cutoffs", "shells"):
         vals = sweeps[key]
-        _require(list(vals) == sorted(vals), f"sweeps.{key}", "sweep must be ascending")
-    _require(int(sweeps["strip_points"]) >= 1, "sweeps.strip_points", "must be >= 1")
+        _require(vals == sorted(vals), f"sweeps.{key}", "sweep must be ascending")
+    _require(sweeps["strip_points"] >= 1, "sweeps.strip_points", "must be >= 1")
     # a negative window leaves free-evolution with no propagator rows to check
-    _require(int(sweeps["displacement_max"]) >= 0, "sweeps.displacement_max", "must be >= 0")
+    _require(sweeps["displacement_max"] >= 0, "sweeps.displacement_max", "must be >= 0")
+    _require(bool(sweeps["epsilons"]), "sweeps.epsilons", "need at least one accuracy")
 
-    _require(isinstance(raw["observables"]["pairs"], list), "observables.pairs", "must be a list of pairs")
-    for i, pair in enumerate(raw["observables"]["pairs"]):
+    pairs = typed["observables"]["pairs"]
+    _require(isinstance(pairs, list), "observables.pairs", "must be a list of pairs")
+    for i, pair in enumerate(pairs):
         ok = isinstance(pair, (list, tuple)) and len(pair) == 2
         _require(ok, f"observables.pairs[{i}]", f"must be a pair of observables, got {pair!r}")
         for j, spec in enumerate(pair):
             _require_observable(spec, f"observables.pairs[{i}][{j}]")
-    pairs = tuple((copy.deepcopy(a), copy.deepcopy(b)) for a, b in raw["observables"]["pairs"])
-    cutoff_region = raw["cutoff_region"]
-    if cutoff_region is not None:
-        cutoff_region = tuple(int(x) for x in cutoff_region)
+    cutoff_region = typed["cutoff_region"]
 
-    return ExperimentConfig(
-        name=str(raw["name"]),
+    cfg = ExperimentConfig(
+        name=typed["name"],
         experiments=experiments,
-        graph=copy.deepcopy(graph),
+        graph=graph,
         model=model,
-        basis=copy.deepcopy(basis),
-        thermal=copy.deepcopy(thermal),
-        observable_pairs=pairs,
-        initial_state=copy.deepcopy(raw["initial_state"]),
-        sweeps=copy.deepcopy(sweeps),
-        volumes=tuple(int(v) for v in raw["volumes"]),
-        deriv=copy.deepcopy(raw["deriv"]),
-        cutoff_region=cutoff_region,
-        tolerances=raw["tolerances"],
-        output_dir=raw["output_dir"],
-        debug=copy.deepcopy(raw["debug"]),
+        basis=basis,
+        thermal=thermal,
+        observable_pairs=tuple(tuple(pair) for pair in pairs),
+        initial_state=typed["initial_state"],
+        sweeps=sweeps,
+        volumes=tuple(typed["volumes"]),
+        deriv=typed["deriv"],
+        cutoff_region=None if cutoff_region is None else tuple(cutoff_region),
+        tolerances=typed["tolerances"],
+        output_dir=typed["output_dir"],
+        debug=typed["debug"],
         raw=raw,
     )
+    check_experiments(cfg, experiments)
+    return cfg
 
 
 def from_preset(name: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -527,7 +540,7 @@ def parse_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return from_dict(data)
 

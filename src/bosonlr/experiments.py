@@ -145,25 +145,20 @@ def _finish(cfg: ExperimentConfig, experiment, columns, records, summary, passed
 def build_graph(graph_spec: dict) -> LatticeGraph:
     kind = graph_spec["type"]
     if kind == "chain":
-        return build_chain(int(graph_spec["length"]))
+        return build_chain(graph_spec["length"])
     if kind == "grid":
-        return build_grid([int(d) for d in graph_spec["dims"]])
+        return build_grid(graph_spec["dims"])
     if kind == "edges":
-        return build_from_edges(
-            int(graph_spec["n_vertices"]),
-            [(int(a), int(b)) for a, b in graph_spec["edges"]],
-            dim_hint=int(graph_spec.get("dimension", 1)),
-        )
+        return build_from_edges(graph_spec["n_vertices"], graph_spec["edges"], dim_hint=graph_spec.get("dimension", 1))
     raise ConfigError(f"graph.type: unknown type {kind!r}")
 
 
 def build_basis(graph: LatticeGraph, basis_spec: dict) -> FockBasis:
     reg = full_region(graph)
     cap = basis_spec.get("site_cap")
-    cap = None if cap is None else int(cap)
     if basis_spec.get("sector") is not None:
-        return enumerate_basis(reg, sector=int(basis_spec["sector"]), cap=cap)
-    return enumerate_sectors(reg, int(basis_spec["n_max"]), cap=cap)
+        return enumerate_basis(reg, sector=basis_spec["sector"], cap=cap)
+    return enumerate_sectors(reg, basis_spec["n_max"], cap=cap)
 
 
 @dataclass
@@ -197,16 +192,11 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
 def _thermal_state(cfg: ExperimentConfig, scene: Scene, H=None, decomp=None) -> GibbsState:
     H = H if H is not None else scene.H
     decomp = decomp if decomp is not None else scene.decomp
-    beta = float(cfg.thermal["beta"])
+    thermal = cfg.thermal
     if H.basis.sector is not None:
-        return fixed_sector_gibbs(H, beta, decomp)
+        return fixed_sector_gibbs(H, thermal["beta"], decomp)
     return gibbs_state(
-        H,
-        beta,
-        float(cfg.thermal["mu"]),
-        int(cfg.basis["n_max"]),
-        tail_tol=float(cfg.thermal["tail_tol"]),
-        decomposition=decomp,
+        H, thermal["beta"], thermal["mu"], cfg.basis["n_max"], tail_tol=thermal["tail_tol"], decomposition=decomp
     )
 
 
@@ -233,9 +223,9 @@ def _volume_state(cfg: ExperimentConfig, L, tail_tol: float, reuse: GibbsState |
     same model (the scene's), is returned as it is when its basis and
     Hamiltonian equal the chain's entry for entry and its tail estimate
     meets ``tail_tol``: the same state, without a second decomposition."""
-    graph = build_chain(int(L))
+    graph = build_chain(L)
     region = full_region(graph)
-    basis = enumerate_sectors(region, int(cfg.basis["n_max"]), cfg.basis.get("site_cap"))
+    basis = enumerate_sectors(region, cfg.basis["n_max"], cfg.basis.get("site_cap"))
     H = assemble_hamiltonian(graph, region, basis, cfg.model)
     if (
         reuse is not None
@@ -244,13 +234,9 @@ def _volume_state(cfg: ExperimentConfig, L, tail_tol: float, reuse: GibbsState |
         and reuse.tail_estimate < tail_tol
     ):
         return (graph, reuse, *_pair_observables(cfg, reuse.basis))
+    thermal = cfg.thermal
     gamma = gibbs_state(
-        H,
-        float(cfg.thermal["beta"]),
-        float(cfg.thermal["mu"]),
-        int(cfg.basis["n_max"]),
-        tail_tol=tail_tol,
-        decomposition=eigendecompose(H),
+        H, thermal["beta"], thermal["mu"], cfg.basis["n_max"], tail_tol=tail_tol, decomposition=eigendecompose(H)
     )
     return (graph, gamma, *_pair_observables(cfg, basis))
 
@@ -293,8 +279,8 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
     scene = build_scene(cfg)
     L = scene.graph.n_vertices
     center = L // 2
-    xmax = int(cfg.sweeps["displacement_max"])
-    times = [float(t) for t in cfg.sweeps["times"]]
+    xmax = cfg.sweeps["displacement_max"]
+    times = cfg.sweeps["times"]
     J = cfg.model.hopping
 
     def one_particle_profile(graph, basis, decomp, ctr, t):
@@ -356,15 +342,15 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
         )
 
     # condensate source: expectation of 1/(1+n_x) under m spreading particles
-    xc = int(cfg.sweeps["condensate_site"])
-    tc = float(cfg.sweeps["condensate_time"])
+    xc = cfg.sweeps["condensate_site"]
+    tc = cfg.sweeps["condensate_time"]
     prob = abs(free_particle_amplitude(xc, J * tc)) ** 2
     monotone = True
     within_bound = True
     crosscheck_ok = True
     prev = None
     final_val = None
-    for m in [int(m) for m in cfg.sweeps["condensate_m"]]:
+    for m in cfg.sweeps["condensate_m"]:
         val = condensate_nonlocality_expectation(m, xc, J * tc)
         bnd = inverse_moment_upper_bound(m, prob)
         ok_b = val <= bnd * (1 + 1e-12)
@@ -438,12 +424,12 @@ def run_moment_propagation(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     scene = build_scene(cfg)
     state = _initial_state(cfg, scene)
-    p = float(cfg.sweeps["moment_p"])
+    p = cfg.sweeps["moment_p"]
     M = moment_sup(state, p)
     eta = gronwall_rate(p, scene.graph.max_degree)
     sites = list(scene.region.sites)
     slack = cfg.tol("bound_slack")
-    times = [float(t) for t in cfg.sweeps["times"]]
+    times = cfg.sweeps["times"]
     pairs = [(number_moment(scene.basis, x, p), None) for x in sites]
     _, _, evolved = correlations(scene.H, state, pairs, times, scene.decomp, "dense")
     records = []
@@ -478,7 +464,7 @@ def run_cutoff_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     against the explicit four-term certificate, per cutoff level."""
     t0 = time.perf_counter()
     scene = build_scene(cfg)
-    cap = int(cfg.basis["site_cap"])
+    cap = cfg.basis["site_cap"]
     gamma = _thermal_state(cfg, scene)
     A, B = _pair_observables(cfg, scene.basis)
     X = _support_region(scene.graph, A)
@@ -488,14 +474,14 @@ def run_cutoff_scaling(cfg: ExperimentConfig) -> ExperimentReport:
         Y = scene.region
     if not X.as_set() <= Y.as_set():
         raise ConfigError("cutoff_region: must contain the support of the first observable")
-    p = float(cfg.sweeps["moment_p"])
+    p = cfg.sweeps["moment_p"]
     M = moment_sup(gamma, p)
     r = cfg.model.range_hops
     sigma_cnt = _counting_sigma(scene.graph, r)
     eta = gronwall_rate(p, scene.graph.max_degree)
     norm_a = operator_norm(A)
     norm_b = operator_norm(B)
-    times = [float(t) for t in cfg.sweeps["times"]]
+    times = cfg.sweeps["times"]
     base = correlations(scene.H, gamma, [(A, B)], times, scene.decomp, "dense")[0][0]
     slack = cfg.tol("bound_slack")
 
@@ -545,7 +531,7 @@ def run_cutoff_scaling(cfg: ExperimentConfig) -> ExperimentReport:
             )
         return rows
 
-    lambdas = [int(l) for l in cfg.sweeps["cutoffs"]] + [cap]
+    lambdas = cfg.sweeps["cutoffs"] + [cap]
     records = [row for lam in lambdas for row in measure(lam)]
     passed = all(r["pass"] for r in records)
     swept = [r for r in records if not r["at_cap"]]
@@ -582,13 +568,13 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
     if not conserves_number(A):
         raise InvalidArgumentError("lr: the first observable must conserve the total particle number")
     X = _support_region(scene.graph, A)
-    lam = int(cfg.sweeps.get("lr_lambda") or (cap if cap is not None else scene.basis.max_total))
+    lam = cfg.sweeps.get("lr_lambda") or (cap if cap is not None else scene.basis.max_total)
     r = cfg.model.range_hops
     d = scene.graph.dim_hint
-    p = float(cfg.sweeps["moment_p"])
+    p = cfg.sweeps["moment_p"]
     sigma_cnt = _counting_sigma(scene.graph, r)
     norm_a = operator_norm(A)
-    times = [float(t) for t in cfg.sweeps["times"]]
+    times = cfg.sweeps["times"]
     slack = cfg.tol("bound_slack")
     full_sites = scene.region.as_set()
 
@@ -649,11 +635,11 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
             )
         return rows
 
-    records = [row for m in cfg.sweeps["shells"] for row in measure(int(m))]
+    records = [row for m in cfg.sweeps["shells"] for row in measure(m)]
     passed = all(r["pass"] for r in records)
 
     gamma = _thermal_state(cfg, scene)
-    sites = [int(s) for s in cfg.sweeps["commutator_sites"]]
+    sites = cfg.sweeps["commutator_sites"]
     pairs = [
         (A, local_observable(scene.basis, {"kind": "number_function", "site": j, "fn": "inv_one_plus_n"}))
         for j in sites
@@ -704,12 +690,12 @@ def run_local_approx(cfg: ExperimentConfig) -> ExperimentReport:
     X = _support_region(scene.graph, A)
     r = cfg.model.range_hops
     d = scene.graph.dim_hint
-    p = float(cfg.sweeps["moment_p"])
+    p = cfg.sweeps["moment_p"]
     norm_a = operator_norm(A)
     norm_b = operator_norm(B)
-    eps_rels = [float(e) for e in cfg.sweeps.get("epsilons") or [cfg.tol("local_approx_epsilon")]]
+    eps_rels = cfg.sweeps["epsilons"]
     eps = eps_rels[0] * norm_a * norm_b
-    sup_times = [float(t) for t in (cfg.sweeps["sup_times"] or cfg.sweeps["times"])]
+    sup_times = cfg.sweeps["sup_times"] or cfg.sweeps["times"]
     full_sites = scene.region.as_set()
     full = correlations(scene.H, gamma, [(A, B)], sup_times, scene.decomp, "dense")[0][0]
 
@@ -733,7 +719,7 @@ def run_local_approx(cfg: ExperimentConfig) -> ExperimentReport:
             "pass": True,
         }
 
-    records = [measure(int(m)) for m in cfg.sweeps["shells"]]
+    records = [measure(m) for m in cfg.sweeps["shells"]]
     m0 = next((r_["m"] for r_ in records if r_["below_epsilon"]), None)
     m0_per_eps = {
         str(e): next(
@@ -777,8 +763,8 @@ def run_kms_check(cfg: ExperimentConfig) -> ExperimentReport:
     scene = build_scene(cfg)
     gamma = _thermal_state(cfg, scene)
     beta = gamma.beta
-    times = [float(t) for t in cfg.sweeps["times"]]
-    n_grid = int(cfg.sweeps["strip_points"])
+    times = cfg.sweeps["times"]
+    n_grid = cfg.sweeps["strip_points"]
     t_span = max(max(times), beta)
     pairs = [_pair_observables(cfg, scene.basis, k) for k in range(len(cfg.observable_pairs))]
     direct_ab, direct_ba, evolved = evolved_two_points(gamma, pairs, times)
@@ -820,7 +806,7 @@ def run_kms_check(cfg: ExperimentConfig) -> ExperimentReport:
     # volume-growth trend: same local observables in growing volumes
     trend_vals = {}
     for L in cfg.volumes:
-        _, gamma_l, A_l, B_l = _volume_state(cfg, L, max(float(cfg.thermal["tail_tol"]), 0.5), gamma)
+        _, gamma_l, A_l, B_l = _volume_state(cfg, L, max(cfg.thermal["tail_tol"], 0.5), gamma)
         trend_vals[L] = correlations(
             gamma_l.hamiltonian, gamma_l, [(A_l, B_l)], times, gamma_l.decomp, "dense"
         )[0][0]
@@ -894,7 +880,7 @@ def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
                 "pass": True,
             }
         )
-    for nm in [int(v) for v in cfg.deriv.get("trend_n_max", [])]:
+    for nm in cfg.deriv["trend_n_max"]:
         if nm == scene.basis.max_total:
             continue
         basis_nm = enumerate_sectors(scene.region, nm, cfg.basis.get("site_cap"))
@@ -913,13 +899,13 @@ def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
         )
 
     h = cfg.tol("deriv_step")
-    R = int(cfg.deriv["range_R"])
-    times = [float(t) for t in cfg.sweeps["times"]]
+    R = cfg.deriv["range_R"]
+    times = cfg.sweeps["times"]
     sup_per_volume = {}
     richardson_all = True
     norm_ab = None
     for L in cfg.volumes:
-        graph_l, gamma_l, A_l, B_l = _volume_state(cfg, L, float(cfg.thermal["tail_tol"]))
+        graph_l, gamma_l, A_l, B_l = _volume_state(cfg, L, cfg.thermal["tail_tol"])
         XR = enlargement(graph_l, Region(tuple(X.sites), graph_l.graph_id), R)
         H_xr = assemble_hamiltonian(graph_l, XR, gamma_l.basis, cfg.model)
         d_xr = gamma_l.decomp if same_matrix(H_xr, gamma_l.hamiltonian) else eigendecompose(H_xr)
@@ -939,7 +925,7 @@ def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
                 {
                     "check": "derivative",
                     "volume": L,
-                    "n_max": int(cfg.basis["n_max"]),
+                    "n_max": cfg.basis["n_max"],
                     "t": t,
                     "value": abs(d1),
                     "min_eig": "",

@@ -18,8 +18,8 @@ operator this module assembles is real, so consumers read the dtype
 Conventions
 -----------
 * Hopping sums run over unordered edges once, each edge contributing
-  ``-J (a_x^* a_y + a_y^* a_x)``.  Set ``ModelParams.ordered_hopping`` to
-  recover the ordered-pair reading (every edge counted twice).
+  ``-J (a_x^* a_y + a_y^* a_x)``.  The ordered-pair reading (every edge
+  counted twice) is hopping 2J.
 * The interaction sum follows the ordered-pair reading verbatim: off-site
   couplings are counted twice (once per order), on-site once, so a pure
   on-site coupling U yields the standard ``U * n (n - 1)`` per site.
@@ -56,7 +56,6 @@ class ModelParams:
     hopping: float = 1.0
     onsite: float = 0.0
     offsite: tuple[float, ...] = ()
-    ordered_hopping: bool = False
 
     @property
     def range_hops(self) -> int:
@@ -217,9 +216,7 @@ def hop_term(basis: FockBasis, x: int, y: int) -> SparseOperator:
     return SparseOperator(mat, basis, False, support=(min(x, y), max(x, y)))
 
 
-def assemble_hopping(
-    g: LatticeGraph, region: Region, basis: FockBasis, J: float = 1.0, ordered: bool = False
-) -> SparseOperator:
+def assemble_hopping(g: LatticeGraph, region: Region, basis: FockBasis, J: float = 1.0) -> SparseOperator:
     """Kinetic term ``-J sum_edges (a_x^* a_y + a_y^* a_x)`` within ``region``.
 
     ``region`` may be a subset of the basis region; only edges with both
@@ -228,7 +225,6 @@ def assemble_hopping(
     """
     _check_region_in_basis(basis, region)
     member = region.as_set()
-    factor = 2.0 if ordered else 1.0
     cols_of = {x: basis.site_column(x) for x in region.sites}
     # a_x^* a_y moves one particle y -> x; the reverse move supplies the
     # conjugate entry, so hermiticity is exact as stored.
@@ -239,7 +235,7 @@ def assemble_hopping(
         for dst, src in ((x, y), (y, x))
     ]
     rows, cols, vals = _hop_entries(basis, moves)
-    mat = _hop_matrix(basis, rows, cols, -J * factor * vals)
+    mat = _hop_matrix(basis, rows, cols, -J * vals)
     return SparseOperator(mat, basis, True, support=tuple(region.sites))
 
 
@@ -299,7 +295,7 @@ def assemble_hamiltonian(
     g: LatticeGraph, region: Region, basis: FockBasis, params: ModelParams
 ) -> SparseOperator:
     """Full local Hamiltonian, kinetic plus interaction, on ``region``."""
-    T = assemble_hopping(g, region, basis, J=params.hopping, ordered=params.ordered_hopping)
+    T = assemble_hopping(g, region, basis, J=params.hopping)
     V = assemble_interaction(g, region, basis, params)
     mat = _pruned((T.matrix + V.matrix).tocsr())
     return SparseOperator(mat, basis, True, support=tuple(region.sites))

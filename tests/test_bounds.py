@@ -11,7 +11,34 @@ from bosonlr import (
     lr_kappa,
     lrb_decay_exponent,
 )
-from bosonlr.bounds import cutoff_bound_direct, lr_bound_direct
+
+
+def lr_bound_direct(inp: BoundInputs) -> float:
+    """Plain-arithmetic twin of ``lr_bound`` (overflow-prone)."""
+    t = abs(inp.t)
+    if t == 0.0:
+        return 0.0
+    kappa = lr_kappa(inp.sigma, inp.r, inp.d)
+    C = (2.0 + inp.v_inf) * inp.sigma**2 * inp.r ** (2 * inp.d) * inp.size_X
+    return (
+        C
+        * inp.lam
+        * inp.m**inp.d
+        * inp.norm_A
+        * (kappa * inp.lam * t) ** (inp.m + 1)
+        / math.factorial(inp.m + 1)
+    )
+
+
+def cutoff_bound_direct(inp: BoundInputs, eta: float) -> float:
+    """Plain-arithmetic twin of ``cutoff_bound`` (overflow-prone)."""
+    t = abs(inp.t)
+    lam, p, M, X, Y, s2 = inp.lam, inp.p, inp.M, inp.size_X, inp.size_Y, inp.sigma**2
+    term1 = (1.0 + math.exp(eta * t / 2)) * math.sqrt(lam**-p * M * Y)
+    term2 = 4.0 * Y * lam ** (-p / 2 + 1) * (math.exp(eta * t / 2) - 1.0) * s2 * math.sqrt(M)
+    term3 = math.exp(eta * t) * math.sqrt(lam**-p * X**p * M * Y)
+    term4 = 4.0 * Y * lam ** (-p / 2 + 1) * t * math.exp(eta * t / 2) * s2 * math.sqrt(M * X**p)
+    return (term1 + term2 + term3 + term4) * inp.norm_A * inp.norm_B
 
 
 def test_gronwall_rate_values():

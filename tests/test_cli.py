@@ -8,7 +8,7 @@ import pytest
 import bosonlr
 from bosonlr.cli import EXIT_CONFIG, EXIT_PASS, EXIT_RESOURCE, emit_plot_script, main
 from bosonlr.config import from_dict
-from bosonlr.experiments import run_moment_propagation
+from bosonlr.experiments import RUNNERS, run_moment_propagation
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -153,6 +153,8 @@ def test_occupation_outside_the_basis_exits_config(tmp_path, capsys, occupation)
         ({"preset": "chain-81", "sweeps": {"times": []}}, "sweeps.times: need a time grid"),
         ({"preset": "chain-81", "graph": {"type": "chain", "length": 20}}, "sweeps.displacement_max: window exceeds"),
         ({"preset": "chain-81", "graph": {"type": "grid", "dims": [9, 9]}}, "graph.type: free-evolution runs on a"),
+        ({"preset": "chain-10", "sweeps": {"epsilons": []}}, "sweeps.epsilons: need at least one accuracy"),
+        ({"preset": "chain-10", "tolerances": {"local_approx_epsilon": 1e-3}}, "unknown keys ['local_approx_epsilon']"),
     ],
 )
 def test_rejected_config_exits_before_the_run(tmp_path, capsys, data, match):
@@ -179,6 +181,9 @@ def test_rejected_config_exits_before_the_run(tmp_path, capsys, data, match):
         ({"sweeps": {"cutoffs": [1, "a"]}}, "sweeps.cutoffs[1]: must be an integer"),
         ({"sweeps": {"times": [0.0, "a"]}}, "sweeps.times[1]: must be a number"),
         ({"sweeps": {"times": 0.5}}, "sweeps.times: must be a list"),
+        ({"thermal": {"beta": 10**400}}, "thermal.beta: must be a finite number, got an integer too large"),
+        ({"sweeps": {"times": [0.0, 10**400]}}, "sweeps.times[1]: must be a finite number, got an integer too"),
+        ({"model": {"ordered_hopping": True}}, "model: unknown keys ['ordered_hopping']"),
     ],
 )
 def test_value_of_the_wrong_type_exits_config(tmp_path, capsys, override, match):
@@ -278,6 +283,10 @@ def _with_pairs(pairs):
         (_with_pairs([[dict(_F2, fn=[]), _F2]]), "observables.pairs[0][0].fn: must be a function name or a nonempty"),
         (_with_pairs([[dict(_F2, fn=[True]), _F2]]), "observables.pairs[0][0].fn: must be a function name or a"),
         (_with_pairs([[dict(_F2, fn=2), _F2]]), "observables.pairs[0][0].fn: must be a function name or a"),
+        (
+            _with_pairs([[dict(_F2, fn=[1.0, 10**400]), _F2]]),
+            "observables.pairs[0][0].fn[1]: must be a finite number, got an integer too large for a float",
+        ),
     ],
 )
 def test_malformed_pair_or_edge_exits_config(tmp_path, capsys, data, match):
@@ -316,3 +325,12 @@ def test_workers_is_neither_a_config_key_nor_an_option(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cutoff", "--workers", "2"])
     assert exc.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("experiment, preset", [("kms", "two-site"), ("derivative", "chain-4-derivative")])
+def test_integral_float_site_cap_runs_as_an_integer(tmp_path, experiment, preset):
+    # the config reads 3.0 as the integer 3: the run is the run at cap 3
+    data = {"preset": preset, "basis": {"site_cap": 3.0}}
+    assert main([experiment, "--config", write_cfg(tmp_path, data), "--out", str(tmp_path)]) == EXIT_PASS
+    got = RUNNERS[experiment](from_dict(data)).records
+    assert got == RUNNERS[experiment](from_dict({"preset": preset, "basis": {"site_cap": 3}})).records

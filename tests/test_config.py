@@ -48,6 +48,26 @@ def test_moment_exponent_hypothesis_enforced(tmp_path):
         parse_config(path)
 
 
+def test_values_are_typed_once():
+    # from_dict hands the runners ints and floats; the echoed config keeps
+    # the values as written
+    cfg = from_preset("two-site", {"basis": {"site_cap": 3.0}, "thermal": {"beta": 2}, "volumes": [2.0]})
+    assert type(cfg.basis["site_cap"]) is int and type(cfg.thermal["beta"]) is float
+    assert cfg.volumes == (2,) and type(cfg.volumes[0]) is int
+    assert type(cfg.sweeps["strip_points"]) is int and type(cfg.sweeps["times"][0]) is float
+    assert cfg.to_dict()["basis"]["site_cap"] == 3.0 and type(cfg.to_dict()["basis"]["site_cap"]) is float
+    assert type(cfg.to_dict()["thermal"]["beta"]) is int
+
+
+def test_integer_past_the_digit_limit_exits_config(tmp_path):
+    # json.load refuses an integer literal of more digits than Python reads
+    # (3.10.7 and later); an older reader gets an integer no float holds
+    path = tmp_path / "big.json"
+    path.write_text('{"preset": "chain-6", "thermal": {"beta": 1' + "0" * 5000 + "}}")
+    with pytest.raises(ConfigError, match=r"not valid JSON|thermal\.beta: must be a finite number"):
+        parse_config(path)
+
+
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         parse_config("/nonexistent/path.json")

@@ -65,10 +65,11 @@ def test_hopping_no_edges_is_zero():
 
 
 def test_ordered_pair_convention_doubles(two_site):
+    # counting every edge once per order is the hopping 2J
     g, reg = two_site
     basis = enumerate_basis(reg, sector=1)
     T1 = assemble_hopping(g, reg, basis, J=1.0)
-    T2 = assemble_hopping(g, reg, basis, J=1.0, ordered=True)
+    T2 = assemble_hopping(g, reg, basis, J=2.0)
     assert np.allclose(T2.to_dense(), 2 * T1.to_dense())
 
 
@@ -380,7 +381,7 @@ def reference_hop_entries(basis, dst, src):
     return rows, cols, np.sqrt(occ[cols, src] * (occ[cols, dst] + 1.0))
 
 
-def reference_hopping(g, reg, basis, J, ordered):
+def reference_hopping(g, reg, basis, J):
     """The kinetic term edge by edge, one lookup per move."""
     member = reg.as_set()
     entries = [
@@ -391,7 +392,7 @@ def reference_hopping(g, reg, basis, J, ordered):
     ]
     empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
     rows, cols, vals = (np.concatenate(part) for part in zip(empty, *entries))
-    return _hop_matrix(basis, rows, cols, -J * (2.0 if ordered else 1.0) * vals)
+    return _hop_matrix(basis, rows, cols, -J * vals)
 
 
 def reference_interaction(g, reg, basis, params, v_table=None):
@@ -453,7 +454,6 @@ def assembly_cases(seed):
                     hopping=rng.uniform(0.1, 2.0),
                     onsite=rng.choice([0.0, rng.uniform(-1.0, 1.0)]),
                     offsite=offsite,
-                    ordered_hopping=bool(rng.integers(2)),
                 )
                 v_table = {}
                 for x in reg.sites:
@@ -469,10 +469,10 @@ def test_batched_assembly_matches_per_edge_and_per_pair_loops(seed):
     indptr, indices and data as one lookup per move and one coupling call
     per site pair."""
     for g, basis, reg, params, v_table in assembly_cases(seed):
-        J, ordered = params.hopping, params.ordered_hopping
-        hopping = reference_hopping(g, reg, basis, J, ordered)
+        J = params.hopping
+        hopping = reference_hopping(g, reg, basis, J)
         interaction = reference_interaction(g, reg, basis, params)
-        assert same_matrix(assemble_hopping(g, reg, basis, J, ordered), reference_op(basis, hopping))
+        assert same_matrix(assemble_hopping(g, reg, basis, J), reference_op(basis, hopping))
         assert same_matrix(assemble_interaction(g, reg, basis, params), reference_op(basis, interaction))
         assert same_matrix(
             assemble_interaction(g, reg, basis, params, v_table),
@@ -494,7 +494,7 @@ def test_batched_hop_lookup_splits_at_its_entry_budget(monkeypatch):
 
     g = build_chain(6)
     basis = enumerate_sectors(full_region(g), 4, cap=2)
-    want = reference_op(basis, reference_hopping(g, full_region(g), basis, 0.7, False))
+    want = reference_op(basis, reference_hopping(g, full_region(g), basis, 0.7))
     sizes = []
     lookup = FockBasis.lookup
 
