@@ -486,6 +486,8 @@ def from_dict(data: dict) -> ExperimentConfig:
     # a negative window leaves free-evolution with no propagator rows to check
     _require(sweeps["displacement_max"] >= 0, "sweeps.displacement_max", "must be >= 0")
     _require(bool(sweeps["epsilons"]), "sweeps.epsilons", "need at least one accuracy")
+    if sweeps.get("lr_lambda") is not None:  # the light-cone bound takes a cutoff level >= 1
+        _require(sweeps["lr_lambda"] >= 1, "sweeps.lr_lambda", "must be >= 1")
 
     pairs = typed["observables"]["pairs"]
     _require(isinstance(pairs, list), "observables.pairs", "must be a list of pairs")

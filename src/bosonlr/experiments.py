@@ -1,10 +1,10 @@
 """The verification experiments: measured quantities against certificates.
 
 Each runner sweeps a parameter grid, records one row per point with the
-measured value, the analytic bound where one applies, and a pass flag;
-a single bound violation fails the experiment (the certificates hold
-exactly for the finite model, so a violation indicates a bug, not
-physics).  Looseness is expected and reported as a measured/bound ratio.
+measured value, the analytic bound where one applies, and a pass flag
+that one rule (``Check``) sets; a single bound violation fails the
+experiment (the certificates hold exactly for the finite model, so a
+violation indicates a bug, not physics).  Looseness is expected and reported as a measured/bound ratio.
 
 All runners are deterministic given the config: nothing in the package
 draws random numbers, so a report is reproduced from its echoed config.
@@ -129,14 +129,49 @@ def _pmap(fn, items, workers):
     return [fn(x) for x in items]
 
 
-def _finish(cfg: ExperimentConfig, experiment, columns, records, summary, passed, t0):
+@dataclass(frozen=True)
+class Check:
+    """One comparison a record makes: ``measured`` against ``limit`` by
+    ``kind`` -- ``le``: measured <= limit * (1 + slack) + atol; ``lt``:
+    measured < limit; ``eq0``: measured == 0; ``none``: informational, it
+    always holds.  A NaN on either side fails every gated kind."""
+
+    measured: float
+    limit: float = 0.0
+    kind: str = "le"
+    slack: float = 0.0
+    atol: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        if self.kind == "lt":
+            return bool(self.measured < self.limit)
+        if self.kind == "eq0":
+            return bool(self.measured == 0.0)
+        if self.kind == "none":
+            return True
+        return bool(self.measured <= self.limit * (1 + self.slack) + self.atol)
+
+
+def _row(columns, checks=(), **values) -> dict:
+    """One record: each of ``columns`` from ``values`` (``""`` where the row
+    has none), and ``pass`` true when each of the row's ``checks`` holds."""
+    row = {col: values.get(col, "") for col in columns}
+    row["pass"] = all(c.passed for c in checks)
+    return row
+
+
+def _finish(cfg: ExperimentConfig, experiment, columns, records, summary, t0, conditions=()):
+    """The report: it passes when every record and every summary-level
+    condition the runner names holds."""
+    passed = all(r["pass"] for r in records) and all(conditions)
     metadata = {
         "config": cfg.to_dict(),
         "version": _package_version(),
         "runtime_s": round(time.perf_counter() - t0, 3),
     }
     log.info("%s: %s (%d records)", experiment, "PASS" if passed else "FAIL", len(records))
-    return ExperimentReport(experiment, list(columns), records, summary, metadata, bool(passed))
+    return ExperimentReport(experiment, list(columns), records, summary, metadata, passed)
 
 
 # ----------------------------------------------------------------- scene setup
@@ -289,8 +324,10 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
         psi = basis_vector(basis, occ0)
         return decomp.propagate(psi.amplitudes, t)
 
+    cols = [
+        "check", "t", "x", "m", "measured_re", "measured_im", "expected_re", "expected_im", "abs_error", "bound", "pass"
+    ]
     records = []
-    worst = 0.0
     for t in times:
         amps = one_particle_profile(scene.graph, scene.basis, scene.decomp, center, t)
         for x in range(-xmax, xmax + 1):
@@ -299,22 +336,21 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
             measured = complex(amps[scene.basis.index_of(occ)])
             expected = free_particle_amplitude(x, J * t)
             err = abs(measured - expected)
-            worst = max(worst, err)
             records.append(
-                {
-                    "check": "propagator",
-                    "t": t,
-                    "x": x,
-                    "m": "",
-                    "measured_re": measured.real,
-                    "measured_im": measured.imag,
-                    "expected_re": expected.real,
-                    "expected_im": expected.imag,
-                    "abs_error": err,
-                    "bound": "",
-                    "pass": err < cfg.tol("bessel"),
-                }
+                _row(
+                    cols,
+                    [Check(err, cfg.tol("bessel"), "lt")],
+                    check="propagator",
+                    t=t,
+                    x=x,
+                    measured_re=measured.real,
+                    measured_im=measured.imag,
+                    expected_re=expected.real,
+                    expected_im=expected.imag,
+                    abs_error=err,
+                )
             )
+    worst = float(np.max([r["abs_error"] for r in records]))  # NaN when any error is
 
     # boundary-reflection guard: rerun on the doubled chain and compare
     big = build_chain(2 * L + 1)
@@ -346,34 +382,31 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
     tc = cfg.sweeps["condensate_time"]
     prob = abs(free_particle_amplitude(xc, J * tc)) ** 2
     monotone = True
-    within_bound = True
     crosscheck_ok = True
     prev = None
     final_val = None
     for m in cfg.sweeps["condensate_m"]:
         val = condensate_nonlocality_expectation(m, xc, J * tc)
         bnd = inverse_moment_upper_bound(m, prob)
-        ok_b = val <= bnd * (1 + 1e-12)
-        within_bound &= ok_b
         if prev is not None and val > prev * (1 + 1e-12):
             monotone = False
         direct = _binomial_direct(m, prob) if m <= 100 else ""
-        if direct != "" and abs(direct - val) > cfg.tol("condensate_crosscheck") * max(val, 1e-300):
-            crosscheck_ok = False
+        if direct != "" and not abs(direct - val) <= cfg.tol("condensate_crosscheck") * max(val, 1e-300):
+            crosscheck_ok = False  # a NaN on either side fails too
         records.append(
-            {
-                "check": "condensate",
-                "t": tc,
-                "x": xc,
-                "m": m,
-                "measured_re": val,
-                "measured_im": 0.0,
-                "expected_re": direct,
-                "expected_im": "",
-                "abs_error": "" if direct == "" else abs(direct - val),
-                "bound": bnd,
-                "pass": ok_b,
-            }
+            _row(
+                cols,
+                [Check(val, bnd, slack=cfg.tol("bound_slack"))],
+                check="condensate",
+                t=tc,
+                x=xc,
+                m=m,
+                measured_re=val,
+                measured_im=0.0,
+                expected_re=direct,
+                abs_error="" if direct == "" else abs(direct - val),
+                bound=bnd,
+            )
         )
         prev = val
         final_val = (m, val)
@@ -381,33 +414,18 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
     if final_val is not None and final_val[0] * prob > 400:
         smallness_ok = final_val[1] < 0.05
 
-    passed = (
-        worst < cfg.tol("bessel") and monotone and within_bound and crosscheck_ok and smallness_ok
-    )
     summary = {
         "max_propagator_error": worst,
         "boundary_agreement": boundary_err,
         "condensate_probability": prob,
         "condensate_monotone": monotone,
-        "condensate_within_bound": within_bound,
+        "condensate_within_bound": all(r["pass"] for r in records if r["check"] == "condensate"),
         "condensate_crosscheck_ok": crosscheck_ok,
         "condensate_final": None if final_val is None else final_val[1],
         "condensate_small_at_final": smallness_ok,
     }
-    cols = [
-        "check",
-        "t",
-        "x",
-        "m",
-        "measured_re",
-        "measured_im",
-        "expected_re",
-        "expected_im",
-        "abs_error",
-        "bound",
-        "pass",
-    ]
-    return _finish(cfg, "free-evolution", cols, records, summary, passed, t0)
+    conditions = (monotone, crosscheck_ok, smallness_ok)
+    return _finish(cfg, "free-evolution", cols, records, summary, t0, conditions=conditions)
 
 
 def _binomial_direct(m: int, p: float) -> float:
@@ -432,22 +450,14 @@ def run_moment_propagation(cfg: ExperimentConfig) -> ExperimentReport:
     times = cfg.sweeps["times"]
     pairs = [(number_moment(scene.basis, x, p), None) for x in sites]
     _, _, evolved = correlations(scene.H, state, pairs, times, scene.decomp, "dense")
+    cols = ["t", "site", "measured", "bound", "ratio", "pass"]
     records = []
     for i, t in enumerate(times):
         bnd = math.exp(eta * abs(t)) * M
         for k, x in enumerate(sites):
             measured = float(evolved[k, i].real)
-            records.append(
-                {
-                    "t": t,
-                    "site": x,
-                    "measured": measured,
-                    "bound": bnd,
-                    "ratio": measured / bnd,
-                    "pass": measured <= bnd * (1 + slack),
-                }
-            )
-    passed = all(r["pass"] for r in records)
+            check = Check(measured, bnd, slack=slack)
+            records.append(_row(cols, [check], t=t, site=x, measured=measured, bound=bnd, ratio=measured / bnd))
     summary = {
         "eta": eta,
         "moment_constant": M,
@@ -455,8 +465,7 @@ def run_moment_propagation(cfg: ExperimentConfig) -> ExperimentReport:
         "max_ratio": max(r["ratio"] for r in records),
         "max_measured": max(r["measured"] for r in records),
     }
-    cols = ["t", "site", "measured", "bound", "ratio", "pass"]
-    return _finish(cfg, "moments", cols, records, summary, passed, t0)
+    return _finish(cfg, "moments", cols, records, summary, t0)
 
 
 def run_cutoff_scaling(cfg: ExperimentConfig) -> ExperimentReport:
@@ -484,6 +493,7 @@ def run_cutoff_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     times = cfg.sweeps["times"]
     base = correlations(scene.H, gamma, [(A, B)], times, scene.decomp, "dense")[0][0]
     slack = cfg.tol("bound_slack")
+    cols = ["lambda", "t", "measured", "bound", "ratio", "at_cap", "pass"]
 
     def measure(lam: int):
         P = cutoff_projection(scene.basis, Y, lam)
@@ -512,28 +522,18 @@ def run_cutoff_scaling(cfg: ExperimentConfig) -> ExperimentReport:
                     norm_B=norm_b,
                 )
                 bnd = cutoff_bound(inp, eta)
-                ok = measured <= bnd * (1 + slack)
+                check = Check(measured, bnd, slack=slack)
                 ratio = measured / bnd if bnd > 0 else 0.0
             else:
                 bnd = 0.0
-                ok = measured == 0.0
+                check = Check(measured, kind="eq0")
                 ratio = 0.0
-            rows.append(
-                {
-                    "lambda": lam,
-                    "t": t,
-                    "measured": measured,
-                    "bound": bnd,
-                    "ratio": ratio,
-                    "at_cap": lam >= cap,
-                    "pass": ok,
-                }
-            )
+            values = {"lambda": lam, "t": t, "measured": measured, "bound": bnd, "ratio": ratio, "at_cap": lam >= cap}
+            rows.append(_row(cols, [check], **values))
         return rows
 
     lambdas = cfg.sweeps["cutoffs"] + [cap]
     records = [row for lam in lambdas for row in measure(lam)]
-    passed = all(r["pass"] for r in records)
     swept = [r for r in records if not r["at_cap"]]
     fitted = _fit_exponent([r["lambda"] for r in swept], [r["measured"] for r in swept])
     monotone = all(
@@ -550,8 +550,7 @@ def run_cutoff_scaling(cfg: ExperimentConfig) -> ExperimentReport:
         "tail_estimate": gamma.tail_estimate,
         "max_ratio": max((r["ratio"] for r in swept), default=0.0),
     }
-    cols = ["lambda", "t", "measured", "bound", "ratio", "at_cap", "pass"]
-    return _finish(cfg, "cutoff", cols, records, summary, passed, t0)
+    return _finish(cfg, "cutoff", cols, records, summary, t0)
 
 
 def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
@@ -568,7 +567,9 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
     if not conserves_number(A):
         raise InvalidArgumentError("lr: the first observable must conserve the total particle number")
     X = _support_region(scene.graph, A)
-    lam = cfg.sweeps.get("lr_lambda") or (cap if cap is not None else scene.basis.max_total)
+    lam = cfg.sweeps.get("lr_lambda")
+    if lam is None:
+        lam = cap if cap is not None else scene.basis.max_total
     r = cfg.model.range_hops
     d = scene.graph.dim_hint
     p = cfg.sweeps["moment_p"]
@@ -577,6 +578,7 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
     times = cfg.sweeps["times"]
     slack = cfg.tol("bound_slack")
     full_sites = scene.region.as_set()
+    cols = ["check", "m", "t", "site", "distance", "measured", "bound", "ratio", "covering", "pass"]
 
     @functools.cache
     def scene_evolution():
@@ -616,27 +618,15 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
                 v_inf=cfg.model.v_inf,
             )
             bnd = lr_bound(inp)
-            ok = measured <= bnd * (1 + slack)
-            if covering:
-                ok = ok and measured == 0.0
-            rows.append(
-                {
-                    "check": "shells",
-                    "m": m,
-                    "t": t,
-                    "site": "",
-                    "distance": "",
-                    "measured": measured,
-                    "bound": bnd,
-                    "ratio": measured / bnd if bnd > 0 else 0.0,
-                    "covering": covering,
-                    "pass": ok,
-                }
-            )
+            checks = [Check(measured, bnd, slack=slack)]
+            if covering:  # a shell covering the lattice is the full dynamics, exactly
+                checks.append(Check(measured, kind="eq0"))
+            ratio = measured / bnd if bnd > 0 else 0.0
+            values = {"m": m, "t": t, "measured": measured, "bound": bnd, "ratio": ratio, "covering": covering}
+            rows.append(_row(cols, checks, check="shells", **values))
         return rows
 
     records = [row for m in cfg.sweeps["shells"] for row in measure(m)]
-    passed = all(r["pass"] for r in records)
 
     gamma = _thermal_state(cfg, scene)
     sites = cfg.sweeps["commutator_sites"]
@@ -649,20 +639,9 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
     for i, t in enumerate(times):
         for k, j in enumerate(sites):
             dist = int(min(scene.graph.dist[x, j] for x in X.sites))
-            commutator_rows.append(
-                {
-                    "check": "commutator",
-                    "m": "",
-                    "t": t,
-                    "site": j,
-                    "distance": dist,
-                    "measured": float(abs(ab[k, i] - ba[k, i])),
-                    "bound": "",
-                    "ratio": "",
-                    "covering": "",
-                    "pass": True,
-                }
-            )
+            measured = float(abs(ab[k, i] - ba[k, i]))
+            values = {"t": t, "site": j, "distance": dist, "measured": measured}
+            commutator_rows.append(_row(cols, [Check(measured, kind="none")], check="commutator", **values))
     records.extend(commutator_rows)
     t_ref = max(times)
     decay_pts = [(r_["distance"], r_["measured"]) for r_ in commutator_rows if r_["t"] == t_ref]
@@ -675,8 +654,7 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
         "max_ratio": max((r_["ratio"] for r_ in records if r_["ratio"] != ""), default=0.0),
         "tail_estimate": gamma.tail_estimate,
     }
-    cols = ["check", "m", "t", "site", "distance", "measured", "bound", "ratio", "covering", "pass"]
-    return _finish(cfg, "lr", cols, records, summary, passed, t0)
+    return _finish(cfg, "lr", cols, records, summary, t0)
 
 
 def run_local_approx(cfg: ExperimentConfig) -> ExperimentReport:
@@ -710,16 +688,16 @@ def run_local_approx(cfg: ExperimentConfig) -> ExperimentReport:
             restricted = correlations(H_in, gamma, [(A, B)], sup_times, d_in, "dense")[0][0]
         sup_val = float(np.abs(full - restricted).max(initial=0.0))
         envelope = m ** (d + 1) * math.exp(-m) + float(m) ** (d - p / 2 + 1)
-        return {
-            "m": m,
-            "sup_difference": sup_val,
-            "envelope": envelope,
-            "covering": covering,
-            "below_epsilon": sup_val <= eps,
-            "pass": True,
-        }
+        below = sup_val <= eps
+        return {"m": m, "sup_difference": sup_val, "envelope": envelope, "covering": covering, "below_epsilon": below}
 
-    records = [measure(m) for m in cfg.sweeps["shells"]]
+    values = [measure(m) for m in cfg.sweeps["shells"]]
+    sup_seq = [v["sup_difference"] for v in values]
+    # the report's two conditions, which every row copies: the sup decays
+    # shell by shell, and some shell reaches epsilon (m0 exists)
+    trend = [Check(b, a, slack=cfg.tol("monotone_slack"), atol=1e-15) for a, b in zip(sup_seq, sup_seq[1:])]
+    cols = ["m", "sup_difference", "envelope", "covering", "below_epsilon", "pass"]
+    records = [_row(cols, [*trend, Check(min(sup_seq), eps)], **v) for v in values]
     m0 = next((r_["m"] for r_ in records if r_["below_epsilon"]), None)
     m0_per_eps = {
         str(e): next(
@@ -727,26 +705,18 @@ def run_local_approx(cfg: ExperimentConfig) -> ExperimentReport:
         )
         for e in eps_rels
     }
-    sup_seq = [r_["sup_difference"] for r_ in records]
-    monotone = all(
-        b <= a * (1 + cfg.tol("monotone_slack")) + 1e-15 for a, b in zip(sup_seq, sup_seq[1:])
-    )
-    for r_ in records:
-        r_["pass"] = monotone and m0 is not None
-    passed = monotone and m0 is not None
     summary = {
         "epsilon": eps,
         "empirical_m0": m0,
         "empirical_m0_per_epsilon": m0_per_eps,
-        "monotone_trend": monotone,
+        "monotone_trend": all(c.passed for c in trend),
         "envelope_ratio": max(
             (r_["sup_difference"] / r_["envelope"] for r_ in records if r_["envelope"] > 0),
             default=0.0,
         ),
         "tail_estimate": gamma.tail_estimate,
     }
-    cols = ["m", "sup_difference", "envelope", "covering", "below_epsilon", "pass"]
-    return _finish(cfg, "local-approx", cols, records, summary, passed, t0)
+    return _finish(cfg, "local-approx", cols, records, summary, t0)
 
 
 def run_kms_check(cfg: ExperimentConfig) -> ExperimentReport:
@@ -778,9 +748,6 @@ def run_kms_check(cfg: ExperimentConfig) -> ExperimentReport:
 
     cols = ["check", "pair", "t", "s", "volume", "value", "limit", "pass"]
 
-    def row(check, pair, t, value, limit, ok, volume=""):
-        return dict(zip(cols, (check, pair, t, "", volume, value, limit, bool(ok))))
-
     def check_pair(k: int):
         A, B = pairs[k]
         F = GreenFunction(gamma, A, B).values(points)
@@ -789,19 +756,19 @@ def run_kms_check(cfg: ExperimentConfig) -> ExperimentReport:
         rows = []
         for i, t in enumerate(times):
             r1, r2 = float(abs(F[i] - direct_ab[k, i])), float(abs(F[n_t + i] - direct_ba[k, i]))
-            rows.append(row("boundary", k, t, max(r1, r2), limit, r1 < limit and r2 < limit))
+            checks = [Check(r1, limit, "lt"), Check(r2, limit, "lt")]
+            rows.append(_row(cols, checks, check="boundary", pair=k, t=t, value=max(r1, r2), limit=limit))
         strip_max = float(np.abs(F[2 * n_t :]).max())
-        ok = strip_max <= norm_ab * (1 + cfg.tol("strip_slack")) + 1e-15
-        rows.append(row("strip", k, "", strip_max, norm_ab, ok))
+        check = Check(strip_max, norm_ab, slack=cfg.tol("strip_slack"), atol=1e-15)
+        rows.append(_row(cols, [check], check="strip", pair=k, value=strip_max, limit=norm_ab))
         mean = expectation(gamma, A)
         limit = cfg.tol("invariance_residual")
         for i, t in enumerate(times):
             res = float(abs(evolved[k, i] - mean))
-            rows.append(row("invariance", k, t, res, limit, res < limit))
+            rows.append(_row(cols, [Check(res, limit, "lt")], check="invariance", pair=k, t=t, value=res, limit=limit))
         return rows
 
     records = [row for k in range(len(pairs)) for row in check_pair(k)]
-    passed = all(r["pass"] for r in records)
 
     # volume-growth trend: same local observables in growing volumes
     trend_vals = {}
@@ -812,7 +779,9 @@ def run_kms_check(cfg: ExperimentConfig) -> ExperimentReport:
         )[0][0]
     for u, v in itertools.combinations(sorted(trend_vals), 2):
         for t, a, b in zip(times, trend_vals[u], trend_vals[v]):
-            records.append(row("volume-trend", 0, t, float(abs(a - b)), "", True, f"{u}-{v}"))
+            diff = float(abs(a - b))
+            check = Check(diff, kind="none")
+            records.append(_row(cols, [check], check="volume-trend", pair=0, t=t, volume=f"{u}-{v}", value=diff))
 
     summary = {
         "max_boundary_residual": max(r["value"] for r in records if r["check"] == "boundary"),
@@ -820,7 +789,7 @@ def run_kms_check(cfg: ExperimentConfig) -> ExperimentReport:
         "tail_estimate": gamma.tail_estimate,
         "volume_trend_max_diff": max((r["value"] for r in records if r["check"] == "volume-trend"), default=None),
     }
-    return _finish(cfg, "kms", cols, records, summary, passed, t0)
+    return _finish(cfg, "kms", cols, records, summary, t0)
 
 
 def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
@@ -833,7 +802,6 @@ def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
     A, B = _pair_observables(cfg, scene.basis)
     X = _support_region(scene.graph, A)
     r = cfg.model.range_hops
-    records = []
 
     def min_eig(c, H2, w):
         return float(np.linalg.eigvalsh(c * np.diag(w) - H2).min())
@@ -849,60 +817,29 @@ def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
         c = float(scipy.linalg.eigh(H2, np.diag(w), eigvals_only=True)[-1])
         return c, min_eig(c, H2, w), H2, w
 
+    cols = ["check", "volume", "n_max", "t", "value", "min_eig", "richardson_ok", "pass"]
+    at = {"volume": scene.graph.n_vertices, "n_max": scene.basis.max_total}
     c_star, eig_at_c, H2, w = minimal_constant(scene.basis, scene.graph)
-    cert_ok = eig_at_c >= -1e-8
-    records.append(
-        {
-            "check": "operator-inequality",
-            "volume": scene.graph.n_vertices,
-            "n_max": scene.basis.max_total,
-            "t": "",
-            "value": c_star,
-            "min_eig": eig_at_c,
-            "richardson_ok": "",
-            "pass": cert_ok,
-        }
-    )
+    certificate = Check(-eig_at_c, 1e-8)  # min_eig >= -1e-8
+    records = [_row(cols, [certificate], check="operator-inequality", value=c_star, min_eig=eig_at_c, **at)]
     # trace the smallest eigenvalue as a function of the trial constant,
     # so the report shows where the certificate turns feasible
     for frac in (0.25, 0.5, 0.75, 1.0, 1.5):
         c_trial = frac * c_star
         eig = min_eig(c_trial, H2, w)
-        records.append(
-            {
-                "check": "inequality-scan",
-                "volume": scene.graph.n_vertices,
-                "n_max": scene.basis.max_total,
-                "t": "",
-                "value": c_trial,
-                "min_eig": eig,
-                "richardson_ok": "",
-                "pass": True,
-            }
-        )
+        records.append(_row(cols, [Check(eig, kind="none")], check="inequality-scan", value=c_trial, min_eig=eig, **at))
     for nm in cfg.deriv["trend_n_max"]:
         if nm == scene.basis.max_total:
             continue
         basis_nm = enumerate_sectors(scene.region, nm, cfg.basis.get("site_cap"))
         c_nm, eig_nm, _, _ = minimal_constant(basis_nm, scene.graph)
-        records.append(
-            {
-                "check": "operator-inequality",
-                "volume": scene.graph.n_vertices,
-                "n_max": nm,
-                "t": "",
-                "value": c_nm,
-                "min_eig": eig_nm,
-                "richardson_ok": "",
-                "pass": True,
-            }
-        )
+        values = {"volume": at["volume"], "n_max": nm, "value": c_nm, "min_eig": eig_nm}
+        records.append(_row(cols, [Check(eig_nm, kind="none")], check="operator-inequality", **values))
 
     h = cfg.tol("deriv_step")
     R = cfg.deriv["range_R"]
     times = cfg.sweeps["times"]
     sup_per_volume = {}
-    richardson_all = True
     norm_ab = None
     for L in cfg.volumes:
         graph_l, gamma_l, A_l, B_l = _volume_state(cfg, L, cfg.thermal["tail_tol"])
@@ -918,38 +855,25 @@ def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
         for t, (plus, minus, plus2, minus2) in zip(times, g):
             d1 = complex(plus - minus) / (2 * h)
             d2 = complex(plus2 - minus2) / (4 * h)
-            rich_ok = abs(d1 - d2) <= cfg.tol("richardson")
-            richardson_all &= rich_ok
+            rich = Check(abs(d1 - d2), cfg.tol("richardson"))
             sup_d = max(sup_d, abs(d1))
-            records.append(
-                {
-                    "check": "derivative",
-                    "volume": L,
-                    "n_max": cfg.basis["n_max"],
-                    "t": t,
-                    "value": abs(d1),
-                    "min_eig": "",
-                    "richardson_ok": rich_ok,
-                    "pass": rich_ok,
-                }
-            )
+            values = {"volume": L, "n_max": cfg.basis["n_max"], "t": t, "value": abs(d1), "richardson_ok": rich.passed}
+            records.append(_row(cols, [rich], check="derivative", **values))
         sup_per_volume[L] = sup_d
 
     sups = list(sup_per_volume.values())
     spread = (max(sups) / min(sups)) if min(sups) > 0 else math.inf
     uniform_ok = spread <= cfg.tol("volume_uniformity")
     c_prime = max(sups) / norm_ab if norm_ab else math.inf
-    passed = cert_ok and richardson_all and uniform_ok
     summary = {
         "certified_constant": c_star,
         "certified_min_eig": eig_at_c,
         "derivative_sup_per_volume": {str(k): v for k, v in sup_per_volume.items()},
         "uniform_constant": c_prime,
         "volume_spread": spread,
-        "richardson_ok": richardson_all,
+        "richardson_ok": all(r["pass"] for r in records if r["check"] == "derivative"),
     }
-    cols = ["check", "volume", "n_max", "t", "value", "min_eig", "richardson_ok", "pass"]
-    return _finish(cfg, "derivative", cols, records, summary, passed, t0)
+    return _finish(cfg, "derivative", cols, records, summary, t0, conditions=(uniform_ok,))
 
 
 RUNNERS = {

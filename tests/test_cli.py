@@ -228,6 +228,15 @@ def test_module_entry_point_exits_config_as_a_process(tmp_path):
     assert "unknown keys ['seed']" in proc.stderr
 
 
+@pytest.mark.parametrize("lam", [0, -1])
+def test_lr_lambda_below_one_exits_config(tmp_path, capsys, lam):
+    # 0 once fell back to the cap and passed; -1 passed validate-config
+    cfg = write_cfg(tmp_path, {"preset": "chain-10", "sweeps": {"lr_lambda": lam}})
+    assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+    assert main(["lr", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("config error: sweeps.lr_lambda: must be >= 1") == 2
+
+
 @pytest.mark.parametrize(
     "sweeps",
     [{"times": [2.0, 12.0]}, {"condensate_site": 8, "condensate_m": [1, 10, 100]}],

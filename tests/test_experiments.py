@@ -1,14 +1,20 @@
 import csv
 import json
+import math
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from bosonlr import BoundaryContaminationError, InvalidArgumentError
+from bosonlr import BoundaryContaminationError, InvalidArgumentError, experiments
+from bosonlr.cli import EXIT_VIOLATION, main
 from bosonlr.config import from_dict, from_preset
 from bosonlr.experiments import (
     RUNNERS,
+    Check,
     ExperimentReport,
+    _row,
     load_summary,
     run_cutoff_scaling,
     run_free_evolution_check,
@@ -482,3 +488,82 @@ def test_sweeps_start_no_thread(monkeypatch, experiment, preset, overrides):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert RUNNERS[experiment](small(preset, **overrides)).passed
+
+
+_EDGES = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-15, -1e-8, 1e-8])
+_VALUES = st.one_of(st.floats(), _EDGES)
+_PARTS = st.one_of(st.floats(-1e300, 1e300), _EDGES)  # abs() of a difference cannot overflow
+_COMPLEX = st.builds(complex, _PARTS, _PARTS)
+
+
+@given(m=_VALUES, b=_VALUES, s=_VALUES, a=_VALUES, d1=_COMPLEX, d2=_COMPLEX)
+def test_the_pass_rule_is_each_comparison_it_replaced(m, b, s, a, d1, d2):
+    # bit for bit, NaN, infinities and -0.0 included, against the literal
+    # expressions the runners wrote before they shared one rule
+    def passes(*checks):
+        return _row(["pass"], checks)["pass"]
+
+    assert passes(Check(m, b, "lt")) == (m < b)
+    assert passes(Check(m, b, slack=s)) == (m <= b * (1 + s))
+    assert passes(Check(m, b, slack=s, atol=1e-15)) == (m <= b * (1 + s) + 1e-15)
+    assert passes(Check(m, b, slack=s, atol=a)) == (m <= b * (1 + s) + a)
+    assert passes(Check(m, kind="eq0")) == (m == 0.0)
+    assert passes(Check(-m, 1e-8)) == (m >= -1e-8)
+    assert passes(Check(abs(d1 - d2), b)) == (abs(d1 - d2) <= b)
+    assert passes(Check(m, b, "lt"), Check(a, b, "lt")) == (m < b and a < b)  # kms boundary residuals
+    assert passes(Check(m, b, slack=s), Check(m, kind="eq0")) == (m <= b * (1 + s) and m == 0.0)
+    assert passes(Check(m, kind="none")) and passes()
+
+
+def test_a_row_fills_every_column():
+    row = _row(["check", "t", "value", "pass"], [Check(1.0, 0.5)], check="strip", value=1.0)
+    assert row == {"check": "strip", "t": "", "value": 1.0, "pass": False}
+
+
+def test_a_nan_propagator_error_fails_the_row_and_the_report(monkeypatch, tmp_path):
+    exact = experiments.free_particle_amplitude
+
+    def nan_at_three(x, jt):
+        return complex(math.nan) if x == 3 else exact(x, jt)
+
+    monkeypatch.setattr(experiments, "free_particle_amplitude", nan_at_three)
+    rep = run_free_evolution_check(from_preset("chain-81"))
+    failed = [(r["check"], r["x"]) for r in rep.records if not r["pass"]]
+    assert failed == [("propagator", 3)] * 3  # one row per time
+    assert rep.passed is False
+    assert math.isnan(rep.summary["max_propagator_error"])
+    assert main(["free-evolution", "--out", str(tmp_path)]) == EXIT_VIOLATION
+
+
+def test_a_nan_direct_sum_fails_the_condensate_crosscheck(monkeypatch):
+    monkeypatch.setattr(experiments, "_binomial_direct", lambda m, p: math.nan)
+    cfg = small("chain-81", sweeps={"times": [0.5], "displacement_max": 2, "condensate_m": [1, 10]})
+    rep = run_free_evolution_check(cfg)
+    assert rep.summary["condensate_crosscheck_ok"] is False
+    assert rep.passed is False
+
+
+@pytest.mark.parametrize("slack, passes", [(1e-12, True), (0.0, False)])
+def test_condensate_rows_gate_with_the_bound_slack(monkeypatch, slack, passes):
+    # a bound 1e-13 below the value: bound_slack, not a literal, decides the row
+    cfg = small(
+        "chain-81",
+        sweeps={"times": [0.5], "displacement_max": 2, "condensate_m": [1, 10]},
+        tolerances={"bound_slack": slack},
+    )
+    value = experiments.condensate_nonlocality_expectation
+    xc, tc = cfg.sweeps["condensate_site"], cfg.sweeps["condensate_time"]
+    monkeypatch.setattr(experiments, "inverse_moment_upper_bound", lambda m, p: value(m, xc, tc) * (1 - 1e-13))
+    rep = run_free_evolution_check(cfg)
+    assert [r["pass"] for r in rep.records if r["check"] == "condensate"] == [passes, passes]
+    assert rep.passed is passes
+
+
+def test_local_approx_rows_copy_the_report_conditions():
+    # no shell reaches epsilon: every row fails with the report, though
+    # the sup decays shell by shell
+    sweeps = dict(_SHELLS["sweeps"], epsilons=[1e-300])
+    rep = RUNNERS["local-approx"](small("chain-10", graph=_SHELLS["graph"], sweeps=sweeps))
+    assert rep.summary["monotone_trend"] and rep.summary["empirical_m0"] is None
+    assert [r["pass"] for r in rep.records] == [False, False]
+    assert rep.passed is False
