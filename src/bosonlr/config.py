@@ -10,7 +10,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .operators import _NAMED_FUNCTIONS, ModelParams
@@ -243,6 +243,10 @@ class ExperimentConfig:
     output_dir: str | None
     debug: dict
     raw: dict
+    # what the experiments build from this config and share (its scene),
+    # filled on first use and released with the config; ``replace`` starts
+    # a new one, and equality never reads it
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def tol(self, key: str) -> float:
         return self.tolerances[key]
@@ -366,21 +370,24 @@ def _ints(value, size: int | None = None) -> bool:
     return n > 0 and n == (size or n) and all(_is("int", item) for item in value)
 
 
-def _require_observable(spec, path: str):
-    """Raise ConfigError naming the key path of the first malformed part
-    of an observable spec: its kind, the integer fields of that kind and a
-    number_function's ``fn``."""
+def _typed_observable(spec, path: str) -> dict:
+    """A copy of the observable ``spec`` with its integer fields as Python
+    ints and a number_function's table as floats.  Raise ConfigError naming
+    the key path of the first malformed part: its kind, the integer fields
+    of that kind and a number_function's ``fn``."""
     _require(isinstance(spec, dict), path, f"must be an observable object, got {spec!r}")
     kind = spec.get("kind")
     _require(kind in _OBSERVABLE_INTS, f"{path}.kind", f"must be one of {sorted(_OBSERVABLE_INTS)}, got {kind!r}")
+    typed = dict(spec)
     for key in ("sites",) if kind == "number_function" and "site" not in spec else _OBSERVABLE_INTS[kind]:
         value, size = spec.get(key), 2 if kind == "normalized_hop" else None
         ok = _ints(value, size) if key == "sites" else _is("int", value)
         wanted = f"list {size or 'one or more'} integers" if key == "sites" else "be an integer"
         _require(ok, f"{path}.{key}", f"must {wanted}, got {value!r}")
+        typed[key] = [int(v) for v in value] if key == "sites" else int(value)
     fn, where = spec.get("fn"), f"{path}.fn"
     if kind != "number_function" or callable(fn):
-        return  # a callable is set in process and takes one occupation per site
+        return typed  # a callable is set in process and takes one occupation per site
     _require("fn" in spec, where, "required: a function name or a table of numbers")
     if "site" not in spec:
         _require(len(spec["sites"]) == 1, where, f"a name or a table takes one site, got sites {spec['sites']!r}")
@@ -389,8 +396,8 @@ def _require_observable(spec, path: str):
     else:
         ok = isinstance(fn, (list, tuple)) and len(fn) > 0 and all(_is("number", v) for v in fn)
         _require(ok, where, f"must be a function name or a nonempty list of numbers, got {fn!r}")
-        for i, v in enumerate(fn):  # the table is read as floats
-            _typed("number", v, f"{where}[{i}]")
+        typed["fn"] = [_typed("number", v, f"{where}[{i}]") for i, v in enumerate(fn)]
+    return typed
 
 
 def check_experiments(cfg: ExperimentConfig, experiments) -> None:
@@ -458,6 +465,7 @@ def from_dict(data: dict) -> ExperimentConfig:
         _require(isinstance(graph.get("edges"), list), "graph.edges", "need an edge list")
         for i, edge in enumerate(graph["edges"]):
             _require(_ints(edge, 2), f"graph.edges[{i}]", f"must be a pair of integers, got {edge!r}")
+        graph["edges"] = [[int(x), int(y)] for x, y in graph["edges"]]
 
     m = typed["model"]
     model = ModelParams(hopping=m["hopping"], onsite=m["onsite"], offsite=tuple(m["offsite"]))
@@ -494,8 +502,7 @@ def from_dict(data: dict) -> ExperimentConfig:
     for i, pair in enumerate(pairs):
         ok = isinstance(pair, (list, tuple)) and len(pair) == 2
         _require(ok, f"observables.pairs[{i}]", f"must be a pair of observables, got {pair!r}")
-        for j, spec in enumerate(pair):
-            _require_observable(spec, f"observables.pairs[{i}][{j}]")
+        pairs[i] = [_typed_observable(spec, f"observables.pairs[{i}][{j}]") for j, spec in enumerate(pair)]
     cutoff_region = typed["cutoff_region"]
 
     cfg = ExperimentConfig(

@@ -9,10 +9,12 @@ scipy's ``expm_multiply`` action of the sparse generator
 block of columns over a whole time grid in one call.
 ``correlations`` is the one kernel for every time-evolved expectation
 and two-point value, for a pure or a thermal state, of many observable
-pairs over a whole time grid.  Its dense route takes a thermal state into
-the generator's eigenbasis once and sums spectrally, O(n^3) once per
-sector pair and O(n^2) per time; a pure state propagates its one column
-per time, and the sparse route propagates weighted columns over the grid.
+pairs over a whole time grid; it computes only the arrays its caller
+names, each with the bits the full call gives it.  Its dense route takes
+a thermal state into the generator's eigenbasis once and sums spectrally,
+O(n^3) once per sector pair and O(n^2) per time; a pure state propagates
+its one column per time, and the sparse route propagates weighted columns
+over the grid.
 ``heisenberg_blocks`` evolves an observable over a time grid as its
 nonzero sector blocks: one rotation into the eigenbasis per sector pair,
 then phases and a back-rotation per time; ``heisenberg_operator`` is its
@@ -458,6 +460,9 @@ def evolve_state(
     return StateVector(psi.basis, U[:, 0])
 
 
+CORRELATION_ARRAYS = ("ab", "ba", "plain")
+
+
 def correlations(
     H: SparseOperator,
     state,
@@ -465,11 +470,14 @@ def correlations(
     times,
     decomposition: SpectralDecomposition | None = None,
     engine: str = "auto",
+    want=CORRELATION_ARRAYS,
 ):
-    """gamma(tau_t(A) B), gamma(B tau_t(A)) and gamma(tau_t(A)), with
-    tau_t(A) = e^{iHt} A e^{-iHt}, for every pair (A, B) and every t in
-    ``times``, as three complex arrays of shape (len(pairs), len(times));
-    B = None makes all three the plain value.
+    """gamma(tau_t(A) B) ("ab"), gamma(B tau_t(A)) ("ba") and gamma(tau_t(A))
+    ("plain"), with tau_t(A) = e^{iHt} A e^{-iHt}, for every pair (A, B) and
+    every t in ``times``: one complex array of shape (len(pairs),
+    len(times)) per name in ``want``, in that order; B = None makes all
+    three the plain value.  Only the arrays named in ``want`` are
+    computed, and each has the same bits whichever others are named.
 
     ``state`` is a StateVector or a thermal state, whose density-matrix
     eigenvectors evolve under ``H`` (which may differ from the state's own
@@ -477,53 +485,70 @@ def correlations(
     The dense route of a thermal state is the double spectral sum of
     ``_thermal_correlations``: O(n^3) once per sector pair, then O(n^2)
     per time.  Every other case propagates weighted columns psi,
-    PROPAGATE_CHUNK at a time, as one block [psi | B_1 psi | B_1^* psi |
-    ...] (B^* psi left out for a hermitian B): a StateVector on the dense
-    route takes one ``propagate_block`` call per time, since one column
-    costs O(D^2) a time where rotating A costs O(D^3), and the sparse
-    route takes one ``_krylov_evolve`` call over the grid, which reads no
-    decomposition, so temporaries stay O(D chunk (1 + 2 len(pairs))).
+    PROPAGATE_CHUNK at a time, as one block [psi | B_1 psi | B_2 psi | ...]
+    and, when "ba" is wanted, a second block [B_j^* psi | ...] of the
+    non-hermitian B_j; the first block is the same whatever is wanted,
+    because the sparse route's step control reads the whole block.  A
+    StateVector on the dense route takes one ``propagate_block`` call per
+    block and time, since one column costs O(D^2) a time where rotating A
+    costs O(D^3), and the sparse route takes one ``_krylov_evolve`` call per
+    block over the grid, which reads no decomposition, so temporaries stay
+    O(D chunk (1 + 2 len(pairs))).
     """
+    want = tuple(want)
+    if not want or not set(want) <= set(CORRELATION_ARRAYS):
+        raise InvalidArgumentError(f"want names one or more of {CORRELATION_ARRAYS}, got {want!r}")
     if isinstance(state, StateVector):
         basis, weights, columns = state.basis, np.ones(1), state.amplitudes[:, None]
     else:  # thermal state (duck-typed to avoid a module cycle)
         basis, weights, columns = state.decomp.basis, state.weights, state.decomp.vectors
     decomp = _spectral_route(H, basis, decomposition, engine)
     if decomp is not None and not isinstance(state, StateVector):
-        return _thermal_correlations(decomp, state, pairs, times)
-    ab, ba, plain = np.zeros((3, len(pairs), len(times)), dtype=np.complex128)
+        return _thermal_correlations(decomp, state, pairs, times, want)
+    out = {name: np.zeros((len(pairs), len(times)), dtype=np.complex128) for name in want}
     kept = np.flatnonzero(weights)
     for start in range(0, kept.size, PROPAGATE_CHUNK):
         cols = kept[start : start + PROPAGATE_CHUNK]
         psi = columns[:, cols]
-        blocks = [psi]
-        # per pair: the block holding B psi (AB's ket) and B^* psi (BA's bra)
+        kets, bras = [psi], []
+        # per pair: the block holding B psi (AB's ket) and B^* psi (BA's bra),
+        # numbered across [kets | bras]
         where = []
         for _, B in pairs:
             if B is None:
                 where.append((0, 0))
                 continue
-            ket = len(blocks)
-            blocks.append(_real_matmul(B.matrix, psi))
-            if not B.hermitian:
-                blocks.append(_real_matmul(B.matrix.conj().T, psi))
-            where.append((ket, len(blocks) - 1))
-        X = np.hstack(blocks)
-        if decomp is None:
-            grid = _krylov_evolve(H.matrix, X, times)
-        else:
-            grid = (decomp.propagate_block(X, t) for t in times)
+            kets.append(_real_matmul(B.matrix, psi))
+            where.append((len(kets) - 1, len(kets) - 1))
+        if "ba" in want:
+            for p, (_, B) in enumerate(pairs):
+                if B is not None and not B.hermitian:
+                    bras.append(_real_matmul(B.matrix.conj().T, psi))
+                    where[p] = (where[p][0], len(kets) + len(bras) - 1)
+        grids = [_evolved(H, decomp, np.hstack(X), times) for X in (kets, bras) if X]
         k, w = len(cols), weights[cols]
-        for i, U in enumerate(grid):
-            evolved = [U[:, b * k : (b + 1) * k] for b in range(len(blocks))]
+        for i, U in enumerate(zip(*grids)):
+            evolved = [part[:, b * k : (b + 1) * k] for part in U for b in range(part.shape[1] // k)]
             for p, (A, _) in enumerate(pairs):
                 ket, bra = where[p]
                 a_psi = A.matrix @ evolved[0]
-                a_ket = a_psi if ket == 0 else A.matrix @ evolved[ket]
-                plain[p, i] += np.einsum("ij,ij->j", evolved[0].conj(), a_psi) @ w
-                ab[p, i] += np.einsum("ij,ij->j", evolved[0].conj(), a_ket) @ w
-                ba[p, i] += np.einsum("ij,ij->j", evolved[bra].conj(), a_psi) @ w
-    return ab, ba, plain
+                if "plain" in out:
+                    out["plain"][p, i] += np.einsum("ij,ij->j", evolved[0].conj(), a_psi) @ w
+                if "ab" in out:
+                    a_ket = a_psi if ket == 0 else A.matrix @ evolved[ket]
+                    out["ab"][p, i] += np.einsum("ij,ij->j", evolved[0].conj(), a_ket) @ w
+                if "ba" in out:
+                    out["ba"][p, i] += np.einsum("ij,ij->j", evolved[bra].conj(), a_psi) @ w
+    return tuple(out[name] for name in want)
+
+
+def _evolved(H, decomp, X, times):
+    """exp(-i H t) X for every t in ``times``: through ``decomp``, one
+    ``propagate_block`` call per time, or by ``_krylov_evolve`` when it is
+    None."""
+    if decomp is None:
+        return _krylov_evolve(H.matrix, X, times)
+    return (decomp.propagate_block(X, t) for t in times)
 
 
 def _sector_pairs(matrix, basis: FockBasis) -> list[tuple[int, int]]:
@@ -534,7 +559,7 @@ def _sector_pairs(matrix, basis: FockBasis) -> list[tuple[int, int]]:
     return [(int(m), int(n)) for m, n in found]
 
 
-def _thermal_correlations(d: SpectralDecomposition, state, pairs, times):
+def _thermal_correlations(d: SpectralDecomposition, state, pairs, times, want=CORRELATION_ARRAYS):
     """``correlations`` of a thermal state on the dense route, as the exact
     double spectral sum over the eigenpairs (e, U) of the generator:
     gamma(tau_t(A) B) = sum_{m n} sum_kl e^{i(e_k - e_l)t} A~_kl M_lk over
@@ -547,9 +572,10 @@ def _thermal_correlations(d: SpectralDecomposition, state, pairs, times):
     the Gram block Z_(n<-m) Y_m^* for AB, Y_n Z_(m<-n)^* for BA and
     Y_m Y_m^* for the plain value; each array is then
     einsum(conj(P_m), (A~ o M^T) P_n) over the whole grid.  A~ is rotated
-    once per distinct A object of the call and sector pair.  Temporaries
-    are O(n_m n_n) per sector pair, the size of the decomposition's own
-    blocks, plus the O(D len(times)) phases.
+    once per distinct A object of the call and sector pair.  Only the
+    arrays in ``want`` are summed, and only the images they read are
+    formed.  Temporaries are O(n_m n_n) per sector pair, the size of the
+    decomposition's own blocks, plus the O(D len(times)) phases.
     """
     slices = dict(d.sector_slices())
     weights = state.weights
@@ -590,32 +616,43 @@ def _thermal_correlations(d: SpectralDecomposition, state, pairs, times):
             total += np.einsum("kt,kt->t", phases[slices[m]].conj(), _real_matmul(C, phases[slices[n]]))
         return total
 
-    M_plain = {m: gram(Ym, Ym) for m, Ym in Y.items()}
-    ab, ba, plain = np.zeros((3, len(pairs), len(times)), dtype=np.complex128)
+    M_plain = {}
+    out = {name: np.zeros((len(pairs), len(times)), dtype=np.complex128) for name in want}
     groups = {}
     for p, (A, _) in enumerate(pairs):
         groups.setdefault(id(A), (A, []))[1].append(p)
     for A, members in groups.values():
         rotated = {}
+        a_pairs = _sector_pairs(A.matrix, d.basis)
 
         def tilde(m, n):
             if (m, n) not in rotated:
                 rotated[m, n] = d.rotate(A.matrix, slices[m], slices[n])
             return rotated[m, n]
 
-        a_pairs = _sector_pairs(A.matrix, d.basis)
-        plain_A = spectral_sum((m, n, tilde(m, n) * M_plain[m].T) for m, n in a_pairs if m == n and m in Y)
+        if "plain" in out or any(pairs[p][1] is None for p in members):
+            M_plain = M_plain or {m: gram(Ym, Ym) for m, Ym in Y.items()}
+            plain_A = spectral_sum((m, n, tilde(m, n) * M_plain[m].T) for m, n in a_pairs if m == n and m in Y)
         for p in members:
             B = pairs[p][1]
-            plain[p] = plain_A
             if B is None:
-                ab[p] = ba[p] = plain_A
+                for name in want:
+                    out[name][p] = plain_A
                 continue
-            Z = images(B.matrix)
-            Zh = Z if B.hermitian else images(B.matrix.conj().T)
-            ab[p] = spectral_sum((m, n, tilde(m, n) * gram(Z[n, m], Y[m]).T) for m, n in a_pairs if (n, m) in Z)
-            ba[p] = spectral_sum((m, n, tilde(m, n) * gram(Y[n], Zh[m, n]).T) for m, n in a_pairs if (m, n) in Zh)
-    return ab, ba, plain
+            if "plain" in out:
+                out["plain"][p] = plain_A
+            if "ab" in out or ("ba" in out and B.hermitian):
+                Z = images(B.matrix)
+            if "ab" in out:
+                out["ab"][p] = spectral_sum(
+                    (m, n, tilde(m, n) * gram(Z[n, m], Y[m]).T) for m, n in a_pairs if (n, m) in Z
+                )
+            if "ba" in out:
+                Zh = Z if B.hermitian else images(B.matrix.conj().T)
+                out["ba"][p] = spectral_sum(
+                    (m, n, tilde(m, n) * gram(Y[n], Zh[m, n]).T) for m, n in a_pairs if (m, n) in Zh
+                )
+    return tuple(out[name] for name in want)
 
 
 def heisenberg_expectation(
@@ -629,7 +666,8 @@ def heisenberg_expectation(
 ) -> complex:
     """Expectation of the time-evolved observable, gamma(e^{iHt} A e^{-iHt} B),
     for a pure or a thermal state: one pair at one time of ``correlations``."""
-    return complex(correlations(H, state, [(A, B)], [t], decomposition, engine)[0][0, 0])
+    (ab,) = correlations(H, state, [(A, B)], [t], decomposition, engine, want=("ab",))
+    return complex(ab[0, 0])
 
 
 def heisenberg_blocks(

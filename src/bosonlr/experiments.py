@@ -6,8 +6,17 @@ that one rule (``Check``) sets; a single bound violation fails the
 experiment (the certificates hold exactly for the finite model, so a
 violation indicates a bug, not physics).  Looseness is expected and reported as a measured/bound ratio.
 
+The experiments of one config share its ``Scene`` (``scene_of``): the
+basis, Hamiltonian, decomposition, Gibbs state and observable pairs are
+built once per config object, and a generator two experiments build apart
+is diagonalized once, so ``local-approx`` reads the shell decompositions
+``lr`` made on the same preset.  Each runner asks ``correlations`` for the
+arrays it reads and no others.
+
 All runners are deterministic given the config: nothing in the package
-draws random numbers, so a report is reproduced from its echoed config.
+draws random numbers, so a report is reproduced from its echoed config,
+and a runner given a config alone makes the records it makes after the
+config's other experiments.
 """
 
 import csv
@@ -18,7 +27,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -54,6 +63,7 @@ from .operators import (
     conserves_number,
     cutoff_projection,
     dump_operator,
+    hermitian_norm_bound,
     local_observable,
     number_moment,
     operator_norm,
@@ -198,19 +208,57 @@ def build_basis(graph: LatticeGraph, basis_spec: dict) -> FockBasis:
 
 @dataclass
 class Scene:
-    """Shared per-experiment context built once from a config."""
+    """What the experiments of one config share, each part built once: the
+    graph, basis and Hamiltonian with the scene, and on first use the
+    decomposition of H, the Gibbs state and the observable pairs.
+
+    ``eigendecompose`` keeps every decomposition made through it, keyed by
+    the exact matrix content and checked with ``same_matrix``, so a
+    generator that two experiments build apart (``lr``'s and
+    ``local-approx``'s inner shells at the cap) is diagonalized once.  Each
+    kept decomposition is a dense D x D array held as long as the scene, so
+    a runner passes through it only a generator another experiment may
+    build.  ``scene_of`` keeps a config's scene in the config's memo, so it
+    lives as long as that config object and no longer.
+    """
 
     graph: LatticeGraph
     region: Region
     basis: FockBasis
     params: ModelParams
     H: SparseOperator
+    _decomps: dict = field(default_factory=dict, repr=False)
+    _parts: dict = field(default_factory=dict, repr=False)
 
     @functools.cached_property
     def decomp(self) -> SpectralDecomposition:
         """The spectral decomposition of H, made on first use: a runner
         that never reads it (``derivative``) never decomposes H."""
-        return eigendecompose(self.H)
+        return self.eigendecompose(self.H)
+
+    def eigendecompose(self, G: SparseOperator) -> SpectralDecomposition:
+        """The decomposition of ``G``, made once per distinct matrix."""
+        m = G.matrix
+        key = hash((G.basis.basis_id, m.shape, m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes()))
+        made = self._decomps.setdefault(key, [])
+        for op, d in made:
+            if op.basis is G.basis and same_matrix(op, G):
+                return d
+        made.append((G, eigendecompose(G)))
+        return made[-1][1]
+
+    def gibbs(self, cfg: ExperimentConfig) -> GibbsState:
+        """The configured Gibbs state of H, made on first use."""
+        if "gibbs" not in self._parts:
+            self._parts["gibbs"] = _thermal_state(cfg, self)
+        return self._parts["gibbs"]
+
+    def pair(self, cfg: ExperimentConfig, k: int = 0):
+        """Observable pair ``k`` of the config on the scene's basis, made on
+        first use."""
+        if ("pair", k) not in self._parts:
+            self._parts["pair", k] = _pair_observables(cfg, self.basis, k)
+        return self._parts["pair", k]
 
 
 def build_scene(cfg: ExperimentConfig) -> Scene:
@@ -222,6 +270,15 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
         os.makedirs(cfg.output_dir, exist_ok=True)
         dump_operator(H, os.path.join(cfg.output_dir, f"{cfg.name}-hamiltonian.mtx"))
     return Scene(graph, reg, basis, cfg.model, H)
+
+
+def scene_of(cfg: ExperimentConfig) -> Scene:
+    """The scene every experiment of ``cfg`` shares, built on first use and
+    kept in ``cfg.memo``: a new config object (each command-line run makes
+    its own) starts from a new scene."""
+    if "scene" not in cfg.memo:
+        cfg.memo["scene"] = build_scene(cfg)
+    return cfg.memo["scene"]
 
 
 def _thermal_state(cfg: ExperimentConfig, scene: Scene, H=None, decomp=None) -> GibbsState:
@@ -238,7 +295,7 @@ def _thermal_state(cfg: ExperimentConfig, scene: Scene, H=None, decomp=None) -> 
 def _initial_state(cfg: ExperimentConfig, scene: Scene):
     kind = cfg.initial_state.get("kind", "gibbs")
     if kind == "gibbs":
-        return _thermal_state(cfg, scene)
+        return scene.gibbs(cfg)
     if kind == "gibbs_decoupled":
         frozen = replace(cfg.model, hopping=0.0)
         H0 = assemble_hamiltonian(scene.graph, scene.region, scene.basis, frozen)
@@ -311,7 +368,7 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
     the condensate-source expectation that exposes the transport of many
     particles over any distance in arbitrarily short time."""
     t0 = time.perf_counter()
-    scene = build_scene(cfg)
+    scene = scene_of(cfg)
     L = scene.graph.n_vertices
     center = L // 2
     xmax = cfg.sweeps["displacement_max"]
@@ -440,7 +497,7 @@ def run_moment_propagation(cfg: ExperimentConfig) -> ExperimentReport:
     """Time-evolved occupation moments against the exponential growth
     certificate exp(eta |t|) M."""
     t0 = time.perf_counter()
-    scene = build_scene(cfg)
+    scene = scene_of(cfg)
     state = _initial_state(cfg, scene)
     p = cfg.sweeps["moment_p"]
     M = moment_sup(state, p)
@@ -449,7 +506,7 @@ def run_moment_propagation(cfg: ExperimentConfig) -> ExperimentReport:
     slack = cfg.tol("bound_slack")
     times = cfg.sweeps["times"]
     pairs = [(number_moment(scene.basis, x, p), None) for x in sites]
-    _, _, evolved = correlations(scene.H, state, pairs, times, scene.decomp, "dense")
+    (evolved,) = correlations(scene.H, state, pairs, times, scene.decomp, "dense", want=("plain",))
     cols = ["t", "site", "measured", "bound", "ratio", "pass"]
     records = []
     for i, t in enumerate(times):
@@ -472,10 +529,10 @@ def run_cutoff_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     """Occupation-cutoff error |gamma(tau_t(A)B) - gamma(cutoff dynamics)|
     against the explicit four-term certificate, per cutoff level."""
     t0 = time.perf_counter()
-    scene = build_scene(cfg)
+    scene = scene_of(cfg)
     cap = cfg.basis["site_cap"]
-    gamma = _thermal_state(cfg, scene)
-    A, B = _pair_observables(cfg, scene.basis)
+    gamma = scene.gibbs(cfg)
+    A, B = scene.pair(cfg)
     X = _support_region(scene.graph, A)
     if cfg.cutoff_region is not None:
         Y = Region(cfg.cutoff_region, scene.graph.graph_id)
@@ -491,7 +548,7 @@ def run_cutoff_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     norm_a = operator_norm(A)
     norm_b = operator_norm(B)
     times = cfg.sweeps["times"]
-    base = correlations(scene.H, gamma, [(A, B)], times, scene.decomp, "dense")[0][0]
+    base = correlations(scene.H, gamma, [(A, B)], times, scene.decomp, "dense", want=("ab",))[0][0]
     slack = cfg.tol("bound_slack")
     cols = ["lambda", "t", "measured", "bound", "ratio", "at_cap", "pass"]
 
@@ -503,7 +560,7 @@ def run_cutoff_scaling(cfg: ExperimentConfig) -> ExperimentReport:
         if same_matrix(G, scene.H):
             vals = base
         else:
-            vals = correlations(G, gamma, [(A, B)], times, eigendecompose(G), "dense")[0][0]
+            vals = correlations(G, gamma, [(A, B)], times, eigendecompose(G), "dense", want=("ab",))[0][0]
         rows = []
         for t, val, ref in zip(times, vals, base):
             measured = float(abs(val - ref))
@@ -558,9 +615,9 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
     the light-cone certificate; (b) thermal commutator decay with distance,
     with the fitted exponent reported next to the predicted one."""
     t0 = time.perf_counter()
-    scene = build_scene(cfg)
+    scene = scene_of(cfg)
     cap = cfg.basis.get("site_cap")
-    A, B = _pair_observables(cfg, scene.basis)
+    A, B = scene.pair(cfg)
     # G_in and G_full conserve number by construction; with A conserving too,
     # the evolved operators are block-diagonal by sector and the measured
     # norm is exact block by block
@@ -582,10 +639,10 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
 
     @functools.cache
     def scene_evolution():
-        """(decomposition, tau_t(A) blocks) under the scene's own H, made on
-        first use and shared by every shell whose full generator is that H:
-        all of them when the cutoff sits at the cap, none below it."""
-        return scene.decomp, heisenberg_blocks(scene.H, A, times, scene.decomp)
+        """tau_t(A) blocks under the scene's own H, made on first use and
+        shared by every shell whose full generator is that H: all of them
+        when the cutoff sits at the cap, none below it."""
+        return heisenberg_blocks(scene.H, A, times, scene.decomp)
 
     def measure(m: int):
         inner = enlargement(scene.graph, X, 2 * m * r)
@@ -595,17 +652,21 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
         G_in = sandwich(P, H_in)
         G_full = sandwich(P, scene.H)
         if same_matrix(G_full, scene.H):
-            d_full, full = scene_evolution()
+            # P keeps every state H reaches, so G_in is H_in too: the shell
+            # generator local-approx reads, which the scene keeps
+            d_full, full = scene.decomp, scene_evolution()
+            d_in = scene.eigendecompose(G_in)
         else:
             d_full = eigendecompose(G_full)
             full = heisenberg_blocks(G_full, A, times, d_full)
-        d_in = d_full if same_matrix(G_in, G_full) else eigendecompose(G_in)
+            d_in = d_full if same_matrix(G_in, G_full) else eigendecompose(G_in)
         covering = inner.as_set() == full_sites
         evolved_in = full if d_in is d_full else heisenberg_blocks(G_in, A, times, d_in)
         rows = []
         for t, T_in, T_full in zip(times, evolved_in, full):
-            # A conserves number, so its blocks are the sector-diagonal ones
-            measured = max((operator_norm(T_in[k] - T_full[k]) for k in T_full), default=0.0)
+            # A conserves number, so its blocks are the sector-diagonal ones;
+            # each difference is hermitian up to rounding, as tau_t(A) is
+            measured = max((hermitian_norm_bound(T_in[k] - T_full[k]) for k in T_full), default=0.0)
             inp = BoundInputs(
                 sigma=sigma_cnt,
                 d=d,
@@ -628,13 +689,13 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
 
     records = [row for m in cfg.sweeps["shells"] for row in measure(m)]
 
-    gamma = _thermal_state(cfg, scene)
+    gamma = scene.gibbs(cfg)
     sites = cfg.sweeps["commutator_sites"]
     pairs = [
         (A, local_observable(scene.basis, {"kind": "number_function", "site": j, "fn": "inv_one_plus_n"}))
         for j in sites
     ]
-    ab, ba, _ = correlations(scene.H, gamma, pairs, times, scene.decomp, "dense")
+    ab, ba = correlations(scene.H, gamma, pairs, times, scene.decomp, "dense", want=("ab", "ba"))
     commutator_rows = []
     for i, t in enumerate(times):
         for k, j in enumerate(sites):
@@ -662,9 +723,9 @@ def run_local_approx(cfg: ExperimentConfig) -> ExperimentReport:
     over the time grid per shell count, the first shell reaching the
     configured accuracy, and the qualitative decay envelope."""
     t0 = time.perf_counter()
-    scene = build_scene(cfg)
-    gamma = _thermal_state(cfg, scene)
-    A, B = _pair_observables(cfg, scene.basis)
+    scene = scene_of(cfg)
+    gamma = scene.gibbs(cfg)
+    A, B = scene.pair(cfg)
     X = _support_region(scene.graph, A)
     r = cfg.model.range_hops
     d = scene.graph.dim_hint
@@ -675,7 +736,7 @@ def run_local_approx(cfg: ExperimentConfig) -> ExperimentReport:
     eps = eps_rels[0] * norm_a * norm_b
     sup_times = cfg.sweeps["sup_times"] or cfg.sweeps["times"]
     full_sites = scene.region.as_set()
-    full = correlations(scene.H, gamma, [(A, B)], sup_times, scene.decomp, "dense")[0][0]
+    full = correlations(scene.H, gamma, [(A, B)], sup_times, scene.decomp, "dense", want=("ab",))[0][0]
 
     def measure(m: int):
         inner = enlargement(scene.graph, X, 2 * m * r)
@@ -683,9 +744,9 @@ def run_local_approx(cfg: ExperimentConfig) -> ExperimentReport:
         H_in = assemble_hamiltonian(scene.graph, inner, scene.basis, cfg.model)
         if same_matrix(H_in, scene.H):  # the full sum, already made
             restricted = full
-        else:
-            d_in = eigendecompose(H_in)
-            restricted = correlations(H_in, gamma, [(A, B)], sup_times, d_in, "dense")[0][0]
+        else:  # lr at the cap decomposes this same generator
+            d_in = scene.eigendecompose(H_in)
+            restricted = correlations(H_in, gamma, [(A, B)], sup_times, d_in, "dense", want=("ab",))[0][0]
         sup_val = float(np.abs(full - restricted).max(initial=0.0))
         envelope = m ** (d + 1) * math.exp(-m) + float(m) ** (d - p / 2 + 1)
         below = sup_val <= eps
@@ -730,13 +791,13 @@ def run_kms_check(cfg: ExperimentConfig) -> ExperimentReport:
     boundary values and strip grid come from one ``GreenFunction.values``
     call."""
     t0 = time.perf_counter()
-    scene = build_scene(cfg)
-    gamma = _thermal_state(cfg, scene)
+    scene = scene_of(cfg)
+    gamma = scene.gibbs(cfg)
     beta = gamma.beta
     times = cfg.sweeps["times"]
     n_grid = cfg.sweeps["strip_points"]
     t_span = max(max(times), beta)
-    pairs = [_pair_observables(cfg, scene.basis, k) for k in range(len(cfg.observable_pairs))]
+    pairs = [scene.pair(cfg, k) for k in range(len(cfg.observable_pairs))]
     direct_ab, direct_ba, evolved = evolved_two_points(gamma, pairs, times)
     n_t = len(times)
     points = [complex(t, 0.0) for t in times] + [complex(t, -beta) for t in times]
@@ -775,7 +836,7 @@ def run_kms_check(cfg: ExperimentConfig) -> ExperimentReport:
     for L in cfg.volumes:
         _, gamma_l, A_l, B_l = _volume_state(cfg, L, max(cfg.thermal["tail_tol"], 0.5), gamma)
         trend_vals[L] = correlations(
-            gamma_l.hamiltonian, gamma_l, [(A_l, B_l)], times, gamma_l.decomp, "dense"
+            gamma_l.hamiltonian, gamma_l, [(A_l, B_l)], times, gamma_l.decomp, "dense", want=("ab",)
         )[0][0]
     for u, v in itertools.combinations(sorted(trend_vals), 2):
         for t, a, b in zip(times, trend_vals[u], trend_vals[v]):
@@ -798,8 +859,8 @@ def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
     numerically differentiated two-point function is bounded uniformly
     over a time grid and across growing volumes."""
     t0 = time.perf_counter()
-    scene = build_scene(cfg)
-    A, B = _pair_observables(cfg, scene.basis)
+    scene = scene_of(cfg)
+    A, B = scene.pair(cfg)
     X = _support_region(scene.graph, A)
     r = cfg.model.range_hops
 
@@ -850,7 +911,7 @@ def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
             norm_ab = operator_norm(A_l) * operator_norm(B_l)
 
         steps = [t + s for t in times for s in (h, -h, 2 * h, -2 * h)]
-        g = correlations(H_xr, gamma_l, [(A_l, B_l)], steps, d_xr, "dense")[0][0].reshape(-1, 4)
+        g = correlations(H_xr, gamma_l, [(A_l, B_l)], steps, d_xr, "dense", want=("ab",))[0][0].reshape(-1, 4)
         sup_d = 0.0
         for t, (plus, minus, plus2, minus2) in zip(times, g):
             d1 = complex(plus - minus) / (2 * h)

@@ -104,23 +104,37 @@ def sector_dimension(n_sites: int, n: int, cap: int | None) -> int:
     return total
 
 
-def _enumerate_sector(n_sites: int, n: int, cap: int | None) -> list[tuple[int, ...]]:
-    """All occupation vectors with total n, lexicographically ascending."""
-    out: list[tuple[int, ...]] = []
-    occ = [0] * n_sites
+def _enumerate_sector(n_sites: int, n: int, cap: int | None) -> np.ndarray:
+    """All occupation vectors with total n, lexicographically ascending, as
+    an (count, n_sites) int64 array.
 
-    def rec(pos: int, remaining: int):
-        if pos == n_sites - 1:
-            if cap is None or remaining <= cap:
-                occ[pos] = remaining
-                out.append(tuple(occ))
-            return
-        top = remaining if cap is None else min(remaining, cap)
-        for v in range(top + 1):
-            occ[pos] = v
-            rec(pos + 1, remaining - v)
-
-    rec(0, n)
+    Built one site at a time: each prefix is repeated once per value its
+    next site can take, in ascending order, so the prefixes stay in
+    lexicographic order.  A value is feasible when the particles left fit
+    on the remaining sites under ``cap``, so every prefix completes and no
+    stage holds more prefixes than the result has rows.  Each stage keeps
+    only the parent and the value of its prefixes; the rows are read back
+    through the parents at the end.
+    """
+    left = np.array([n], dtype=np.int64)  # particles still to place, per prefix
+    stages = []
+    for pos in range(n_sites - 1):
+        lo = np.zeros_like(left) if cap is None else np.maximum(left - cap * (n_sites - pos - 1), 0)
+        hi = left if cap is None else np.minimum(left, cap)
+        counts = np.maximum(hi - lo + 1, 0)
+        parent = np.repeat(np.arange(left.size), counts)
+        values = lo[parent] + np.arange(parent.size) - (np.cumsum(counts) - counts)[parent]
+        stages.append((parent, values))
+        left = left[parent] - values
+    # the last site takes what is left, which the bounds above keep within
+    # the cap; a single site takes all n or nothing
+    rows = np.arange(left.size) if cap is None else np.flatnonzero(left <= cap)
+    out = np.empty((rows.size, n_sites), dtype=np.int64)
+    out[:, -1] = left[rows]
+    for pos in range(n_sites - 2, -1, -1):
+        parent, values = stages[pos]
+        out[:, pos] = values[rows]
+        rows = parent[rows]
     return out
 
 
@@ -140,8 +154,7 @@ def _build_basis(region: Region, sectors, cap: int | None, sector: int | None) -
     dim = sum(sector_dimension(s, n, cap) for n in sectors)
     if dim > MAX_STATES:
         raise ResourceLimitError(f"basis would hold {dim} states, above the {MAX_STATES} cap")
-    states = [st for n in sectors for st in _enumerate_sector(s, n, cap)]
-    occupations = np.array(states, dtype=np.int64).reshape(len(states), s)
+    occupations = np.concatenate([_enumerate_sector(s, n, cap) for n in sectors])
     totals = occupations.sum(axis=1)
     return FockBasis(
         region=region,

@@ -98,7 +98,7 @@ def build_from_edges(n_vertices: int, edges, dim_hint: int = 1) -> LatticeGraph:
         raise InvalidArgumentError("dim_hint must be a positive integer")
     nbrs: list[set[int]] = [set() for _ in range(n_vertices)]
     for e in edges:
-        x, y = int(e[0]), int(e[1])
+        x, y = e
         if not (0 <= x < n_vertices and 0 <= y < n_vertices):
             raise InvalidArgumentError(f"edge {e} references a vertex outside 0..{n_vertices - 1}")
         if x == y:

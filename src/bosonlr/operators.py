@@ -28,9 +28,11 @@ Conventions
   occupation-cutoff-projected dynamics generated by P H P.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
 
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -142,9 +144,11 @@ def _pruned(mat: sparse.csr_matrix) -> sparse.csr_matrix:
 
 def _diag_operator(basis: FockBasis, values: np.ndarray, support=None) -> SparseOperator:
     values = np.asarray(values)
-    # at least float64: sparse.diags takes no booleans
     values = values.astype(np.result_type(values, np.float64), copy=False)
-    mat = _pruned(sparse.diags(values, 0, shape=(basis.dimension, basis.dimension), format="csr"))
+    # one entry per row, straight into CSR (``sparse.diags`` builds a DIA
+    # matrix first); ``_pruned`` drops the zeros as the conversion did
+    rows = np.arange(basis.dimension + 1)
+    mat = _pruned(sparse.csr_matrix((values, rows[:-1], rows), shape=(basis.dimension, basis.dimension)))
     return SparseOperator(mat, basis, not values.imag.any(), diagonal=True, support=support)
 
 
@@ -431,6 +435,29 @@ def operator_norm(op, seed=None) -> float:
     return max(float(np.linalg.norm(stack, 2, axis=(1, 2)).max()) for _, stack in stacks)
 
 
+def hermitian_norm_bound(X) -> float:
+    """An upper bound on the spectral norm of a dense square array that is
+    hermitian up to rounding, without an SVD.
+
+    With S = (X + X^*)/2 and K = (X - X^*)/2, X = S + K and S is hermitian,
+    so ||X|| <= ||S|| + ||K|| <= max |eig S| + ||K||_F: one eigenvalue-only
+    ``eigh`` and a Frobenius norm, exact for a hermitian X up to the
+    eigensolver's rounding.  0.0 when no entry of X is nonzero (an exact
+    difference of equal operators).
+    """
+    X = _real_if_exact(np.asarray(X))
+    if not X.any():
+        return 0.0
+    Xh = np.conj(X.T)  # Fortran-ordered, as LAPACK reads in place
+    K = X - Xh
+    skew = 0.5 * math.sqrt(np.vdot(K, K).real)
+    del K
+    S = np.add(X, Xh, out=Xh)
+    S *= 0.5
+    eig = scipy.linalg.eigh(S, eigvals_only=True, overwrite_a=True, check_finite=False, driver="ev")
+    return float(max(-eig[0], eig[-1]) + skew)
+
+
 def _components(coo):
     """(labels, sizes) of the connected components of the sparsity pattern
     of a square COO matrix: the component of each row, and the number of
@@ -470,7 +497,7 @@ def _component_stacks(coo, data, labels, sizes):
 
 def _real_if_exact(values: np.ndarray) -> np.ndarray:
     # a dense or bare scipy input may be complex with no imaginary entry
-    # (the Heisenberg blocks at t = 0); a real SVD costs half
+    # (the Heisenberg blocks at t = 0); a real SVD or eigvalsh costs half
     if np.iscomplexobj(values) and not values.imag.any():
         return values.real
     return values
@@ -500,34 +527,33 @@ def local_observable(basis: FockBasis, spec: dict) -> SparseOperator:
     kind = spec.get("kind")
     if kind == "number_function":
         fn = spec.get("fn")
-        if isinstance(fn, str):
+        sites = [spec["site"]] if "site" in spec else list(spec["sites"])
+        occ = basis.occupations[:, [basis.site_column(s) for s in sites]]
+        if callable(fn):
+            vals = np.array([fn(*(int(v) for v in row)) for row in occ])
+        elif len(sites) != 1:
+            raise InvalidArgumentError("a function name or a table takes one site")
+        elif isinstance(fn, str):
             if fn not in _NAMED_FUNCTIONS:
                 raise InvalidArgumentError(f"unknown observable function {fn!r}")
-            func = _NAMED_FUNCTIONS[fn]
+            vals = _NAMED_FUNCTIONS[fn](occ[:, 0])  # elementwise, the bits of one call per state
         elif isinstance(fn, (list, tuple, np.ndarray)):
             table = np.asarray(fn, dtype=float)
-
-            def func(n, _table=table):
-                if n >= len(_table):
-                    raise InvalidArgumentError(
-                        f"observable table of length {len(_table)} too short for occupation {n}"
-                    )
-                return _table[int(n)]
-
-        elif callable(fn):
-            func = fn
+            short = occ[:, 0] >= len(table)
+            if short.any():
+                raise InvalidArgumentError(
+                    f"observable table of length {len(table)} too short for occupation {occ[short, 0][0]}"
+                )
+            vals = table[occ[:, 0]]
         else:
             raise InvalidArgumentError("number_function needs fn as name, table, or callable")
-        sites = [int(spec["site"])] if "site" in spec else [int(s) for s in spec["sites"]]
-        cols = [basis.site_column(s) for s in sites]
-        vals = np.array([func(*(int(v) for v in row)) for row in basis.occupations[:, cols]])
         return _diag_operator(basis, vals, support=tuple(sorted(sites)))
     if kind == "indicator":
-        x, k = int(spec["site"]), int(spec["level"])
+        x, k = spec["site"], spec["level"]
         col = basis.site_column(x)
         return _diag_operator(basis, (basis.occupations[:, col] == k).astype(float), support=(x,))
     if kind == "normalized_hop":
-        x, y = (int(s) for s in spec["sites"])
+        x, y = spec["sites"]
         cap = basis.site_cap if basis.site_cap is not None else basis.max_total
         cap = max(int(cap), 1)
         h = hop_term(basis, x, y)

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from .dynamics import (
+    CORRELATION_ARRAYS,
     PROPAGATE_CHUNK,
     SpectralDecomposition,
     StateVector,
@@ -448,15 +449,16 @@ def two_point(
     if engine == "dense" and generator_decomp is None and generator is None:
         generator_decomp = state.decomp
     H = generator if generator is not None else state.hamiltonian
-    ab, ba, _ = correlations(H, state, [(A, B)], [t], generator_decomp, engine)
-    return complex((ab if order == "AB" else ba)[0, 0])
+    (value,) = correlations(H, state, [(A, B)], [t], generator_decomp, engine, want=(order.lower(),))
+    return complex(value[0, 0])
 
 
-def evolved_two_points(state: GibbsState, pairs, times):
+def evolved_two_points(state: GibbsState, pairs, times, want=CORRELATION_ARRAYS):
     """``correlations`` of the state under its own Hamiltonian on the sparse
-    route: the oracle for the strip boundary values.  It reads the state's
-    eigenvectors and weights, never its energies or the spectral sum."""
-    return correlations(state.hamiltonian, state, pairs, times, engine="krylov")
+    route, the arrays named in ``want``: the oracle for the strip boundary
+    values.  It reads the state's eigenvectors and weights, never its
+    energies or the spectral sum."""
+    return correlations(state.hamiltonian, state, pairs, times, engine="krylov", want=want)
 
 
 def kms_residual(
@@ -476,11 +478,11 @@ def kms_residual(
         gf = GreenFunction(state, A, B)
     upper = gf(complex(t, 0.0))
     lower = gf(complex(t, -state.beta))
-    direct_ab, direct_ba, _ = evolved_two_points(state, [(A, B)], [t])
+    direct_ab, direct_ba = evolved_two_points(state, [(A, B)], [t], want=("ab", "ba"))
     return (abs(upper - direct_ab[0, 0]), abs(lower - direct_ba[0, 0]))
 
 
 def invariance_residual(state: GibbsState, A: SparseOperator, t: float) -> float:
     """|gamma(tau_t(A)) - gamma(A)|: stationarity of the thermal state."""
-    _, _, evolved = evolved_two_points(state, [(A, None)], [t])
+    (evolved,) = evolved_two_points(state, [(A, None)], [t], want=("plain",))
     return abs(evolved[0, 0] - expectation(state, A))

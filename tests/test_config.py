@@ -59,6 +59,35 @@ def test_values_are_typed_once():
     assert type(cfg.to_dict()["thermal"]["beta"]) is int
 
 
+def test_observable_fields_and_edges_are_typed_once():
+    # an observable's site, level and sites, a table's entries and each
+    # edge reach the runners as ints and floats: an observable built from
+    # "site": 2.0 records its support as the int 2, and the echoed config
+    # keeps the values as written
+    from bosonlr.experiments import build_graph, scene_of
+
+    pairs = [
+        [{"kind": "number_function", "site": 2.0, "fn": [1, 0.5, 0.25]}, {"kind": "indicator", "site": 1.0, "level": 1.0}],
+        [{"kind": "normalized_hop", "sites": [0.0, 1.0]}, {"kind": "number_function", "site": 3, "fn": "inv_one_plus_n"}],
+    ]
+    edges = [[0, 1.0], [1.0, 2], [2, 3.0]]
+    graph = {"type": "edges", "n_vertices": 4, "edges": edges}
+    cfg = from_dict({"graph": graph, "basis": {"n_max": 2}, "observables": {"pairs": pairs}})
+    spec_a, spec_b = cfg.observable_pairs[0]
+    assert spec_a == {"kind": "number_function", "site": 2, "fn": [1.0, 0.5, 0.25]} and type(spec_a["site"]) is int
+    assert all(type(v) is float for v in spec_a["fn"])
+    assert type(spec_b["site"]) is int and type(spec_b["level"]) is int
+    assert [type(v) for v in cfg.observable_pairs[1][0]["sites"]] == [int, int]
+    assert cfg.graph["edges"] == [[0, 1], [1, 2], [2, 3]]
+    assert all(type(v) is int for edge in cfg.graph["edges"] for v in edge)
+    assert cfg.to_dict()["observables"]["pairs"] == pairs and cfg.to_dict()["graph"]["edges"] == edges
+    assert build_graph(cfg.graph).adjacency == ((1,), (0, 2), (1, 3), (2,))
+    scene = scene_of(cfg)
+    A, B = scene.pair(cfg)
+    hop, _ = scene.pair(cfg, 1)
+    assert A.support == (2,) and type(A.support[0]) is int and B.support == (1,) and hop.support == (0, 1)
+
+
 def test_integer_past_the_digit_limit_exits_config(tmp_path):
     # json.load refuses an integer literal of more digits than Python reads
     # (3.10.7 and later); an older reader gets an integer no float holds

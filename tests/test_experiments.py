@@ -287,18 +287,18 @@ def test_exact_zero_at_cap_and_on_covering_shells():
 def per_time_shell_norms(cfg):
     """The shell sweep of ``lr`` as a loop over times: per shell and time,
     the dense ``heisenberg_operator`` of both generators and the largest
-    norm of their difference over the sector blocks, keyed (m, t)."""
+    norm bound (``hermitian_norm_bound``, as ``lr`` measures) of their
+    difference over the sector blocks, keyed (m, t)."""
     from bosonlr import (
         assemble_hamiltonian,
         cutoff_projection,
         eigendecompose,
         enlargement,
         heisenberg_operator,
-        operator_norm,
         sandwich,
     )
     from bosonlr.experiments import _pair_observables, _support_region, build_scene
-    from bosonlr.operators import same_matrix
+    from bosonlr.operators import hermitian_norm_bound, same_matrix
 
     scene = build_scene(cfg)
     A, _ = _pair_observables(cfg, scene.basis)
@@ -316,7 +316,7 @@ def per_time_shell_norms(cfg):
         for t in cfg.sweeps["times"]:
             T_in = heisenberg_operator(G_in, A, t, d_in)
             T_full = heisenberg_operator(G_full, A, t, d_full)
-            out[m, t] = max(operator_norm(T_in[sl, sl] - T_full[sl, sl]) for sl in sectors)
+            out[m, t] = max(hermitian_norm_bound(T_in[sl, sl] - T_full[sl, sl]) for sl in sectors)
     return out
 
 
@@ -567,3 +567,58 @@ def test_local_approx_rows_copy_the_report_conditions():
     assert rep.summary["monotone_trend"] and rep.summary["empirical_m0"] is None
     assert [r["pass"] for r in rep.records] == [False, False]
     assert rep.passed is False
+
+
+@pytest.fixture
+def run_reports(monkeypatch, tmp_path):
+    """Run ``main(argv)`` and return every report its runners made, by
+    experiment, with the ``eigendecompose`` calls made on the way."""
+    from bosonlr import dynamics, thermal
+
+    runners, made = dict(RUNNERS), []
+    decompose = dynamics.eigendecompose
+
+    def counted(H, *args, **kwargs):
+        made.append(H.basis.dimension)
+        return decompose(H, *args, **kwargs)
+
+    for module in (dynamics, thermal, experiments):
+        monkeypatch.setattr(module, "eigendecompose", counted)
+
+    def run(argv):
+        reports, made[:] = {}, []
+
+        def keeping(key):
+            def runner(cfg):
+                reports[key] = runners[key](cfg)
+                return reports[key]
+
+            return runner
+
+        for key in runners:
+            monkeypatch.setitem(RUNNERS, key, keeping(key))
+        assert main([*argv, "--out", str(tmp_path / str(len(list(tmp_path.iterdir()))))]) == 0
+        return reports, list(made)
+
+    return run
+
+
+def test_all_shares_one_scene_per_preset_and_nothing_between_runs(run_reports):
+    """``local-approx`` reads the chain-10 scene and the three inner-shell
+    decompositions ``lr`` made, so ``bosonlr all`` makes 21
+    ``eigendecompose`` calls, not 25; a second run in the same process
+    starts from new configs and makes the same 21."""
+    first, made = run_reports(["all"])
+    assert len(made) == 21
+    second, again = run_reports(["all"])
+    assert again == made
+    assert repr([r.records for r in second.values()]) == repr([r.records for r in first.values()])
+
+
+def test_shared_scene_keeps_the_bits_of_each_experiment_run_alone(run_reports):
+    """The ``lr`` and ``local-approx`` records of ``bosonlr all`` equal, bit
+    for bit, those of each experiment run alone on its preset."""
+    together, _ = run_reports(["all"])
+    for experiment in ("lr", "local-approx"):
+        alone, _ = run_reports([experiment, "--preset", "chain-10"])
+        assert repr(alone[experiment].records) == repr(together[experiment].records)

@@ -1,7 +1,10 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonlr import (
     InvalidArgumentError,
@@ -14,7 +17,7 @@ from bosonlr import (
     full_region,
     index_of,
 )
-from bosonlr.fock import sector_dimension
+from bosonlr.fock import _enumerate_sector, sector_dimension
 
 
 def reg(n):
@@ -115,3 +118,34 @@ def test_guards():
 
     with pytest.raises(InvalidArgumentError):
         enumerate_basis(Region((), g.graph_id), sector=1)
+
+
+def recursive_sector(n_sites, n, cap):
+    """The depth-first enumerator ``_enumerate_sector`` replaced: each
+    site takes 0..min(remaining, cap) in turn, and the last site takes the
+    remainder when the cap allows it."""
+    out, occ = [], [0] * n_sites
+
+    def rec(pos, remaining):
+        if pos == n_sites - 1:
+            if cap is None or remaining <= cap:
+                occ[pos] = remaining
+                out.append(tuple(occ))
+            return
+        for v in range((remaining if cap is None else min(remaining, cap)) + 1):
+            occ[pos] = v
+            rec(pos + 1, remaining - v)
+
+    rec(0, n)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(sites=st.integers(1, 7), n=st.integers(0, 9), cap=st.one_of(st.none(), st.integers(0, 4)))
+def test_sector_enumeration_matches_the_recursive_reference(sites, n, cap):
+    """The site-by-site numpy expansion gives the recursive enumerator's
+    rows in its lexicographic order, as int64, infeasible sectors empty."""
+    got = _enumerate_sector(sites, n, cap)
+    want = np.array(recursive_sector(sites, n, cap), dtype=np.int64).reshape(-1, sites)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)

@@ -324,6 +324,25 @@ def test_local_observable_kinds():
         local_observable(basis, {"kind": "mystery"})
 
 
+def test_number_functions_keep_the_bits_of_one_call_per_state():
+    # a name and a table are read for every state at once; each entry is
+    # what one call per state made, a short table names the first
+    # occupation it misses, and a name or a table takes one site
+    basis = enumerate_sectors(full_region(build_chain(3)), 4)
+    occupations = basis.occupations[:, 1]
+    table = [1.0, 0.3, 0.7, 0.1, 0.9]
+    for fn, one in (("inv_one_plus_n", lambda n: 1.0 / (1.0 + n)), (table, lambda n: table[n])):
+        op = local_observable(basis, {"kind": "number_function", "site": 1, "fn": fn})
+        want = np.array([one(int(n)) for n in occupations])
+        assert op.matrix.diagonal().tobytes() == want.tobytes()
+    with pytest.raises(InvalidArgumentError, match="length 3 too short for occupation 3"):
+        local_observable(basis, {"kind": "number_function", "site": 1, "fn": table[:3]})
+    with pytest.raises(InvalidArgumentError, match="one site"):
+        local_observable(basis, {"kind": "number_function", "sites": [0, 1], "fn": "inv_one_plus_n"})
+    pair = local_observable(basis, {"kind": "number_function", "sites": [0, 2], "fn": lambda a, b: a - b})
+    assert np.array_equal(pair.matrix.diagonal(), basis.occupations[:, 0] - basis.occupations[:, 2])
+
+
 def test_dump_operator_round_trip(tmp_path):
     g = build_chain(2)
     reg = full_region(g)

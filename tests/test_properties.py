@@ -48,10 +48,10 @@ from bosonlr import (
     two_point,
 )
 from bosonlr import dynamics, thermal
-from bosonlr.dynamics import _krylov_evolve, _real_matmul, _sector_pairs
+from bosonlr.dynamics import CORRELATION_ARRAYS, _krylov_evolve, _real_matmul, _sector_pairs
 from bosonlr.experiments import _binomial_direct
 from bosonlr.lattice import Region
-from bosonlr.operators import same_matrix, zero_operator
+from bosonlr.operators import hermitian_norm_bound, same_matrix, zero_operator
 
 lattices = st.one_of(
     st.builds(build_chain, st.integers(2, 5)),
@@ -883,6 +883,77 @@ def test_thermal_spectral_sum_identities(g, n_max, grand, J, U, beta, conserving
     ab, ba, plain = own
     assert np.abs(plain - plain[:, :1]).max() <= 1e-12
     assert np.abs(ba[0] - np.conj(ab[0])).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    g=lattices,
+    n_max=st.integers(1, 3),
+    J=st.floats(0.1, 1.0),
+    U=st.floats(0.0, 2.0),
+    pure=st.booleans(),
+    kinds=st.lists(st.sampled_from(["hermitian", "non-hermitian", "mixing", None]), min_size=1, max_size=3),
+    times=any_times,
+    want=st.lists(st.sampled_from(CORRELATION_ARRAYS), min_size=1, max_size=3, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_correlations_subset_has_the_bits_of_the_full_call(g, n_max, J, U, pure, kinds, times, want, seed):
+    """Each array of any subset ``want`` of ``correlations``, in any order,
+    equals the same array of the full call bit for bit: on the dense route
+    (the spectral sum of a thermal state, propagate_block for a pure one)
+    and on the sparse route, with hermitian, non-hermitian, sector-mixing
+    and no B."""
+    basis = enumerate_sectors(full_region(g), n_max)
+    H = assemble_hamiltonian(g, full_region(g), basis, ModelParams(hopping=J, onsite=U))
+    rng = np.random.default_rng(seed)
+    if pure:
+        amps = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+        state = StateVector(basis, amps / np.linalg.norm(amps))
+    else:
+        state = gibbs_state(H, 1.0, -6.0, n_max, tail_tol=1.0)
+    B_of = {
+        "hermitian": lambda: unit_operator(basis, rng, conserving=True, hermitian=True),
+        "non-hermitian": lambda: unit_operator(basis, rng, conserving=True, hermitian=False),
+        "mixing": lambda: unit_operator(basis, rng, conserving=False, hermitian=bool(rng.integers(2))),
+        None: lambda: None,
+    }
+    pairs = [(unit_operator(basis, rng, conserving=False, hermitian=False), B_of[kind]()) for kind in kinds]
+    d = eigendecompose(H)
+    for route in ((d, "dense"), (None, "krylov")):
+        full = dict(zip(CORRELATION_ARRAYS, correlations(H, state, pairs, times, *route)))
+        got = correlations(H, state, pairs, times, *route, want=want)
+        assert len(got) == len(want)
+        for name, array in zip(want, got):
+            assert array.tobytes() == full[name].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    real=st.booleans(),
+    skew=st.sampled_from([0.0, 1e-15, 1e-6, 1.0]),
+    scale=st.sampled_from([1e-12, 1.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hermitian_norm_bound_is_at_least_the_largest_singular_value(n, real, skew, scale, seed):
+    """max |eig((X + X^*)/2)| + ||(X - X^*)/2||_F is at least the SVD's
+    sigma_max(X), up to n u ||X||_F of eigensolver rounding, for X
+    hermitian up to a part of any relative size; on a hermitian X the
+    two agree to that rounding."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        M = rng.standard_normal((n, n))
+        return M if real else M + 1j * rng.standard_normal((n, n))
+
+    M = draw()
+    X = scale * ((M + M.conj().T) / 2 + skew * draw())
+    sigma = np.linalg.norm(X, 2)
+    slack = n * np.finfo(np.float64).eps * np.linalg.norm(X)
+    bound = hermitian_norm_bound(X)
+    assert bound >= sigma - slack
+    if skew == 0.0:
+        assert bound <= sigma + slack
 
 
 any_graphs = st.one_of(lattices, edge_graphs())

@@ -428,33 +428,34 @@ def test_dense_two_point_propagates_once_without_operators(monkeypatch):
 def column_loop_reference(columns, weights, pairs, times, evolve):
     """The column loop of ``correlations``, operation for operation:
     PROPAGATE_CHUNK weighted columns psi at a time, the block
-    [psi | B psi | B^* psi ...] evolved by ``evolve(X)`` over the grid, and
-    the weighted inner products accumulated chunk by chunk."""
+    [psi | B psi ...] and then the block [B^* psi ...] of the non-hermitian
+    B, each evolved by ``evolve(X)`` over the grid, and the weighted inner
+    products accumulated chunk by chunk."""
     ab, ba, plain = np.zeros((3, len(pairs), len(times)), dtype=np.complex128)
     kept = np.flatnonzero(weights)
     for start in range(0, kept.size, PROPAGATE_CHUNK):
         cols = kept[start : start + PROPAGATE_CHUNK]
         psi = columns[:, cols]
-        blocks, where = [psi], []
-        for _, B in pairs:
-            if B is None:
-                where.append((0, 0))
-                continue
-            ket = len(blocks)
-            blocks.append(_real_matmul(B.matrix, psi))
-            if not B.hermitian:
-                blocks.append(_real_matmul(B.matrix.conj().T, psi))
-            where.append((ket, len(blocks) - 1))
+        kets = [psi] + [_real_matmul(B.matrix, psi) for _, B in pairs if B is not None]
+        bras = [_real_matmul(B.matrix.conj().T, psi) for _, B in pairs if B is not None and not B.hermitian]
         k, w = len(cols), weights[cols]
-        for i, U in enumerate(evolve(np.hstack(blocks))):
-            evolved = [U[:, b * k : (b + 1) * k] for b in range(len(blocks))]
-            for p, (A, _) in enumerate(pairs):
-                ket, bra = where[p]
-                a_psi = A.matrix @ evolved[0]
-                a_ket = a_psi if ket == 0 else A.matrix @ evolved[ket]
-                plain[p, i] += np.einsum("ij,ij->j", evolved[0].conj(), a_psi) @ w
-                ab[p, i] += np.einsum("ij,ij->j", evolved[0].conj(), a_ket) @ w
-                ba[p, i] += np.einsum("ij,ij->j", evolved[bra].conj(), a_psi) @ w
+        grids = [evolve(np.hstack(X)) for X in (kets, bras) if X]
+        for i, parts in enumerate(zip(*grids)):
+            blocks = [part[:, b * k : (b + 1) * k] for part in parts for b in range(part.shape[1] // k)]
+            ket, bra = 0, len(kets) - 1
+            for p, (A, B) in enumerate(pairs):
+                a_psi = A.matrix @ blocks[0]
+                ket_t = bra_t = blocks[0]
+                if B is not None:
+                    ket += 1
+                    ket_t = bra_t = blocks[ket]
+                    if not B.hermitian:
+                        bra += 1
+                        bra_t = blocks[bra]
+                a_ket = a_psi if B is None else A.matrix @ ket_t
+                plain[p, i] += np.einsum("ij,ij->j", blocks[0].conj(), a_psi) @ w
+                ab[p, i] += np.einsum("ij,ij->j", blocks[0].conj(), a_ket) @ w
+                ba[p, i] += np.einsum("ij,ij->j", bra_t.conj(), a_psi) @ w
     return ab, ba, plain
 
 
@@ -679,8 +680,10 @@ def test_evolved_two_points_match_per_pair_two_point(monkeypatch):
     for times in ([0.0, 0.7, 1.4], [0.0, 0.7, 2.3]):
         widths.clear()
         ab, ba, plain = evolved_two_points(gam, pairs, times)
-        # psi, B psi, and B_mixing psi with B_mixing^* psi: four blocks
-        assert widths == [4 * PROPAGATE_CHUNK, 4 * (weighted - PROPAGATE_CHUNK)]
+        # per chunk: psi, B psi and B_mixing psi in one block, then
+        # B_mixing^* psi in its own
+        rest = weighted - PROPAGATE_CHUNK
+        assert widths == [3 * PROPAGATE_CHUNK, PROPAGATE_CHUNK, 3 * rest, rest]
         for p, (A_, B_) in enumerate(pairs):
             for i, t in enumerate(times):
                 # the per-pair sparse route costs a parameter selection per
@@ -719,3 +722,40 @@ def test_oracle_never_reads_the_spectral_propagator(monkeypatch):
     psi = StateVector(basis, gam.decomp.vectors[:, 0])
     with pytest.raises(AssertionError, match="propagate_block"):
         correlations(H, psi, [(A, B)], [0.6], gam.decomp, "dense")
+
+
+def test_correlations_propagates_no_adjoint_image_unless_ba_is_read(monkeypatch):
+    # a non-hermitian B: its B^* psi columns are propagated, in a block of
+    # their own, only when "ba" is requested; on the sparse route (a thermal
+    # state, two chunks) and on the dense route of a pure state
+    basis, reg, H, gam, A, B = truncated_chain_state()
+    rng = np.random.default_rng(5)
+    mixing = sp.random(basis.dimension, basis.dimension, density=0.05, random_state=rng)
+    B_mixing = SparseOperator((mixing + 1j * mixing).tocsr(), basis, False)
+    pairs = [(A, B), (A, B_mixing)]
+    times = [0.0, 0.7]
+    widths = []
+    krylov_evolve, propagate_block = dynamics._krylov_evolve, SpectralDecomposition.propagate_block
+
+    def krylov_spy(H_, X, times_):
+        widths.append(X.shape[1])
+        return krylov_evolve(H_, X, times_)
+
+    def dense_spy(self, X, t):
+        widths.append(X.shape[1])
+        return propagate_block(self, X, t)
+
+    monkeypatch.setattr(dynamics, "_krylov_evolve", krylov_spy)
+    monkeypatch.setattr(SpectralDecomposition, "propagate_block", dense_spy)
+    weighted = np.count_nonzero(gam.weights)
+    chunks = [PROPAGATE_CHUNK, weighted - PROPAGATE_CHUNK]
+    psi = StateVector(basis, gam.decomp.vectors[:, 0])
+    for want in [("ab",), ("plain",), ("plain", "ab"), ("ba",), ("ab", "ba", "plain")]:
+        adjoint = "ba" in want
+        widths.clear()
+        correlations(H, gam, pairs, times, engine="krylov", want=want)
+        # per chunk: [psi | B psi | B_mixing psi], then [B_mixing^* psi]
+        assert widths == [w for k in chunks for w in ([3 * k, k] if adjoint else [3 * k])]
+        widths.clear()
+        correlations(H, psi, pairs, times, gam.decomp, "dense", want=want)
+        assert widths == [w for _ in times for w in ([3, 1] if adjoint else [3])]
