@@ -29,7 +29,6 @@ from .dynamics import (
     free_particle_amplitude,
     heisenberg_blocks,
     heisenberg_expectation,
-    heisenberg_operator,
 )
 from .errors import (
     BosonLRError,
@@ -42,7 +41,7 @@ from .errors import (
     TruncationError,
 )
 from .experiments import RUNNERS, ExperimentReport, write_report
-from .fock import FockBasis, dimension, enumerate_basis, enumerate_sectors, index_of
+from .fock import FockBasis, enumerate_basis, enumerate_sectors
 from .lattice import (
     LatticeGraph,
     Region,
@@ -81,10 +80,7 @@ from .thermal import (
     expectation,
     fixed_sector_gibbs,
     gibbs_state,
-    invariance_residual,
-    kms_residual,
     moment_sup,
-    two_point,
 )
 
 __version__ = "0.1.0"

@@ -17,8 +17,7 @@ its one column per time, and the sparse route propagates weighted columns
 over the grid.
 ``heisenberg_blocks`` evolves an observable over a time grid as its
 nonzero sector blocks: one rotation into the eigenbasis per sector pair,
-then phases and a back-rotation per time; ``heisenberg_operator`` is its
-one-time scatter into a dense array.  Natural units throughout: hbar = 1,
+then phases and a back-rotation per time.  Natural units throughout: hbar = 1,
 time in inverse units of the hopping energy.
 """
 
@@ -349,11 +348,11 @@ def _mirror_eigh(block, q: np.ndarray, a: int, b: int, out: np.ndarray):
     return energies[merged]
 
 
-def eigendecompose(H: SparseOperator, dense_cap: int = DENSE_CAP) -> SpectralDecomposition:
+def eigendecompose(H: SparseOperator) -> SpectralDecomposition:
     """Full eigensystem of a hermitian operator, sector block by block.
 
     Each particle-number block is densified and diagonalized separately,
-    which keeps sector labels exact; blocks larger than ``dense_cap``
+    which keeps sector labels exact; blocks larger than ``DENSE_CAP``
     raise a resource error (use the sparse engine "krylov" instead).
     ``vectors`` takes the dtype of ``H.matrix``: a real ``H`` (float64 by
     the storage rule of ``SparseOperator``) is diagonalized as real
@@ -379,10 +378,8 @@ def eigendecompose(H: SparseOperator, dense_cap: int = DENSE_CAP) -> SpectralDec
     layout = _mirror_layout(matrix, basis) or [None] * len(slices)
     for (n, sl), halves in zip(slices, layout):
         size = sl.stop - sl.start
-        if size > dense_cap:
-            raise ResourceLimitError(
-                f"sector {n} has dimension {size}, above the dense cap {dense_cap}"
-            )
+        if size > DENSE_CAP:
+            raise ResourceLimitError(f"sector {n} has dimension {size}, above the dense cap {DENSE_CAP}")
         block = matrix[sl, sl]
         evals = None if halves is None else _mirror_eigh(block, *halves, vectors[sl, sl])
         if evals is None:
@@ -700,23 +697,6 @@ def heisenberg_blocks(
             Vm, Vn = d.vectors[sm, sm], d.vectors[sn, sn]
             blocks[m, n] = _real_matmul(_real_matmul(Vm, evolved), Vn.conj().T)
         out.append(blocks)
-    return out
-
-
-def heisenberg_operator(
-    H: SparseOperator,
-    A: SparseOperator,
-    t: float,
-    decomposition: SpectralDecomposition | None = None,
-) -> np.ndarray:
-    """Dense e^{iHt} A e^{-iHt} through the spectral decomposition: the
-    blocks of ``heisenberg_blocks`` at the one time ``t``, scattered into a
-    D x D array that is zero off them."""
-    d = decomposition if decomposition is not None else eigendecompose(H)
-    slices = dict(d.sector_slices())
-    out = np.zeros((d.dimension, d.dimension), dtype=np.complex128)
-    for (m, n), block in heisenberg_blocks(H, A, [t], d)[0].items():
-        out[slices[m], slices[n]] = block
     return out
 
 

@@ -76,7 +76,6 @@ from .thermal import (
     GreenFunction,
     evolved_two_points,
     expectation,
-    fixed_sector_gibbs,
     gibbs_state,
     moment_sup,
 )
@@ -96,7 +95,8 @@ def _package_version() -> str:
 
 
 def _pyify(obj):
-    """Recursively convert numpy scalars so summaries are JSON-clean."""
+    """Recursively convert numpy scalars, and a non-finite float to None,
+    so summaries are valid JSON (RFC 8259 has no NaN or Infinity)."""
     if isinstance(obj, dict):
         return {k: _pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -105,8 +105,8 @@ def _pyify(obj):
         return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     return obj
 
 
@@ -285,8 +285,6 @@ def _thermal_state(cfg: ExperimentConfig, scene: Scene, H=None, decomp=None) -> 
     H = H if H is not None else scene.H
     decomp = decomp if decomp is not None else scene.decomp
     thermal = cfg.thermal
-    if H.basis.sector is not None:
-        return fixed_sector_gibbs(H, thermal["beta"], decomp)
     return gibbs_state(
         H, thermal["beta"], thermal["mu"], cfg.basis["n_max"], tail_tol=thermal["tail_tol"], decomposition=decomp
     )
@@ -374,12 +372,15 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
     xmax = cfg.sweeps["displacement_max"]
     times = cfg.sweeps["times"]
     J = cfg.model.hopping
+    norms = []
 
     def one_particle_profile(graph, basis, decomp, ctr, t):
         occ0 = [0] * graph.n_vertices
         occ0[ctr] = 1
         psi = basis_vector(basis, occ0)
-        return decomp.propagate(psi.amplitudes, t)
+        amps = decomp.propagate(psi.amplitudes, t)
+        norms.append(np.linalg.norm(amps))
+        return amps
 
     cols = [
         "check", "t", "x", "m", "measured_re", "measured_im", "expected_re", "expected_im", "abs_error", "bound", "pass"
@@ -470,9 +471,11 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
     smallness_ok = True
     if final_val is not None and final_val[0] * prob > 400:
         smallness_ok = final_val[1] < 0.05
+    drift = float(np.max(np.abs(np.subtract(norms, 1.0))))  # NaN when any norm is
 
     summary = {
         "max_propagator_error": worst,
+        "max_norm_drift": drift,
         "boundary_agreement": boundary_err,
         "condensate_probability": prob,
         "condensate_monotone": monotone,
@@ -481,7 +484,7 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
         "condensate_final": None if final_val is None else final_val[1],
         "condensate_small_at_final": smallness_ok,
     }
-    conditions = (monotone, crosscheck_ok, smallness_ok)
+    conditions = (monotone, crosscheck_ok, smallness_ok, drift < cfg.tol("unitarity"))
     return _finish(cfg, "free-evolution", cols, records, summary, t0, conditions=conditions)
 
 
@@ -967,13 +970,9 @@ def write_report(report: ExperimentReport, out_dir, stem: str | None = None) -> 
             for row in report.records:
                 writer.writerow({k: row.get(k, "") for k in report.columns})
         with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report.summary_payload(), fh, indent=2, sort_keys=True)
+            json.dump(report.summary_payload(), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         raise OSError(f"cannot write report under {out_dir!r}: {exc}") from exc
     return {"csv": csv_path, "json": json_path}
 
-
-def load_summary(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -196,10 +196,3 @@ def enumerate_sectors(region: Region, n_max: int, cap: int | None = None) -> Foc
         raise InvalidArgumentError("n_max must be nonnegative")
     return _build_basis(region, range(n_max + 1), cap, None)
 
-
-def dimension(basis: FockBasis) -> int:
-    return basis.dimension
-
-
-def index_of(basis: FockBasis, occ) -> int:
-    return basis.index_of(occ)

@@ -254,33 +254,18 @@ def assemble_interaction(
     region: Region,
     basis: FockBasis,
     params: ModelParams,
-    v_table: dict[tuple[int, int], float] | None = None,
 ) -> SparseOperator:
     """Two-body density-density term, diagonal in the occupation basis.
 
     On occupation n the value is ``sum_x v(x,x) n_x (n_x - 1) +
-    sum_{x != y} v(x,y) n_x n_y`` over ordered pairs in ``region``.  An
-    explicit ``v_table`` (keyed by site pairs) overrides the distance
-    parameterization and must be symmetric.
+    sum_{x != y} v(x,y) n_x n_y`` over ordered pairs in ``region``, with
+    v read from ``params`` at the graph distance of x and y.
     """
     _check_region_in_basis(basis, region)
-    if v_table is not None:
-        for (x, y), val in v_table.items():
-            if x != y and v_table.get((y, x)) != val:
-                raise InvalidArgumentError(f"interaction table asymmetric at pair ({x}, {y})")
-
     sites = list(region.sites)
-    # couplings[i, j] = v(sites[i], sites[j]), from each distinct distance or
-    # the table
-    if v_table is None:
-        dist, inverse = np.unique(g.dist[np.ix_(sites, sites)], return_inverse=True)
-        couplings = np.array([params.v(int(k)) for k in dist])[inverse].reshape(len(sites), len(sites))
-    else:
-        couplings = np.zeros((len(sites), len(sites)))
-        index = {x: i for i, x in enumerate(sites)}
-        for (x, y), val in v_table.items():
-            if x in index and y in index:
-                couplings[index[x], index[y]] = val
+    # couplings[i, j] = v(sites[i], sites[j]), from each distinct distance
+    dist, inverse = np.unique(g.dist[np.ix_(sites, sites)], return_inverse=True)
+    couplings = np.array([params.v(int(k)) for k in dist])[inverse].reshape(len(sites), len(sites))
     occ = basis.occupations
     columns = [occ[:, basis.site_column(x)] for x in sites]
     values = np.zeros(basis.dimension)

@@ -12,10 +12,10 @@ two SYRKs per large block, merges small sector blocks up to
 ``MERGE_ROWS_MAX`` rows, keeps each point's phase and decay factors, and
 evaluates one point of each exact time-mirror pair, F(-t - i s) =
 conj F(t - i s)); equilibrium checks compare it against independently
-time-evolved expectations.  Those come from
-``dynamics.correlations``: ``two_point`` is one pair at one time of it,
-and ``evolved_two_points`` is its sparse route over a whole time grid,
-which reads no energies and no spectral sum.
+time-evolved expectations: ``evolved_two_points``, the sparse route of
+``dynamics.correlations`` over a whole time grid, which reads no energies
+and no spectral sum.  ``gibbs_state`` is the one constructor of both
+ensembles: canonical on a single-sector basis, grand-canonical otherwise.
 """
 
 from dataclasses import dataclass
@@ -85,12 +85,15 @@ class GibbsState:
 def gibbs_state(
     H: SparseOperator,
     beta: float,
-    mu: float,
-    n_max: int,
+    mu: float = 0.0,
+    n_max: int | None = None,
     tail_tol: float = DEFAULT_TAIL_TOL,
     decomposition: SpectralDecomposition | None = None,
 ) -> GibbsState:
-    """Grand-canonical state over sectors 0..n_max with an estimated tail.
+    """The thermal state of H: grand-canonical over sectors 0..n_max with
+    an estimated tail, or canonical on a single-sector basis, where ``mu``
+    and ``n_max`` are not read (the chemical potential drops out) and the
+    tail is 0.
 
     The tail estimate extrapolates the sector partition sums geometrically:
     with q = z[n_max] / z[n_max - 1] < 1, it takes the neglected weight as
@@ -102,13 +105,15 @@ def gibbs_state(
     """
     if beta <= 0:
         raise InvalidArgumentError("inverse temperature must be positive")
-    if n_max < 1:
-        raise InvalidArgumentError("need at least sectors 0 and 1 for the ratio test")
+    canonical = H.basis.sector is not None
+    if canonical:
+        mu, n_max = 0.0, H.basis.sector
+    elif n_max is None or n_max < 1:
+        raise InvalidArgumentError("need n_max >= 1 on a multi-sector basis: sectors 0 and 1 for the ratio test")
     if decomposition is None:
         decomposition = eigendecompose(H)
-    sectors_present = {n for n, _ in decomposition.sector_slices()}
-    missing = set(range(n_max + 1)) - sectors_present
-    if missing:
+    missing = set(range(n_max + 1)) - {n for n, _ in decomposition.sector_slices()}
+    if missing and not canonical:
         raise InvalidArgumentError(f"spectra for sectors {sorted(missing)} are not available")
     G = decomposition.energies - mu * decomposition.sectors
     g_min = float(G.min())
@@ -122,18 +127,20 @@ def gibbs_state(
             weights[sl] = boltzmann[sl]
     z_scaled = float(sum(z for n, z in z_sector.items() if n <= n_max))
     weights /= z_scaled
-    q = z_sector[n_max] / z_sector[n_max - 1]
-    if q >= 1.0:
-        raise DivergingPartitionFunctionError(
-            f"sector sums are not decaying at the truncation edge (q = {q:.3f}); "
-            "lower the chemical potential or raise n_max"
-        )
-    tail = z_sector[n_max] * q / (1.0 - q) / z_scaled
-    if tail >= tail_tol:
-        raise TruncationError(
-            f"estimated tail {tail:.3e} exceeds the configured tolerance {tail_tol:.1e}; "
-            "raise n_max"
-        )
+    tail = 0.0
+    if not canonical:
+        q = z_sector[n_max] / z_sector[n_max - 1]
+        if q >= 1.0:
+            raise DivergingPartitionFunctionError(
+                f"sector sums are not decaying at the truncation edge (q = {q:.3f}); "
+                "lower the chemical potential or raise n_max"
+            )
+        tail = z_sector[n_max] * q / (1.0 - q) / z_scaled
+        if tail >= tail_tol:
+            raise TruncationError(
+                f"estimated tail {tail:.3e} exceeds the configured tolerance {tail_tol:.1e}; "
+                "raise n_max"
+            )
     return GibbsState(
         decomp=decomposition,
         hamiltonian=H,
@@ -153,29 +160,10 @@ def fixed_sector_gibbs(
     beta: float,
     decomposition: SpectralDecomposition | None = None,
 ) -> GibbsState:
-    """Canonical (fixed particle number) thermal state on a single-sector
-    basis; the chemical potential drops out and there is no truncation."""
-    if beta <= 0:
-        raise InvalidArgumentError("inverse temperature must be positive")
-    if H.basis.sector is None:
-        raise InvalidArgumentError("fixed_sector_gibbs needs a single-sector basis")
-    if decomposition is None:
-        decomposition = eigendecompose(H)
-    shifted = decomposition.energies - decomposition.energies.min()
-    boltzmann = np.exp(-beta * shifted)
-    z_scaled = float(boltzmann.sum())
-    return GibbsState(
-        decomp=decomposition,
-        hamiltonian=H,
-        beta=float(beta),
-        mu=0.0,
-        n_max=int(H.basis.sector),
-        weights=boltzmann / z_scaled,
-        shifted=shifted,
-        z_scaled=z_scaled,
-        log_z=float(np.log(z_scaled) - beta * decomposition.energies.min()),
-        tail_estimate=0.0,
-    )
+    """The canonical ``gibbs_state`` of H on its single-sector basis, under
+    the name the benchmark's ``thermal-spectral`` workload and span tracer
+    call."""
+    return gibbs_state(H, beta, decomposition=decomposition)
 
 
 def expectation(state: GibbsState, A: SparseOperator) -> complex:
@@ -427,32 +415,6 @@ class GreenFunction:
         return np.array([self._cache[z] for z in zs], dtype=np.complex128)
 
 
-def two_point(
-    state: GibbsState,
-    A: SparseOperator,
-    B: SparseOperator | None,
-    t: float,
-    order: str = "AB",
-    generator: SparseOperator | None = None,
-    generator_decomp: SpectralDecomposition | None = None,
-    engine: str = "krylov",
-) -> complex:
-    """gamma(tau_t(A) B) or gamma(B tau_t(A)) by direct time evolution: one
-    pair at one time of ``correlations``.
-
-    The evolution ``generator`` defaults to the state's own Hamiltonian but
-    may be any hermitian operator on the same basis (quenches, restricted
-    volumes).  ``B=None`` gives the plain evolved expectation gamma(tau_t(A)).
-    """
-    if order not in ("AB", "BA"):
-        raise InvalidArgumentError("order must be 'AB' or 'BA'")
-    if engine == "dense" and generator_decomp is None and generator is None:
-        generator_decomp = state.decomp
-    H = generator if generator is not None else state.hamiltonian
-    (value,) = correlations(H, state, [(A, B)], [t], generator_decomp, engine, want=(order.lower(),))
-    return complex(value[0, 0])
-
-
 def evolved_two_points(state: GibbsState, pairs, times, want=CORRELATION_ARRAYS):
     """``correlations`` of the state under its own Hamiltonian on the sparse
     route, the arrays named in ``want``: the oracle for the strip boundary
@@ -460,29 +422,3 @@ def evolved_two_points(state: GibbsState, pairs, times, want=CORRELATION_ARRAYS)
     energies or the spectral sum."""
     return correlations(state.hamiltonian, state, pairs, times, engine="krylov", want=want)
 
-
-def kms_residual(
-    state: GibbsState,
-    A: SparseOperator,
-    B: SparseOperator,
-    t: float,
-    gf: GreenFunction | None = None,
-) -> tuple[float, float]:
-    """Boundary-value residuals of the strip function at real time t.
-
-    Returns (|F(t) - gamma(tau_t(A) B)|, |F(t - i beta) - gamma(B tau_t(A))|),
-    the two sides computed by independent code paths (the spectral sum
-    against ``evolved_two_points`` on the one time t).
-    """
-    if gf is None:
-        gf = GreenFunction(state, A, B)
-    upper = gf(complex(t, 0.0))
-    lower = gf(complex(t, -state.beta))
-    direct_ab, direct_ba = evolved_two_points(state, [(A, B)], [t], want=("ab", "ba"))
-    return (abs(upper - direct_ab[0, 0]), abs(lower - direct_ba[0, 0]))
-
-
-def invariance_residual(state: GibbsState, A: SparseOperator, t: float) -> float:
-    """|gamma(tau_t(A)) - gamma(A)|: stationarity of the thermal state."""
-    (evolved,) = evolved_two_points(state, [(A, None)], [t], want=("plain",))
-    return abs(evolved[0, 0] - expectation(state, A))

@@ -343,3 +343,17 @@ def test_integral_float_site_cap_runs_as_an_integer(tmp_path, experiment, preset
     assert main([experiment, "--config", write_cfg(tmp_path, data), "--out", str(tmp_path)]) == EXIT_PASS
     got = RUNNERS[experiment](from_dict(data)).records
     assert got == RUNNERS[experiment](from_dict({"preset": preset, "basis": {"site_cap": 3}})).records
+
+
+def test_a_degenerate_fit_writes_a_strict_json_summary(tmp_path):
+    # one cutoff leaves the lambda fit a single point, so the exponent is
+    # NaN; RFC 8259 has no NaN, so the summary writes it as null
+    def refuse(constant):
+        raise ValueError(f"invalid JSON constant {constant}")
+
+    cfg = write_cfg(tmp_path, {"preset": "chain-4", "sweeps": {"cutoffs": [2]}})
+    out = tmp_path / "out"
+    assert main(["cutoff", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+    (path,) = out.glob("cutoff-*.json")
+    summary = json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)["summary"]
+    assert summary["fitted_lambda_exponent"] is None

@@ -25,8 +25,8 @@ from bosonlr import (
     gibbs_state,
     free_particle_amplitude,
     full_region,
+    heisenberg_blocks,
     heisenberg_expectation,
-    heisenberg_operator,
     hop_term,
     identity_operator,
     local_observable,
@@ -260,10 +260,11 @@ def test_split_sector_allocates_at_most_three_blocks(eigh_sizes):
     assert_same_bits(d, split_eigendecompose(H))
 
 
-def test_eigendecompose_dense_cap():
+def test_eigendecompose_dense_cap(monkeypatch):
     _, _, _, H = chain_model(3, sector=2)
-    with pytest.raises(ResourceLimitError):
-        eigendecompose(H, dense_cap=4)
+    monkeypatch.setattr(dynamics, "DENSE_CAP", 4)
+    with pytest.raises(ResourceLimitError, match="above the dense cap 4"):
+        eigendecompose(H)
 
 
 def test_evolve_identity_cases():
@@ -423,22 +424,24 @@ def test_heisenberg_conserved_observable_constant():
 
 
 def test_heisenberg_operator():
+    # e^{iHt} A e^{-iHt} from ``heisenberg_blocks``: on a single-sector
+    # basis its one block (2, 2) is the whole operator
     _, _, basis, H = chain_model(3, sector=2, U=0.7)
     d = eigendecompose(H)
     A = local_observable(basis, {"kind": "number_function", "site": 0, "fn": "inv_one_plus_n"})
-    assert np.abs(heisenberg_operator(H, A, 0.0, d) - A.to_dense()).max() < 1e-12
+    assert np.abs(heisenberg_blocks(H, A, [0.0], d)[0][2, 2] - A.to_dense()).max() < 1e-12
     # functions of the generator are fixed points
     fH = d.vectors @ np.diag(np.exp(-d.energies)) @ d.vectors.conj().T
     import scipy.sparse as sp
 
     fH_op = SparseOperator(sp.csr_matrix(fH), basis, True)
-    assert np.abs(heisenberg_operator(H, fH_op, 1.1, d) - fH).max() < 1e-10
+    assert np.abs(heisenberg_blocks(H, fH_op, [1.1], d)[0][2, 2] - fH).max() < 1e-10
     # unitary conjugation preserves the norm
     rng = np.random.default_rng(5)
     R = rng.standard_normal((basis.dimension, basis.dimension))
     R = R + R.T
     R_op = SparseOperator(sp.csr_matrix(R), basis, True)
-    evolved = heisenberg_operator(H, R_op, 0.9, d)
+    (evolved,) = heisenberg_blocks(H, R_op, [0.9], d)[0].values()
     assert operator_norm(evolved) == pytest.approx(operator_norm(R), abs=1e-8)
 
 

@@ -15,7 +15,6 @@ from bosonlr.experiments import (
     Check,
     ExperimentReport,
     _row,
-    load_summary,
     run_cutoff_scaling,
     run_free_evolution_check,
     run_moment_propagation,
@@ -236,7 +235,8 @@ def test_write_report_round_trip(tmp_path):
     cfg = small("chain-6", sweeps={"times": [0.0, 0.5]})
     rep = run_moment_propagation(cfg)
     paths = write_report(rep, tmp_path, stem="moments-test")
-    reloaded = load_summary(paths["json"])
+    with open(paths["json"], encoding="utf-8") as fh:
+        reloaded = json.load(fh)
     assert reloaded == rep.summary_payload()
     with open(paths["csv"]) as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
@@ -257,7 +257,8 @@ def test_write_report_empty_sweep(tmp_path):
     with open(paths["csv"]) as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
     assert rows == [rep.columns]
-    assert load_summary(paths["json"])["n_records"] == 0
+    with open(paths["json"], encoding="utf-8") as fh:
+        assert json.load(fh)["n_records"] == 0
 
 
 def test_write_report_bad_path():
@@ -286,15 +287,16 @@ def test_exact_zero_at_cap_and_on_covering_shells():
 
 def per_time_shell_norms(cfg):
     """The shell sweep of ``lr`` as a loop over times: per shell and time,
-    the dense ``heisenberg_operator`` of both generators and the largest
-    norm bound (``hermitian_norm_bound``, as ``lr`` measures) of their
-    difference over the sector blocks, keyed (m, t)."""
+    the sector blocks of both generators' Heisenberg operator, one
+    ``heisenberg_blocks`` call per time, and the largest norm bound
+    (``hermitian_norm_bound``, as ``lr`` measures) of their difference
+    over the blocks, keyed (m, t)."""
     from bosonlr import (
         assemble_hamiltonian,
         cutoff_projection,
         eigendecompose,
         enlargement,
-        heisenberg_operator,
+        heisenberg_blocks,
         sandwich,
     )
     from bosonlr.experiments import _pair_observables, _support_region, build_scene
@@ -304,7 +306,6 @@ def per_time_shell_norms(cfg):
     A, _ = _pair_observables(cfg, scene.basis)
     X = _support_region(scene.graph, A)
     lam, r = int(cfg.sweeps["lr_lambda"]), cfg.model.range_hops
-    sectors = [sl for _, sl in scene.basis.sector_slices()]
     out = {}
     for m in cfg.sweeps["shells"]:
         inner = enlargement(scene.graph, X, 2 * m * r)
@@ -314,9 +315,9 @@ def per_time_shell_norms(cfg):
         d_full = scene.decomp if same_matrix(G_full, scene.H) else eigendecompose(G_full)
         d_in = d_full if same_matrix(G_in, G_full) else eigendecompose(G_in)
         for t in cfg.sweeps["times"]:
-            T_in = heisenberg_operator(G_in, A, t, d_in)
-            T_full = heisenberg_operator(G_full, A, t, d_full)
-            out[m, t] = max(hermitian_norm_bound(T_in[sl, sl] - T_full[sl, sl]) for sl in sectors)
+            (T_in,) = heisenberg_blocks(G_in, A, [t], d_in)
+            (T_full,) = heisenberg_blocks(G_full, A, [t], d_full)
+            out[m, t] = max(hermitian_norm_bound(T_in[k] - T_full[k]) for k in T_full)
     return out
 
 
@@ -533,6 +534,53 @@ def test_a_nan_propagator_error_fails_the_row_and_the_report(monkeypatch, tmp_pa
     assert rep.passed is False
     assert math.isnan(rep.summary["max_propagator_error"])
     assert main(["free-evolution", "--out", str(tmp_path)]) == EXIT_VIOLATION
+
+
+def test_norm_drift_fails_the_report_while_every_bessel_row_passes(monkeypatch):
+    # a propagator 1e-9 off unitary moves no amplitude past the Bessel
+    # tolerance (1e-8), but its norm drifts past the unitarity tolerance
+    from bosonlr.dynamics import SpectralDecomposition
+
+    cfg = small("chain-81", sweeps={"times": [0.5, 1.0], "displacement_max": 2, "condensate_m": [1, 10]})
+    rep = run_free_evolution_check(cfg)
+    assert rep.passed and rep.summary["max_norm_drift"] < cfg.tol("unitarity")
+    propagate = SpectralDecomposition.propagate
+    monkeypatch.setattr(SpectralDecomposition, "propagate", lambda self, a, t: propagate(self, a, t) * (1 + 1e-9))
+    rep = run_free_evolution_check(cfg)
+    assert all(r["pass"] for r in rep.records)
+    assert rep.summary["max_norm_drift"] > cfg.tol("unitarity")
+    assert rep.passed is False
+
+
+def test_a_nan_norm_fails_the_unitarity_condition(monkeypatch):
+    from bosonlr.dynamics import SpectralDecomposition
+
+    cfg = small("chain-81", sweeps={"times": [0.5], "displacement_max": 2, "condensate_m": [1]})
+    propagate = SpectralDecomposition.propagate
+
+    def nan_far_away(self, amplitudes, t):
+        out = propagate(self, amplitudes, t)
+        out[0] = math.nan  # a site no Bessel row reads
+        return out
+
+    monkeypatch.setattr(SpectralDecomposition, "propagate", nan_far_away)
+    rep = run_free_evolution_check(cfg)
+    assert all(r["pass"] for r in rep.records)
+    assert math.isnan(rep.summary["max_norm_drift"])
+    assert rep.passed is False
+
+
+def test_non_finite_summary_values_are_written_as_null(tmp_path):
+    rep = ExperimentReport("cutoff", ["pass"], [], {"fit": math.nan, "spread": math.inf}, {}, True)
+    paths = write_report(rep, tmp_path)
+
+    def refuse(constant):
+        raise ValueError(f"invalid JSON constant {constant}")
+
+    with open(paths["json"], encoding="utf-8") as fh:
+        summary = json.loads(fh.read(), parse_constant=refuse)["summary"]
+    assert summary == {"fit": None, "spread": None}
+    assert math.isnan(rep.summary["fit"])  # the report in memory keeps the float
 
 
 def test_a_nan_direct_sum_fails_the_condensate_crosscheck(monkeypatch):

@@ -11,11 +11,9 @@ from bosonlr import (
     NotInBasisError,
     ResourceLimitError,
     build_chain,
-    dimension,
     enumerate_basis,
     enumerate_sectors,
     full_region,
-    index_of,
 )
 from bosonlr.fock import _enumerate_sector, sector_dimension
 
@@ -36,15 +34,15 @@ def brute_states(sites, n, cap):
 
 def test_stars_and_bars():
     basis = enumerate_basis(reg(2), sector=2)
-    assert dimension(basis) == 3
+    assert basis.dimension == 3
     assert [basis.state(k) for k in range(3)] == [(0, 2), (1, 1), (2, 0)]
-    assert dimension(enumerate_basis(reg(3), sector=2)) == math.comb(4, 2) == 6
-    assert dimension(enumerate_basis(reg(4), sector=3)) == math.comb(6, 3) == 20
+    assert enumerate_basis(reg(3), sector=2).dimension == math.comb(4, 2) == 6
+    assert enumerate_basis(reg(4), sector=3).dimension == math.comb(6, 3) == 20
 
 
 def test_capped_enumeration():
     basis = enumerate_basis(reg(3), sector=2, cap=1)
-    assert dimension(basis) == 3
+    assert basis.dimension == 3
     assert [basis.state(k) for k in range(3)] == brute_states(3, 2, 1)
 
 
@@ -56,34 +54,34 @@ def test_enumeration_matches_brute_force(sites, n, cap):
 
 
 def test_infeasible_is_empty_not_error():
-    assert dimension(enumerate_basis(reg(2), sector=5, cap=2)) == 0
+    assert enumerate_basis(reg(2), sector=5, cap=2).dimension == 0
 
 
 def test_vacuum_sector():
-    assert dimension(enumerate_basis(reg(1), sector=0)) == 1
+    assert enumerate_basis(reg(1), sector=0).dimension == 1
 
 
 def test_index_round_trip():
     basis = enumerate_basis(reg(3), sector=3, cap=2)
-    assert index_of(basis, basis.state(0)) == 0
+    assert basis.index_of(basis.state(0)) == 0
     for k in range(basis.dimension):
-        assert index_of(basis, basis.state(k)) == k
+        assert basis.index_of(basis.state(k)) == k
     with pytest.raises(NotInBasisError):
-        index_of(basis, (3, 0, 0))  # violates the cap
+        basis.index_of((3, 0, 0))  # violates the cap
     with pytest.raises(NotInBasisError):
-        index_of(basis, (1, 1, 0))  # wrong sector
+        basis.index_of((1, 1, 0))  # wrong sector
     with pytest.raises(NotInBasisError):
-        index_of(basis, (1, 2))  # wrong length
+        basis.index_of((1, 2))  # wrong length
     with pytest.raises(NotInBasisError):
-        index_of(basis, (1, 1, 0, 1))  # wrong length, right total
+        basis.index_of((1, 1, 0, 1))  # wrong length, right total
     with pytest.raises(NotInBasisError):
-        index_of(basis, (2, 2, -1))  # negative entry, right total
+        basis.index_of((2, 2, -1))  # negative entry, right total
 
 
 def test_sector_decomposition_sums_to_truncated_space():
     sites, cap = 3, 2
     total = sum(
-        dimension(enumerate_basis(reg(sites), sector=n, cap=cap))
+        enumerate_basis(reg(sites), sector=n, cap=cap).dimension
         for n in range(sites * cap + 1)
     )
     assert total == (cap + 1) ** sites

@@ -96,13 +96,6 @@ def test_interaction_values(two_site):
     assert Voff.to_dense()[basis.index_of((1, 1)), basis.index_of((1, 1))] == pytest.approx(0.6)
 
 
-def test_interaction_table_asymmetry_rejected(two_site):
-    g, reg = two_site
-    basis = enumerate_basis(reg, sector=2)
-    with pytest.raises(InvalidArgumentError):
-        assemble_interaction(g, reg, basis, ModelParams(), v_table={(0, 1): 0.5, (1, 0): 0.2})
-
-
 def test_hamiltonian_small_sectors():
     g = build_chain(3)
     reg = full_region(g)
@@ -414,12 +407,10 @@ def reference_hopping(g, reg, basis, J):
     return _hop_matrix(basis, rows, cols, -J * vals)
 
 
-def reference_interaction(g, reg, basis, params, v_table=None):
+def reference_interaction(g, reg, basis, params):
     """The interaction term with one coupling call per site pair."""
 
     def coupling(x, y):
-        if v_table is not None:
-            return v_table.get((x, y), 0.0)
         return params.v(int(g.dist[x, y]))
 
     occ = basis.occupations
@@ -443,10 +434,10 @@ def reference_op(basis, mat):
 
 
 def assembly_cases(seed):
-    """(graph, basis, region, params, v_table) over chains, grids and edge
-    graphs; capped and uncapped, one sector and several, every capped
-    vector; the full region and random subregions; on-site and off-site
-    couplings, ordered hopping and symmetric interaction tables."""
+    """(graph, basis, region, params) over chains, grids and edge graphs;
+    capped and uncapped, one sector and several, every capped vector; the
+    full region and random subregions; on-site and off-site couplings and
+    ordered hopping."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 6))
     tree = [(k, int(rng.integers(k))) for k in range(1, n)]
@@ -474,12 +465,7 @@ def assembly_cases(seed):
                     onsite=rng.choice([0.0, rng.uniform(-1.0, 1.0)]),
                     offsite=offsite,
                 )
-                v_table = {}
-                for x in reg.sites:
-                    for y in reg.sites:
-                        if x <= y and rng.random() < 0.5:
-                            v_table[x, y] = v_table[y, x] = rng.uniform(-1.0, 1.0)
-                yield g, basis, reg, params, v_table
+                yield g, basis, reg, params
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -487,16 +473,12 @@ def test_batched_assembly_matches_per_edge_and_per_pair_loops(seed):
     """One lookup per batch of moves and one coupling table give the same
     indptr, indices and data as one lookup per move and one coupling call
     per site pair."""
-    for g, basis, reg, params, v_table in assembly_cases(seed):
+    for g, basis, reg, params in assembly_cases(seed):
         J = params.hopping
         hopping = reference_hopping(g, reg, basis, J)
         interaction = reference_interaction(g, reg, basis, params)
         assert same_matrix(assemble_hopping(g, reg, basis, J), reference_op(basis, hopping))
         assert same_matrix(assemble_interaction(g, reg, basis, params), reference_op(basis, interaction))
-        assert same_matrix(
-            assemble_interaction(g, reg, basis, params, v_table),
-            reference_op(basis, reference_interaction(g, reg, basis, params, v_table)),
-        )
         assert same_matrix(assemble_hamiltonian(g, reg, basis, params), reference_op(basis, hopping + interaction))
         x, y = reg.sites[0], reg.sites[-1]
         if x != y:

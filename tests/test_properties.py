@@ -36,7 +36,6 @@ from bosonlr import (
     full_region,
     gibbs_state,
     heisenberg_blocks,
-    heisenberg_operator,
     hop_term,
     identity_operator,
     local_observable,
@@ -45,7 +44,6 @@ from bosonlr import (
     operator_norm,
     sandwich,
     total_number,
-    two_point,
 )
 from bosonlr import dynamics, thermal
 from bosonlr.dynamics import CORRELATION_ARRAYS, _krylov_evolve, _real_matmul, _sector_pairs
@@ -95,10 +93,9 @@ def test_gauge_transform_keeps_spectrum_and_number_diagonal_correlations(g, n, J
     gf, gf_gauge = GreenFunction(gam, A, B), GreenFunction(gam_gauge, A, B)
     for z in (0.0, 0.7, complex(0.7, -0.5 * beta), complex(-1.3, -beta)):
         assert abs(gf(z) - gf_gauge(z)) <= 1e-10
-    for order in ("AB", "BA"):
-        value = two_point(gam, A, B, 0.9, order, engine="dense")
-        value_gauge = two_point(gam_gauge, A, B, 0.9, order, engine="dense")
-        assert abs(value - value_gauge) <= 1e-10
+    value = correlations(H, gam, [(A, B)], [0.9], d, "dense", want=("ab", "ba"))
+    value_gauge = correlations(H_gauge, gam_gauge, [(A, B)], [0.9], d_gauge, "dense", want=("ab", "ba"))
+    assert np.abs(np.subtract(value, value_gauge)).max() <= 1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -344,9 +341,10 @@ def random_operator(basis, rng, conserving, hermitian, real=False, density=0.3):
 )
 def test_sector_blocked_norm_and_heisenberg_operator_match_whole_matrix(gb, J, U, t, hermitian, seed):
     """operator_norm of a conserving operator (blocks by sector) against the
-    dense 2-norm, and heisenberg_operator (sector pairs where A has entries)
-    against V (P V^* A V P^*) V^* with P = diag(e^{iEt}), for a conserving A
-    and a hermitian A with entries between sectors."""
+    dense 2-norm, and the Heisenberg operator (the blocks of
+    ``heisenberg_blocks`` on the sector pairs where A has entries, zero
+    elsewhere) against V (P V^* A V P^*) V^* with P = diag(e^{iEt}), for a
+    conserving A and a hermitian A with entries between sectors."""
     g, basis = gb
     assume(basis.dimension > 0)
     rng = np.random.default_rng(seed)
@@ -357,12 +355,15 @@ def test_sector_blocked_norm_and_heisenberg_operator_match_whole_matrix(gb, J, U
 
     H = assemble_hamiltonian(g, full_region(g), basis, ModelParams(hopping=J, onsite=U))
     d = eigendecompose(H)
-    V, P = d.vectors, np.exp(1j * d.energies * t)
+    V, P, slices = d.vectors, np.exp(1j * d.energies * t), dict(d.sector_slices())
     mixing = random_operator(basis, rng, conserving=False, hermitian=True)
     for A in (conserving, mixing):
         M = A.to_dense()
         expected = V @ ((P[:, None] * (V.conj().T @ M @ V)) * P.conj()) @ V.conj().T
-        err = np.abs(heisenberg_operator(H, A, t, d) - expected).max()
+        evolved = np.zeros_like(expected)
+        for (m, n), block in heisenberg_blocks(H, A, [t], d)[0].items():
+            evolved[slices[m], slices[n]] = block
+        err = np.abs(evolved - expected).max()
         assert err <= 1e-12 * max(1.0, np.linalg.norm(M, 2))
 
 
@@ -455,10 +456,10 @@ def rotate_phase_back_rotate(d, A, t):
 )
 def test_heisenberg_blocks_scatter_to_heisenberg_operator_bitwise(gb, J, U, gauge, times, data, seed):
     """``heisenberg_blocks`` rotates A once and applies the phases per time;
-    scattered into a D x D array it gives ``heisenberg_operator`` at every
-    time of the grid, and that gives the rotate -> phase -> back-rotate
-    formula, bit for bit, for a real generator and a gauge-complex one,
-    with a diagonal A, a normalized hop and a sector-mixing A."""
+    scattered into a D x D array it gives the Heisenberg operator of the
+    rotate -> phase -> back-rotate formula at every time of the grid, bit
+    for bit, for a real generator and a gauge-complex one, with a diagonal
+    A, a normalized hop and a sector-mixing A."""
     g, basis = gb
     assume(basis.dimension > 0)
     rng = np.random.default_rng(seed)
@@ -483,9 +484,7 @@ def test_heisenberg_blocks_scatter_to_heisenberg_operator_bitwise(gb, J, U, gaug
             scattered = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
             for (m, n), block in blocks.items():
                 scattered[slices[m], slices[n]] = block
-            dense = heisenberg_operator(H, A, t, d)
-            assert np.array_equal(scattered, dense)
-            assert np.array_equal(dense, rotate_phase_back_rotate(d, A, t))
+            assert np.array_equal(scattered, rotate_phase_back_rotate(d, A, t))
 
 
 @settings(max_examples=30, deadline=None)

@@ -26,14 +26,11 @@ from bosonlr import (
     gibbs_state,
     hop_term,
     identity_operator,
-    invariance_residual,
-    kms_residual,
     local_observable,
     moment_sup,
     number_operator,
     operator_norm,
     sandwich,
-    two_point,
 )
 from bosonlr import dynamics, thermal
 from bosonlr.dynamics import PROPAGATE_CHUNK, SpectralDecomposition, StateVector, _krylov_evolve, _real_matmul
@@ -141,10 +138,9 @@ def test_green_function_boundary_values_match_direct_evolution():
     B = local_observable(basis, {"kind": "normalized_hop", "sites": [0, 1]})
     gf = GreenFunction(gam, A, B)
     for t in (0.0, 0.4, 1.1):
-        ab = two_point(gam, A, B, t, "AB", engine="krylov")
-        ba = two_point(gam, A, B, t, "BA", engine="krylov")
-        assert abs(gf(complex(t, 0.0)) - ab) < 1e-9
-        assert abs(gf(complex(t, -gam.beta)) - ba) < 1e-9
+        (ab,), (ba,) = evolved_two_points(gam, [(A, B)], [t], want=("ab", "ba"))
+        assert abs(gf(complex(t, 0.0)) - ab[0]) < 1e-9
+        assert abs(gf(complex(t, -gam.beta)) - ba[0]) < 1e-9
 
 
 def test_strip_values_against_dense_matrix_exponential():
@@ -184,15 +180,19 @@ def test_strip_values_against_dense_matrix_exponential():
 
 
 def test_kms_residuals():
+    """The strip's boundary values F(t) and F(t - i beta) against the
+    independently evolved gamma(tau_t(A) B) and gamma(B tau_t(A)), as the
+    ``kms`` runner compares them."""
     basis, H, gam = two_site_model(n_max=3, tail_tol=1e-2)
     ident = identity_operator(basis)
-    r1, r2 = kms_residual(gam, ident, ident, 0.9)
-    assert r1 < 1e-12 and r2 < 1e-12
     A = local_observable(basis, {"kind": "indicator", "site": 0, "level": 1})
     B = local_observable(basis, {"kind": "number_function", "site": 1, "fn": "inv_one_plus_n"})
-    for t in (0.0, 0.5, 1.0):
-        r1, r2 = kms_residual(gam, A, B, t)
-        assert r1 < 1e-9 and r2 < 1e-9
+    times = [0.0, 0.5, 0.9, 1.0]
+    for A_, B_, tol in ((ident, ident, 1e-12), (A, B, 1e-9)):
+        gf = GreenFunction(gam, A_, B_)
+        (ab,), (ba,) = evolved_two_points(gam, [(A_, B_)], times, want=("ab", "ba"))
+        assert np.abs(gf.values([complex(t, 0.0) for t in times]) - ab).max() < tol
+        assert np.abs(gf.values([complex(t, -gam.beta) for t in times]) - ba).max() < tol
     # t = 0 specialization: second residual compares F(-i beta) to gamma(B A)
     gf = GreenFunction(gam, A, B)
     ba0 = expectation(gam, B @ A)
@@ -203,18 +203,18 @@ def test_commutator_of_diagonal_observables_vanishes_at_t0():
     basis, H, gam = two_site_model()
     A = local_observable(basis, {"kind": "number_function", "site": 0, "fn": "inv_one_plus_n"})
     B = local_observable(basis, {"kind": "number_function", "site": 1, "fn": "inv_one_plus_n"})
-    ab = two_point(gam, A, B, 0.0, "AB", engine="krylov")
-    ba = two_point(gam, A, B, 0.0, "BA", engine="krylov")
-    assert abs(ab - ba) < 1e-14
+    ab, ba = evolved_two_points(gam, [(A, B)], [0.0], want=("ab", "ba"))
+    assert abs(ab[0, 0] - ba[0, 0]) < 1e-14
 
 
 def test_invariance_residuals():
+    """|gamma(tau_t(A)) - gamma(A)|: the thermal state is stationary."""
     basis, H, gam = two_site_model()
-    assert invariance_residual(gam, identity_operator(basis), 1.3) < 1e-12
     A = local_observable(basis, {"kind": "number_function", "site": 0, "fn": "inv_one_plus_n"})
     P = local_observable(basis, {"kind": "indicator", "site": 0, "level": 1})
-    for op in (A, P):
-        assert invariance_residual(gam, op, 0.8) < 1e-9
+    for op, t, tol in ((identity_operator(basis), 1.3, 1e-12), (A, 0.8, 1e-9), (P, 0.8, 1e-9)):
+        (evolved,) = evolved_two_points(gam, [(op, None)], [t], want=("plain",))
+        assert abs(evolved[0, 0] - expectation(gam, op)) < tol
 
 
 def test_strip_maximum_principle():
@@ -348,8 +348,8 @@ def test_batched_two_point_matches_eigenvector_loop():
     basis, reg, H, gam, A, B = truncated_chain_state()
     for order, B_ in (("AB", B), ("BA", B), ("AB", None)):
         for t in (0.0, 0.7, 2.3):
-            got = two_point(gam, A, B_, t, order, engine="dense")
-            assert abs(got - reference_two_point(gam, A, B_, t, order, gam.decomp)) <= 1e-12
+            (got,) = correlations(H, gam, [(A, B_)], [t], gam.decomp, "dense", want=(order.lower(),))
+            assert abs(got[0, 0] - reference_two_point(gam, A, B_, t, order, gam.decomp)) <= 1e-12
 
 
 def test_batched_two_point_with_cutoff_generator():
@@ -359,9 +359,11 @@ def test_batched_two_point_with_cutoff_generator():
     Gd = eigendecompose(G)
     for order in ("AB", "BA"):
         ref = reference_two_point(gam, A, B, 0.9, order, Gd)
-        assert abs(two_point(gam, A, B, 0.9, order, G, Gd, engine="dense") - ref) <= 1e-12
+        (got,) = correlations(G, gam, [(A, B)], [0.9], Gd, "dense", want=(order.lower(),))
+        assert abs(got[0, 0] - ref) <= 1e-12
         # the decomposition of a foreign generator is built on demand
-        assert abs(two_point(gam, A, B, 0.9, order, G, engine="dense") - ref) <= 1e-12
+        (got,) = correlations(G, gam, [(A, B)], [0.9], engine="dense", want=(order.lower(),))
+        assert abs(got[0, 0] - ref) <= 1e-12
 
 
 def test_batched_two_point_with_sector_mixing_observable():
@@ -377,7 +379,8 @@ def test_batched_two_point_with_sector_mixing_observable():
     assert np.any(totals[coo.row] != totals[coo.col])
     for order in ("AB", "BA"):
         ref = reference_two_point(gam, A, B, 1.4, order, gam.decomp)
-        assert abs(two_point(gam, A, B, 1.4, order, engine="dense") - ref) <= 1e-12
+        (got,) = correlations(H, gam, [(A, B)], [1.4], gam.decomp, "dense", want=(order.lower(),))
+        assert abs(got[0, 0] - ref) <= 1e-12
 
 
 def test_moment_sup_matches_site_loop():
@@ -410,13 +413,13 @@ def test_dense_two_point_propagates_once_without_operators(monkeypatch):
         return propagate_block(self, X, t)
 
     monkeypatch.setattr(SpectralDecomposition, "propagate_block", counted)
-    shared = two_point(gam, A, None, 0.8, engine="dense")
+    (shared,) = correlations(H, gam, [(A, None)], [0.8], gam.decomp, "dense", want=("ab",))
     ab, ba, plain = correlations(H, gam, [(A, None), (A, ident)], [0.8, 1.1], engine="dense")
     assert calls == []
     assert np.array_equal(ab[1], plain[0]) and np.array_equal(ba[1], plain[0])
     assert np.array_equal(ab[0], plain[0]) and np.array_equal(ba[0], plain[0])
     # a wider phase block may round differently in the last bit
-    assert abs(plain[0, 0] - shared) <= 1e-15
+    assert abs(plain[0, 0] - shared[0, 0]) <= 1e-15
     psi = StateVector(basis, gam.decomp.vectors[:, 0])
     correlations(H, psi, [(A, None)], [0.8, 1.1, 1.4], engine="dense")
     assert calls == [1, 1, 1]
@@ -689,19 +692,20 @@ def test_evolved_two_points_match_per_pair_two_point(monkeypatch):
                 # the per-pair sparse route costs a parameter selection per
                 # call, so it is read at the longest time only
                 engines = ("dense", "krylov") if t == 2.3 else ("dense",)
-                for got, order, B_order in ((ab, "AB", B_), (ba, "BA", B_), (plain, "AB", None)):
+                for got, name, B_order in ((ab, "ab", B_), (ba, "ba", B_), (plain, "ab", None)):
                     for engine in engines:
-                        want = two_point(gam, A_, B_order, t, order, engine=engine)
-                        assert abs(got[p, i] - want) <= 1e-12
+                        decomp = gam.decomp if engine == "dense" else None
+                        (ref,) = correlations(H, gam, [(A_, B_order)], [t], decomp, engine, want=(name,))
+                        assert abs(got[p, i] - ref[0, 0]) <= 1e-12
 
 
 def test_oracle_never_reads_the_spectral_propagator(monkeypatch):
     # the strip sum is built from the decomposition; the values it is
-    # checked against must not be: evolved_two_points, kms_residual and
-    # invariance_residual run with the dense propagator and the rotation
-    # into the eigenbasis disabled
+    # checked against must not be: evolved_two_points runs, and the KMS
+    # boundary and stationarity residuals are taken from it, with the dense
+    # propagator and the rotation into the eigenbasis disabled
     basis, reg, H, gam, A, B = truncated_chain_state()
-    want = two_point(gam, A, B, 0.6, engine="dense")
+    (want,) = correlations(H, gam, [(A, B)], [0.6], gam.decomp, "dense", want=("ab",))
     gf = GreenFunction(gam, A, B)
 
     def forbidden(name):
@@ -712,13 +716,14 @@ def test_oracle_never_reads_the_spectral_propagator(monkeypatch):
 
     for name in ("propagate_block", "rotate"):
         monkeypatch.setattr(SpectralDecomposition, name, forbidden(name))
-    ab, _, _ = evolved_two_points(gam, [(A, B), (A, None)], [0.0, 0.3, 0.6])
-    assert abs(ab[0, 2] - want) <= 1e-12
-    assert max(kms_residual(gam, A, B, 0.6, gf)) < 1e-9
-    assert invariance_residual(gam, A, 0.6) < 1e-9
+    ab, ba, plain = evolved_two_points(gam, [(A, B), (A, None)], [0.0, 0.3, 0.6])
+    assert abs(ab[0, 2] - want[0, 0]) <= 1e-12
+    assert abs(gf(complex(0.6, 0.0)) - ab[0, 2]) < 1e-9
+    assert abs(gf(complex(0.6, -gam.beta)) - ba[0, 2]) < 1e-9
+    assert abs(plain[1, 2] - expectation(gam, A)) < 1e-9
     # the controls: both dense routes trip the guard
     with pytest.raises(AssertionError, match="rotate"):
-        two_point(gam, A, B, 0.6, engine="dense")
+        correlations(H, gam, [(A, B)], [0.6], gam.decomp, "dense", want=("ab",))
     psi = StateVector(basis, gam.decomp.vectors[:, 0])
     with pytest.raises(AssertionError, match="propagate_block"):
         correlations(H, psi, [(A, B)], [0.6], gam.decomp, "dense")
