@@ -136,13 +136,8 @@ def _resolve_config(args, experiment: str):
     return cfg
 
 
-def _output_dir(args, cfg) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    env = os.environ.get("BOSONLR_OUT")
-    if env:
-        return env
-    return cfg.output_dir or "reports"
+def _output_dir(args) -> str:
+    return args.out or os.environ.get("BOSONLR_OUT") or "reports"
 
 
 def _run_one(experiment: str, cfg, out_dir: str) -> int:
@@ -171,9 +166,8 @@ def main(argv=None) -> int:
             worst = EXIT_PASS
             for preset in ALL_ORDER:
                 cfg = parse_config(args.config) if args.config else from_preset(preset)
-                out_dir = _output_dir(args, cfg)
                 for experiment in cfg.experiments:
-                    code = _run_one(experiment, cfg, out_dir)
+                    code = _run_one(experiment, cfg, _output_dir(args))
                     worst = max(worst, code)
                     if code != EXIT_PASS and not args.keep_going:
                         return code
@@ -182,7 +176,7 @@ def main(argv=None) -> int:
             return worst
         experiment = args.command
         cfg = _resolve_config(args, experiment)
-        return _run_one(experiment, cfg, _output_dir(args, cfg))
+        return _run_one(experiment, cfg, _output_dir(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

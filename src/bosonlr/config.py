@@ -27,6 +27,7 @@ EXPERIMENT_NAMES = (
     "derivative",
 )
 
+# the threshold of each check: no config sets one, and each report echoes them
 DEFAULT_TOLERANCES = {
     "bessel": 1e-8,
     "boundary_agreement": 1e-8,
@@ -71,9 +72,6 @@ _DEFAULTS = {
     "volumes": [],
     "deriv": {"range_R": 2, "trend_n_max": []},
     "cutoff_region": None,
-    "tolerances": DEFAULT_TOLERANCES,
-    "output_dir": None,
-    "debug": {"dump_operators": False},
 }
 
 _TOP_LEVEL_KEYS = set(_DEFAULTS) | {"preset"}
@@ -93,7 +91,7 @@ _TYPED_KEYS = {
 # Python int (3.0 too) and a number as a finite float
 _TYPES = {
     "number": "model.hopping model.onsite thermal.beta thermal.mu thermal.tail_tol sweeps.moment_p "
-    "sweeps.condensate_time " + " ".join(f"tolerances.{key}" for key in DEFAULT_TOLERANCES),
+    "sweeps.condensate_time",
     "[number]": "model.offsite sweeps.times sweeps.sup_times sweeps.epsilons",
     "int": "schema_version graph.length graph.n_vertices graph.dimension sweeps.displacement_max "
     "sweeps.condensate_site sweeps.strip_points deriv.range_R",
@@ -101,12 +99,10 @@ _TYPES = {
     "[int]": "graph.dims initial_state.occupation sweeps.cutoffs sweeps.shells sweeps.condensate_m "
     "sweeps.commutator_sites volumes deriv.trend_n_max",
     "[int]?": "cutoff_region",
-    "bool": "debug.dump_operators",
     "str": "name",
     "[str]": "experiments",
-    "str?": "output_dir",
 }
-_WANTED = {"number": "a number", "int": "an integer", "bool": "true or false", "str": "a string"}
+_WANTED = {"number": "a number", "int": "an integer", "str": "a string"}
 
 # the integer fields ``operators.local_observable`` reads, per observable
 # kind; a number_function names one "site" or, in process, several "sites"
@@ -239,17 +235,11 @@ class ExperimentConfig:
     volumes: tuple[int, ...]
     deriv: dict
     cutoff_region: tuple[int, ...] | None
-    tolerances: dict
-    output_dir: str | None
-    debug: dict
     raw: dict
     # what the experiments build from this config and share (its scene),
     # filled on first use and released with the config; ``replace`` starts
     # a new one, and equality never reads it
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def tol(self, key: str) -> float:
-        return self.tolerances[key]
 
     def to_dict(self) -> dict:
         return copy.deepcopy(self.raw)
@@ -283,7 +273,7 @@ def resolve_dict(data: dict) -> dict:
     else:
         merged = copy.deepcopy(data)
     out = _deep_merge(_DEFAULTS, merged)
-    sections = ("model", "basis", "thermal", "observables", "sweeps", "deriv", "tolerances", "debug")
+    sections = ("model", "basis", "thermal", "observables", "sweeps", "deriv")
     known = {key: set(_DEFAULTS[key]) for key in sections}
     known["sweeps"].add("lr_lambda")  # optional, read without a default
     for section, keys in known.items():
@@ -322,8 +312,8 @@ def _require_finite(value, path: str):
 
 
 def _is(kind: str, value) -> bool:
-    if kind in ("bool", "str"):
-        return isinstance(value, bool if kind == "bool" else str)
+    if kind == "str":
+        return isinstance(value, str)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     return kind == "number" or isinstance(value, numbers.Integral) or float(value).is_integer()
@@ -400,6 +390,11 @@ def _typed_observable(spec, path: str) -> dict:
     return typed
 
 
+def _observable_sites(spec: dict) -> list:
+    """The sites a typed observable acts on."""
+    return spec["sites"] if spec["kind"] == "normalized_hop" or "site" not in spec else [spec["site"]]
+
+
 def check_experiments(cfg: ExperimentConfig, experiments) -> None:
     """Raise ConfigError unless ``cfg`` holds what each of ``experiments``
     reads.  ``from_dict`` runs this for the listed experiments, the command
@@ -426,6 +421,13 @@ def check_experiments(cfg: ExperimentConfig, experiments) -> None:
         )
     if {"cutoff", "lr", "local-approx", "kms", "derivative"} & set(experiments):
         _require(bool(cfg.observable_pairs), "observables.pairs", "need observable pairs")
+    if "derivative" in experiments:
+        _require(bool(cfg.volumes), "volumes", "derivative needs at least one volume")
+    if {"kms", "derivative"} & set(experiments):
+        # both volume trends put observable pair 0 on a chain of each length
+        top = max(site for spec in cfg.observable_pairs[0] for site in _observable_sites(spec))
+        short = [L for L in cfg.volumes if L <= top]
+        _require(not short, "volumes", f"each must exceed the largest site {top} of observable pair 0, got {short}")
     if "free-evolution" in experiments:
         _require(graph["type"] == "chain", "graph.type", "free-evolution runs on a chain")
         _require(basis.get("sector") == 1, "basis.sector", "free-evolution needs the one-particle sector")
@@ -518,9 +520,6 @@ def from_dict(data: dict) -> ExperimentConfig:
         volumes=tuple(typed["volumes"]),
         deriv=typed["deriv"],
         cutoff_region=None if cutoff_region is None else tuple(cutoff_region),
-        tolerances=typed["tolerances"],
-        output_dir=typed["output_dir"],
-        debug=typed["debug"],
         raw=raw,
     )
     check_experiments(cfg, experiments)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
+from . import config
 from .bounds import BoundInputs, cutoff_bound, gronwall_rate, lr_bound, lrb_decay_exponent
 from .config import ExperimentConfig
 from .dynamics import (
@@ -62,7 +63,6 @@ from .operators import (
     assemble_hamiltonian,
     conserves_number,
     cutoff_projection,
-    dump_operator,
     hermitian_norm_bound,
     local_observable,
     number_moment,
@@ -177,6 +177,7 @@ def _finish(cfg: ExperimentConfig, experiment, columns, records, summary, t0, co
     passed = all(r["pass"] for r in records) and all(conditions)
     metadata = {
         "config": cfg.to_dict(),
+        "tolerances": dict(config.DEFAULT_TOLERANCES),
         "version": _package_version(),
         "runtime_s": round(time.perf_counter() - t0, 3),
     }
@@ -266,9 +267,6 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
     basis = build_basis(graph, cfg.basis)
     reg = full_region(graph)
     H = assemble_hamiltonian(graph, reg, basis, cfg.model)
-    if cfg.debug.get("dump_operators") and cfg.output_dir:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        dump_operator(H, os.path.join(cfg.output_dir, f"{cfg.name}-hamiltonian.mtx"))
     return Scene(graph, reg, basis, cfg.model, H)
 
 
@@ -372,6 +370,7 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
     xmax = cfg.sweeps["displacement_max"]
     times = cfg.sweeps["times"]
     J = cfg.model.hopping
+    tol = config.DEFAULT_TOLERANCES
     norms = []
 
     def one_particle_profile(graph, basis, decomp, ctr, t):
@@ -397,7 +396,7 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
             records.append(
                 _row(
                     cols,
-                    [Check(err, cfg.tol("bessel"), "lt")],
+                    [Check(err, tol["bessel"], "lt")],
                     check="propagator",
                     t=t,
                     x=x,
@@ -429,10 +428,10 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
             boundary_err,
             abs(small[scene.basis.index_of(occ_s)] - large[big_basis.index_of(occ_b)]),
         )
-    if boundary_err > cfg.tol("boundary_agreement"):
+    if boundary_err > tol["boundary_agreement"]:
         raise BoundaryContaminationError(
             f"boundary reflections at {boundary_err:.2e} exceed "
-            f"{cfg.tol('boundary_agreement'):.1e}; enlarge the lattice"
+            f"{tol['boundary_agreement']:.1e}; enlarge the lattice"
         )
 
     # condensate source: expectation of 1/(1+n_x) under m spreading particles
@@ -449,12 +448,12 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
         if prev is not None and val > prev * (1 + 1e-12):
             monotone = False
         direct = _binomial_direct(m, prob) if m <= 100 else ""
-        if direct != "" and not abs(direct - val) <= cfg.tol("condensate_crosscheck") * max(val, 1e-300):
+        if direct != "" and not abs(direct - val) <= tol["condensate_crosscheck"] * max(val, 1e-300):
             crosscheck_ok = False  # a NaN on either side fails too
         records.append(
             _row(
                 cols,
-                [Check(val, bnd, slack=cfg.tol("bound_slack"))],
+                [Check(val, bnd, slack=tol["bound_slack"])],
                 check="condensate",
                 t=tc,
                 x=xc,
@@ -484,7 +483,7 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
         "condensate_final": None if final_val is None else final_val[1],
         "condensate_small_at_final": smallness_ok,
     }
-    conditions = (monotone, crosscheck_ok, smallness_ok, drift < cfg.tol("unitarity"))
+    conditions = (monotone, crosscheck_ok, smallness_ok, drift < tol["unitarity"])
     return _finish(cfg, "free-evolution", cols, records, summary, t0, conditions=conditions)
 
 
@@ -506,7 +505,7 @@ def run_moment_propagation(cfg: ExperimentConfig) -> ExperimentReport:
     M = moment_sup(state, p)
     eta = gronwall_rate(p, scene.graph.max_degree)
     sites = list(scene.region.sites)
-    slack = cfg.tol("bound_slack")
+    slack = config.DEFAULT_TOLERANCES["bound_slack"]
     times = cfg.sweeps["times"]
     pairs = [(number_moment(scene.basis, x, p), None) for x in sites]
     (evolved,) = correlations(scene.H, state, pairs, times, scene.decomp, "dense", want=("plain",))
@@ -552,7 +551,7 @@ def run_cutoff_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     norm_b = operator_norm(B)
     times = cfg.sweeps["times"]
     base = correlations(scene.H, gamma, [(A, B)], times, scene.decomp, "dense", want=("ab",))[0][0]
-    slack = cfg.tol("bound_slack")
+    slack = config.DEFAULT_TOLERANCES["bound_slack"]
     cols = ["lambda", "t", "measured", "bound", "ratio", "at_cap", "pass"]
 
     def measure(lam: int):
@@ -597,7 +596,7 @@ def run_cutoff_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     swept = [r for r in records if not r["at_cap"]]
     fitted = _fit_exponent([r["lambda"] for r in swept], [r["measured"] for r in swept])
     monotone = all(
-        a["measured"] >= b["measured"] * (1 - cfg.tol("monotone_slack"))
+        a["measured"] >= b["measured"] * (1 - config.DEFAULT_TOLERANCES["monotone_slack"])
         for a, b in zip(swept, swept[1:])
         if a["t"] == b["t"]
     )
@@ -636,7 +635,7 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
     sigma_cnt = _counting_sigma(scene.graph, r)
     norm_a = operator_norm(A)
     times = cfg.sweeps["times"]
-    slack = cfg.tol("bound_slack")
+    slack = config.DEFAULT_TOLERANCES["bound_slack"]
     full_sites = scene.region.as_set()
     cols = ["check", "m", "t", "site", "distance", "measured", "bound", "ratio", "covering", "pass"]
 
@@ -759,7 +758,8 @@ def run_local_approx(cfg: ExperimentConfig) -> ExperimentReport:
     sup_seq = [v["sup_difference"] for v in values]
     # the report's two conditions, which every row copies: the sup decays
     # shell by shell, and some shell reaches epsilon (m0 exists)
-    trend = [Check(b, a, slack=cfg.tol("monotone_slack"), atol=1e-15) for a, b in zip(sup_seq, sup_seq[1:])]
+    slack = config.DEFAULT_TOLERANCES["monotone_slack"]
+    trend = [Check(b, a, slack=slack, atol=1e-15) for a, b in zip(sup_seq, sup_seq[1:])]
     cols = ["m", "sup_difference", "envelope", "covering", "below_epsilon", "pass"]
     records = [_row(cols, [*trend, Check(min(sup_seq), eps)], **v) for v in values]
     m0 = next((r_["m"] for r_ in records if r_["below_epsilon"]), None)
@@ -816,17 +816,17 @@ def run_kms_check(cfg: ExperimentConfig) -> ExperimentReport:
         A, B = pairs[k]
         F = GreenFunction(gamma, A, B).values(points)
         norm_ab = operator_norm(A) * operator_norm(B)
-        limit = cfg.tol("kms_residual")
+        limit = config.DEFAULT_TOLERANCES["kms_residual"]
         rows = []
         for i, t in enumerate(times):
             r1, r2 = float(abs(F[i] - direct_ab[k, i])), float(abs(F[n_t + i] - direct_ba[k, i]))
             checks = [Check(r1, limit, "lt"), Check(r2, limit, "lt")]
             rows.append(_row(cols, checks, check="boundary", pair=k, t=t, value=max(r1, r2), limit=limit))
         strip_max = float(np.abs(F[2 * n_t :]).max())
-        check = Check(strip_max, norm_ab, slack=cfg.tol("strip_slack"), atol=1e-15)
+        check = Check(strip_max, norm_ab, slack=config.DEFAULT_TOLERANCES["strip_slack"], atol=1e-15)
         rows.append(_row(cols, [check], check="strip", pair=k, value=strip_max, limit=norm_ab))
         mean = expectation(gamma, A)
-        limit = cfg.tol("invariance_residual")
+        limit = config.DEFAULT_TOLERANCES["invariance_residual"]
         for i, t in enumerate(times):
             res = float(abs(evolved[k, i] - mean))
             rows.append(_row(cols, [Check(res, limit, "lt")], check="invariance", pair=k, t=t, value=res, limit=limit))
@@ -900,7 +900,7 @@ def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
         values = {"volume": at["volume"], "n_max": nm, "value": c_nm, "min_eig": eig_nm}
         records.append(_row(cols, [Check(eig_nm, kind="none")], check="operator-inequality", **values))
 
-    h = cfg.tol("deriv_step")
+    h = config.DEFAULT_TOLERANCES["deriv_step"]
     R = cfg.deriv["range_R"]
     times = cfg.sweeps["times"]
     sup_per_volume = {}
@@ -919,7 +919,7 @@ def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
         for t, (plus, minus, plus2, minus2) in zip(times, g):
             d1 = complex(plus - minus) / (2 * h)
             d2 = complex(plus2 - minus2) / (4 * h)
-            rich = Check(abs(d1 - d2), cfg.tol("richardson"))
+            rich = Check(abs(d1 - d2), config.DEFAULT_TOLERANCES["richardson"])
             sup_d = max(sup_d, abs(d1))
             values = {"volume": L, "n_max": cfg.basis["n_max"], "t": t, "value": abs(d1), "richardson_ok": rich.passed}
             records.append(_row(cols, [rich], check="derivative", **values))
@@ -927,7 +927,7 @@ def run_derivative_bound(cfg: ExperimentConfig) -> ExperimentReport:
 
     sups = list(sup_per_volume.values())
     spread = (max(sups) / min(sups)) if min(sups) > 0 else math.inf
-    uniform_ok = spread <= cfg.tol("volume_uniformity")
+    uniform_ok = spread <= config.DEFAULT_TOLERANCES["volume_uniformity"]
     c_prime = max(sups) / norm_ab if norm_ab else math.inf
     summary = {
         "certified_constant": c_star,

@@ -546,16 +546,3 @@ def local_observable(basis: FockBasis, spec: dict) -> SparseOperator:
         return SparseOperator(mat, basis, True, support=(min(x, y), max(x, y)))
     raise InvalidArgumentError(f"unknown observable kind {kind!r}")
 
-
-def dump_operator(op: SparseOperator, path) -> None:
-    """Write the operator in matrix-market coordinate format (1-based,
-    complex entries), for offline inspection behind a debug flag."""
-    coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%%MatrixMarket matrix coordinate complex general\n")
-        fh.write(f"% basis_id={op.basis.basis_id} hermitian={op.hermitian}\n")
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for k in order:
-            v = coo.data[k]
-            fh.write(f"{coo.row[k] + 1} {coo.col[k] + 1} {v.real:.17g} {v.imag:.17g}\n")

@@ -154,7 +154,7 @@ def test_occupation_outside_the_basis_exits_config(tmp_path, capsys, occupation)
         ({"preset": "chain-81", "graph": {"type": "chain", "length": 20}}, "sweeps.displacement_max: window exceeds"),
         ({"preset": "chain-81", "graph": {"type": "grid", "dims": [9, 9]}}, "graph.type: free-evolution runs on a"),
         ({"preset": "chain-10", "sweeps": {"epsilons": []}}, "sweeps.epsilons: need at least one accuracy"),
-        ({"preset": "chain-10", "tolerances": {"local_approx_epsilon": 1e-3}}, "unknown keys ['local_approx_epsilon']"),
+        ({"preset": "chain-10", "tolerances": {"local_approx_epsilon": 1e-3}}, "unknown keys ['tolerances']"),
     ],
 )
 def test_rejected_config_exits_before_the_run(tmp_path, capsys, data, match):
@@ -165,6 +165,27 @@ def test_rejected_config_exits_before_the_run(tmp_path, capsys, data, match):
     assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
     assert main(["all", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment, data, match",
+    [
+        ("derivative", {"preset": "chain-4-derivative", "volumes": []}, "volumes: derivative needs at least one"),
+        ("kms", {"preset": "two-site", "volumes": [1]}, "site 1 of observable pair 0, got [1]"),
+        ("derivative", {"preset": "chain-4-derivative", "volumes": [2]}, "site 2 of observable pair 0, got [2]"),
+        ("kms", {"preset": "two-site", "tolerances": {"kms_residual": 1e9}}, "config: unknown keys ['tolerances']"),
+        ("kms", {"preset": "two-site", "debug": {"dump_operators": True}}, "config: unknown keys ['debug']"),
+        ("kms", {"preset": "two-site", "output_dir": "x"}, "config: unknown keys ['output_dir']"),
+    ],
+)
+def test_a_subcommand_rejects_what_validate_config_rejects(tmp_path, capsys, experiment, data, match):
+    # a volume trend needs a volume, each long enough to hold observable
+    # pair 0; thresholds are constants, and reports go to --out or BOSONLR_OUT
+    cfg, out = write_cfg(tmp_path, data), tmp_path / "out"
+    assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count(match) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,9 @@ from bosonlr import ConfigError, parse_config
 from bosonlr.config import (
     EXPERIMENT_PRESETS,
     PRESETS,
+    _DEFAULTS,
+    _TYPED_KEYS,
+    _TYPES,
     config_for_experiment,
     from_dict,
     from_preset,
@@ -38,8 +41,6 @@ def test_preset_with_overrides(tmp_path):
     assert cfg.sweeps["times"] == [0.0, 0.5]
     assert cfg.sweeps["moment_p"] == 4  # inherited
     assert cfg.graph["length"] == 6
-    # defaults echoed in the resolved dict
-    assert cfg.to_dict()["tolerances"]["kms_residual"] == 1e-9
 
 
 def test_moment_exponent_hypothesis_enforced(tmp_path):
@@ -113,6 +114,37 @@ def test_unknown_keys_rejected(tmp_path):
     path = write_cfg(tmp_path, {"preset": "chain-6", "tyop": 1})
     with pytest.raises(ConfigError, match="unknown keys"):
         parse_config(path)
+
+
+# every key path a config may set; a new knob is added here too
+SETTABLE = """
+preset schema_version name experiments volumes cutoff_region
+graph.type graph.length graph.dims graph.n_vertices graph.edges graph.dimension
+initial_state.kind initial_state.occupation
+model.hopping model.onsite model.offsite
+basis.site_cap basis.n_max basis.sector
+thermal.beta thermal.mu thermal.tail_tol
+observables.pairs
+sweeps.times sweeps.cutoffs sweeps.shells sweeps.moment_p sweeps.displacement_max sweeps.condensate_m
+sweeps.condensate_site sweeps.condensate_time sweeps.commutator_sites sweeps.sup_times sweeps.strip_points
+sweeps.epsilons sweeps.lr_lambda
+deriv.range_R deriv.trend_n_max
+""".split()
+
+
+def test_the_settable_config_keys_are_pinned():
+    paths = {"preset", "sweeps.lr_lambda"}  # the two keys without a default
+    for key, default in _DEFAULTS.items():
+        if key in _TYPED_KEYS:
+            tag, allowed = _TYPED_KEYS[key]
+            paths |= {f"{key}.{k}" for k in {tag}.union(*allowed.values())}
+        elif isinstance(default, dict):
+            paths |= {f"{key}.{k}" for k in default}
+        else:
+            paths.add(key)
+    assert len(SETTABLE) == len(set(SETTABLE)) == 39
+    assert paths == set(SETTABLE)
+    assert {path for paths in _TYPES.values() for path in paths.split()} <= paths
 
 
 def test_unknown_preset():
@@ -196,7 +228,10 @@ def test_edges_graph_spec():
     ],
 )
 def test_unknown_nested_keys_rejected(section, key):
-    with pytest.raises(ConfigError, match=rf"{section}: unknown keys \['{key}'\]"):
+    # the deleted sections tolerances and debug are unknown top-level keys
+    where, unknown = (section, key) if section in _DEFAULTS else ("config", section)
+    match = rf"{where}: unknown keys \['{unknown}'\]"
+    with pytest.raises(ConfigError, match=match):
         from_preset("chain-10", {section: {key: 1}})
 
 

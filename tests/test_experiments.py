@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bosonlr import BoundaryContaminationError, InvalidArgumentError, experiments
+from bosonlr import BoundaryContaminationError, InvalidArgumentError, config, experiments
 from bosonlr.cli import EXIT_VIOLATION, main
-from bosonlr.config import from_dict, from_preset
+from bosonlr.config import DEFAULT_TOLERANCES, from_dict, from_preset
 from bosonlr.experiments import (
     RUNNERS,
     Check,
@@ -220,7 +220,7 @@ def test_derivative_small():
     assert rep.passed
     cert = [r for r in rep.records if r["check"] == "operator-inequality"]
     assert cert[0]["min_eig"] >= -1e-8
-    assert rep.summary["volume_spread"] <= cfg.tol("volume_uniformity")
+    assert rep.summary["volume_spread"] <= DEFAULT_TOLERANCES["volume_uniformity"]
 
 
 def test_determinism():
@@ -543,12 +543,12 @@ def test_norm_drift_fails_the_report_while_every_bessel_row_passes(monkeypatch):
 
     cfg = small("chain-81", sweeps={"times": [0.5, 1.0], "displacement_max": 2, "condensate_m": [1, 10]})
     rep = run_free_evolution_check(cfg)
-    assert rep.passed and rep.summary["max_norm_drift"] < cfg.tol("unitarity")
+    assert rep.passed and rep.summary["max_norm_drift"] < DEFAULT_TOLERANCES["unitarity"]
     propagate = SpectralDecomposition.propagate
     monkeypatch.setattr(SpectralDecomposition, "propagate", lambda self, a, t: propagate(self, a, t) * (1 + 1e-9))
     rep = run_free_evolution_check(cfg)
     assert all(r["pass"] for r in rep.records)
-    assert rep.summary["max_norm_drift"] > cfg.tol("unitarity")
+    assert rep.summary["max_norm_drift"] > DEFAULT_TOLERANCES["unitarity"]
     assert rep.passed is False
 
 
@@ -594,17 +594,29 @@ def test_a_nan_direct_sum_fails_the_condensate_crosscheck(monkeypatch):
 @pytest.mark.parametrize("slack, passes", [(1e-12, True), (0.0, False)])
 def test_condensate_rows_gate_with_the_bound_slack(monkeypatch, slack, passes):
     # a bound 1e-13 below the value: bound_slack, not a literal, decides the row
-    cfg = small(
-        "chain-81",
-        sweeps={"times": [0.5], "displacement_max": 2, "condensate_m": [1, 10]},
-        tolerances={"bound_slack": slack},
-    )
+    monkeypatch.setitem(config.DEFAULT_TOLERANCES, "bound_slack", slack)
+    cfg = small("chain-81", sweeps={"times": [0.5], "displacement_max": 2, "condensate_m": [1, 10]})
     value = experiments.condensate_nonlocality_expectation
     xc, tc = cfg.sweeps["condensate_site"], cfg.sweeps["condensate_time"]
     monkeypatch.setattr(experiments, "inverse_moment_upper_bound", lambda m, p: value(m, xc, tc) * (1 - 1e-13))
     rep = run_free_evolution_check(cfg)
     assert [r["pass"] for r in rep.records if r["check"] == "condensate"] == [passes, passes]
     assert rep.passed is passes
+
+
+def test_bosonlr_all_reads_every_threshold(tmp_path, monkeypatch):
+    # a threshold that no check reads fails here; the extra key shows that
+    # echoing the table into each summary is not counted as a read
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(config, "DEFAULT_TOLERANCES", Recording(DEFAULT_TOLERANCES, unread=1.0))
+    assert main(["all", "--out", str(tmp_path)]) == 0
+    assert read == set(DEFAULT_TOLERANCES) and len(read) == 12
 
 
 def test_local_approx_rows_copy_the_report_conditions():

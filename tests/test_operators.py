@@ -31,7 +31,7 @@ from bosonlr import (
     sandwich,
     total_number,
 )
-from bosonlr.operators import DENSE_NORM_CAP, SparseOperator, _hop_matrix, _pruned, dump_operator, same_matrix
+from bosonlr.operators import DENSE_NORM_CAP, SparseOperator, _hop_matrix, _pruned, same_matrix
 
 
 @pytest.fixture
@@ -334,23 +334,6 @@ def test_number_functions_keep_the_bits_of_one_call_per_state():
         local_observable(basis, {"kind": "number_function", "sites": [0, 1], "fn": "inv_one_plus_n"})
     pair = local_observable(basis, {"kind": "number_function", "sites": [0, 2], "fn": lambda a, b: a - b})
     assert np.array_equal(pair.matrix.diagonal(), basis.occupations[:, 0] - basis.occupations[:, 2])
-
-
-def test_dump_operator_round_trip(tmp_path):
-    g = build_chain(2)
-    reg = full_region(g)
-    basis = enumerate_basis(reg, sector=2)
-    H = assemble_hamiltonian(g, reg, basis, ModelParams(hopping=1.0, onsite=1.0))
-    path = tmp_path / "h.mtx"
-    dump_operator(H, path)
-    lines = [l for l in path.read_text().splitlines() if not l.startswith("%")]
-    dim_row = lines[0].split()
-    assert dim_row == ["3", "3", str(H.matrix.nnz)]
-    rebuilt = np.zeros((3, 3), dtype=complex)
-    for line in lines[1:]:
-        i, j, re_, im_ = line.split()
-        rebuilt[int(i) - 1, int(j) - 1] = float(re_) + 1j * float(im_)
-    assert np.allclose(rebuilt, H.to_dense())
 
 
 def test_same_matrix_exact_equality():
