@@ -421,6 +421,15 @@ def check_experiments(cfg: ExperimentConfig, experiments) -> None:
         )
     if {"cutoff", "lr", "local-approx", "kms", "derivative"} & set(experiments):
         _require(bool(cfg.observable_pairs), "observables.pairs", "need observable pairs")
+        if graph["type"] == "grid":
+            vertices = math.prod(graph["dims"])
+        else:
+            vertices = graph["length"] if graph["type"] == "chain" else graph["n_vertices"]
+        for i, pair in enumerate(cfg.observable_pairs):
+            for j, spec in enumerate(pair):
+                outside = [x for x in _observable_sites(spec) if not 0 <= x < vertices]
+                where = f"observables.pairs[{i}][{j}]"
+                _require(not outside, where, f"sites {outside} lie outside the graph's {vertices} vertices")
     if "derivative" in experiments:
         _require(bool(cfg.volumes), "volumes", "derivative needs at least one volume")
     if {"kms", "derivative"} & set(experiments):
@@ -499,6 +508,10 @@ def from_dict(data: dict) -> ExperimentConfig:
     if sweeps.get("lr_lambda") is not None:  # the light-cone bound takes a cutoff level >= 1
         _require(sweeps["lr_lambda"] >= 1, "sweeps.lr_lambda", "must be >= 1")
 
+    deriv = typed["deriv"]
+    _require(deriv["range_R"] >= 0, "deriv.range_R", "must be >= 0")
+    _require(all(n >= 0 for n in deriv["trend_n_max"]), "deriv.trend_n_max", "each must be >= 0")
+
     pairs = typed["observables"]["pairs"]
     _require(isinstance(pairs, list), "observables.pairs", "must be a list of pairs")
     for i, pair in enumerate(pairs):
@@ -518,7 +531,7 @@ def from_dict(data: dict) -> ExperimentConfig:
         initial_state=typed["initial_state"],
         sweeps=sweeps,
         volumes=tuple(typed["volumes"]),
-        deriv=typed["deriv"],
+        deriv=deriv,
         cutoff_region=None if cutoff_region is None else tuple(cutoff_region),
         raw=raw,
     )

@@ -9,13 +9,14 @@ to the strip -beta <= Im z <= 0 through the double spectral sum, which is
 exact at finite dimension (``GreenFunction``: for a real hermitian pair
 it builds and reads only the lower triangle of C = A~ o B~^T, rotated by
 two SYRKs per large block, merges small sector blocks up to
-``MERGE_ROWS_MAX`` rows, keeps each point's phase and decay factors, and
-evaluates one point of each exact time-mirror pair, F(-t - i s) =
-conj F(t - i s)); equilibrium checks compare it against independently
-time-evolved expectations: ``evolved_two_points``, the sparse route of
-``dynamics.correlations`` over a whole time grid, which reads no energies
-and no spectral sum.  ``gibbs_state`` is the one constructor of both
-ensembles: canonical on a single-sector basis, grand-canonical otherwise.
+``MERGE_ROWS_MAX`` rows, reads points asked for one at a time a grid row
+at a time, and evaluates one point of each exact time-mirror pair,
+F(-t - i s) = conj F(t - i s)); equilibrium checks compare it against
+independently time-evolved expectations: ``evolved_two_points``, the
+sparse route of ``dynamics.correlations`` over a whole time grid, which
+reads no energies and no spectral sum.  ``gibbs_state`` is the one
+constructor of both ensembles: canonical on a single-sector basis,
+grand-canonical otherwise.
 """
 
 from dataclasses import dataclass
@@ -47,9 +48,6 @@ DEFAULT_TAIL_TOL = 1e-10
 # as one 462-row block; 8 sites to n = 4, 55-79 us as [165 | 330] and
 # 72-101 us as one 495-row block; no merge past 256 rows ever gained
 MERGE_ROWS_MAX = 256
-# t values and depths s whose point factors ``GreenFunction`` keeps: a
-# strip grid of up to this many depths reuses every decay factor
-FACTOR_CACHE_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -201,16 +199,6 @@ def _exactly_hermitian(matrix) -> bool:
     return (matrix != matrix.conj().T).nnz == 0
 
 
-def _kept(cache: dict, key, make):
-    """make(key), kept in ``cache`` for the last FACTOR_CACHE_MAX keys."""
-    value = cache.get(key)
-    if value is None:
-        if len(cache) >= FACTOR_CACHE_MAX:
-            del cache[next(iter(cache))]
-        value = cache[key] = make(key)
-    return value
-
-
 class GreenFunction:
     """Two-point function of a thermal state on the strip -beta <= Im z <= 0.
 
@@ -227,18 +215,38 @@ class GreenFunction:
     triangle of C: A~ and B~ are symmetric, so C_jk = A~_jk B~_jk there,
     from ``SpectralDecomposition.rotate_lower`` (two ``dsyrk`` calls for
     a local observable on a sector of at least ``SYRK_ROWS_MIN`` states).
-    Its point takes two ``dsymv`` calls summed in real arithmetic
-    (``_real_point``), with cos and sin of E t kept per t and both decay
-    factors per depth s for the last ``FACTOR_CACHE_MAX`` of each;
-    ``values`` reads the same triangle with ``dsymm``.  Any other pair
-    reads the whole of C (``_sum``).  Evaluations are cached per point.
+    Its points are summed in real arithmetic (``_real_points``): a lone
+    point takes two ``dsymv`` calls per block, a list of points one
+    ``dsymm``.  Any other pair reads the whole of C (``_sum``).
+    Evaluations are cached per point.
+
+    Points asked for one at a time are read a row at a time: ``__call__``
+    keeps the t of the last point read and the depths read at it, and a
+    miss at a new t, at one of two or more of those depths, evaluates the
+    new row at all of them in one ``values`` call.  Every other miss is a
+    lone point, which forms its own factors.  A t-major grid so takes its
+    first row point by point and each later row as one ``dsymm``; s-major,
+    shuffled and scattered reads form no row, and a caller leaving a grid
+    evaluates at most one row it did not ask for, once.  Measured on a
+    2-CPU host, one BLAS thread, the canonical 9-site chain with 5
+    particles (D = 1,287): two ``dsymv`` 0.33-0.35 ms a point, its
+    factors 52-56 us; one ``dsymm`` on 2 columns 0.8-1.1 ms, on the 42
+    columns of a 21-depth row 2.3-2.5 ms; the 21 x 21 grid read t-major
+    142-149 ms point by point, 69-71 ms a row at a time.  A point
+    evaluated alone has the same bits whatever was read before it.  A
+    point first evaluated in a row, like every point of ``values``,
+    carries ``dsymm`` bits, which may differ from a lone evaluation in the
+    last places (OpenBLAS changes a column's bits with the width of the
+    call and the column's place in it): up to 3.2e-16, or 5.7e-15 of
+    max |F|, on that grid.
 
     A real pair under a real generator is time-reversal symmetric:
     F(-t - i s) = conj F(t - i s) (Bratteli & Robinson, vol. 2, 5.3).
     So evaluating a real hermitian pair at t - i s also caches the
     conjugate at the exact key -t - i s, never over a computed value,
     and ``values`` evaluates one point of each such pair.  The folded
-    value has the bits of a direct evaluation at -t: cos is even and sin
+    value has the bits of a direct evaluation at -t by the same kernel
+    (alone, or in a row of the same depths): cos is even and sin
     odd to the last bit, and every product and sum of the point negates
     exactly.  Only exact mirrors fold: the 21 x 21 grid on
     ``np.linspace(-2, 2, 21)`` pairs t = +-1.0, +-1.6 and +-2.0 (126 of
@@ -291,8 +299,10 @@ class GreenFunction:
                     np.multiply(An, Bt, out=C[at, at])
             self._blocks.append((span, C))
         self._cache: dict[complex, complex] = {}
-        self._phases: dict[float, tuple] = {}
-        self._decays: dict[float, tuple] = {}
+        # the real part of the last point read, and the depths read at it
+        # (clamped, in first-read order): the row a new t may batch
+        self._row_t: float | None = None
+        self._row_depths: dict[float, None] = {}
 
     def _depth(self, z: complex) -> float:
         """-Im z clamped to [0, beta]; a point off the strip raises."""
@@ -333,44 +343,36 @@ class GreenFunction:
             total += np.einsum("i...,i...->...", bra[rows], _real_matmul(C, ket[rows]))
         return total / self.state.z_scaled
 
-    def _real_point(self, t: float, s: float) -> complex:
-        """F(t - i s) for a real hermitian pair in real arithmetic.  With
-        a = e^{-(beta - s) g}, b = e^{-s g}, c = cos(Et) and n = sin(Et),
-        the bra is a(c + i n) and the ket b(c - i n), so C ket = u - i v
-        with u = C (b c) and v = C (b n), two ``dsymv`` calls over the
-        lower triangle of C, and bra . C ket is
-        a c . u + a n . v + i (a n . u - a c . v).  [c; n] is kept per t
-        and [a; b] per s, for the last ``FACTOR_CACHE_MAX`` of each, so a
-        point forms [a c; a n] and [b c; b n] as two products.  At t = 0,
-        n = 0: one ``dsymv``, and the imaginary part is exactly 0."""
-        phases = _kept(self._phases, t, self._phases_at)
-        bra, ket = _kept(self._decays, s, self._decays_at)
-        bras, kets = phases * bra, phases * ket
-        re = im = 0.0
-        for rows, C in self._blocks:
-            u = blas.dsymv(1.0, C, kets[0, rows], lower=1)
-            if t == 0.0:
-                re += bras[0, rows] @ u
-                continue
-            v = blas.dsymv(1.0, C, kets[1, rows], lower=1)
-            ac, an = bras[0, rows], bras[1, rows]
-            re += ac @ u + an @ v
-            im += an @ u - ac @ v
-        return complex(re, im) / self.state.z_scaled
-
-    def _real_points(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """``_real_point`` at every (t, s) pair of two equal-length arrays,
-        reading the lower triangle of each block with one ``dsymm`` on the
-        columns [b c | b n] of all points."""
+    def _real_points(self, t, s):
+        """F(t - i s) for a real hermitian pair in real arithmetic, at one
+        point (scalar t and s) or at every (t, s) pair of two equal-length
+        arrays.  With a = e^{-(beta - s) g}, b = e^{-s g}, c = cos(Et) and
+        n = sin(Et), the bra is a(c + i n) and the ket b(c - i n), so
+        C ket = u - i v with u = C (b c) and v = C (b n), read from the
+        lower triangle of each block, and bra . C ket is
+        a c . u + a n . v + i (a n . u - a c . v).  One point takes two
+        ``dsymv`` calls per block, or one at t = 0, where n = 0 and the
+        imaginary part is exactly 0; arrays take one ``dsymm`` per block
+        on the columns [b c | b n] of all points."""
         (cos, sin), (bra, ket) = self._phases_at(t), self._decays_at(s)
-        bra_c, bra_s = bra * cos, bra * sin
-        kets = np.concatenate([ket * cos, ket * sin], axis=1)
+        ac, an, bc, bn = bra * cos, bra * sin, ket * cos, ket * sin
         re = im = 0.0
+        if np.ndim(t) == 0:
+            for rows, C in self._blocks:
+                u = blas.dsymv(1.0, C, bc[rows], lower=1)
+                if t == 0.0:
+                    re += ac[rows] @ u
+                    continue
+                v = blas.dsymv(1.0, C, bn[rows], lower=1)
+                re += ac[rows] @ u + an[rows] @ v
+                im += an[rows] @ u - ac[rows] @ v
+            return complex(re, im) / self.state.z_scaled
+        kets = np.concatenate([bc, bn], axis=1)
         for rows, C in self._blocks:
             uv = blas.dsymm(1.0, C, kets[rows], lower=1)
-            u, v, ac, an = uv[:, : len(t)], uv[:, len(t) :], bra_c[rows], bra_s[rows]
-            re = re + (ac * u + an * v).sum(axis=0)
-            im = im + (an * u - ac * v).sum(axis=0)
+            u, v = uv[:, : len(t)], uv[:, len(t) :]
+            re = re + (ac[rows] * u + an[rows] * v).sum(axis=0)
+            im = im + (an[rows] * u - ac[rows] * v).sum(axis=0)
         return (re + 1j * im) / self.state.z_scaled
 
     def _keep(self, z: complex, value: complex):
@@ -382,10 +384,20 @@ class GreenFunction:
 
     def __call__(self, z: complex) -> complex:
         z = complex(z)
-        s = self._depth(z)
+        t, s = z.real, self._depth(z)
+        row = []
+        if t != self._row_t:
+            if len(self._row_depths) > 1 and s in self._row_depths:
+                row = [complex(t, -d) for d in self._row_depths]
+            self._row_t, self._row_depths = t, {}
+        self._row_depths.setdefault(s)
         if z not in self._cache:
-            point = self._real_point if self._real else self._sum
-            self._keep(z, complex(point(z.real, s)))
+            row = [p for p in row if p != z and p not in self._cache]
+            if row:
+                self.values([z, *row])
+            else:
+                point = self._real_points if self._real else self._sum
+                self._keep(z, complex(point(t, s)))
         return self._cache[z]
 
     def values(self, points) -> np.ndarray:

@@ -167,6 +167,9 @@ def test_rejected_config_exits_before_the_run(tmp_path, capsys, data, match):
     assert match in capsys.readouterr().err
 
 
+SITE_9 = {"kind": "number_function", "site": 9, "fn": "inv_one_plus_n"}
+
+
 @pytest.mark.parametrize(
     "experiment, data, match",
     [
@@ -176,11 +179,17 @@ def test_rejected_config_exits_before_the_run(tmp_path, capsys, data, match):
         ("kms", {"preset": "two-site", "tolerances": {"kms_residual": 1e9}}, "config: unknown keys ['tolerances']"),
         ("kms", {"preset": "two-site", "debug": {"dump_operators": True}}, "config: unknown keys ['debug']"),
         ("kms", {"preset": "two-site", "output_dir": "x"}, "config: unknown keys ['output_dir']"),
+        ("cutoff", {"preset": "chain-4", "observables": {"pairs": [[SITE_9, SITE_9]]}}, "sites [9] lie outside"),
+        ("kms", {"preset": "two-site", "observables": {"pairs": [[{**SITE_9, "site": -1}, SITE_9]]}}, "sites [-1] lie"),
+        ("derivative", {"preset": "chain-4-derivative", "deriv": {"range_R": -1}}, "deriv.range_R: must be >= 0"),
+        ("derivative", {"preset": "chain-4-derivative", "deriv": {"trend_n_max": [-1]}}, "trend_n_max: each must"),
     ],
 )
 def test_a_subcommand_rejects_what_validate_config_rejects(tmp_path, capsys, experiment, data, match):
     # a volume trend needs a volume, each long enough to hold observable
-    # pair 0; thresholds are constants, and reports go to --out or BOSONLR_OUT
+    # pair 0; every observable site lies on the graph, and the derivative
+    # radius and trend sectors are nonnegative; thresholds are constants,
+    # and reports go to --out or BOSONLR_OUT
     cfg, out = write_cfg(tmp_path, data), tmp_path / "out"
     assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
     assert main([experiment, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG

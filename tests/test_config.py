@@ -15,6 +15,14 @@ from bosonlr.config import (
 )
 
 
+def _f(site):
+    return {"kind": "number_function", "site": site, "fn": "inv_one_plus_n"}
+
+
+def _hop(x, y):
+    return {"kind": "normalized_hop", "sites": [x, y]}
+
+
 def write_cfg(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -145,6 +153,28 @@ def test_the_settable_config_keys_are_pinned():
     assert len(SETTABLE) == len(set(SETTABLE)) == 39
     assert paths == set(SETTABLE)
     assert {path for paths in _TYPES.values() for path in paths.split()} <= paths
+
+
+GRID_2X2 = {"type": "grid", "dims": [2, 2]}
+EDGES_3 = {"type": "edges", "n_vertices": 3, "edges": [[0, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        ({"preset": "chain-4", "observables": {"pairs": [[_f(9), _f(0)]]}}, r"\[0\]\[0\]: sites \[9\] lie outside"),
+        ({"preset": "two-site", "observables": {"pairs": [[_f(0), _f(-1)]]}}, r"\[0\]\[1\]: sites \[-1\] lie outside"),
+        ({"preset": "chain-10", "observables": {"pairs": [[_hop(9, 10), _f(0)]]}}, r"sites \[10\] lie outside"),
+        ({"preset": "chain-4", "graph": GRID_2X2, "observables": {"pairs": [[_f(4), _f(3)]]}}, r"graph's 4 vertices"),
+        ({"preset": "chain-4", "graph": EDGES_3, "observables": {"pairs": [[_f(0), _f(3)]]}}, r"graph's 3 vertices"),
+        ({"preset": "chain-4-derivative", "deriv": {"range_R": -1}}, r"deriv\.range_R: must be >= 0"),
+        ({"preset": "chain-4-derivative", "deriv": {"trend_n_max": [2, -1]}}, r"deriv\.trend_n_max: each must be >= 0"),
+    ],
+)
+def test_sites_off_the_graph_and_negative_derivative_ranges_rejected(data, match):
+    # caught when the config is read, not when a runner builds the scene
+    with pytest.raises(ConfigError, match=match):
+        from_dict(data)
 
 
 def test_unknown_preset():

@@ -781,6 +781,63 @@ def test_time_mirror_of_a_real_hermitian_pair_is_exact(g, n_max, grand, J, U, be
         assert same_bits(folded, GreenFunction(gam, A, B)(second))
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    g=lattices,
+    n_max=st.integers(1, 3),
+    grand=st.booleans(),
+    J=st.floats(0.1, 1.0),
+    U=st.floats(0.0, 2.0),
+    beta=st.floats(0.5, 2.0),
+    local=st.booleans(),
+    n_t=st.integers(1, 4),
+    n_s=st.integers(1, 5),
+    order=st.sampled_from(["t-major", "s-major", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_reads_agree_with_lone_points(g, n_max, grand, J, U, beta, local, n_t, n_s, order, seed):
+    """A real hermitian pair read point by point over a grid of random
+    rows t and their exact mirrors -t, at random depths, t-major (rows
+    and depths in random order), s-major or in a random order: every
+    value is within 1e-14 ||A|| ||B|| of a lone evaluation, whether it
+    came alone or in a row, and every point evaluated alone, or folded
+    from the mirror of one, has the lone bits, on canonical and
+    grand-canonical states, local and random pairs."""
+    region = full_region(g)
+    basis = enumerate_sectors(region, n_max, cap=2) if grand else enumerate_basis(region, sector=n_max)
+    H = assemble_hamiltonian(g, region, basis, ModelParams(hopping=J, onsite=U))
+    gam = gibbs_state(H, beta, -6.0, n_max, tail_tol=1.0) if grand else fixed_sector_gibbs(H, beta)
+    rng = np.random.default_rng(seed)
+    if local:
+        x, y = rng.permutation(g.n_vertices)[:2]
+        A = local_observable(basis, {"kind": "normalized_hop", "sites": [int(x), int(y)]})
+        B = local_observable(basis, {"kind": "number_function", "site": int(y), "fn": "inv_one_plus_n"})
+    else:
+        A, B = (random_operator(basis, rng, conserving=True, hermitian=True, real=True) for _ in range(2))
+    ts = rng.uniform(0.05, 2.0, n_t)
+    ts = rng.permutation(np.concatenate([ts, -ts, [0.0]]))
+    ss = np.concatenate([rng.uniform(0.0, beta, n_s), [0.0, beta]])
+    if order == "s-major":
+        points = [complex(t, -s) for s in ss for t in ts]
+    else:
+        points = [complex(t, -s) for t in ts for s in rng.permutation(ss)]
+        if order == "random":
+            points = [points[k] for k in rng.permutation(len(points))]
+    gf, lone = GreenFunction(gam, A, B), GreenFunction(gam, A, B)
+    assert gf._real
+    evaluate = GreenFunction._real_points
+    with mock.patch.object(GreenFunction, "_real_points", autospec=True, side_effect=evaluate) as kernel:
+        got = [gf(z) for z in points]
+    alone = [complex(t, -s) for (_, t, s), _ in kernel.call_args_list if np.ndim(t) == 0]
+    scale = 1e-14 * operator_norm(A) * operator_norm(B)
+    for z, value in zip(points, got):
+        want = lone._real_points(z.real, lone._depth(z))
+        assert abs(value - want) <= scale
+        mirror = complex(-z.real, z.imag)
+        if z in alone or mirror in alone:
+            assert same_bits(value, want)
+
+
 def unit_operator(basis, rng, conserving, hermitian):
     """``random_operator`` scaled to Frobenius norm 1, so its operator norm
     is at most 1."""

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.blas import dsymv
 
 from bosonlr import (
     DivergingPartitionFunctionError,
@@ -607,30 +608,166 @@ def test_merged_sector_blocks_stay_within_the_merge_bound(monkeypatch):
     assert spans[0] == [(sl.start, sl.stop) for _, sl in basis.sector_slices()]
 
 
-def test_strip_points_keep_their_bits_in_any_order(monkeypatch):
-    """The factors cached per t and per depth s make no point depend on
-    the points before it: a t-major grid, the same grid shuffled, and the
-    shuffled grid with room for three factors per cache (evicting on
-    almost every point) give the same bits.  A point at t = 0 takes one
-    ``dsymv`` per block and has an imaginary part of exactly 0.0."""
+def lone_real_point(gf, t, s):
+    """F(t - i s) of a real hermitian pair by the lone-point formula,
+    written out: [cos Et; sin Et] and both decay factors stacked, their
+    products, then two ``dsymv`` calls (one at t = 0) and four dot
+    products per block."""
+    E, g = gf.state.decomp.energies[: gf._stop], gf.state.shifted[: gf._stop]
+    phase = np.multiply.outer(E, t)
+    phases = np.stack([np.cos(phase), np.sin(phase)])
+    bra, ket = np.exp(-np.stack([np.multiply.outer(g, gf.beta - s), np.multiply.outer(g, s)]))
+    bras, kets = phases * bra, phases * ket
+    re = im = 0.0
+    for rows, C in gf._blocks:
+        u = dsymv(1.0, C, kets[0, rows], lower=1)
+        if t == 0.0:
+            re += bras[0, rows] @ u
+            continue
+        v = dsymv(1.0, C, kets[1, rows], lower=1)
+        ac, an = bras[0, rows], bras[1, rows]
+        re += ac @ u + an @ v
+        im += an @ u - ac @ v
+    return complex(re, im) / gf.state.z_scaled
+
+
+def bits(values):
+    return np.array(values, dtype=np.complex128).view(np.int64)
+
+
+def row_free_shuffle(n_t, n_s, seed):
+    """A random read order of an n_t x n_s t-major grid in which no two
+    consecutive reads share a t, so no read continues a row: the depths
+    in a random order and, per depth, the ts in a random order, reversed
+    where the first would repeat the t read last."""
+    rng = np.random.default_rng(seed)
+    order = []
+    for j in rng.permutation(n_s):
+        ts = rng.permutation(n_t)
+        if order and ts[0] == order[-1] // n_s:
+            ts = ts[::-1]
+        order += [int(i) * n_s + int(j) for i in ts]
+    return order
+
+
+def test_strip_points_keep_their_bits_in_any_order():
+    """A point evaluated alone has the bits of the lone-point formula
+    whatever was read before it: an s-major read and a shuffled read in
+    which no two consecutive points share a t (neither forms a row) give
+    the bits of ``lone_real_point`` at every point, folded mirrors
+    included.  A t-major read evaluates its rows through ``values``,
+    whose ``dsymm`` bits may differ from a lone point's in the last
+    places: a repeat on a fresh ``GreenFunction`` gives the same bits, and
+    the values agree with the lone formula and with ``values`` within
+    1e-14 of max |F|.  At t = 0 the imaginary part is exactly +0.0, alone
+    and in a row."""
     basis, reg, H, gam, A, B = truncated_chain_state()
-    grid = [complex(t, -s) for t in np.linspace(-2.0, 2.0, 9) for s in np.linspace(0.0, gam.beta, 7)]
-    order = np.random.default_rng(2).permutation(len(grid))
-    t_major = GreenFunction(gam, B, A)
-    assert t_major._real
-    want = [t_major(z) for z in grid]
-    shuffled = GreenFunction(gam, B, A)
-    got = {k: shuffled(grid[k]) for k in order}
-    monkeypatch.setattr(thermal, "FACTOR_CACHE_MAX", 3)
-    small = GreenFunction(gam, B, A)
-    got_small = {k: small(grid[k]) for k in order}
-    assert len(small._phases) == len(small._decays) == 3
-    bits = np.array(want).view(np.int64)
-    assert np.array_equal(bits, np.array([got[k] for k in range(len(grid))]).view(np.int64))
-    assert np.array_equal(bits, np.array([got_small[k] for k in range(len(grid))]).view(np.int64))
-    for k, value in enumerate(want):
-        if grid[k].real == 0.0:
-            assert value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0
+    n_t, n_s = 9, 7
+    grid = [complex(t, -s) for t in np.linspace(-2.0, 2.0, n_t) for s in np.linspace(0.0, gam.beta, n_s)]
+    lone = GreenFunction(gam, B, A)
+    assert lone._real
+    want = [lone_real_point(lone, z.real, lone._depth(z)) for z in grid]
+    s_major = [i * n_s + j for j in range(n_s) for i in range(n_t)]
+    for order in (s_major, row_free_shuffle(n_t, n_s, 2)):
+        assert sorted(order) == list(range(len(grid)))
+        assert all(grid[a].real != grid[b].real for a, b in zip(order, order[1:]))
+        gf = GreenFunction(gam, B, A)
+        got = {k: gf(grid[k]) for k in order}
+        assert np.array_equal(bits(want), bits([got[k] for k in range(len(grid))]))
+    first, again = ([gf(z) for z in grid] for gf in (GreenFunction(gam, B, A), GreenFunction(gam, B, A)))
+    assert np.array_equal(bits(first), bits(again))
+    scale = np.abs(want).max()
+    assert np.abs(np.array(first) - want).max() <= 1e-14 * scale
+    assert np.abs(np.array(first) - GreenFunction(gam, B, A).values(grid)).max() <= 1e-14 * scale
+    for values in (want, first):
+        for z, value in zip(grid, values):
+            if z.real == 0.0:
+                assert value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0
+
+
+def spy(monkeypatch, owner, name, log, size):
+    """Replace ``owner.name`` by a wrapper that appends ``size(*args)`` to
+    ``log`` before each call."""
+    wrapped = getattr(owner, name)
+
+    def call(*args, **kwargs):
+        log.append(size(*args))
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, call)
+
+
+def test_a_t_major_grid_is_read_one_row_per_dsymm(monkeypatch):
+    """The benchmark's 21 x 21 strip grid (t on linspace(-2, 2, 21), s on
+    linspace(0, beta, 21)) read t-major: row t = -2 takes 21 lone points,
+    two ``dsymv`` calls each per block; every later row whose t is not an
+    exact mirror of a row before it (17 rows; t = 1.0, 1.6 and 2.0 are)
+    is one ``values`` call, one ``dsymm`` on 42 columns per block.  The
+    same grid read s-major or in a shuffled order without two consecutive
+    reads at one t makes no ``dsymm`` call: its 441 - 63 = 378 points are
+    evaluated alone, 21 of them at t = 0 on one ``dsymv``."""
+    basis, reg, H, gam, A, B = truncated_chain_state()
+    n = 21
+    grid = [complex(t, -s) for t in np.linspace(-2.0, 2.0, n) for s in np.linspace(0.0, gam.beta, n)]
+    dsymm_cols, dsymv_calls = [], []
+    spy(monkeypatch, thermal.blas, "dsymm", dsymm_cols, lambda alpha, a, b: b.shape[1])
+    spy(monkeypatch, thermal.blas, "dsymv", dsymv_calls, lambda alpha, a, x: len(x))
+    gf = GreenFunction(gam, A, B)
+    assert gf._real
+    blocks = len(gf._blocks)
+    [gf(z) for z in grid]
+    assert dsymm_cols == [2 * n] * (17 * blocks)
+    assert len(dsymv_calls) == 2 * n * blocks
+    s_major = [i * n + j for j in range(n) for i in range(n)]
+    for order in (s_major, row_free_shuffle(n, n, 3)):
+        dsymm_cols.clear()
+        dsymv_calls.clear()
+        gf = GreenFunction(gam, A, B)
+        [gf(grid[k]) for k in order]
+        assert dsymm_cols == []
+        assert len(dsymv_calls) == (2 * (378 - n) + n) * blocks
+
+
+def test_leaving_a_row_evaluates_at_most_one_row_once(monkeypatch):
+    """After k = 4 depths at one t, a read at a new t and one of those
+    depths evaluates the new row, 4 points (3 beyond the one asked for),
+    once; a read at a new t and a new depth, and every read after a t
+    read at one depth only, is evaluated alone."""
+    basis, reg, H, gam, A, B = truncated_chain_state()
+    points = []
+    spy(monkeypatch, GreenFunction, "_real_points", points, lambda self, t, s: np.size(t))
+    gf = GreenFunction(gam, A, B)
+    depths = [0.1, 0.5, 0.3, 0.9]
+    for s in depths:
+        gf(complex(0.7, -s))
+    gf(complex(0.7, -0.5))
+    gf(complex(0.2, -0.45))
+    for s in depths:
+        gf(complex(-0.6, -s))
+    gf(complex(1.3, -0.5))
+    assert all(complex(1.3, -s) in gf._cache for s in depths)
+    for z in (complex(-1.1, -0.1), complex(0.9, -0.3), complex(1.5, -0.1)):
+        gf(z)
+    assert points == [1, 1, 1, 1, 1, 1, 1, 1, 1, 4, 1, 1, 1]
+
+
+def test_a_complex_pair_reads_rows_through_sum(monkeypatch):
+    """A hermitian pair under a gauge-complex generator has no time mirror
+    and no symmetric C: a t-major grid reads its first row point by point
+    and every later row in one ``_sum`` call on all its depths, and the
+    values agree with ``values`` within 1e-14."""
+    basis, reg, H, gam, A, B = truncated_chain_state()
+    W = sp.diags(np.exp(1j * (basis.occupations @ np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 4))))
+    H_gauge = SparseOperator((W @ H.matrix @ W.conj().T).tocsr(), basis, True)
+    gam_gauge = gibbs_state(H_gauge, 1.0, -1.0, 4, tail_tol=0.5)
+    grid = [complex(t, -s) for t in (-0.5, 0.2, 0.5) for s in (0.0, 0.3, 0.6, 1.0)]
+    calls = []
+    spy(monkeypatch, GreenFunction, "_sum", calls, lambda self, t, s: np.size(t))
+    gf = GreenFunction(gam_gauge, A, B)
+    assert gf._hermitian and not gf._real
+    got = [gf(z) for z in grid]
+    assert calls == [1, 1, 1, 1, 4, 4]
+    assert np.abs(np.array(got) - GreenFunction(gam_gauge, A, B).values(grid)).max() <= 1e-14
 
 
 def test_thermal_expectation_and_moments_keep_their_formula_and_memory():
