@@ -430,6 +430,11 @@ def check_experiments(cfg: ExperimentConfig, experiments) -> None:
                 outside = [x for x in _observable_sites(spec) if not 0 <= x < vertices]
                 where = f"observables.pairs[{i}][{j}]"
                 _require(not outside, where, f"sites {outside} lie outside the graph's {vertices} vertices")
+        if "lr" in experiments:
+            outside = [x for x in sweeps["commutator_sites"] if not 0 <= x < vertices]
+            _require(
+                not outside, "sweeps.commutator_sites", f"sites {outside} lie outside the graph's {vertices} vertices"
+            )
     if "derivative" in experiments:
         _require(bool(cfg.volumes), "volumes", "derivative needs at least one volume")
     if {"kms", "derivative"} & set(experiments):

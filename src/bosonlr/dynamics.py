@@ -31,7 +31,7 @@ from scipy.linalg import blas
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .fock import FockBasis
-from .operators import SparseOperator, _component_stacks, _components
+from .operators import SparseOperator, _component_stacks, _components, _exactly_hermitian
 
 DENSE_CAP = 4096
 # smallest sector block diagonalized as two mirror halves: below it the
@@ -85,7 +85,8 @@ class SpectralDecomposition:
     """Eigenpairs of a hermitian operator, grouped by particle-number sector.
 
     Columns of ``vectors`` are orthonormal eigenvectors; eigenpairs are
-    ordered by (sector, energy) and each eigenvector carries a fixed global
+    ordered by (sector, energy), so eigenpair j lies in sector
+    ``basis.totals[j]``, and each eigenvector carries a fixed global
     phase (largest-magnitude component real positive) so repeated runs are
     bit-reproducible.  ``vectors`` is float64 for a real operator (a real
     symmetric generator has real eigenvectors) and complex128 for a
@@ -96,7 +97,6 @@ class SpectralDecomposition:
     basis: FockBasis
     energies: np.ndarray
     vectors: np.ndarray
-    sectors: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -373,7 +373,6 @@ def eigendecompose(H: SparseOperator) -> SpectralDecomposition:
     matrix = H.matrix
     energies = np.empty(dim)
     vectors = np.zeros((dim, dim), dtype=matrix.dtype)
-    sectors = np.empty(dim, dtype=np.int64)
     slices = basis.sector_slices()
     layout = _mirror_layout(matrix, basis) or [None] * len(slices)
     for (n, sl), halves in zip(slices, layout):
@@ -386,8 +385,7 @@ def eigendecompose(H: SparseOperator) -> SpectralDecomposition:
             evals, evecs = np.linalg.eigh(block.toarray())
             vectors[sl, sl] = _fix_phases(evecs)
         energies[sl] = evals
-        sectors[sl] = n
-    return SpectralDecomposition(basis, energies, vectors, sectors)
+    return SpectralDecomposition(basis, energies, vectors)
 
 
 def _krylov_evolve(H, X: np.ndarray, times) -> np.ndarray:
@@ -682,9 +680,13 @@ def heisenberg_blocks(
     the diagonal pairs only.  A~_mn = V_m^* A_mn V_n is rotated once per
     sector pair, and only the phases and the back-rotation are repeated per
     time, so the result holds len(times) sum_(m, n) n_m n_n entries and no
-    D x D array.
+    D x D array.  When A equals its conjugate transpose entry for entry,
+    each diagonal block is returned as (X + X^*)/2 of its back-rotation X,
+    so it is exactly hermitian, as tau_t(A) is, and not only up to
+    rounding: ``operator_norm`` then takes its ``eigh`` route.
     """
     d = decomposition if decomposition is not None else eigendecompose(H)
+    hermitian = _exactly_hermitian(A.matrix)
     slices = dict(d.sector_slices())
     rotated = {(m, n): d.rotate(A.matrix, slices[m], slices[n]) for m, n in _sector_pairs(A.matrix, d.basis)}
     out = []
@@ -695,7 +697,8 @@ def heisenberg_blocks(
             sm, sn = slices[m], slices[n]
             evolved = (phases[sm, None] * tilde) * phases[sn].conj()
             Vm, Vn = d.vectors[sm, sm], d.vectors[sn, sn]
-            blocks[m, n] = _real_matmul(_real_matmul(Vm, evolved), Vn.conj().T)
+            X = _real_matmul(_real_matmul(Vm, evolved), Vn.conj().T)
+            blocks[m, n] = 0.5 * (X + X.conj().T) if hermitian and m == n else X
         out.append(blocks)
     return out
 

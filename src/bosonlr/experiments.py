@@ -63,7 +63,6 @@ from .operators import (
     assemble_hamiltonian,
     conserves_number,
     cutoff_projection,
-    hermitian_norm_bound,
     local_observable,
     number_moment,
     operator_norm,
@@ -667,8 +666,8 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
         rows = []
         for t, T_in, T_full in zip(times, evolved_in, full):
             # A conserves number, so its blocks are the sector-diagonal ones;
-            # each difference is hermitian up to rounding, as tau_t(A) is
-            measured = max((hermitian_norm_bound(T_in[k] - T_full[k]) for k in T_full), default=0.0)
+            # each is exactly hermitian, and so is each difference
+            measured = max((operator_norm(T_in[k] - T_full[k]) for k in T_full), default=0.0)
             inp = BoundInputs(
                 sigma=sigma_cnt,
                 d=d,

@@ -28,7 +28,6 @@ Conventions
   occupation-cutoff-projected dynamics generated by P H P.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -380,11 +379,20 @@ def conserves_number(op: SparseOperator) -> bool:
     return bool(np.array_equal(totals[coo.row], totals[coo.col]))
 
 
+def _exactly_hermitian(matrix) -> bool:
+    """True when a sparse matrix equals its conjugate transpose entry for
+    entry; O(nnz)."""
+    return (matrix != matrix.conj().T).nnz == 0
+
+
 def operator_norm(op, seed=None) -> float:
     """Largest singular value of an operator, exact.
 
-    A dense array takes one SVD, unless no entry is nonzero (an exact
-    difference of equal operators), when it is 0.0.  A sparse matrix, bare
+    A dense array equal to its conjugate transpose entry for entry (the
+    sector blocks of ``dynamics.heisenberg_blocks`` and their differences)
+    takes one eigenvalue-only ``eigh``, its norm max |lambda|; any other
+    dense array takes one SVD; one with no nonzero entry (an exact
+    difference of equal operators) is 0.0 with neither.  A sparse matrix, bare
     or the ``matrix`` of a ``SparseOperator``, is block-diagonal over the
     connected components of its sparsity pattern, so its norm is the
     largest block norm; blocks of one size are stacked and take one
@@ -401,7 +409,12 @@ def operator_norm(op, seed=None) -> float:
     mat = op.matrix if isinstance(op, SparseOperator) else op
     if not sparse.issparse(mat):
         dense = _real_if_exact(np.asarray(mat))
-        return float(np.linalg.norm(dense, 2)) if dense.any() else 0.0
+        if not dense.any():
+            return 0.0
+        if dense.ndim == 2 and np.array_equal(dense, dense.conj().T):
+            eig = scipy.linalg.eigh(dense, eigvals_only=True, check_finite=False, driver="ev")
+            return float(max(-eig[0], eig[-1]))
+        return float(np.linalg.norm(dense, 2))
     if mat.shape[0] != mat.shape[1]:
         raise InvalidArgumentError(f"operator norm of a sparse matrix needs a square shape, got {mat.shape}")
     coo = sparse.coo_matrix(mat)
@@ -418,29 +431,6 @@ def operator_norm(op, seed=None) -> float:
         )
     stacks = _component_stacks(coo, _real_if_exact(coo.data), labels, sizes)
     return max(float(np.linalg.norm(stack, 2, axis=(1, 2)).max()) for _, stack in stacks)
-
-
-def hermitian_norm_bound(X) -> float:
-    """An upper bound on the spectral norm of a dense square array that is
-    hermitian up to rounding, without an SVD.
-
-    With S = (X + X^*)/2 and K = (X - X^*)/2, X = S + K and S is hermitian,
-    so ||X|| <= ||S|| + ||K|| <= max |eig S| + ||K||_F: one eigenvalue-only
-    ``eigh`` and a Frobenius norm, exact for a hermitian X up to the
-    eigensolver's rounding.  0.0 when no entry of X is nonzero (an exact
-    difference of equal operators).
-    """
-    X = _real_if_exact(np.asarray(X))
-    if not X.any():
-        return 0.0
-    Xh = np.conj(X.T)  # Fortran-ordered, as LAPACK reads in place
-    K = X - Xh
-    skew = 0.5 * math.sqrt(np.vdot(K, K).real)
-    del K
-    S = np.add(X, Xh, out=Xh)
-    S *= 0.5
-    eig = scipy.linalg.eigh(S, eigvals_only=True, overwrite_a=True, check_finite=False, driver="ev")
-    return float(max(-eig[0], eig[-1]) + skew)
 
 
 def _components(coo):

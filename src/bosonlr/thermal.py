@@ -7,10 +7,10 @@ partition sums, which assumes they keep decaying, so it is not a bound).
 The two-point function extends off the real axis
 to the strip -beta <= Im z <= 0 through the double spectral sum, which is
 exact at finite dimension (``GreenFunction``: for a real hermitian pair
-it builds and reads only the lower triangle of C = A~ o B~^T, rotated by
-two SYRKs per large block, merges small sector blocks up to
-``MERGE_ROWS_MAX`` rows, reads points asked for one at a time a grid row
-at a time, and evaluates one point of each exact time-mirror pair,
+it builds and reads only the lower triangle of C = A~ o B~^T, one block
+per sector, rotated by two SYRKs per large block, reads points asked for
+one at a time a grid row at a time, and evaluates one point of each
+exact time-mirror pair,
 F(-t - i s) = conj F(t - i s)); equilibrium checks compare it against
 independently time-evolved expectations: ``evolved_two_points``, the
 sparse route of ``dynamics.correlations`` over a whole time grid, which
@@ -38,16 +38,9 @@ from .errors import (
     InvalidArgumentError,
     TruncationError,
 )
-from .operators import SparseOperator, conserves_number
+from .operators import SparseOperator, _exactly_hermitian, conserves_number
 
 DEFAULT_TAIL_TOL = 1e-10
-# most rows of one block of merged sector blocks in ``GreenFunction``.
-# Measured per point of a real hermitian pair on a 2-CPU host, one BLAS
-# thread, grand-canonical chains: the six sectors of 6 sites to n = 5
-# took 62-65 us as six blocks, 40-45 us as [210 | 252] rows and 48-52 us
-# as one 462-row block; 8 sites to n = 4, 55-79 us as [165 | 330] and
-# 72-101 us as one 495-row block; no merge past 256 rows ever gained
-MERGE_ROWS_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,6 @@ class GibbsState:
     weights: np.ndarray
     shifted: np.ndarray
     z_scaled: float
-    log_z: float
     tail_estimate: float
 
     @property
@@ -113,9 +105,8 @@ def gibbs_state(
     missing = set(range(n_max + 1)) - {n for n, _ in decomposition.sector_slices()}
     if missing and not canonical:
         raise InvalidArgumentError(f"spectra for sectors {sorted(missing)} are not available")
-    G = decomposition.energies - mu * decomposition.sectors
-    g_min = float(G.min())
-    shifted = G - g_min
+    G = decomposition.energies - mu * decomposition.basis.totals
+    shifted = G - G.min()
     boltzmann = np.exp(-beta * shifted)
     z_sector: dict[int, float] = {}
     weights = np.zeros_like(boltzmann)
@@ -148,7 +139,6 @@ def gibbs_state(
         weights=weights,
         shifted=shifted,
         z_scaled=z_scaled,
-        log_z=float(np.log(z_scaled) - beta * g_min),
         tail_estimate=float(tail),
     )
 
@@ -193,12 +183,6 @@ def _require_number_conserving(op: SparseOperator, name: str):
         raise InvalidArgumentError(f"{name} must conserve the total particle number")
 
 
-def _exactly_hermitian(matrix) -> bool:
-    """True when a sparse matrix equals its conjugate transpose entry for
-    entry; O(nnz)."""
-    return (matrix != matrix.conj().T).nnz == 0
-
-
 class GreenFunction:
     """Two-point function of a thermal state on the strip -beta <= Im z <= 0.
 
@@ -206,10 +190,12 @@ class GreenFunction:
     against the second; F(t - i beta) swaps the operator order.  Values
     come from the double spectral sum with overflow-safe exponents, O(D^2)
     per point after a one-time O(D^3) rotation into the eigenbasis: each
-    sector block C_jk = A_jk B_kj is read once per point.  Adjacent sector
-    blocks are held as one block-diagonal block while it stays within
-    ``MERGE_ROWS_MAX`` rows, so a point makes its BLAS calls per block, not
-    per sector.
+    included sector keeps one block C_jk = A_jk B_kj, read once per point
+    (the BLAS calls below are per block).  Small sectors are not merged
+    into larger blocks: on the six sectors of a grand-canonical 6-site
+    chain to n = 5 (2-CPU host, one BLAS thread), a merge into [210 | 252]
+    rows read a t-major 21 x 21 grid in 13.6-22.8 ms against 14.3-23.0 ms
+    as six blocks, within the spread between runs.
 
     A real hermitian pair (``_real``) builds and reads only the lower
     triangle of C: A~ and B~ are symmetric, so C_jk = A~_jk B~_jk there,
@@ -271,33 +257,16 @@ class GreenFunction:
         slices = [sl for _, sl in state.included_slices()]
         # sectors ascend, so the included rows are the first ``_stop``
         self._stop = slices[-1].stop
-        groups = [[slices[0]]]
-        for sl in slices[1:]:
-            if sl.stop - groups[-1][0].start <= MERGE_ROWS_MAX:
-                groups[-1].append(sl)
-            else:
-                groups.append([sl])
         self._blocks = []
-        for group in groups:
-            span = slice(group[0].start, group[-1].stop)
-            C = None
-            if len(group) > 1:
-                size = span.stop - span.start
-                C = np.zeros((size, size), dtype=np.float64 if real else np.complex128, order="F")
-            for sl in group:
-                if self._real:
-                    An, Bt = decomp.rotate_lower(A.matrix, sl), decomp.rotate_lower(B.matrix, sl)
-                else:
-                    An, Bt = decomp.rotate(A.matrix, sl), decomp.rotate(B.matrix, sl).T
-                if C is None:
-                    # C in Fortran order, so the symmetric BLAS calls read it
-                    # in place; formed in B~'s buffer when that is laid out so
-                    own = Bt.flags.f_contiguous and Bt.dtype == np.result_type(An, Bt)
-                    C = np.multiply(An, Bt, out=Bt if own else None, order="F")
-                else:
-                    at = slice(sl.start - span.start, sl.stop - span.start)
-                    np.multiply(An, Bt, out=C[at, at])
-            self._blocks.append((span, C))
+        for sl in slices:
+            if self._real:
+                An, Bt = decomp.rotate_lower(A.matrix, sl), decomp.rotate_lower(B.matrix, sl)
+            else:
+                An, Bt = decomp.rotate(A.matrix, sl), decomp.rotate(B.matrix, sl).T
+            # C in Fortran order, so the symmetric BLAS calls read it in
+            # place; formed in B~'s buffer when that is laid out so
+            own = Bt.flags.f_contiguous and Bt.dtype == np.result_type(An, Bt)
+            self._blocks.append((sl, np.multiply(An, Bt, out=Bt if own else None, order="F")))
         self._cache: dict[complex, complex] = {}
         # the real part of the last point read, and the depths read at it
         # (clamped, in first-read order): the row a new t may batch

@@ -183,13 +183,15 @@ SITE_9 = {"kind": "number_function", "site": 9, "fn": "inv_one_plus_n"}
         ("kms", {"preset": "two-site", "observables": {"pairs": [[{**SITE_9, "site": -1}, SITE_9]]}}, "sites [-1] lie"),
         ("derivative", {"preset": "chain-4-derivative", "deriv": {"range_R": -1}}, "deriv.range_R: must be >= 0"),
         ("derivative", {"preset": "chain-4-derivative", "deriv": {"trend_n_max": [-1]}}, "trend_n_max: each must"),
+        ("lr", {"preset": "chain-10", "sweeps": {"commutator_sites": [12]}}, "sites [12] lie outside the graph's 10"),
     ],
 )
 def test_a_subcommand_rejects_what_validate_config_rejects(tmp_path, capsys, experiment, data, match):
     # a volume trend needs a volume, each long enough to hold observable
-    # pair 0; every observable site lies on the graph, and the derivative
-    # radius and trend sectors are nonnegative; thresholds are constants,
-    # and reports go to --out or BOSONLR_OUT
+    # pair 0; every observable site and every lr commutator site lies on
+    # the graph, and the derivative radius and trend sectors are
+    # nonnegative; thresholds are constants, and reports go to --out or
+    # BOSONLR_OUT
     cfg, out = write_cfg(tmp_path, data), tmp_path / "out"
     assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
     assert main([experiment, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG

@@ -169,6 +169,8 @@ EDGES_3 = {"type": "edges", "n_vertices": 3, "edges": [[0, 1], [1, 2]]}
         ({"preset": "chain-4", "graph": EDGES_3, "observables": {"pairs": [[_f(0), _f(3)]]}}, r"graph's 3 vertices"),
         ({"preset": "chain-4-derivative", "deriv": {"range_R": -1}}, r"deriv\.range_R: must be >= 0"),
         ({"preset": "chain-4-derivative", "deriv": {"trend_n_max": [2, -1]}}, r"deriv\.trend_n_max: each must be >= 0"),
+        ({"preset": "chain-10", "sweeps": {"commutator_sites": [12]}}, r"commutator_sites: sites \[12\] lie outside"),
+        ({"preset": "chain-10", "sweeps": {"commutator_sites": [-1, 4]}}, r"sites \[-1\] lie outside the graph's 10"),
     ],
 )
 def test_sites_off_the_graph_and_negative_derivative_ranges_rejected(data, match):

@@ -276,6 +276,7 @@ def test_exact_zero_at_cap_and_on_covering_shells():
     assert at_cap and all(r["measured"] == 0.0 for r in at_cap)
     cfg = small(
         "chain-10",
+        experiments=["local-approx"],
         graph={"type": "chain", "length": 8},
         sweeps={"times": [0.25], "shells": [2, 3], "sup_times": [0.1, 0.25, 0.4]},
     )
@@ -288,9 +289,9 @@ def test_exact_zero_at_cap_and_on_covering_shells():
 def per_time_shell_norms(cfg):
     """The shell sweep of ``lr`` as a loop over times: per shell and time,
     the sector blocks of both generators' Heisenberg operator, one
-    ``heisenberg_blocks`` call per time, and the largest norm bound
-    (``hermitian_norm_bound``, as ``lr`` measures) of their difference
-    over the blocks, keyed (m, t)."""
+    ``heisenberg_blocks`` call per time, and the largest norm
+    (``operator_norm``, as ``lr`` measures) of their difference over the
+    blocks, keyed (m, t)."""
     from bosonlr import (
         assemble_hamiltonian,
         cutoff_projection,
@@ -300,7 +301,7 @@ def per_time_shell_norms(cfg):
         sandwich,
     )
     from bosonlr.experiments import _pair_observables, _support_region, build_scene
-    from bosonlr.operators import hermitian_norm_bound, same_matrix
+    from bosonlr.operators import operator_norm, same_matrix
 
     scene = build_scene(cfg)
     A, _ = _pair_observables(cfg, scene.basis)
@@ -317,7 +318,7 @@ def per_time_shell_norms(cfg):
         for t in cfg.sweeps["times"]:
             (T_in,) = heisenberg_blocks(G_in, A, [t], d_in)
             (T_full,) = heisenberg_blocks(G_full, A, [t], d_full)
-            out[m, t] = max(hermitian_norm_bound(T_in[k] - T_full[k]) for k in T_full)
+            out[m, t] = max(operator_norm(T_in[k] - T_full[k]) for k in T_full)
     return out
 
 
