@@ -37,15 +37,17 @@ DENSE_CAP = 4096
 # smallest sector block diagonalized as two mirror halves: below it the
 # fixed cost of a second eigh and the reordering outweighs the cubic saving
 MIRROR_MIN = 64
-# columns per dense propagation block: temporaries stay O(D * chunk)
+# columns per dense propagation block, and per rotation panel or factor
+# batch (``_rotate_panels``, ``_syrk_factor``): temporaries stay O(D * chunk)
 PROPAGATE_CHUNK = 64
-# smallest real symmetric block ``rotate_lower`` factors for two SYRKs:
-# below it the components, batched eigh and row gathers cost more than
-# the halved GEMM saves.  Measured against ``rotate`` on a 2-CPU host,
-# one BLAS thread, chain sectors, two runs: a two-site hop took
-# 1.24-1.36x at 455-462 states, 1.07-1.10x at 715, 0.97-1.04x at 792 and
-# 0.73-0.94x from 816 on (0.70x at 1,287); a one-site 1/(1+n) took
-# 0.98-1.19x at 455-560 and 0.73-0.83x from 715 on (0.65x at 1,287)
+# smallest real symmetric block ``_syrk_factor`` factors: below it the
+# components, batched eigh and row gathers cost more than the halved GEMM
+# saves.  Measured with the factor summed by two whole SYRKs, against
+# ``rotate`` on a 2-CPU host, one BLAS thread, chain sectors, two runs:
+# a two-site hop took 1.24-1.36x at 455-462 states, 1.07-1.10x at 715,
+# 0.97-1.04x at 792 and 0.73-0.94x from 816 on (0.70x at 1,287); a
+# one-site 1/(1+n) took 0.98-1.19x at 455-560 and 0.73-0.83x from 715
+# on (0.65x at 1,287)
 SYRK_ROWS_MIN = 800
 
 
@@ -135,28 +137,98 @@ class SpectralDecomposition:
         return _real_matmul(Vm.conj().T, _real_matmul(matrix[rows, cols], Vn))
 
     def rotate_lower(self, matrix, rows: slice) -> np.ndarray:
-        """The lower triangle of V_n^* M V_n for the sector slice ``rows``;
-        the upper triangle of the result is unspecified.
+        """The lower triangle of V_n^* M V_n for the sector slice ``rows``,
+        in Fortran order; the upper triangle of the result is unspecified.
+
+        A block with a SYRK factor (``_syrk_factor``) is summed as
+        X+^T X+ - X-^T X- + cI by ``dsyrk`` calls, one pair per batch of
+        the factor's rows, so the factor is never held whole; any other
+        is filled from ``_rotate_panels``.  Either way only the lower
+        triangle is computed.
+        """
+        V = self.vectors[rows, rows]
+        n = V.shape[0]
+        out = np.zeros((n, n), dtype=np.result_type(V, matrix), order="F")
+        factor = self._syrk_factor(matrix, rows)
+        if factor is None:
+            for cols, panel in self._rotate_panels(matrix, rows, lower=True):
+                out[cols.start :, cols] = panel
+            return out
+        c, _, batches = factor
+        for pos, W in batches:
+            for alpha, part in ((1.0, W[pos]), (-1.0, W[~pos])):
+                if len(part):
+                    out = blas.dsyrk(alpha, part.T, beta=1.0, c=out, lower=1, overwrite_c=1)
+        out[np.diag_indices(n)] += c
+        return out
+
+    def _rotate_panels(self, matrix, rows: slice, lower: bool = False):
+        """V_n^* M V_n for the sector slice ``rows`` as column panels of
+        PROPAGATE_CHUNK columns: yields ``(cols, panel)`` with panel the
+        rows ``lo:`` of the columns ``cols``, where lo is ``cols.start``
+        for ``lower`` (the lower triangle of a real symmetric M, with the
+        panel's upper corner unspecified) and 0 otherwise.  No n x n array
+        is formed.
+
+        A lower triangle with a SYRK factor takes it whole, X with signs S
+        (+1 for X+, -1 for X-): panel = X[:, lo:]^T (S X[:, cols]) + cI,
+        one ``dgemm`` on views of X, the flops of the ``dsyrk`` pair.  Any
+        other panel is V[:, lo:]^* (M V[:, cols]); under real eigenvectors,
+        one panel covering the block has the bits of ``rotate``.
+        """
+        V = self.vectors[rows, rows]
+        n = V.shape[0]
+        factor = self._syrk_factor(matrix, rows) if lower else None
+        if factor is None:
+            block = matrix[rows, rows]
+        else:
+            # the factor whole, in Fortran order: both GEMM operands below
+            # are views of it, and each panel comes out in Fortran order
+            c, size, batches = factor
+            X, sign = np.empty((size, n), order="F"), np.empty((size, 1))
+            at = 0
+            for pos, W in batches:
+                X[at : at + len(W)], sign[at : at + len(W), 0] = W, np.where(pos, 1.0, -1.0)
+                at += len(W)
+                del W  # freed before the next batch is formed
+        for start in range(0, n, PROPAGATE_CHUNK):
+            cols = slice(start, min(start + PROPAGATE_CHUNK, n))
+            lo = start if lower else 0
+            if factor is None:
+                # V^* Y as conj(V^T conj Y): a complex V is never copied
+                panel = _real_matmul(V[:, lo:].T, _real_matmul(block, V[:, cols]).conj()).conj()
+            else:
+                panel = blas.dgemm(1.0, X[:, lo:], sign * X[:, cols], trans_a=1)
+                width = cols.stop - start
+                panel[np.arange(width), np.arange(width)] += c
+            yield cols, panel
+            del panel  # one panel alive at a time, if the caller drops its own
+
+    def _syrk_factor(self, matrix, rows: slice):
+        """The factor of V_n^T M V_n for the sector slice ``rows`` that
+        ``rotate_lower`` and ``_rotate_panels`` share, or None where a GEMM
+        is cheaper: ``(c, size, batches)``.
 
         A real, exactly symmetric sparse block of at least
-        ``SYRK_ROWS_MIN`` rows under real eigenvectors is factored
-        instead of multiplied.  With c and R from ``_active_rows``, M - cI
-        is block-diagonal over the connected components of its pattern on R;
-        one batched ``eigh`` per component size gives
-        (M - cI)[r, r] = U diag(lam) U^T on each component's rows r, so with
-        X+- = sqrt|lam+-| U+-^T V[r] over the positive and the other
-        eigenvalues of all components, V^T M V = X+^T X+ - X-^T X- + cI:
-        two ``dsyrk`` calls that write the lower triangle alone, half the
-        flops of the GEMM in ``rotate``.  A block whose components are too
-        large for that to pay, and any other block, takes ``rotate``.
+        ``SYRK_ROWS_MIN`` rows under real eigenvectors is factored.  With
+        c and R from ``_active_rows``, M - cI is block-diagonal over the
+        connected components of its pattern on R; one batched ``eigh`` per
+        component size gives (M - cI)[r, r] = U diag(lam) U^T on each
+        component's rows r, so with X+- = sqrt|lam+-| U+-^T V[r] over the
+        positive and the other eigenvalues of all components,
+        V^T M V = X+^T X+ - X-^T X- + cI.  ``batches`` yields the
+        ``size`` = |R| rows of X as ``(lam > 0, W)``, W = sqrt|lam| U^T V[r]
+        over whole components of one size, at most PROPAGATE_CHUNK rows at
+        a time (a larger component alone).  A block whose components are
+        too large for the SYRK to pay, and any other block, gives None.
         """
         V = self.vectors[rows, rows]
         n = V.shape[0]
         if n < SYRK_ROWS_MIN or np.iscomplexobj(V) or np.iscomplexobj(matrix) or not sparse.issparse(matrix):
-            return self.rotate(matrix, rows)
+            return None
         block = matrix[rows, rows].tocsr()
         if (block != block.T).nnz:
-            return self.rotate(matrix, rows)
+            return None
         active, c = _active_rows(block)
         shifted = block[active][:, active] - c * sparse.identity(active.size, format="csr")
         coo = shifted.tocoo()
@@ -166,30 +238,24 @@ class SpectralDecomposition:
         # the component products cost 2 n sum k^2 flops, the SYRK saves
         # n^2 |R| over the GEMM
         if 2 * np.sum(sizes.astype(np.float64) ** 2) >= n * active.size > 0:
-            return self.rotate(matrix, rows)
-        # X+ fills X from the top, X- from the bottom, each in W's row order
-        X = np.empty((active.size, n))
-        top, bottom = 0, active.size
-        for comp_rows, stack in _component_stacks(coo, coo.data, labels, sizes):
-            lam, U = np.linalg.eigh(stack)
-            W = V[active[comp_rows]]
-            if stack.shape[1] > 1:
-                W = np.matmul(U.transpose(0, 2, 1), W)
-            lam, W = lam.ravel(), W.reshape(lam.size, n)
-            W *= np.sqrt(np.abs(lam))[:, None]
-            pos = lam > 0
-            rank = np.cumsum(pos)  # X+ rows up to and including each row
-            k = int(rank[-1])
-            bottom -= lam.size - k
-            X[np.where(pos, top + rank - 1, bottom + np.arange(lam.size) - rank)] = W
-            top += k
-            del W
-        out = np.zeros((n, n), order="F")
-        for alpha, part in ((1.0, X[:top]), (-1.0, X[top:])):
-            if len(part):
-                out = blas.dsyrk(alpha, part.T, beta=1.0, c=out, lower=1, overwrite_c=1)
-        out[np.diag_indices(n)] += c
-        return out
+            return None
+
+        def batches():
+            for comp_rows, stack in _component_stacks(coo, coo.data, labels, sizes):
+                lam, U = np.linalg.eigh(stack)
+                step = max(1, PROPAGATE_CHUNK // stack.shape[1])
+                for first in range(0, len(stack), step):
+                    part = slice(first, first + step)
+                    W = V[active[comp_rows[part]]]
+                    if stack.shape[1] > 1:
+                        W = np.matmul(U[part].transpose(0, 2, 1), W)
+                    lam_part = lam[part].ravel()
+                    W = W.reshape(lam_part.size, n)
+                    W *= np.sqrt(np.abs(lam_part))[:, None]
+                    yield lam_part > 0, W
+                    del W  # freed before the next batch is formed
+
+        return c, active.size, batches()
 
     def sector_slices(self) -> list[tuple[int, slice]]:
         return self.basis.sector_slices()
@@ -237,13 +303,25 @@ def _fix_phases(vecs: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     first, on ties) is real positive; real columns are scaled by +-1.
     Ties go to the smallest of ``rows``, the block rows that the rows of
     ``vecs`` stand for (default: their own order)."""
-    mags = np.abs(vecs)
+    real = not np.iscomplexobj(vecs)
     # where each column peaks, as booleans: only they are read in the
-    # order of ``rows``
-    peaks = mags == mags.max(axis=0)
+    # order of ``rows``.  A real column peaks at its max or its min,
+    # whichever is larger in magnitude, and at both where max == -min:
+    # no float copy of |vecs| is needed
+    if real:
+        hi, lo = vecs.max(axis=0), vecs.min(axis=0)
+        peaks = vecs == np.where(hi >= -lo, hi, lo)
+        both = np.flatnonzero(hi == -lo)
+        peaks[:, both] |= vecs[:, both] == lo[both]
+    else:
+        mags = np.abs(vecs)
+        peaks = mags == mags.max(axis=0)
     order = np.arange(len(vecs)) if rows is None else np.argsort(rows)
     first = order[np.argmax(peaks[order], axis=0)]
     pivots = vecs[first, np.arange(vecs.shape[1])]
+    if real:  # a sign flip is exact: the bits of the general formula
+        vecs *= np.where(pivots < 0, -1.0, 1.0)
+        return vecs
     mags = np.abs(pivots)
     nonzero = mags > 0
     factors = np.ones_like(pivots)
@@ -396,23 +474,26 @@ def _krylov_evolve(H, X: np.ndarray, times) -> np.ndarray:
     ``np.linspace(t0, t1, n)`` takes its time-grid algorithm (section 5
     there), which selects the Taylor degree and step count once for the
     whole grid: one call from 0 to t1 - t0 on X propagated to t0 (one more
-    call unless t0 = 0).  Any other list takes one call per time, and
-    t = 0 is a copy.  It reads no spectral decomposition.
+    call unless t0 = 0).  Any other list takes one call per time.  A step
+    t with |t| ||H||_1 <= eps, t = 0 among them, moves no state past
+    rounding and is a copy.  It reads no spectral decomposition.
     """
     X = np.asarray(X, dtype=np.complex128)
     times = np.asarray(times, dtype=np.float64)
     n = times.size
     span = times[-1] - times[0] if n else 0.0
-    # scipy's grid algorithm (1.17) is wrong on a descending grid, divides
-    # by zero when span * H underflows, and reuses the span's parameters
-    # for the step to t0 (2e-10 off on [-1, -0.75]); a span that moves no
-    # state past rounding gains nothing from it
-    grid = span * np.abs(H.data).max(initial=0.0) > np.finfo(np.float64).eps
+    # the exact 1-norm (largest column sum), which scipy's parameter
+    # selection reads: where t ||H||_1 underflows, scipy (1.17) picks
+    # s = 0 steps and divides by it.  Its grid algorithm is also wrong on
+    # a descending grid and reuses the span's parameters for the step to
+    # t0 (2e-10 off on [-1, -0.75])
+    norm = float(np.asarray(abs(H).sum(axis=0)).max(initial=0.0))
+    eps = np.finfo(np.float64).eps
 
     def at(t):
-        return X.copy() if t == 0.0 else scipy.sparse.linalg.expm_multiply(-1j * t * H, X)
+        return X.copy() if abs(t) * norm <= eps else scipy.sparse.linalg.expm_multiply(-1j * t * H, X)
 
-    if grid and np.array_equal(times, np.linspace(times[0], times[-1], n)):
+    if span * norm > eps and np.array_equal(times, np.linspace(times[0], times[-1], n)):
         return scipy.sparse.linalg.expm_multiply(
             -1j * H, at(times[0]), start=0.0, stop=span, num=n, endpoint=True
         )

@@ -8,15 +8,16 @@ The two-point function extends off the real axis
 to the strip -beta <= Im z <= 0 through the double spectral sum, which is
 exact at finite dimension (``GreenFunction``: for a real hermitian pair
 it builds and reads only the lower triangle of C = A~ o B~^T, one block
-per sector, rotated by two SYRKs per large block, reads points asked for
-one at a time a grid row at a time, and evaluates one point of each
-exact time-mirror pair,
+per sector, formed in A~'s buffer one column panel of B~ at a time, so
+B~ is never held whole; it reads points asked for one at a time a grid
+row at a time, and evaluates one point of each exact time-mirror pair,
 F(-t - i s) = conj F(t - i s)); equilibrium checks compare it against
 independently time-evolved expectations: ``evolved_two_points``, the
 sparse route of ``dynamics.correlations`` over a whole time grid, which
 reads no energies and no spectral sum.  ``gibbs_state`` is the one
 constructor of both ensembles: canonical on a single-sector basis,
-grand-canonical otherwise.
+grand-canonical otherwise.  ``expectation`` and ``moment_sup`` read the
+eigenvectors in chunks of columns or rows and form no D x D array.
 """
 
 from dataclasses import dataclass
@@ -155,27 +156,48 @@ def fixed_sector_gibbs(
 
 
 def expectation(state: GibbsState, A: SparseOperator) -> complex:
-    """Trace of the density matrix against A."""
+    """Trace of the density matrix against A: sum_j w_j (V^* A V)_jj,
+    summed PROPAGATE_CHUNK / 2 columns of V at a time, each column with
+    the bits it has in the whole product A V, which is never formed."""
     if A.basis.basis_id != state.basis.basis_id:
         raise InvalidArgumentError("observable lives on a different basis")
     V = state.decomp.vectors
-    AV = _real_matmul(A.matrix, V)
-    diag = np.einsum("ij,ij->j", V.conj(), AV)
+    # a chunk holds two (D, width) arrays: the columns, copied
+    # contiguous for the sparse product, and their image
+    diag = np.concatenate(
+        [
+            np.einsum("ij,ij->j", V[:, cols].conj(), _real_matmul(A.matrix, V[:, cols]))
+            for cols in _chunks(V.shape[1], PROPAGATE_CHUNK // 2)
+        ]
+    )
     return complex(np.dot(state.weights, diag))
 
 
 def moment_sup(state, p: float) -> float:
     """max over sites x of the expectation of (1 + n_x)^p in a thermal
-    state or in a pure StateVector (normalized here)."""
+    state or in a pure StateVector (normalized here).  A thermal state's
+    occupation probabilities (|V|^2) w are formed PROPAGATE_CHUNK rows
+    of V at a time, each with the bits of the whole product."""
     if p < 1:
         raise InvalidArgumentError("moment exponent must satisfy p >= 1")
     if isinstance(state, StateVector):
         probs = np.abs(state.amplitudes) ** 2
         probs = probs / probs.sum()
     else:
-        probs = (np.abs(state.decomp.vectors) ** 2) @ state.weights
+        V = state.decomp.vectors
+        probs = np.concatenate([_squared(np.abs(V[rows])) @ state.weights for rows in _chunks(V.shape[0])])
     occ = state.basis.occupations
     return float(np.max(((1.0 + occ) ** float(p)).T @ probs))
+
+
+def _chunks(n: int, width: int = PROPAGATE_CHUNK):
+    """Slices of ``width`` indices covering range(n)."""
+    return [slice(start, start + width) for start in range(0, n, width)]
+
+
+def _squared(x: np.ndarray) -> np.ndarray:
+    """x ** 2, in place."""
+    return np.square(x, out=x)
 
 
 def _require_number_conserving(op: SparseOperator, name: str):
@@ -198,9 +220,18 @@ class GreenFunction:
     as six blocks, within the spread between runs.
 
     A real hermitian pair (``_real``) builds and reads only the lower
-    triangle of C: A~ and B~ are symmetric, so C_jk = A~_jk B~_jk there,
-    from ``SpectralDecomposition.rotate_lower`` (two ``dsyrk`` calls for
-    a local observable on a sector of at least ``SYRK_ROWS_MIN`` states).
+    triangle of C: A~ and B~ are symmetric, so C_jk = A~_jk B~_jk there.
+    A~ comes from ``SpectralDecomposition.rotate_lower`` (``dsyrk`` calls
+    over batches of its factor for a local observable on a sector of at
+    least ``SYRK_ROWS_MIN`` states), and B~ is multiplied into it in place,
+    one column panel of ``_rotate_panels`` at a time, so B~ is never held
+    whole; any other pair multiplies the rows of B~^T into A~ the same
+    way.  Past the eigenvectors, the build so peaks at about C plus B's
+    factor: 1.45 D^2 doubles (tracemalloc) on the canonical 9-site chain
+    with 5 particles (D = 1,287, a hop and a 1/(1+n)), where A~, B~ and
+    a factor held at once took 2.39 D^2.  Under real eigenvectors, a
+    block of at most PROPAGATE_CHUNK states outside the SYRK route fits
+    one panel and has the bits of two whole ``rotate`` calls.
     Its points are summed in real arithmetic (``_real_points``): a lone
     point takes two ``dsymv`` calls per block, a list of points one
     ``dsymm``.  Any other pair reads the whole of C (``_sum``).
@@ -257,16 +288,26 @@ class GreenFunction:
         slices = [sl for _, sl in state.included_slices()]
         # sectors ascend, so the included rows are the first ``_stop``
         self._stop = slices[-1].stop
+        dtype = np.result_type(decomp.vectors, A.matrix, B.matrix)
         self._blocks = []
         for sl in slices:
+            # C is formed in A~'s buffer, one column panel of B~ at a time,
+            # so B~ is never held whole, and each panel is dropped before
+            # the next is formed
             if self._real:
-                An, Bt = decomp.rotate_lower(A.matrix, sl), decomp.rotate_lower(B.matrix, sl)
+                # the lower triangle, in Fortran order, so the symmetric
+                # BLAS calls read it in place
+                C = decomp.rotate_lower(A.matrix, sl)
+                for cols, panel in decomp._rotate_panels(B.matrix, sl, lower=True):
+                    C[cols.start :, cols] *= panel
+                    del panel
             else:
-                An, Bt = decomp.rotate(A.matrix, sl), decomp.rotate(B.matrix, sl).T
-            # C in Fortran order, so the symmetric BLAS calls read it in
-            # place; formed in B~'s buffer when that is laid out so
-            own = Bt.flags.f_contiguous and Bt.dtype == np.result_type(An, Bt)
-            self._blocks.append((sl, np.multiply(An, Bt, out=Bt if own else None, order="F")))
+                # all of C = A~ o B~^T: rows ``cols`` of B~^T per panel
+                C = decomp.rotate(A.matrix, sl).astype(dtype, copy=False)
+                for cols, panel in decomp._rotate_panels(B.matrix, sl):
+                    C[cols] *= panel.T
+                    del panel
+            self._blocks.append((sl, C))
         self._cache: dict[complex, complex] = {}
         # the real part of the last point read, and the depths read at it
         # (clamped, in first-read order): the row a new t may batch

@@ -369,6 +369,25 @@ def test_krylov_evolve_matches_dense_exponential(times, calls, monkeypatch):
         assert np.array_equal(out[0], real) and not np.shares_memory(out, real)
 
 
+@pytest.mark.parametrize("times", [[5e-324], [0.0, 5e-324], [-5e-324], [1e-17, 2e-17]])
+def test_krylov_evolve_copies_steps_that_underflow(times):
+    """A step with |t| ||H||_1 <= eps moves no state past rounding and is a
+    copy on either route: at t = 5e-324 scipy's parameter selection picks
+    s = 0 steps and divides by it (a RuntimeWarning, an error here)."""
+    import warnings
+
+    H = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    X = np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = _krylov_evolve(H, X, times)
+    assert out.shape == (len(times), 2, 2)
+    assert all(np.array_equal(U, X) for U in out)
+    # a step just past eps still propagates
+    (U,) = _krylov_evolve(H, X, [1e-15])
+    assert np.abs(U - np.array([[1.0, -1e-15j], [-1e-15j, 1.0]])).max() <= 1e-30
+
+
 def test_sector_confinement_exact():
     _, _, basis, H = chain_model(3, n_max=2, U=0.5)
     start = basis_vector(basis, (1, 0, 0))
@@ -581,6 +600,46 @@ def test_fix_phases_matches_column_loop():
         assert np.array_equal(got, loop(vecs.copy()))
 
 
+def frozen_fix_phases(vecs, rows=None):
+    """``_fix_phases`` as it was written for every dtype: a float copy of
+    |vecs|, its column peaks, the first of them in the order of ``rows``,
+    and each column scaled by conj(pivot) / |pivot|."""
+    mags = np.abs(vecs)
+    peaks = mags == mags.max(axis=0)
+    order = np.arange(len(vecs)) if rows is None else np.argsort(rows)
+    first = order[np.argmax(peaks[order], axis=0)]
+    pivots = vecs[first, np.arange(vecs.shape[1])]
+    mags = np.abs(pivots)
+    nonzero = mags > 0
+    factors = np.ones_like(pivots)
+    factors[nonzero] = np.conj(pivots[nonzero]) / mags[nonzero]
+    vecs *= factors
+    return vecs
+
+
+def test_real_fix_phases_keeps_the_bits_of_the_magnitude_formula():
+    """On real blocks the pivot comes from the column max and min, with no
+    float copy of |vecs|: the result has the bits of the frozen formula,
+    signed zeros included, on columns whose peak ties between +x and -x,
+    repeats at one sign, is negative, or is zero, with the ties settled
+    in the order of permuted ``rows``."""
+    rng = np.random.default_rng(12)
+    W = np.linalg.eigh(rng.standard_normal((30, 30)) + rng.standard_normal((30, 30)).T)[1]
+    W[:, 0] = 0.0
+    W[[3, 7], 1] = 2.0, -2.0  # a tie between signs
+    W[[9, 4], 2] = -2.0, 2.0
+    W[[5, 11, 2], 3] = -3.0, -3.0, 1.0  # a negative peak, repeated
+    W[[6, 8], 4] = 3.0, 3.0
+    W[:, 5] = np.where(rng.random(30) < 0.5, -0.0, 0.0)
+    W[:, 6] = np.where(rng.random(30) < 0.5, -1.5, 1.5)  # every entry ties
+    for rows in (None, rng.permutation(30), rng.permutation(90)[:30], np.arange(30)[::-1]):
+        for block in (W, W[:17], -W):
+            given = None if rows is None else rows[: len(block)]
+            got, want = _fix_phases(block.copy(), given), frozen_fix_phases(block.copy(), given)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_real_matmul_matches_plain_product():
     import scipy.sparse as sp
 
@@ -617,9 +676,12 @@ def test_rotate_lower_takes_two_syrks_on_every_kind_of_spectrum(monkeypatch):
     all positive (n_x + 2, c = 2), of both signs (a hop, c = 0) and of both
     signs with c = 0.5 (two hops and a number on three sites): the lower
     triangle is within 1e-13 ||M|| of V^T M V, the upper one is never
-    written, and the SYRK signs are the spectrum's.  Below the gate, under
-    a complex generator, and for a block that is not symmetric or whose
-    components are too large, it is ``rotate``'s result bit for bit."""
+    written, and the SYRK signs are the spectrum's: each batch of the
+    factor takes one ``dsyrk`` per sign it holds, on at most
+    PROPAGATE_CHUNK rows.  Below the gate, under a complex generator, and
+    for a block that is not symmetric or whose components are too large,
+    the block fits one panel of ``_rotate_panels`` and is ``rotate``'s
+    result bit for bit."""
     g, _, basis, H = chain_model(6, sector=3, U=0.5)
     d = eigendecompose(H)
     sl = basis.sector_slices()[0][1]
@@ -634,11 +696,12 @@ def test_rotate_lower_takes_two_syrks_on_every_kind_of_spectrum(monkeypatch):
     ]
     for A, _ in cases:
         assert np.array_equal(d.rotate_lower(A.matrix, sl), d.rotate(A.matrix, sl))
-    syrk, signs = dynamics.blas.dsyrk, []
+    syrk, signs, widths = dynamics.blas.dsyrk, [], []
 
-    def spy(alpha, *args, **kwargs):
+    def spy(alpha, a, *args, **kwargs):
         signs.append(alpha)
-        return syrk(alpha, *args, **kwargs)
+        widths.append(a.shape[1])
+        return syrk(alpha, a, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "SYRK_ROWS_MIN", 1)
     monkeypatch.setattr(dynamics.blas, "dsyrk", spy)
@@ -646,7 +709,8 @@ def test_rotate_lower_takes_two_syrks_on_every_kind_of_spectrum(monkeypatch):
         signs.clear()
         got = d.rotate_lower(A.matrix, sl)
         M = A.matrix.toarray().real
-        assert signs == want_signs
+        assert sorted(set(signs), reverse=True) == want_signs
+        assert max(widths) <= dynamics.PROPAGATE_CHUNK
         assert got.flags.f_contiguous and not np.triu(got, 1).any()
         assert np.abs(np.tril(got - V.T @ M[sl, sl] @ V)).max() <= 1e-13 * np.linalg.norm(M, 2)
     signs.clear()

@@ -644,7 +644,8 @@ def test_syrk_lower_triangle_matches_dense_rotation(gb, J, U, shift, sign, data,
     (x, y) plus c I, and that hop, a raw hop on (y, z) (on (x, y) for two
     sites) and the number on x plus c I.  A block
     the SYRK route does not take (a small one whose components cost too
-    much) has ``rotate``'s bits."""
+    much) is filled from ``_rotate_panels``: within one panel it has
+    ``rotate``'s bits."""
     g, basis = gb
     D = basis.dimension
     assume(D > 0)
@@ -672,7 +673,7 @@ def test_syrk_lower_triangle_matches_dense_rotation(gb, J, U, shift, sign, data,
                 V = d.vectors[sl, sl]
                 got = d.rotate_lower(M, sl)
                 assert np.abs(np.tril(got - V.T @ dense[sl, sl] @ V)).max() <= 1e-13 * norm
-                if np.triu(got, 1).any():
+                if np.triu(got, 1).any() and V.shape[0] <= dynamics.PROPAGATE_CHUNK:
                     assert np.array_equal(got, d.rotate(M, sl))
 
 
@@ -735,6 +736,60 @@ def test_real_arithmetic_strip_point_matches_complex_formula(g, n_max, grand, J,
     for z in points:
         want, scale = complex_point(gf, z)
         assert abs(gf(z) - want) <= 1e-14 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    g=lattices,
+    n_max=st.integers(1, 3),
+    grand=st.booleans(),
+    J=st.floats(0.1, 1.0),
+    U=st.floats(0.0, 2.0),
+    pair=st.sampled_from(["local", "random", "complex", "non-hermitian"]),
+    syrk=st.booleans(),
+    width=st.integers(1, 9),
+    gauge=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_panel_built_strip_matrix_matches_two_rotations(g, n_max, grand, J, U, pair, syrk, width, gauge, seed):
+    """Each block of ``GreenFunction``'s C, formed in A~'s buffer one column
+    panel of B~ at a time, against C = A~ o B~^T from two whole rotations
+    (``rotate``) within 1e-14 ||A|| ||B||: the lower triangle for a real
+    hermitian pair (a local pair, a random real pair), all of C for a
+    complex, non-hermitian or gauge-complex one.  ``SYRK_ROWS_MIN`` at one
+    row sends every real block with a cheap factor through the SYRK
+    route (grouped ``dsyrk`` for A, panels from the whole factor for B),
+    and ``PROPAGATE_CHUNK`` at 1 to 9 splits even these small sectors into
+    many panels and factor batches; canonical and grand-canonical states."""
+    region = full_region(g)
+    basis = enumerate_sectors(region, n_max, cap=2) if grand else enumerate_basis(region, sector=n_max)
+    H = assemble_hamiltonian(g, region, basis, ModelParams(hopping=J, onsite=U))
+    rng = np.random.default_rng(seed)
+    if gauge:
+        W = sp.diags(np.exp(1j * (basis.occupations @ rng.uniform(0.0, 2.0 * np.pi, g.n_vertices))))
+        H = SparseOperator((W @ H.matrix @ W.conj().T).tocsr(), basis, True)
+    gam = gibbs_state(H, 1.0, -6.0, n_max, tail_tol=1.0) if grand else fixed_sector_gibbs(H, 1.0)
+    if pair == "local":
+        x, y = rng.permutation(g.n_vertices)[:2]
+        A = local_observable(basis, {"kind": "normalized_hop", "sites": [int(x), int(y)]})
+        B = local_observable(basis, {"kind": "number_function", "site": int(y), "fn": "inv_one_plus_n"})
+    else:
+        real = pair == "random"
+        A = random_operator(basis, rng, conserving=True, hermitian=True, real=real)
+        B = random_operator(basis, rng, conserving=True, hermitian=pair != "non-hermitian", real=real)
+    with mock.patch.object(dynamics, "SYRK_ROWS_MIN", 1 if syrk else 10**9), mock.patch.object(
+        dynamics, "PROPAGATE_CHUNK", width
+    ):
+        gf = GreenFunction(gam, A, B)
+    assert gf._real == (pair in ("local", "random") and not gauge)
+    d = gam.decomp
+    scale = 1e-14 * operator_norm(A) * operator_norm(B)
+    for rows, C in gf._blocks:
+        want = d.rotate(A.matrix, rows) * d.rotate(B.matrix, rows).T
+        if gf._real:
+            assert C.flags.f_contiguous
+            C, want = np.tril(C), np.tril(want)
+        assert np.abs(C - want).max() <= scale
 
 
 def same_bits(x, y) -> bool:

@@ -19,6 +19,7 @@ from bosonlr import (
     correlations,
     cutoff_projection,
     eigendecompose,
+    enumerate_basis,
     enumerate_sectors,
     evolved_two_points,
     expectation,
@@ -739,8 +740,10 @@ def test_a_complex_pair_reads_rows_through_sum(monkeypatch):
 def test_thermal_expectation_and_moments_keep_their_formula_and_memory():
     """``expectation`` and ``moment_sup`` of a real decomposition keep the
     bits of sum_j w_j (V^* A V)_jj and (|V|^2) w, and at D = 462 neither
-    holds more than one D x D temporary (tracemalloc peak): a real V is
-    never copied for its conjugate, and |V| is squared in place."""
+    holds more than a quarter of a D x D array (tracemalloc peak): V is
+    read in column chunks for the trace and in row chunks for |V|^2, a
+    real V is never copied for its conjugate, and |V| is squared in
+    place."""
     g = build_chain(6)
     reg = full_region(g)
     basis = enumerate_sectors(reg, 5)
@@ -759,7 +762,44 @@ def test_thermal_expectation_and_moments_keep_their_formula_and_memory():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert got == expected
-        assert peak <= 1.1 * one
+        assert peak <= 0.25 * one
+
+
+@pytest.mark.parametrize("length, syrk", [(9, True), (8, False)])
+def test_green_function_builds_its_block_in_one_and_a_half_d_squared(length, syrk, monkeypatch):
+    """With the eigenvectors allocated, ``GreenFunction.__init__`` peaks
+    (tracemalloc) at 1.5 D^2 doubles, the kept C included: A~ is formed
+    first and B~ is multiplied into it one column panel at a time, so B~
+    is never held whole.  On the 9-site, 5-particle chain (D = 1,287) both
+    observables take the SYRK route: A~'s factor is summed by ``dsyrk``
+    in batches and never held whole, B~'s panels come from its whole
+    factor (495 of 1,287 rows); on the 8-site, 5-particle chain (D = 792,
+    below ``SYRK_ROWS_MIN``) both take panels of V^T (M V).  C's lower
+    triangle agrees with that of A~ o B~ from two whole rotations within
+    1e-14 ||A|| ||B||."""
+    g = build_chain(length)
+    basis = enumerate_basis(full_region(g), sector=5)
+    H = assemble_hamiltonian(g, full_region(g), basis, ModelParams(hopping=1.0, onsite=1.0))
+    gam = fixed_sector_gibbs(H, 1.0)
+    A = local_observable(basis, {"kind": "normalized_hop", "sites": [3, 4]})
+    B = local_observable(basis, {"kind": "number_function", "site": length - 3, "fn": "inv_one_plus_n"})
+    D = basis.dimension
+    assert (D >= dynamics.SYRK_ROWS_MIN) == syrk
+    calls = []
+    spy(monkeypatch, dynamics.blas, "dsyrk", calls, lambda alpha, a, **kwargs: a.shape[1])
+    tracemalloc.start()
+    try:
+        gf = GreenFunction(gam, A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * D * D * 8
+    # only A's factor (the 825 active rows of the hop) goes through dsyrk
+    assert sum(calls) == (825 if syrk else 0)
+    ((rows, C),) = gf._blocks
+    d = gam.decomp
+    want = d.rotate(A.matrix, rows) * d.rotate(B.matrix, rows)
+    assert np.abs(np.tril(C - want)).max() <= 1e-14 * operator_norm(A) * operator_norm(B)
 
 
 def test_evolved_two_points_match_per_pair_two_point(monkeypatch):
