@@ -136,33 +136,55 @@ class SpectralDecomposition:
         Vm, Vn = self.vectors[rows, rows], self.vectors[cols, cols]
         return _real_matmul(Vm.conj().T, _real_matmul(matrix[rows, cols], Vn))
 
-    def rotate_lower(self, matrix, rows: slice) -> np.ndarray:
-        """The lower triangle of V_n^* M V_n for the sector slice ``rows``,
-        in Fortran order; the upper triangle of the result is unspecified.
+    def strip_block(self, A, B, rows: slice, lower: bool) -> np.ndarray:
+        """C = A~ o B~^T, with X~ = V_n^* X V_n for the sector slice
+        ``rows``: the matrix of the thermal strip sum (``GreenFunction``).
 
-        A block with a SYRK factor (``_syrk_factor``) is summed as
-        X+^T X+ - X-^T X- + cI by ``dsyrk`` calls, one pair per batch of
-        the factor's rows, so the factor is never held whole; any other
-        is filled from ``_rotate_panels``.  Either way only the lower
-        triangle is computed.
+        For ``lower`` (real symmetric A and B under real eigenvectors, so
+        A~ and B~ are symmetric and C_jk = A~_jk B~_jk) only the lower
+        triangle is formed, in Fortran order; the upper triangle is
+        unspecified.  A~ is summed as X+^T X+ - X-^T X- + cI by ``dsyrk``
+        calls, one pair per batch of its SYRK factor (``_syrk_factor``), so
+        the factor is never held whole, or filled from ``_rotate_panels``
+        where A has no factor.  Otherwise all of C is formed, also in
+        Fortran order, with A~ whole from ``rotate``.  Either way B~ is
+        multiplied into A~'s buffer one column panel of ``_rotate_panels``
+        at a time, so B~ is never held whole: past the eigenvectors a
+        block peaks at about C plus B's factor, 1.45 D^2 doubles
+        (tracemalloc) on the canonical 9-site chain with 5 particles
+        (D = 1,287, a hop and a 1/(1+n)).
         """
-        V = self.vectors[rows, rows]
-        n = V.shape[0]
-        out = np.zeros((n, n), dtype=np.result_type(V, matrix), order="F")
-        factor = self._syrk_factor(matrix, rows)
+        if not lower:
+            # C^T = A~^T o B~ in C order, A~^T = conj(V^* A^H V): C comes out
+            # in Fortran order, so a real block of columns multiplies a
+            # complex C as one real GEMM on its interleaved parts, in place
+            CT = self.rotate(A.conj().T, rows)
+            CT = np.conjugate(CT, out=CT).astype(np.result_type(self.vectors, A, B), copy=False)
+            for cols, panel in self._rotate_panels(B, rows):
+                CT[:, cols] *= panel
+                del panel  # one panel alive at a time
+            return CT.T
+        n = self.vectors[rows, rows].shape[0]
+        C = np.zeros((n, n), order="F")
+        factor = self._syrk_factor(A, rows)
         if factor is None:
-            for cols, panel in self._rotate_panels(matrix, rows, lower=True):
-                out[cols.start :, cols] = panel
-            return out
-        c, _, batches = factor
-        for pos, W in batches:
-            for alpha, part in ((1.0, W[pos]), (-1.0, W[~pos])):
-                if len(part):
-                    out = blas.dsyrk(alpha, part.T, beta=1.0, c=out, lower=1, overwrite_c=1)
-        out[np.diag_indices(n)] += c
-        return out
+            for cols, panel in self._rotate_panels(A, rows, lower=True):
+                C[cols.start :, cols] = panel
+                del panel
+        else:
+            c, _, batches = factor
+            for pos, W in batches:
+                for alpha, part in ((1.0, W[pos]), (-1.0, W[~pos])):
+                    if len(part):
+                        C = blas.dsyrk(alpha, part.T, beta=1.0, c=C, lower=1, overwrite_c=1)
+                del W, part  # freed before the next batch is formed
+            C[np.diag_indices(n)] += c
+        for cols, panel in self._rotate_panels(B, rows, lower=True, factor=self._syrk_factor(B, rows)):
+            C[cols.start :, cols] *= panel
+            del panel
+        return C
 
-    def _rotate_panels(self, matrix, rows: slice, lower: bool = False):
+    def _rotate_panels(self, matrix, rows: slice, lower: bool = False, factor=None):
         """V_n^* M V_n for the sector slice ``rows`` as column panels of
         PROPAGATE_CHUNK columns: yields ``(cols, panel)`` with panel the
         rows ``lo:`` of the columns ``cols``, where lo is ``cols.start``
@@ -170,15 +192,15 @@ class SpectralDecomposition:
         panel's upper corner unspecified) and 0 otherwise.  No n x n array
         is formed.
 
-        A lower triangle with a SYRK factor takes it whole, X with signs S
-        (+1 for X+, -1 for X-): panel = X[:, lo:]^T (S X[:, cols]) + cI,
-        one ``dgemm`` on views of X, the flops of the ``dsyrk`` pair.  Any
-        other panel is V[:, lo:]^* (M V[:, cols]); under real eigenvectors,
-        one panel covering the block has the bits of ``rotate``.
+        With ``factor`` (M's ``_syrk_factor``, computed by the caller;
+        ``lower`` only) the factor is taken whole, X with signs S (+1 for
+        X+, -1 for X-): panel = X[:, lo:]^T (S X[:, cols]) + cI, one
+        ``dgemm`` on views of X, the flops of the ``dsyrk`` pair.  Without,
+        a panel is V[:, lo:]^* (M V[:, cols]); under real eigenvectors, one
+        panel covering the block has the bits of ``rotate``.
         """
         V = self.vectors[rows, rows]
         n = V.shape[0]
-        factor = self._syrk_factor(matrix, rows) if lower else None
         if factor is None:
             block = matrix[rows, rows]
         else:
@@ -206,8 +228,8 @@ class SpectralDecomposition:
 
     def _syrk_factor(self, matrix, rows: slice):
         """The factor of V_n^T M V_n for the sector slice ``rows`` that
-        ``rotate_lower`` and ``_rotate_panels`` share, or None where a GEMM
-        is cheaper: ``(c, size, batches)``.
+        ``strip_block`` sums by ``dsyrk`` or hands to ``_rotate_panels``,
+        or None where a GEMM is cheaper: ``(c, size, batches)``.
 
         A real, exactly symmetric sparse block of at least
         ``SYRK_ROWS_MIN`` rows under real eigenvectors is factored.  With
@@ -476,7 +498,8 @@ def _krylov_evolve(H, X: np.ndarray, times) -> np.ndarray:
     whole grid: one call from 0 to t1 - t0 on X propagated to t0 (one more
     call unless t0 = 0).  Any other list takes one call per time.  A step
     t with |t| ||H||_1 <= eps, t = 0 among them, moves no state past
-    rounding and is a copy.  It reads no spectral decomposition.
+    rounding and is a copy; an empty list gives an empty stack.  It reads
+    no spectral decomposition.
     """
     X = np.asarray(X, dtype=np.complex128)
     times = np.asarray(times, dtype=np.float64)
@@ -497,18 +520,21 @@ def _krylov_evolve(H, X: np.ndarray, times) -> np.ndarray:
         return scipy.sparse.linalg.expm_multiply(
             -1j * H, at(times[0]), start=0.0, stop=span, num=n, endpoint=True
         )
-    return np.stack([at(t) for t in times])
+    return np.stack([at(t) for t in times]) if n else np.empty((0, *X.shape), dtype=np.complex128)
 
 
 def _spectral_route(H, basis, decomposition, engine) -> SpectralDecomposition | None:
-    """Check the generator against ``basis`` and resolve ``engine``: the
-    decomposition the dense spectral route propagates with, or None for
-    the sparse route.  "auto" is dense when a decomposition is supplied
-    and sparse otherwise; "dense" computes the decomposition on demand."""
+    """Check the generator and a supplied decomposition against ``basis``
+    and resolve ``engine``: the decomposition the dense spectral route
+    propagates with, or None for the sparse route.  "auto" is dense when a
+    decomposition is supplied and sparse otherwise; "dense" computes the
+    decomposition on demand."""
     if not H.hermitian:
         raise InvalidArgumentError("the generator must be hermitian")
     if H.basis.basis_id != basis.basis_id:
         raise InvalidArgumentError("state and generator live on different bases")
+    if decomposition is not None and decomposition.basis.basis_id != basis.basis_id:
+        raise InvalidArgumentError("state and decomposition live on different bases")
     if engine not in ("auto", "dense", "krylov"):
         raise InvalidArgumentError(f"unknown engine {engine!r}")
     if engine == "dense" or (engine == "auto" and decomposition is not None):

@@ -6,11 +6,12 @@ weight of the neglected sectors (a geometric ratio test on the sector
 partition sums, which assumes they keep decaying, so it is not a bound).
 The two-point function extends off the real axis
 to the strip -beta <= Im z <= 0 through the double spectral sum, which is
-exact at finite dimension (``GreenFunction``: for a real hermitian pair
-it builds and reads only the lower triangle of C = A~ o B~^T, one block
-per sector, formed in A~'s buffer one column panel of B~ at a time, so
-B~ is never held whole; it reads points asked for one at a time a grid
-row at a time, and evaluates one point of each exact time-mirror pair,
+exact at finite dimension (``GreenFunction``: one block C = A~ o B~^T
+per included sector, each from one ``SpectralDecomposition.strip_block``
+call, only its lower triangle for a real hermitian pair; ``values`` is
+the one code that evaluates points, and a point asked for alone goes
+through it, a grid row at a time where it can; a real hermitian pair
+evaluates one point of each exact time-mirror pair,
 F(-t - i s) = conj F(t - i s)); equilibrium checks compare it against
 independently time-evolved expectations: ``evolved_two_points``, the
 sparse route of ``dynamics.correlations`` over a whole time grid, which
@@ -103,6 +104,8 @@ def gibbs_state(
         raise InvalidArgumentError("need n_max >= 1 on a multi-sector basis: sectors 0 and 1 for the ratio test")
     if decomposition is None:
         decomposition = eigendecompose(H)
+    elif decomposition.basis.basis_id != H.basis.basis_id:
+        raise InvalidArgumentError("decomposition and Hamiltonian live on different bases")
     missing = set(range(n_max + 1)) - {n for n, _ in decomposition.sector_slices()}
     if missing and not canonical:
         raise InvalidArgumentError(f"spectra for sectors {sorted(missing)} are not available")
@@ -212,50 +215,33 @@ class GreenFunction:
     against the second; F(t - i beta) swaps the operator order.  Values
     come from the double spectral sum with overflow-safe exponents, O(D^2)
     per point after a one-time O(D^3) rotation into the eigenbasis: each
-    included sector keeps one block C_jk = A_jk B_kj, read once per point
-    (the BLAS calls below are per block).  Small sectors are not merged
-    into larger blocks: on the six sectors of a grand-canonical 6-site
-    chain to n = 5 (2-CPU host, one BLAS thread), a merge into [210 | 252]
-    rows read a t-major 21 x 21 grid in 13.6-22.8 ms against 14.3-23.0 ms
-    as six blocks, within the spread between runs.
+    included sector keeps one block C_jk = A_jk B_kj, built by one
+    ``SpectralDecomposition.strip_block`` call (only the lower triangle
+    for a real hermitian pair, ``_real``) and read once per point.  Small
+    sectors are not merged into larger blocks: on the six sectors of a
+    grand-canonical 6-site chain to n = 5 (2-CPU host, one BLAS thread),
+    a merge into [210 | 252] rows read a t-major 21 x 21 grid in
+    13.6-22.8 ms against 14.3-23.0 ms as six blocks, within the spread
+    between runs.
 
-    A real hermitian pair (``_real``) builds and reads only the lower
-    triangle of C: A~ and B~ are symmetric, so C_jk = A~_jk B~_jk there.
-    A~ comes from ``SpectralDecomposition.rotate_lower`` (``dsyrk`` calls
-    over batches of its factor for a local observable on a sector of at
-    least ``SYRK_ROWS_MIN`` states), and B~ is multiplied into it in place,
-    one column panel of ``_rotate_panels`` at a time, so B~ is never held
-    whole; any other pair multiplies the rows of B~^T into A~ the same
-    way.  Past the eigenvectors, the build so peaks at about C plus B's
-    factor: 1.45 D^2 doubles (tracemalloc) on the canonical 9-site chain
-    with 5 particles (D = 1,287, a hop and a 1/(1+n)), where A~, B~ and
-    a factor held at once took 2.39 D^2.  Under real eigenvectors, a
-    block of at most PROPAGATE_CHUNK states outside the SYRK route fits
-    one panel and has the bits of two whole ``rotate`` calls.
-    Its points are summed in real arithmetic (``_real_points``): a lone
-    point takes two ``dsymv`` calls per block, a list of points one
-    ``dsymm``.  Any other pair reads the whole of C (``_sum``).
-    Evaluations are cached per point.
-
-    Points asked for one at a time are read a row at a time: ``__call__``
+    ``values`` is the one code that evaluates F, by ``_points``; every
+    value is cached per point.  ``__call__`` is a cache lookup in front
+    of it, which reads points asked for one at a time a row at a time: it
     keeps the t of the last point read and the depths read at it, and a
     miss at a new t, at one of two or more of those depths, evaluates the
-    new row at all of them in one ``values`` call.  Every other miss is a
-    lone point, which forms its own factors.  A t-major grid so takes its
-    first row point by point and each later row as one ``dsymm``; s-major,
-    shuffled and scattered reads form no row, and a caller leaving a grid
-    evaluates at most one row it did not ask for, once.  Measured on a
-    2-CPU host, one BLAS thread, the canonical 9-site chain with 5
-    particles (D = 1,287): two ``dsymv`` 0.33-0.35 ms a point, its
-    factors 52-56 us; one ``dsymm`` on 2 columns 0.8-1.1 ms, on the 42
-    columns of a 21-depth row 2.3-2.5 ms; the 21 x 21 grid read t-major
-    142-149 ms point by point, 69-71 ms a row at a time.  A point
-    evaluated alone has the same bits whatever was read before it.  A
-    point first evaluated in a row, like every point of ``values``,
-    carries ``dsymm`` bits, which may differ from a lone evaluation in the
-    last places (OpenBLAS changes a column's bits with the width of the
-    call and the column's place in it): up to 3.2e-16, or 5.7e-15 of
-    max |F|, on that grid.
+    new row at all of them in one ``values`` call; every other miss is
+    ``values([z])``.  A t-major grid so takes its first row point by
+    point and each later row as one ``dsymm``; s-major, shuffled and
+    scattered reads form no row, and a caller leaving a grid evaluates at
+    most one row it did not ask for, once.  Rows pay: on a 2-CPU host,
+    one BLAS thread, the canonical 9-site chain with 5 particles, two
+    ``dsymv`` take 0.33-0.35 ms a point and one ``dsymm`` on the 42
+    columns of a 21-depth row 2.3-2.5 ms.  A point evaluated alone has
+    the same bits whatever was read before it.  A point evaluated with
+    others carries ``dsymm`` bits, which may differ from a lone
+    evaluation in the last places (OpenBLAS changes a column's bits with
+    the width of the call and the column's place in it): up to 3.2e-16,
+    or 5.7e-15 of max |F|, on that grid.
 
     A real pair under a real generator is time-reversal symmetric:
     F(-t - i s) = conj F(t - i s) (Bratteli & Robinson, vol. 2, 5.3).
@@ -288,26 +274,7 @@ class GreenFunction:
         slices = [sl for _, sl in state.included_slices()]
         # sectors ascend, so the included rows are the first ``_stop``
         self._stop = slices[-1].stop
-        dtype = np.result_type(decomp.vectors, A.matrix, B.matrix)
-        self._blocks = []
-        for sl in slices:
-            # C is formed in A~'s buffer, one column panel of B~ at a time,
-            # so B~ is never held whole, and each panel is dropped before
-            # the next is formed
-            if self._real:
-                # the lower triangle, in Fortran order, so the symmetric
-                # BLAS calls read it in place
-                C = decomp.rotate_lower(A.matrix, sl)
-                for cols, panel in decomp._rotate_panels(B.matrix, sl, lower=True):
-                    C[cols.start :, cols] *= panel
-                    del panel
-            else:
-                # all of C = A~ o B~^T: rows ``cols`` of B~^T per panel
-                C = decomp.rotate(A.matrix, sl).astype(dtype, copy=False)
-                for cols, panel in decomp._rotate_panels(B.matrix, sl):
-                    C[cols] *= panel.T
-                    del panel
-            self._blocks.append((sl, C))
+        self._blocks = [(sl, decomp.strip_block(A.matrix, B.matrix, sl, self._real)) for sl in slices]
         self._cache: dict[complex, complex] = {}
         # the real part of the last point read, and the depths read at it
         # (clamped, in first-read order): the row a new t may batch
@@ -323,67 +290,48 @@ class GreenFunction:
             )
         return min(max(s, 0.0), self.beta)
 
-    def _phases_at(self, t):
-        """[cos Et; sin Et] over the included rows: (2, rows) for a scalar
-        t, (2, rows, points) for an array."""
-        phase = np.multiply.outer(self.state.decomp.energies[: self._stop], t)
-        return np.stack([np.cos(phase), np.sin(phase)])
+    def _points(self, t: np.ndarray, s: np.ndarray) -> list[complex]:
+        """F(t - i s) at every (t, s) pair of two equal-length arrays.
 
-    def _decays_at(self, s):
-        """[e^{-(beta - s) g}; e^{-s g}] over the included rows, shaped as
-        in ``_phases_at``."""
-        shifted = self.state.shifted[: self._stop]
-        return np.exp(-np.stack([np.multiply.outer(shifted, self.beta - s), np.multiply.outer(shifted, s)]))
-
-    def _sum(self, t, s):
-        """F(t - i s) for scalar t and s, or for equal-length arrays: the
-        bra and ket are vectors or (D_n, points) blocks.  The exponentials
-        are taken once over all included rows, sharing the phase
-        e^{-iEt}: bra = e^{-(beta - s) g} conj(phase), ket = e^{-s g} phase,
-        both real factors at most 1.  ``_real_matmul`` reads the whole of
-        C: two real GEMVs for one point of a real C, otherwise one GEMV or
-        GEMM."""
-        outer = np.multiply.outer
-        shifted = self.state.shifted[: self._stop]
-        phase = np.exp(-1j * outer(self.state.decomp.energies[: self._stop], t))
-        bra = np.exp(-outer(shifted, self.beta - s)) * phase.conj()
-        ket = np.exp(-outer(shifted, s)) * phase
-        total = 0.0
-        for rows, C in self._blocks:
-            total += np.einsum("i...,i...->...", bra[rows], _real_matmul(C, ket[rows]))
-        return total / self.state.z_scaled
-
-    def _real_points(self, t, s):
-        """F(t - i s) for a real hermitian pair in real arithmetic, at one
-        point (scalar t and s) or at every (t, s) pair of two equal-length
-        arrays.  With a = e^{-(beta - s) g}, b = e^{-s g}, c = cos(Et) and
-        n = sin(Et), the bra is a(c + i n) and the ket b(c - i n), so
-        C ket = u - i v with u = C (b c) and v = C (b n), read from the
-        lower triangle of each block, and bra . C ket is
-        a c . u + a n . v + i (a n . u - a c . v).  One point takes two
-        ``dsymv`` calls per block, or one at t = 0, where n = 0 and the
-        imaginary part is exactly 0; arrays take one ``dsymm`` per block
-        on the columns [b c | b n] of all points."""
-        (cos, sin), (bra, ket) = self._phases_at(t), self._decays_at(s)
-        ac, an, bc, bn = bra * cos, bra * sin, ket * cos, ket * sin
+        With a = e^{-(beta - s) g}, b = e^{-s g}, c = cos(Et) and
+        n = sin(Et) over the included rows (the exponentials taken once,
+        real factors at most 1), the bra is a(c + i n) and the ket
+        b(c - i n), so C ket = u - i v with u = C (b c) and v = C (b n),
+        and bra . C ket is a c . u + a n . v + i (a n . u - a c . v).  A
+        real hermitian pair reads the lower triangle of each block: one
+        point by two ``dsymv`` calls (one at t = 0, where n = 0 and the
+        imaginary part is exactly 0) and four dot products, summed in
+        Python floats, several by one ``dsymm`` on the columns [b c | b n]
+        of all points.  Any other pair takes one product of its whole C
+        with those columns: C is in Fortran order, so ``_real_matmul``
+        reads a complex C's interleaved parts in place and forms no D x D
+        array.
+        """
+        E, g = self.state.decomp.energies[: self._stop], self.state.shifted[: self._stop]
+        phase = np.multiply.outer(E, t)
+        cos, sin = np.cos(phase), np.sin(phase)
+        bra, ket = np.exp(-np.stack([np.multiply.outer(g, self.beta - s), np.multiply.outer(g, s)]))
+        ac, an = bra * cos, bra * sin
+        kets = np.concatenate([ket * cos, ket * sin], axis=1)
+        k = len(t)
         re = im = 0.0
-        if np.ndim(t) == 0:
+        if self._real and k == 1:
             for rows, C in self._blocks:
-                u = blas.dsymv(1.0, C, bc[rows], lower=1)
-                if t == 0.0:
-                    re += ac[rows] @ u
+                u = blas.dsymv(1.0, C, kets[rows, 0], lower=1)
+                if t[0] == 0.0:
+                    re += ac[rows, 0] @ u
                     continue
-                v = blas.dsymv(1.0, C, bn[rows], lower=1)
-                re += ac[rows] @ u + an[rows] @ v
-                im += an[rows] @ u - ac[rows] @ v
-            return complex(re, im) / self.state.z_scaled
-        kets = np.concatenate([bc, bn], axis=1)
+                v = blas.dsymv(1.0, C, kets[rows, 1], lower=1)
+                re += ac[rows, 0] @ u + an[rows, 0] @ v
+                im += an[rows, 0] @ u - ac[rows, 0] @ v
+            # Python's complex division: numpy's differs in the last bit
+            return [complex(re, im) / self.state.z_scaled]
         for rows, C in self._blocks:
-            uv = blas.dsymm(1.0, C, kets[rows], lower=1)
-            u, v = uv[:, : len(t)], uv[:, len(t) :]
+            uv = blas.dsymm(1.0, C, kets[rows], lower=1) if self._real else _real_matmul(C, kets[rows])
+            u, v = uv[:, :k], uv[:, k:]
             re = re + (ac[rows] * u + an[rows] * v).sum(axis=0)
             im = im + (an[rows] * u - ac[rows] * v).sum(axis=0)
-        return (re + 1j * im) / self.state.z_scaled
+        return ((re + 1j * im) / self.state.z_scaled).tolist()
 
     def _keep(self, z: complex, value: complex):
         """Cache F(z); for a real hermitian pair also F(-t - i s) =
@@ -402,21 +350,17 @@ class GreenFunction:
             self._row_t, self._row_depths = t, {}
         self._row_depths.setdefault(s)
         if z not in self._cache:
-            row = [p for p in row if p != z and p not in self._cache]
-            if row:
-                self.values([z, *row])
-            else:
-                point = self._real_points if self._real else self._sum
-                self._keep(z, complex(point(t, s)))
+            self.values([z, *(p for p in row if p != z and p not in self._cache)])
         return self._cache[z]
 
     def values(self, points) -> np.ndarray:
         """F at every point of ``points``, as one complex array.
 
-        Uncached points are evaluated PROPAGATE_CHUNK at a time, one
-        ``dsymm`` (real hermitian pair) or GEMM per block; a real hermitian
-        pair evaluates only the first point of each exact time-mirror pair
-        and takes the other as its conjugate.  Every point is checked
+        Uncached points are evaluated PROPAGATE_CHUNK at a time by
+        ``_points``, one BLAS product per block (two ``dsymv`` calls for a
+        lone point of a real hermitian pair); a real hermitian pair
+        evaluates only the first point of each exact time-mirror pair and
+        takes the other as its conjugate.  Every point is checked
         against the strip before any is evaluated, and the values join the
         per-point cache.
         """
@@ -428,11 +372,10 @@ class GreenFunction:
             for z in todo:
                 first.setdefault(complex(abs(z.real), z.imag), z)
             todo = list(first.values())
-        evaluate = self._real_points if self._real else self._sum
         for start in range(0, len(todo), PROPAGATE_CHUNK):
             chunk = todo[start : start + PROPAGATE_CHUNK]
             t, s = np.array([z.real for z in chunk]), np.array([depth[z] for z in chunk])
-            for z, value in zip(chunk, evaluate(t, s).tolist()):
+            for z, value in zip(chunk, self._points(t, s)):
                 self._keep(z, value)
         return np.array([self._cache[z] for z in zs], dtype=np.complex128)
 

@@ -670,24 +670,29 @@ def shifted_operator(basis, parts, shift=0.0):
     return SparseOperator((total + shift * sp.identity(basis.dimension)).tocsr(), basis, True)
 
 
-def test_rotate_lower_takes_two_syrks_on_every_kind_of_spectrum(monkeypatch):
-    """With the gate at one row, a 56-state sector block takes the SYRK
-    route for an A whose shifted spectrum is all negative (1/(1+n), c = 1),
-    all positive (n_x + 2, c = 2), of both signs (a hop, c = 0) and of both
-    signs with c = 0.5 (two hops and a number on three sites): the lower
-    triangle is within 1e-13 ||M|| of V^T M V, the upper one is never
-    written, and the SYRK signs are the spectrum's: each batch of the
-    factor takes one ``dsyrk`` per sign it holds, on at most
-    PROPAGATE_CHUNK rows.  Below the gate, under a complex generator, and
-    for a block that is not symmetric or whose components are too large,
-    the block fits one panel of ``_rotate_panels`` and is ``rotate``'s
-    result bit for bit."""
+def test_strip_block_takes_two_syrks_on_every_kind_of_spectrum(monkeypatch):
+    """``strip_block``'s lower triangle of C = A~ o B~ for B a shifted
+    number operator.  With the gate at one row, a 56-state sector block
+    takes the SYRK route for an A whose shifted spectrum is all negative
+    (1/(1+n), c = 1), all positive (n_x + 2, c = 2), of both signs (a hop,
+    c = 0) and of both signs with c = 0.5 (two hops and a number on three
+    sites): the lower triangle is within 1e-13 ||A|| ||B|| of that of
+    V^T A V o V^T B V, the upper one is never written, and the SYRK signs
+    are A's spectrum's: each batch of A's factor takes one ``dsyrk`` per
+    sign it holds, on at most PROPAGATE_CHUNK rows (B's factor is read
+    by ``dgemm`` panels).  Below the gate, and for an A that is not
+    symmetric or whose components are too large, the block fits one panel
+    of ``_rotate_panels`` and is ``rotate(A) o rotate(B)`` bit for bit,
+    and each observable is offered to the SYRK route once;
+    under a complex generator all of C is formed, and no ``dsyrk`` is
+    called."""
     g, _, basis, H = chain_model(6, sector=3, U=0.5)
     d = eigendecompose(H)
     sl = basis.sector_slices()[0][1]
     V = d.vectors[sl, sl]
     hop = local_observable(basis, {"kind": "normalized_hop", "sites": [2, 3]})
     hops = [hop, hop_term(basis, 4, 5).matrix, hop_term(basis, 5, 4).matrix]
+    B = shifted_operator(basis, [number_operator(basis, 4)], 2.0).matrix
     cases = [
         (local_observable(basis, {"kind": "number_function", "site": 2, "fn": "inv_one_plus_n"}), [-1.0]),
         (shifted_operator(basis, [number_operator(basis, 2)], 2.0), [1.0]),
@@ -695,7 +700,7 @@ def test_rotate_lower_takes_two_syrks_on_every_kind_of_spectrum(monkeypatch):
         (shifted_operator(basis, hops + [number_operator(basis, 0)], 0.5), [1.0, -1.0]),
     ]
     for A, _ in cases:
-        assert np.array_equal(d.rotate_lower(A.matrix, sl), d.rotate(A.matrix, sl))
+        assert np.array_equal(d.strip_block(A.matrix, B, sl, True), d.rotate(A.matrix, sl) * d.rotate(B, sl))
     syrk, signs, widths = dynamics.blas.dsyrk, [], []
 
     def spy(alpha, a, *args, **kwargs):
@@ -705,23 +710,41 @@ def test_rotate_lower_takes_two_syrks_on_every_kind_of_spectrum(monkeypatch):
 
     monkeypatch.setattr(dynamics, "SYRK_ROWS_MIN", 1)
     monkeypatch.setattr(dynamics.blas, "dsyrk", spy)
+    dense_B = V.T @ B.toarray()[sl, sl] @ V
     for A, want_signs in cases:
         signs.clear()
-        got = d.rotate_lower(A.matrix, sl)
+        got = d.strip_block(A.matrix, B, sl, True)
         M = A.matrix.toarray().real
         assert sorted(set(signs), reverse=True) == want_signs
         assert max(widths) <= dynamics.PROPAGATE_CHUNK
         assert got.flags.f_contiguous and not np.triu(got, 1).any()
-        assert np.abs(np.tril(got - V.T @ M[sl, sl] @ V)).max() <= 1e-13 * np.linalg.norm(M, 2)
+        scale = np.linalg.norm(M, 2) * np.linalg.norm(dense_B, 2)
+        assert np.abs(np.tril(got - (V.T @ M[sl, sl] @ V) * dense_B)).max() <= 1e-13 * scale
     signs.clear()
     rng = np.random.default_rng(3)
     upper = np.triu(rng.standard_normal((56, 56)) * (rng.random((56, 56)) < 0.05))
     skew = SparseOperator(sp.csr_matrix(upper), basis, False)
     dense = SparseOperator(sp.csr_matrix(np.ones((56, 56))), basis, True)
+    factor, factored = dynamics.SpectralDecomposition._syrk_factor, []
+
+    def count(self, matrix, rows):
+        factored.append(matrix)
+        return factor(self, matrix, rows)
+
     for A in (skew, dense):
-        assert np.array_equal(d.rotate_lower(A.matrix, sl), d.rotate(A.matrix, sl))
+        assert d._syrk_factor(A.matrix, sl) is None
+        monkeypatch.setattr(dynamics.SpectralDecomposition, "_syrk_factor", count)
+        got = d.strip_block(A.matrix, dense.matrix, sl, True)
+        monkeypatch.setattr(dynamics.SpectralDecomposition, "_syrk_factor", factor)
+        assert np.array_equal(got, d.rotate(A.matrix, sl) * d.rotate(dense.matrix, sl))
+        # each observable is offered to the SYRK route once, also where it is refused
+        assert len(factored) == 2 and factored[0] is A.matrix and factored[1] is dense.matrix
+        factored.clear()
     W = sp.diags(np.exp(1j * (basis.occupations @ rng.uniform(0.0, 2.0 * np.pi, 6))))
     d_gauge = eigendecompose(SparseOperator((W @ H.matrix @ W.conj().T).tocsr(), basis, True))
     assert d_gauge.vectors.dtype == np.complex128
-    assert np.array_equal(d_gauge.rotate_lower(hop.matrix, sl), d_gauge.rotate(hop.matrix, sl))
+    assert d_gauge._syrk_factor(hop.matrix, sl) is None
+    got = d_gauge.strip_block(hop.matrix, hop.matrix, sl, False)
+    want = d_gauge.rotate(hop.matrix, sl) * d_gauge.rotate(hop.matrix, sl).T
+    assert got.dtype == np.complex128 and np.abs(got - want).max() <= 1e-14
     assert signs == []

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from test_dynamics import assert_same_bits, plain_eigendecompose, split_eigendecompose
@@ -317,12 +317,24 @@ def test_lookup_ranks_rows_and_hops_match_dict_loop(gb, J, data):
 def random_operator(basis, rng, conserving, hermitian, real=False, density=0.3):
     """Random sparse operator on ``basis``: entries only inside sector blocks
     when ``conserving``, anywhere otherwise; ``density`` is the share of
-    entries drawn, and ``real`` stores a zero imaginary part."""
+    entries drawn, and ``real`` stores a zero imaginary part.  It is what
+    its flags name: on a basis with a pair of states it may couple, one
+    such off-diagonal entry is always drawn, and its transpose is not, so
+    a complex operator stores an off-diagonal imaginary entry (hermitian
+    or not) and a non-hermitian one an asymmetric entry; on any other
+    nonempty basis the first diagonal entry is drawn.  It is never zero."""
     D = basis.dimension
-    mask = rng.random((D, D)) < density
+    allowed = np.ones((D, D), dtype=bool)
     if conserving:
-        mask &= basis.totals[:, None] == basis.totals[None, :]
+        allowed = basis.totals[:, None] == basis.totals[None, :]
+    mask = (rng.random((D, D)) < density) & allowed
     values = rng.standard_normal((D, D)) + (0.0 if real else 1j * rng.standard_normal((D, D)))
+    off = np.argwhere(allowed & ~np.eye(D, dtype=bool))
+    if len(off):
+        i, j = off[rng.integers(len(off))]
+        mask[i, j], mask[j, i] = True, False
+    elif D:
+        mask[0, 0] = True
     M = np.where(mask, values, 0.0 + 0.0j)
     if hermitian:
         M = M + M.conj().T
@@ -637,15 +649,17 @@ def test_active_row_rotation_matches_dense_rotation(gb, J, U, gauge, data, seed)
     seed=st.integers(0, 2**32 - 1),
 )
 def test_syrk_lower_triangle_matches_dense_rotation(gb, J, U, shift, sign, data, seed):
-    """``rotate_lower`` with ``SYRK_ROWS_MIN`` at one row, on every sector
-    block, against the lower triangle of the dense V^T M V within
-    1e-13 ||M||: a diagonal A that is the shift c on about half the rows
-    and c plus positive, negative or mixed values on the rest, a hop on
-    (x, y) plus c I, and that hop, a raw hop on (y, z) (on (x, y) for two
-    sites) and the number on x plus c I.  A block
-    the SYRK route does not take (a small one whose components cost too
-    much) is filled from ``_rotate_panels``: within one panel it has
-    ``rotate``'s bits."""
+    """``strip_block``'s lower triangle with ``SYRK_ROWS_MIN`` at one row,
+    on every sector block, against that of the dense V^T M V o V^T N V
+    within 2e-13 ||M|| ||N||, for M each of, and N the next of: a
+    diagonal that is the shift c on about half the rows and c plus
+    positive, negative or mixed values on the rest, a hop on (x, y) plus
+    c I, and that hop, a raw hop on (y, z) (on (x, y) for two sites) and
+    the number on x plus c I.  M takes the ``dsyrk`` route and N the
+    factor's panels, so each observable takes both.  Where neither
+    is factored (a small block whose components cost too much), both are
+    filled from ``_rotate_panels``: within one panel C has the bits of
+    ``rotate(M) o rotate(N)``."""
     g, basis = gb
     D = basis.dimension
     assume(D > 0)
@@ -666,15 +680,17 @@ def test_syrk_lower_triangle_matches_dense_rotation(gb, J, U, shift, sign, data,
         (pair + 2.0 * hop + number_operator(basis, x).matrix + shift * identity).tocsr(),
     ]
     with mock.patch.object(dynamics, "SYRK_ROWS_MIN", 1):
-        for M in observables:
-            dense = M.toarray().real
-            norm = float(np.linalg.norm(dense, 2))
+        for M, N in zip(observables, observables[1:] + observables[:1]):
+            dense, other = M.toarray().real, N.toarray().real
+            scale = 2e-13 * np.linalg.norm(dense, 2) * np.linalg.norm(other, 2)
             for _, sl in d.sector_slices():
                 V = d.vectors[sl, sl]
-                got = d.rotate_lower(M, sl)
-                assert np.abs(np.tril(got - V.T @ dense[sl, sl] @ V)).max() <= 1e-13 * norm
-                if np.triu(got, 1).any() and V.shape[0] <= dynamics.PROPAGATE_CHUNK:
-                    assert np.array_equal(got, d.rotate(M, sl))
+                got = d.strip_block(M, N, sl, True)
+                want = (V.T @ dense[sl, sl] @ V) * (V.T @ other[sl, sl] @ V)
+                assert np.abs(np.tril(got - want)).max() <= scale
+                unfactored = d._syrk_factor(M, sl) is None and d._syrk_factor(N, sl) is None
+                if unfactored and V.shape[0] <= dynamics.PROPAGATE_CHUNK:
+                    assert np.array_equal(got, d.rotate(M, sl) * d.rotate(N, sl))
 
 
 def complex_point(gf, z):
@@ -751,6 +767,9 @@ def test_real_arithmetic_strip_point_matches_complex_formula(g, n_max, grand, J,
     gauge=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+# a generator that could draw A = diag(0, 0.297) and B = 0 sent this
+# "complex" pair down the real route
+@example(g=build_chain(2), n_max=1, grand=False, J=1.0, U=0.0, pair="complex", syrk=False, width=1, gauge=False, seed=4)
 def test_panel_built_strip_matrix_matches_two_rotations(g, n_max, grand, J, U, pair, syrk, width, gauge, seed):
     """Each block of ``GreenFunction``'s C, formed in A~'s buffer one column
     panel of B~ at a time, against C = A~ o B~^T from two whole rotations
@@ -790,6 +809,71 @@ def test_panel_built_strip_matrix_matches_two_rotations(g, n_max, grand, J, U, p
             assert C.flags.f_contiguous
             C, want = np.tril(C), np.tril(want)
         assert np.abs(C - want).max() <= scale
+
+
+def dense_strip_sum(gam, A, B, z):
+    """F(t - i s) as the double spectral sum, dense, with complex phases:
+    sum over included j, k of e^{-(beta - s) g_j} e^{-s g_k}
+    e^{i (E_j - E_k) t} A~_jk B~_kj / Z, with X~ = V^* X V whole."""
+    d, t, s = gam.decomp, z.real, -z.imag
+    V = d.vectors
+    A_t, B_t = (V.conj().T @ X.to_dense() @ V for X in (A, B))
+    keep = d.basis.totals <= gam.n_max
+    bra = np.exp(-gam.shifted * (gam.beta - s) + 1j * d.energies * t)[keep]
+    ket = np.exp(-gam.shifted * s - 1j * d.energies * t)[keep]
+    return bra @ (A_t * B_t.T)[np.ix_(keep, keep)] @ ket / gam.z_scaled
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    g=lattices,
+    n_max=st.integers(1, 3),
+    grand=st.booleans(),
+    J=st.floats(0.1, 1.0),
+    U=st.floats(0.0, 2.0),
+    beta=st.floats(0.5, 2.0),
+    pair=st.sampled_from(["complex", "non-hermitian", "gauge"]),
+    n_t=st.integers(1, 4),
+    n_s=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_general_pairs_read_three_ways_match_the_double_spectral_sum(g, n_max, grand, J, U, beta, pair, n_t, n_s, seed):
+    """A pair off the real route (a complex hermitian pair, a non-hermitian
+    B, or a local pair under a gauge-complex generator), on canonical and
+    grand-canonical states, read point by point through ``__call__`` (a
+    t-major grid, so later rows are batched), in one ``values`` call, and
+    by ``values`` on the points shuffled: each read is within
+    1e-12 max |F| of the dense double spectral sum at every point, strip
+    edges, t = 0 and exact time mirrors included."""
+    region = full_region(g)
+    basis = enumerate_sectors(region, n_max, cap=2) if grand else enumerate_basis(region, sector=n_max)
+    H = assemble_hamiltonian(g, region, basis, ModelParams(hopping=J, onsite=U))
+    rng = np.random.default_rng(seed)
+    if pair == "gauge":
+        W = sp.diags(np.exp(1j * (basis.occupations @ rng.uniform(0.0, 2.0 * np.pi, g.n_vertices))))
+        H = SparseOperator((W @ H.matrix @ W.conj().T).tocsr(), basis, True)
+        assume(H.matrix.data.imag.any())
+        x, y = rng.permutation(g.n_vertices)[:2]
+        A = local_observable(basis, {"kind": "normalized_hop", "sites": [int(x), int(y)]})
+        B = local_observable(basis, {"kind": "number_function", "site": int(y), "fn": "inv_one_plus_n"})
+    else:
+        A = random_operator(basis, rng, conserving=True, hermitian=True)
+        B = random_operator(basis, rng, conserving=True, hermitian=pair == "complex")
+    gam = gibbs_state(H, beta, -6.0, n_max, tail_tol=1.0) if grand else fixed_sector_gibbs(H, beta)
+    ts = rng.uniform(-2.0, 2.0, n_t)
+    ts = np.concatenate([ts, -ts[:1], [0.0]])
+    ss = np.concatenate([rng.uniform(0.0, beta, n_s), [0.0, beta]])
+    points = [complex(t, -s) for t in ts for s in ss]
+    want = np.array([dense_strip_sum(gam, A, B, z) for z in points])
+    gf = GreenFunction(gam, A, B)
+    assert not gf._real
+    order = rng.permutation(len(points))
+    shuffled = np.empty(len(points), dtype=np.complex128)
+    shuffled[order] = GreenFunction(gam, A, B).values([points[k] for k in order])
+    reads = [np.array([gf(z) for z in points]), GreenFunction(gam, A, B).values(points), shuffled]
+    scale = 1e-12 * np.abs(want).max()
+    for got in reads:
+        assert np.abs(got - want).max() <= scale
 
 
 def same_bits(x, y) -> bool:
@@ -886,13 +970,13 @@ def test_row_reads_agree_with_lone_points(g, n_max, grand, J, U, beta, local, n_
             points = [points[k] for k in rng.permutation(len(points))]
     gf, lone = GreenFunction(gam, A, B), GreenFunction(gam, A, B)
     assert gf._real
-    evaluate = GreenFunction._real_points
-    with mock.patch.object(GreenFunction, "_real_points", autospec=True, side_effect=evaluate) as kernel:
+    evaluate = GreenFunction._points
+    with mock.patch.object(GreenFunction, "_points", autospec=True, side_effect=evaluate) as kernel:
         got = [gf(z) for z in points]
-    alone = [complex(t, -s) for (_, t, s), _ in kernel.call_args_list if np.ndim(t) == 0]
+    alone = [complex(t[0], -s[0]) for (_, t, s), _ in kernel.call_args_list if len(t) == 1]
     scale = 1e-14 * operator_norm(A) * operator_norm(B)
     for z, value in zip(points, got):
-        want = lone._real_points(z.real, lone._depth(z))
+        (want,) = lone._points(np.array([z.real]), np.array([lone._depth(z)]))
         assert abs(value - want) <= scale
         mirror = complex(-z.real, z.imag)
         if z in alone or mirror in alone:

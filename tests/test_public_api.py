@@ -1,6 +1,6 @@
 """The public API, decided once: the names ``bosonlr`` exports, and the
-single-point twins of the batch kernels and the arguments no caller set,
-which are gone."""
+single-point twins of the batch kernels, the second strip build and read
+paths, and the arguments no caller set, which are gone."""
 
 import dataclasses
 import inspect
@@ -50,6 +50,9 @@ DELETED = [
     (fock, "index_of"),
     (operators, "hermitian_norm_bound"),
     (thermal, "MERGE_ROWS_MAX"),
+    (dynamics.SpectralDecomposition, "rotate_lower"),
+    (thermal.GreenFunction, "_sum"),
+    (thermal.GreenFunction, "_real_points"),
 ]
 
 
@@ -60,8 +63,8 @@ def test_public_names():
 
 
 def test_deleted_names_and_arguments_are_gone():
-    for module, name in DELETED:
-        assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for owner, name in DELETED:
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"
         assert not hasattr(bosonlr, name), name
     assert "v_table" not in inspect.signature(operators.assemble_interaction).parameters
     assert list(inspect.signature(dynamics.eigendecompose).parameters) == ["H"]

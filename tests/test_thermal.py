@@ -312,6 +312,26 @@ def test_fixed_sector_state():
     assert np.allclose(gam.weights, direct / direct.sum())
 
 
+def test_a_decomposition_on_another_basis_is_refused():
+    """A decomposition of the 4-state sector of a two-site chain is
+    refused for the 3-state sector's H, by ``gibbs_state`` and by
+    ``correlations``' dense route, with the package's own error."""
+    g = build_chain(2)
+    reg = full_region(g)
+    H, H_other = (
+        assemble_hamiltonian(g, reg, enumerate_basis(reg, sector=n), ModelParams(hopping=1.0, onsite=1.0))
+        for n in (2, 3)
+    )
+    assert (H.basis.dimension, H_other.basis.dimension) == (3, 4)
+    other = eigendecompose(H_other)
+    with pytest.raises(InvalidArgumentError, match="different bases"):
+        gibbs_state(H, 1.0, decomposition=other)
+    gam = gibbs_state(H, 1.0)
+    A = number_operator(H.basis, 0)
+    with pytest.raises(InvalidArgumentError, match="different bases"):
+        correlations(H, gam, [(A, A)], [0.5], decomposition=other)
+
+
 def reference_two_point(state, A, B, t, order, decomp):
     """One eigenvector of the state at a time, each propagated through the
     full (not sector-blocked) eigenbasis of the generator."""
@@ -353,6 +373,19 @@ def test_batched_two_point_matches_eigenvector_loop():
         for t in (0.0, 0.7, 2.3):
             (got,) = correlations(H, gam, [(A, B_)], [t], gam.decomp, "dense", want=(order.lower(),))
             assert abs(got[0, 0] - reference_two_point(gam, A, B_, t, order, gam.decomp)) <= 1e-12
+
+
+def test_an_empty_time_grid_gives_empty_arrays_on_both_routes():
+    """``times=[]`` gives (pairs, 0) arrays on the dense and the sparse
+    route, for a thermal state and for a StateVector, and the sparse
+    propagator an empty (0, D, k) stack."""
+    basis, reg, H, gam, A, B = truncated_chain_state()
+    psi = StateVector(basis, np.ones(basis.dimension) / np.sqrt(basis.dimension))
+    pairs = [(A, B), (B, None)]
+    for state in (gam, psi):
+        shapes = [[x.shape for x in correlations(H, state, pairs, [], engine=e)] for e in ("dense", "krylov")]
+        assert shapes == [[(2, 0)] * 3] * 2
+    assert _krylov_evolve(H.matrix, np.eye(basis.dimension)[:, :2], []).shape == (0, basis.dimension, 2)
 
 
 def test_batched_two_point_with_cutoff_generator():
@@ -549,19 +582,15 @@ def test_green_values_evaluate_one_column_per_exact_mirror_pair(monkeypatch):
 
 def test_complex_pairs_are_never_folded(monkeypatch):
     """Under a gauge-complex generator a hermitian pair has no time
-    mirror: F(-t) is not conj F(t), and both points are evaluated, one
-    ``_sum`` each, point by point and through ``values``."""
+    mirror: F(-t) is not conj F(t), and both points are evaluated by the
+    strip kernel ``_points``, point by point (one call each) and through
+    ``values`` (one call on both)."""
     basis, reg, H, gam, A, B = truncated_chain_state()
     W = sp.diags(np.exp(1j * (basis.occupations @ np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 4))))
     H_gauge = SparseOperator((W @ H.matrix @ W.conj().T).tocsr(), basis, True)
     gam_gauge = gibbs_state(H_gauge, 1.0, -1.0, 4, tail_tol=0.5)
-    calls, evaluate = [], GreenFunction._sum
-
-    def spy(self, t, s):
-        calls.append(np.size(t))
-        return evaluate(self, t, s)
-
-    monkeypatch.setattr(GreenFunction, "_sum", spy)
+    calls = []
+    spy(monkeypatch, GreenFunction, "_points", calls, lambda self, t, s: np.size(t))
     z, mirror = complex(0.9, -0.3), complex(-0.9, -0.3)
     gf = GreenFunction(gam_gauge, A, B)
     assert gf._hermitian and not gf._real
@@ -702,7 +731,7 @@ def test_leaving_a_row_evaluates_at_most_one_row_once(monkeypatch):
     read at one depth only, is evaluated alone."""
     basis, reg, H, gam, A, B = truncated_chain_state()
     points = []
-    spy(monkeypatch, GreenFunction, "_real_points", points, lambda self, t, s: np.size(t))
+    spy(monkeypatch, GreenFunction, "_points", points, lambda self, t, s: np.size(t))
     gf = GreenFunction(gam, A, B)
     depths = [0.1, 0.5, 0.3, 0.9]
     for s in depths:
@@ -718,10 +747,10 @@ def test_leaving_a_row_evaluates_at_most_one_row_once(monkeypatch):
     assert points == [1, 1, 1, 1, 1, 1, 1, 1, 1, 4, 1, 1, 1]
 
 
-def test_a_complex_pair_reads_rows_through_sum(monkeypatch):
+def test_a_complex_pair_reads_rows_in_one_kernel_call(monkeypatch):
     """A hermitian pair under a gauge-complex generator has no time mirror
     and no symmetric C: a t-major grid reads its first row point by point
-    and every later row in one ``_sum`` call on all its depths, and the
+    and every later row in one ``_points`` call on all its depths, and the
     values agree with ``values`` within 1e-14."""
     basis, reg, H, gam, A, B = truncated_chain_state()
     W = sp.diags(np.exp(1j * (basis.occupations @ np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 4))))
@@ -729,12 +758,54 @@ def test_a_complex_pair_reads_rows_through_sum(monkeypatch):
     gam_gauge = gibbs_state(H_gauge, 1.0, -1.0, 4, tail_tol=0.5)
     grid = [complex(t, -s) for t in (-0.5, 0.2, 0.5) for s in (0.0, 0.3, 0.6, 1.0)]
     calls = []
-    spy(monkeypatch, GreenFunction, "_sum", calls, lambda self, t, s: np.size(t))
+    spy(monkeypatch, GreenFunction, "_points", calls, lambda self, t, s: np.size(t))
     gf = GreenFunction(gam_gauge, A, B)
     assert gf._hermitian and not gf._real
     got = [gf(z) for z in grid]
     assert calls == [1, 1, 1, 1, 4, 4]
     assert np.abs(np.array(got) - GreenFunction(gam_gauge, A, B).values(grid)).max() <= 1e-14
+
+
+def test_a_point_is_evaluated_only_through_values(monkeypatch):
+    """``__call__`` is a cache lookup and a row guess in front of
+    ``values``: for a real hermitian pair and for a pair under a
+    gauge-complex generator, every strip kernel call that a read point by
+    point makes (lone points, t = 0, a row, a mirror, a repeat) runs
+    inside a ``values`` call, and a cached point makes neither call."""
+    basis, reg, H, gam, A, B = truncated_chain_state()
+    W = sp.diags(np.exp(1j * (basis.occupations @ np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 4))))
+    H_gauge = SparseOperator((W @ H.matrix @ W.conj().T).tocsr(), basis, True)
+    gam_gauge = gibbs_state(H_gauge, 1.0, -1.0, 4, tail_tol=0.5)
+    open_values, kernel_calls, values_calls = [], [], []
+    values, points = GreenFunction.values, GreenFunction._points
+
+    def spy_values(self, zs):
+        values_calls.append(len(zs))
+        open_values.append(True)
+        try:
+            return values(self, zs)
+        finally:
+            open_values.pop()
+
+    def spy_points(self, t, s):
+        kernel_calls.append(bool(open_values))
+        return points(self, t, s)
+
+    monkeypatch.setattr(GreenFunction, "values", spy_values)
+    monkeypatch.setattr(GreenFunction, "_points", spy_points)
+    reads = [complex(0.7, -s) for s in (0.1, 0.5, 0.3)] + [complex(-0.4, -0.5), 0.0, complex(-0.7, -0.1)]
+    for state in (gam, gam_gauge):
+        gf = GreenFunction(state, A, B)
+        for z in reads:
+            gf(z)
+        assert kernel_calls and all(kernel_calls)
+        # the row at t = -0.4 is one values call on its three depths
+        assert 3 in values_calls
+        kernel_calls.clear()
+        values_calls.clear()
+        for z in reads:
+            gf(z)
+        assert kernel_calls == values_calls == []
 
 
 def test_thermal_expectation_and_moments_keep_their_formula_and_memory():
@@ -763,6 +834,32 @@ def test_thermal_expectation_and_moments_keep_their_formula_and_memory():
         tracemalloc.stop()
         assert got == expected
         assert peak <= 0.25 * one
+
+
+def test_a_complex_pair_reads_a_point_without_a_d_squared_array():
+    """Under a gauge-complex generator (the 8-site chain, 4 particles,
+    D = 330) a lone point, at t = 0 or not, allocates less than a tenth
+    of a D x D complex array (tracemalloc): C is kept in Fortran order, so
+    the real strip columns multiply it as one real GEMM on its
+    interleaved parts, and C is never copied."""
+    g = build_chain(8)
+    basis = enumerate_basis(full_region(g), sector=4)
+    H = assemble_hamiltonian(g, full_region(g), basis, ModelParams(hopping=1.0, onsite=1.0))
+    W = sp.diags(np.exp(1j * (basis.occupations @ np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 8))))
+    gam = fixed_sector_gibbs(SparseOperator((W @ H.matrix @ W.conj().T).tocsr(), basis, True), 1.0)
+    A = local_observable(basis, {"kind": "normalized_hop", "sites": [3, 4]})
+    B = local_observable(basis, {"kind": "number_function", "site": 5, "fn": "inv_one_plus_n"})
+    gf = GreenFunction(gam, A, B)
+    ((_, C),) = gf._blocks
+    assert C.dtype == np.complex128 and C.flags.f_contiguous
+    for points in ([complex(0.3, -0.2)], [0.0]):
+        tracemalloc.start()
+        try:
+            gf.values(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * C.nbytes
 
 
 @pytest.mark.parametrize("length, syrk", [(9, True), (8, False)])
