@@ -21,6 +21,7 @@ then phases and a back-rotation per time.  Natural units throughout: hbar = 1,
 time in inverse units of the hopping energy.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -86,11 +87,14 @@ def basis_vector(basis: FockBasis, occ) -> StateVector:
 class SpectralDecomposition:
     """Eigenpairs of a hermitian operator, grouped by particle-number sector.
 
-    Columns of ``vectors`` are orthonormal eigenvectors; eigenpairs are
-    ordered by (sector, energy), so eigenpair j lies in sector
-    ``basis.totals[j]``, and each eigenvector carries a fixed global
+    The eigenvectors are block-diagonal by sector, and only the blocks are
+    stored: ``sector_vectors[k]`` is the (n_k, n_k) array of sector k in
+    ``sector_slices()`` order, whose columns are orthonormal eigenvectors
+    on that sector's rows, so a decomposition holds sum_k n_k^2 entries.
+    Eigenpairs are ordered by (sector, energy), so eigenpair j lies in
+    sector ``basis.totals[j]``, and each eigenvector carries a fixed global
     phase (largest-magnitude component real positive) so repeated runs are
-    bit-reproducible.  ``vectors`` is float64 for a real operator (a real
+    bit-reproducible.  The arrays are float64 for a real operator (a real
     symmetric generator has real eigenvectors) and complex128 for a
     complex one; every method takes real or complex operands and
     multiplies a real block with ``_real_matmul``.
@@ -98,11 +102,43 @@ class SpectralDecomposition:
 
     basis: FockBasis
     energies: np.ndarray
-    vectors: np.ndarray
+    sector_vectors: tuple[np.ndarray, ...]
 
     @property
     def dimension(self) -> int:
         return self.energies.shape[0]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The D x D eigenvector matrix: on a single-sector basis the
+        stored array itself, otherwise assembled on each read, with its
+        off-sector blocks zero.  Nothing in the package reads it."""
+        if len(self.sector_vectors) == 1:
+            return self.sector_vectors[0]
+        return self._window(slice(None), slice(None))
+
+    def _window(self, rows: slice, cols: slice) -> np.ndarray:
+        """``vectors[rows, cols]`` for two basic slices, from the sector
+        arrays: a view of one sector's array where the window lies inside
+        it (a sector's own slice twice gives the whole array), otherwise a
+        new C-ordered array with the off-sector entries zero.  No array
+        past the window is formed."""
+        (r0, r1, _), (c0, c1, _) = rows.indices(self.dimension), cols.indices(self.dimension)
+        for lo, hi, V in self._sectors:
+            if lo <= min(r0, c0) and max(r1, c1) <= hi:
+                return V[r0 - lo : r1 - lo, c0 - lo : c1 - lo]
+        out = np.zeros((r1 - r0, c1 - c0), dtype=np.result_type(np.float64, *self.sector_vectors))
+        for lo, hi, V in self._sectors:
+            a, b, c, e = max(r0, lo), min(r1, hi), max(c0, lo), min(c1, hi)
+            if a < b and c < e:
+                out[a - r0 : b - r0, c - c0 : e - c0] = V[a - lo : b - lo, c - lo : e - lo]
+        return out
+
+    @functools.cached_property
+    def _sectors(self) -> list[tuple[int, int, np.ndarray]]:
+        """(first row, row stop, eigenvector array) per sector, formed once:
+        ``_window`` reads it hundreds of times a pass."""
+        return [(sl.start, sl.stop, V) for (_, sl), V in zip(self.sector_slices(), self.sector_vectors)]
 
     def propagate(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
         """exp(-i H t) applied through the eigenbasis."""
@@ -111,17 +147,16 @@ class SpectralDecomposition:
     def propagate_block(self, columns: np.ndarray, t: float) -> np.ndarray:
         """exp(-i H t) applied to every column of a (D, k) block.
 
-        The eigenvectors are block-diagonal by sector, so each sector n
-        takes V_n (phases * V_n^* X_n) on its own rows; sectors where the
-        block is zero are skipped, and no D x D temporary is formed.
+        Each sector n takes V_n (phases * V_n^* X_n) on its own rows;
+        sectors where the block is zero are skipped, and no D x D
+        temporary is formed.
         """
         out = np.zeros(columns.shape, dtype=np.complex128)
         phases = np.exp(-1j * self.energies * t)
-        for _, sl in self.sector_slices():
+        for (_, sl), Vn in zip(self.sector_slices(), self.sector_vectors):
             X = columns[sl]
             if not X.any():
                 continue
-            Vn = self.vectors[sl, sl]
             # conj(V_n^T conj(X)) = V_n^* X without copying conj(V_n); it is
             # real for real V_n and X, so the phases multiply out of place
             coeff = _real_matmul(Vn.T, X.conj()).conj() * phases[sl, None]
@@ -133,7 +168,7 @@ class SpectralDecomposition:
         slices ``rows`` and ``cols`` (default: the same as ``rows``), the
         block V_m^* M_mn V_n."""
         cols = rows if cols is None else cols
-        Vm, Vn = self.vectors[rows, rows], self.vectors[cols, cols]
+        Vm, Vn = self._window(rows, rows), self._window(cols, cols)
         return _real_matmul(Vm.conj().T, _real_matmul(matrix[rows, cols], Vn))
 
     def strip_block(self, A, B, rows: slice, lower: bool) -> np.ndarray:
@@ -154,17 +189,18 @@ class SpectralDecomposition:
         (tracemalloc) on the canonical 9-site chain with 5 particles
         (D = 1,287, a hop and a 1/(1+n)).
         """
+        V = self._window(rows, rows)
         if not lower:
             # C^T = A~^T o B~ in C order, A~^T = conj(V^* A^H V): C comes out
             # in Fortran order, so a real block of columns multiplies a
             # complex C as one real GEMM on its interleaved parts, in place
             CT = self.rotate(A.conj().T, rows)
-            CT = np.conjugate(CT, out=CT).astype(np.result_type(self.vectors, A, B), copy=False)
+            CT = np.conjugate(CT, out=CT).astype(np.result_type(V, A, B), copy=False)
             for cols, panel in self._rotate_panels(B, rows):
                 CT[:, cols] *= panel
                 del panel  # one panel alive at a time
             return CT.T
-        n = self.vectors[rows, rows].shape[0]
+        n = V.shape[0]
         C = np.zeros((n, n), order="F")
         factor = self._syrk_factor(A, rows)
         if factor is None:
@@ -199,7 +235,7 @@ class SpectralDecomposition:
         a panel is V[:, lo:]^* (M V[:, cols]); under real eigenvectors, one
         panel covering the block has the bits of ``rotate``.
         """
-        V = self.vectors[rows, rows]
+        V = self._window(rows, rows)
         n = V.shape[0]
         if factor is None:
             block = matrix[rows, rows]
@@ -244,7 +280,7 @@ class SpectralDecomposition:
         a time (a larger component alone).  A block whose components are
         too large for the SYRK to pay, and any other block, gives None.
         """
-        V = self.vectors[rows, rows]
+        V = self._window(rows, rows)
         n = V.shape[0]
         if n < SYRK_ROWS_MIN or np.iscomplexobj(V) or np.iscomplexobj(matrix) or not sparse.issparse(matrix):
             return None
@@ -379,12 +415,11 @@ def _mirror_layout(matrix, basis: FockBasis) -> list | None:
     return layout
 
 
-def _mirror_eigh(block, q: np.ndarray, a: int, b: int, out: np.ndarray):
-    """Eigenvalues of a sparse sector block through its two halves under
-    the site reversal p, with the eigenvectors written into ``out`` (the
-    block's zeroed slice of the result), or None, writing nothing, unless
-    M[p(x), p(y)] == M[x, y] holds entry for entry (``q``, ``a``, ``b`` as
-    in ``_mirror_layout``).
+def _mirror_eigh(block, q: np.ndarray, a: int, b: int):
+    """Eigenvalues and eigenvectors of a sparse sector block through its
+    two halves under the site reversal p, or None unless M[p(x), p(y)] ==
+    M[x, y] holds entry for entry (``q``, ``a``, ``b`` as in
+    ``_mirror_layout``).
 
     M then commutes with p, so it is block-diagonal on the even vectors
     (e_lo + e_hi)/sqrt2 and the fixed e_x, where it reads
@@ -393,8 +428,8 @@ def _mirror_eigh(block, q: np.ndarray, a: int, b: int, out: np.ndarray):
     are filled from the stored entries, and the symmetry is checked on
     them, O(nnz log nnz): no dense copy of the whole block is formed.
     Each half's eigenvectors get their phases and go straight to their
-    rows and their columns of ``out``, merged by a stable sort on energy,
-    even before odd on a tie.
+    rows and their columns of the block's eigenvector array, merged by a
+    stable sort on energy, even before odd on a tie.
     """
     n = q.size
     block, at = block.tocsr(), np.empty_like(q)
@@ -441,11 +476,12 @@ def _mirror_eigh(block, q: np.ndarray, a: int, b: int, out: np.ndarray):
     place = np.empty(n, dtype=np.intp)  # the column of each eigenpair
     place[merged] = np.arange(n)
     even_cols, odd_cols = place[:b], place[b:]
+    out = np.zeros((n, n), dtype=block.dtype)  # the fixed rows of odd columns stay 0
     out[np.ix_(q[:b], even_cols)] = w_even
     out[np.ix_(q[b:], even_cols)] = w_even[:a]
     out[np.ix_(q[:a], odd_cols)] = w_odd
     out[np.ix_(q[b:], odd_cols)] = np.negative(w_odd, out=w_odd)
-    return energies[merged]
+    return energies[merged], out
 
 
 def eigendecompose(H: SparseOperator) -> SpectralDecomposition:
@@ -454,7 +490,9 @@ def eigendecompose(H: SparseOperator) -> SpectralDecomposition:
     Each particle-number block is densified and diagonalized separately,
     which keeps sector labels exact; blocks larger than ``DENSE_CAP``
     raise a resource error (use the sparse engine "krylov" instead).
-    ``vectors`` takes the dtype of ``H.matrix``: a real ``H`` (float64 by
+    Each block's eigenvectors are kept as their own array
+    (``SpectralDecomposition.sector_vectors``), so no D x D array is
+    formed.  They take the dtype of ``H.matrix``: a real ``H`` (float64 by
     the storage rule of ``SparseOperator``) is diagonalized as real
     symmetric blocks, a complex one as complex hermitian blocks.
 
@@ -469,10 +507,8 @@ def eigendecompose(H: SparseOperator) -> SpectralDecomposition:
     if not H.hermitian:
         raise InvalidArgumentError("eigendecompose expects a hermitian operator")
     basis = H.basis
-    dim = basis.dimension
     matrix = H.matrix
-    energies = np.empty(dim)
-    vectors = np.zeros((dim, dim), dtype=matrix.dtype)
+    energies, vectors = np.empty(basis.dimension), []
     slices = basis.sector_slices()
     layout = _mirror_layout(matrix, basis) or [None] * len(slices)
     for (n, sl), halves in zip(slices, layout):
@@ -480,12 +516,13 @@ def eigendecompose(H: SparseOperator) -> SpectralDecomposition:
         if size > DENSE_CAP:
             raise ResourceLimitError(f"sector {n} has dimension {size}, above the dense cap {DENSE_CAP}")
         block = matrix[sl, sl]
-        evals = None if halves is None else _mirror_eigh(block, *halves, vectors[sl, sl])
-        if evals is None:
+        pair = None if halves is None else _mirror_eigh(block, *halves)
+        if pair is None:
             evals, evecs = np.linalg.eigh(block.toarray())
-            vectors[sl, sl] = _fix_phases(evecs)
-        energies[sl] = evals
-    return SpectralDecomposition(basis, energies, vectors)
+            pair = evals, _fix_phases(evecs)
+        energies[sl] = pair[0]
+        vectors.append(pair[1])
+    return SpectralDecomposition(basis, energies, tuple(vectors))
 
 
 def _krylov_evolve(H, X: np.ndarray, times) -> np.ndarray:
@@ -600,18 +637,22 @@ def correlations(
     want = tuple(want)
     if not want or not set(want) <= set(CORRELATION_ARRAYS):
         raise InvalidArgumentError(f"want names one or more of {CORRELATION_ARRAYS}, got {want!r}")
-    if isinstance(state, StateVector):
-        basis, weights, columns = state.basis, np.ones(1), state.amplitudes[:, None]
+    pure = isinstance(state, StateVector)
+    if pure:
+        basis, weights = state.basis, np.ones(1)
     else:  # thermal state (duck-typed to avoid a module cycle)
-        basis, weights, columns = state.decomp.basis, state.weights, state.decomp.vectors
+        basis, weights = state.decomp.basis, state.weights
     decomp = _spectral_route(H, basis, decomposition, engine)
-    if decomp is not None and not isinstance(state, StateVector):
+    if decomp is not None and not pure:
         return _thermal_correlations(decomp, state, pairs, times, want)
     out = {name: np.zeros((len(pairs), len(times)), dtype=np.complex128) for name in want}
     kept = np.flatnonzero(weights)
     for start in range(0, kept.size, PROPAGATE_CHUNK):
         cols = kept[start : start + PROPAGATE_CHUNK]
-        psi = columns[:, cols]
+        if pure:
+            psi = state.amplitudes[:, None]
+        else:  # the kept columns of their D x (span of cols) window
+            psi = state.decomp._window(slice(None), slice(cols[0], cols[-1] + 1))[:, cols - cols[0]]
         kets, bras = [psi], []
         # per pair: the block holding B psi (AB's ket) and B^* psi (BA's bra),
         # numbered across [kets | bras]
@@ -657,8 +698,11 @@ def _sector_pairs(matrix, basis: FockBasis) -> list[tuple[int, int]]:
     """The (row sector, column sector) pairs where ``matrix`` stores an
     entry, in ascending order."""
     coo = matrix.tocoo()
-    found = np.unique(np.column_stack([basis.totals[coo.row], basis.totals[coo.col]]), axis=0)
-    return [(int(m), int(n)) for m, n in found]
+    # one integer key per entry, row total * width + column total: it sorts
+    # as the (row, column) pairs do, and a 1-D unique is far cheaper
+    width = basis.max_total + 1
+    found = np.unique(basis.totals[coo.row] * width + basis.totals[coo.col])
+    return [(int(m), int(n)) for m, n in zip(*np.divmod(found, width))]
 
 
 def _thermal_correlations(d: SpectralDecomposition, state, pairs, times, want=CORRELATION_ARRAYS):
@@ -680,18 +724,19 @@ def _thermal_correlations(d: SpectralDecomposition, state, pairs, times, want=CO
     decomposition's own blocks, plus the O(D len(times)) phases.
     """
     slices = dict(d.sector_slices())
+    U, V = dict(zip(slices, d.sector_vectors)), dict(zip(slices, state.decomp.sector_vectors))
     weights = state.weights
     phases = np.exp(-1j * np.multiply.outer(d.energies, np.asarray(times, dtype=np.float64)))
 
     def into(n, X):
         """U_n^* X"""
-        return _real_matmul(d.vectors[slices[n], slices[n]].conj().T, X)
+        return _real_matmul(U[n].conj().T, X)
 
     roots = {}
     for m, sl in slices.items():
         kept = np.flatnonzero(weights[sl])
         if kept.size:
-            roots[m] = state.decomp.vectors[sl, sl][:, kept] * np.sqrt(weights[sl][kept])
+            roots[m] = V[m][:, kept] * np.sqrt(weights[sl][kept])
     Y = {m: into(m, R) for m, R in roots.items()}
 
     def images(op):
@@ -789,12 +834,13 @@ def heisenberg_blocks(
     time, so the result holds len(times) sum_(m, n) n_m n_n entries and no
     D x D array.  When A equals its conjugate transpose entry for entry,
     each diagonal block is returned as (X + X^*)/2 of its back-rotation X,
-    so it is exactly hermitian, as tau_t(A) is, and not only up to
-    rounding: ``operator_norm`` then takes its ``eigh`` route.
+    formed in place, so it is exactly hermitian, as tau_t(A) is, and not
+    only up to rounding: ``operator_norm`` then takes its ``eigh`` route.
     """
     d = decomposition if decomposition is not None else eigendecompose(H)
     hermitian = _exactly_hermitian(A.matrix)
     slices = dict(d.sector_slices())
+    vecs = dict(zip(slices, d.sector_vectors))
     rotated = {(m, n): d.rotate(A.matrix, slices[m], slices[n]) for m, n in _sector_pairs(A.matrix, d.basis)}
     out = []
     for t in times:
@@ -803,9 +849,11 @@ def heisenberg_blocks(
         for (m, n), tilde in rotated.items():
             sm, sn = slices[m], slices[n]
             evolved = (phases[sm, None] * tilde) * phases[sn].conj()
-            Vm, Vn = d.vectors[sm, sm], d.vectors[sn, sn]
-            X = _real_matmul(_real_matmul(Vm, evolved), Vn.conj().T)
-            blocks[m, n] = 0.5 * (X + X.conj().T) if hermitian and m == n else X
+            X = _real_matmul(_real_matmul(vecs[m], evolved), vecs[n].conj().T)
+            if hermitian and m == n:  # in place: x 0.5 is exact, so the bits of 0.5 (X + X^*)
+                X += X.conj().T
+                X *= 0.5
+            blocks[m, n] = X
         out.append(blocks)
     return out
 

@@ -84,6 +84,7 @@ log = logging.getLogger("bosonlr")
 SUMMARY_SCHEMA_VERSION = 1
 
 
+@functools.cache
 def _package_version() -> str:
     try:
         from importlib.metadata import version
@@ -216,10 +217,11 @@ class Scene:
     the exact matrix content and checked with ``same_matrix``, so a
     generator that two experiments build apart (``lr``'s and
     ``local-approx``'s inner shells at the cap) is diagonalized once.  Each
-    kept decomposition is a dense D x D array held as long as the scene, so
-    a runner passes through it only a generator another experiment may
-    build.  ``scene_of`` keeps a config's scene in the config's memo, so it
-    lives as long as that config object and no longer.
+    kept decomposition holds one eigenvector array per sector, sum_k n_k^2
+    entries, as long as the scene, so a runner passes through it only a
+    generator another experiment may build.  ``scene_of`` keeps a config's
+    scene in the config's memo, so it lives as long as that config object
+    and no longer.
     """
 
     graph: LatticeGraph

@@ -161,34 +161,40 @@ def fixed_sector_gibbs(
 def expectation(state: GibbsState, A: SparseOperator) -> complex:
     """Trace of the density matrix against A: sum_j w_j (V^* A V)_jj,
     summed PROPAGATE_CHUNK / 2 columns of V at a time, each column with
-    the bits it has in the whole product A V, which is never formed."""
+    the bits it has in the whole product A V.  Neither A V nor V is
+    formed whole: each chunk of columns comes from the sector arrays."""
     if A.basis.basis_id != state.basis.basis_id:
         raise InvalidArgumentError("observable lives on a different basis")
-    V = state.decomp.vectors
-    # a chunk holds two (D, width) arrays: the columns, copied
-    # contiguous for the sparse product, and their image
-    diag = np.concatenate(
-        [
-            np.einsum("ij,ij->j", V[:, cols].conj(), _real_matmul(A.matrix, V[:, cols]))
-            for cols in _chunks(V.shape[1], PROPAGATE_CHUNK // 2)
-        ]
-    )
-    return complex(np.dot(state.weights, diag))
+    d = state.decomp
+    diag = []
+    for cols in _chunks(d.dimension, PROPAGATE_CHUNK // 2):
+        # two (D, width) arrays: the columns, contiguous for the sparse
+        # product (formed with their zero rows, or copied from a view of
+        # one sector's array by the product), and their image
+        V = d._window(slice(None), cols)
+        diag.append(np.einsum("ij,ij->j", V.conj(), _real_matmul(A.matrix, V)))
+    return complex(np.dot(state.weights, np.concatenate(diag)))
 
 
 def moment_sup(state, p: float) -> float:
     """max over sites x of the expectation of (1 + n_x)^p in a thermal
     state or in a pure StateVector (normalized here).  A thermal state's
     occupation probabilities (|V|^2) w are formed PROPAGATE_CHUNK rows
-    of V at a time, each with the bits of the whole product."""
+    of V at a time, formed from the sector arrays, each with the bits of
+    the whole product."""
     if p < 1:
         raise InvalidArgumentError("moment exponent must satisfy p >= 1")
     if isinstance(state, StateVector):
         probs = np.abs(state.amplitudes) ** 2
         probs = probs / probs.sum()
     else:
-        V = state.decomp.vectors
-        probs = np.concatenate([_squared(np.abs(V[rows])) @ state.weights for rows in _chunks(V.shape[0])])
+        d, parts = state.decomp, []
+        for rows in _chunks(d.dimension):
+            V = d._window(rows, slice(None))
+            # |V| in place where the rows were formed, not viewed
+            parts.append(_squared(np.abs(V, out=V if V.flags.owndata else None)) @ state.weights)
+            del V  # freed before the next rows are formed
+        probs = np.concatenate(parts)
     occ = state.basis.occupations
     return float(np.max(((1.0 + occ) ** float(p)).T @ probs))
 
@@ -269,7 +275,7 @@ class GreenFunction:
         decomp = state.decomp
         # from the stored matrices, not the flags a caller may have set wrongly
         self._hermitian = _exactly_hermitian(A.matrix) and _exactly_hermitian(B.matrix)
-        real = not any(map(np.iscomplexobj, (decomp.vectors, A.matrix, B.matrix)))
+        real = not any(map(np.iscomplexobj, (*decomp.sector_vectors, A.matrix, B.matrix)))
         self._real = self._hermitian and real
         slices = [sl for _, sl in state.included_slices()]
         # sectors ascend, so the included rows are the first ``_stop``
@@ -308,12 +314,23 @@ class GreenFunction:
         array.
         """
         E, g = self.state.decomp.energies[: self._stop], self.state.shifted[: self._stop]
-        phase = np.multiply.outer(E, t)
-        cos, sin = np.cos(phase), np.sin(phase)
-        bra, ket = np.exp(-np.stack([np.multiply.outer(g, self.beta - s), np.multiply.outer(g, s)]))
-        ac, an = bra * cos, bra * sin
-        kets = np.concatenate([ket * cos, ket * sin], axis=1)
         k = len(t)
+        # at most six (rows, points) arrays: the phase becomes cos, the
+        # decays are negated and exponentiated in place, and a c, a n
+        # overwrite cos and sin.  Each transcendental runs on a contiguous
+        # array, so every value has the bits of the out-of-place form
+        cos = np.multiply.outer(E, t)
+        sin = np.sin(cos)
+        np.cos(cos, out=cos)
+        bra, ket = decays = np.empty((2, len(g), k))
+        np.multiply.outer(g, self.beta - s, out=bra)
+        np.multiply.outer(g, s, out=ket)
+        np.exp(np.negative(decays, out=decays), out=decays)
+        kets = np.empty((len(g), 2 * k))
+        np.multiply(ket, cos, out=kets[:, :k])
+        np.multiply(ket, sin, out=kets[:, k:])
+        ac, an = np.multiply(bra, cos, out=cos), np.multiply(bra, sin, out=sin)
+        del bra, ket, decays
         re = im = 0.0
         if self._real and k == 1:
             for rows, C in self._blocks:

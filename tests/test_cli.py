@@ -54,6 +54,19 @@ def test_run_kms_writes_reports(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_all_passes_without_the_dense_eigenvectors(tmp_path, monkeypatch):
+    # a decomposition keeps one eigenvector array per sector; no runner
+    # reads the D x D layout that ``vectors`` assembles
+    from bosonlr.dynamics import SpectralDecomposition
+
+    def refuse(self):
+        raise AssertionError("a runner read SpectralDecomposition.vectors")
+
+    monkeypatch.setattr(SpectralDecomposition, "vectors", property(refuse))
+    assert main(["all", "--out", str(tmp_path)]) == EXIT_PASS
+    assert sum(name.endswith(".csv") for name in os.listdir(tmp_path)) == len(RUNNERS)
+
+
 def test_resource_limit_exit_code(tmp_path, capsys):
     # a single sector far above the dense cap trips the resource guard
     cfg = write_cfg(tmp_path, {"preset": "chain-6", "basis": {"sector": 12}})

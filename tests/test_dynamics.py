@@ -35,6 +35,7 @@ from bosonlr import (
     region,
 )
 from bosonlr import dynamics
+from bosonlr.config import from_preset
 from bosonlr.dynamics import (
     SpectralDecomposition,
     StateVector,
@@ -45,6 +46,7 @@ from bosonlr.dynamics import (
     _real_matmul,
     inverse_moment_upper_bound,
 )
+from bosonlr.experiments import scene_of
 from bosonlr.operators import SparseOperator
 
 
@@ -91,13 +93,11 @@ def plain_eigendecompose(H):
     block, then ``_fix_phases``."""
     real = not H.matrix.data.imag.any()
     matrix = H.matrix.real if real else H.matrix
-    dim = H.basis.dimension
-    energies = np.empty(dim)
-    vectors = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
+    energies, vectors = np.empty(H.basis.dimension), []
     for _, sl in H.basis.sector_slices():
         energies[sl], evecs = np.linalg.eigh(matrix[sl, sl].toarray())
-        vectors[sl, sl] = _fix_phases(evecs)
-    return SpectralDecomposition(H.basis, energies, vectors)
+        vectors.append(_fix_phases(evecs))
+    return SpectralDecomposition(H.basis, energies, tuple(vectors))
 
 
 def split_eigendecompose(H):
@@ -107,9 +107,10 @@ def split_eigendecompose(H):
     ``_fix_phases`` on the whole block.  Sectors that do not split take
     one eigh, as in ``plain_eigendecompose``."""
     ref = plain_eigendecompose(H)
-    matrix = H.matrix.real if ref.vectors.dtype == np.float64 else H.matrix
+    vectors = list(ref.sector_vectors)
+    matrix = H.matrix.real if vectors[0].dtype == np.float64 else H.matrix
     layout = _mirror_layout(matrix, H.basis) or [None] * len(H.basis.sector_slices())
-    for (_, sl), halves in zip(H.basis.sector_slices(), layout):
+    for k, ((_, sl), halves) in enumerate(zip(H.basis.sector_slices(), layout)):
         if halves is None:
             continue
         q, a, b = halves
@@ -139,13 +140,16 @@ def split_eigendecompose(H):
         energies = np.concatenate([e_even, e_odd])
         merged = np.argsort(energies, kind="stable")
         ref.energies[sl] = energies[merged]
-        ref.vectors[sl, sl] = _fix_phases(vecs[:, merged])
-    return ref
+        vectors[k] = _fix_phases(vecs[:, merged])
+    return SpectralDecomposition(H.basis, ref.energies, tuple(vectors))
 
 
 def assert_same_bits(d, ref):
     assert np.array_equal(d.energies, ref.energies)
-    assert np.array_equal(d.vectors, ref.vectors)
+    assert len(d.sector_vectors) == len(ref.sector_vectors)
+    for got, want in zip(d.sector_vectors, ref.sector_vectors):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 @pytest.fixture
@@ -256,6 +260,57 @@ def test_split_sector_allocates_at_most_three_blocks(eigh_sizes):
     result = d.energies.nbytes + d.vectors.nbytes
     assert peak - result <= D * D * 8
     assert_same_bits(d, split_eigendecompose(H))
+
+
+@pytest.mark.parametrize("model", ["chain-10", "chain-8"])
+def test_multi_sector_decomposition_stores_only_its_blocks(model, eigh_sizes):
+    """On a multi-sector basis the eigenvectors are one array per sector,
+    sum_k n_k^2 entries.  Each array has the bits of the reference, and is
+    ``vectors[sl, sl]`` of the dense layout ``vectors`` assembles, which
+    is zero off its sector blocks.  The ``chain-10`` scene (sectors 1, 10,
+    55, 210) and the 8-site chain to 3 particles (1, 8, 36, 120) each
+    split their largest sector."""
+    if model == "chain-10":
+        H = scene_of(from_preset("chain-10")).H
+    else:
+        H = chain_model(8, n_max=3, U=0.7)[3]
+    slices = H.basis.sector_slices()
+    D = H.basis.dimension
+    d = eigendecompose(H)
+    sizes = [sl.stop - sl.start for _, sl in slices]
+    assert len(eigh_sizes) == len(sizes) + 1
+    assert [V.shape for V in d.sector_vectors] == [(n, n) for n in sizes]
+    assert sum(V.size for V in d.sector_vectors) == sum(n * n for n in sizes) < D * D
+    assert_same_bits(d, split_eigendecompose(H))
+    dense = d.vectors
+    assert dense.shape == (D, D)
+    for (_, sl), V in zip(slices, d.sector_vectors):
+        assert np.array_equal(dense[sl, sl], V)
+        dense[sl, sl] = 0.0
+    assert not dense.any()
+
+
+def test_multi_sector_decomposition_allocates_no_dense_array():
+    # the 6-site chain to 5 particles (sectors 1, 6, 21, 56, 126, 252):
+    # everything eigendecompose allocates, its result included, peaks
+    # below one D x D array of doubles (0.7 of it), where a zero-filled
+    # dense result alone took all of it
+    _, _, basis, H = chain_model(6, n_max=5, J=0.2, U=1.0)
+    D = basis.dimension
+    tracemalloc.start()
+    try:
+        eigendecompose(H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < D * D * 8
+
+
+def test_single_sector_vectors_is_the_stored_array():
+    _, _, _, H = chain_model(6, sector=3, U=0.5)
+    d = eigendecompose(H)
+    (V,) = d.sector_vectors
+    assert d.vectors is V
 
 
 def test_eigendecompose_dense_cap(monkeypatch):

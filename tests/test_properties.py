@@ -459,6 +459,21 @@ def rotate_phase_back_rotate(d, A, t):
     return out
 
 
+@settings(max_examples=60, deadline=None)
+@given(gb=bases(), conserving=st.booleans(), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_sector_pairs_match_the_two_column_unique(gb, conserving, density, seed):
+    """``_sector_pairs`` keys each stored entry by row total * (max total
+    + 1) + column total and takes a 1-D unique: the same pairs in the same
+    order as the two-column ``np.unique(..., axis=0)`` of the totals."""
+    _, basis = gb
+    assume(basis.dimension > 0)
+    rng = np.random.default_rng(seed)
+    A = random_operator(basis, rng, conserving=conserving, hermitian=False, density=density)
+    coo = A.matrix.tocoo()
+    stacked = np.column_stack([basis.totals[coo.row], basis.totals[coo.col]])
+    assert _sector_pairs(A.matrix, basis) == [(int(m), int(n)) for m, n in np.unique(stacked, axis=0)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     gb=bases(),
