@@ -409,9 +409,13 @@ def check_experiments(cfg: ExperimentConfig, experiments) -> None:
             f"must satisfy p > 2d+2 = {2 * d + 2} for light-cone experiments (got {p})",
         )
         _require(bool(sweeps["shells"]), "sweeps.shells", "need a shell sweep")
+        _require(all(m >= 1 for m in sweeps["shells"]), "sweeps.shells", "each shell count must be >= 1")
+    if "moments" in experiments:
+        _require(p >= 1, "sweeps.moment_p", f"moment exponent must satisfy p >= 1 (got {p})")
     if "cutoff" in experiments:
         _require(p >= 2, "sweeps.moment_p", "cutoff certificate needs p >= 2")
         _require(bool(sweeps["cutoffs"]), "sweeps.cutoffs", "need a cutoff sweep")
+        _require(all(l >= 1 for l in sweeps["cutoffs"]), "sweeps.cutoffs", "each cutoff level must be >= 1")
         cap = basis.get("site_cap")
         _require(cap is not None, "basis.site_cap", "cutoff experiment needs a capped reference basis")
         _require(
@@ -430,6 +434,12 @@ def check_experiments(cfg: ExperimentConfig, experiments) -> None:
                 outside = [x for x in _observable_sites(spec) if not 0 <= x < vertices]
                 where = f"observables.pairs[{i}][{j}]"
                 _require(not outside, where, f"sites {outside} lie outside the graph's {vertices} vertices")
+        if "cutoff" in experiments and cfg.cutoff_region is not None:
+            region = cfg.cutoff_region
+            missing = sorted(set(_observable_sites(cfg.observable_pairs[0][0])) - set(region))
+            _require(not missing, "cutoff_region", f"must contain the support of the first observable, lacks {missing}")
+            outside = [x for x in region if not 0 <= x < vertices]
+            _require(not outside, "cutoff_region", f"sites {outside} lie outside the graph's {vertices} vertices")
         if "lr" in experiments:
             outside = [x for x in sweeps["commutator_sites"] if not 0 <= x < vertices]
             _require(
@@ -447,6 +457,7 @@ def check_experiments(cfg: ExperimentConfig, experiments) -> None:
         _require(basis.get("sector") == 1, "basis.sector", "free-evolution needs the one-particle sector")
         L, xmax = graph["length"], sweeps["displacement_max"]
         _require(0 <= L // 2 - xmax and L // 2 + xmax < L, "sweeps.displacement_max", "window exceeds the chain")
+        _require(all(m >= 1 for m in sweeps["condensate_m"]), "sweeps.condensate_m", "each particle count must be >= 1")
     if {"free-evolution", "moments", "cutoff", "lr", "local-approx", "kms", "derivative"} & set(experiments):
         _require(bool(sweeps["times"]), "sweeps.times", "need a time grid")
     hopping = cfg.model.hopping

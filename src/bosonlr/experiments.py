@@ -382,16 +382,20 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
         norms.append(np.linalg.norm(amps))
         return amps
 
+    def window_rows(basis, ctr):
+        """Basis index of one particle at ctr + x for x = -xmax..xmax, all
+        ranked by one lookup."""
+        return basis.lookup(np.eye(basis.n_sites, dtype=np.int64)[ctr - xmax : ctr + xmax + 1])
+
     cols = [
         "check", "t", "x", "m", "measured_re", "measured_im", "expected_re", "expected_im", "abs_error", "bound", "pass"
     ]
     records = []
+    rows = window_rows(scene.basis, center)
     for t in times:
         amps = one_particle_profile(scene.graph, scene.basis, scene.decomp, center, t)
-        for x in range(-xmax, xmax + 1):
-            occ = [0] * L
-            occ[center + x] = 1
-            measured = complex(amps[scene.basis.index_of(occ)])
+        for x, k in zip(range(-xmax, xmax + 1), rows):
+            measured = complex(amps[k])
             expected = free_particle_amplitude(x, J * t)
             err = abs(measured - expected)
             records.append(
@@ -420,15 +424,8 @@ def run_free_evolution_check(cfg: ExperimentConfig) -> ExperimentReport:
     t_max = max(times)
     small = one_particle_profile(scene.graph, scene.basis, scene.decomp, center, t_max)
     large = one_particle_profile(big, big_basis, big_decomp, big_center, t_max)
-    for x in range(-xmax, xmax + 1):
-        occ_s = [0] * L
-        occ_s[center + x] = 1
-        occ_b = [0] * big.n_vertices
-        occ_b[big_center + x] = 1
-        boundary_err = max(
-            boundary_err,
-            abs(small[scene.basis.index_of(occ_s)] - large[big_basis.index_of(occ_b)]),
-        )
+    for k_s, k_b in zip(rows, window_rows(big_basis, big_center)):
+        boundary_err = max(boundary_err, abs(small[k_s] - large[k_b]))
     if boundary_err > tol["boundary_agreement"]:
         raise BoundaryContaminationError(
             f"boundary reflections at {boundary_err:.2e} exceed "

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import bosonlr
+from bosonlr import experiments
 from bosonlr.cli import EXIT_CONFIG, EXIT_PASS, EXIT_RESOURCE, emit_plot_script, main
 from bosonlr.config import from_dict
 from bosonlr.experiments import RUNNERS, run_moment_propagation
@@ -271,6 +272,52 @@ def test_module_entry_point_exits_config_as_a_process(tmp_path):
     )
     assert proc.returncode == EXIT_CONFIG
     assert "unknown keys ['seed']" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "experiment, data, match",
+    [
+        pytest.param(
+            "moments", {"preset": "chain-6", "sweeps": {"moment_p": 0}}, "sweeps.moment_p: moment", id="moment_p-0"
+        ),
+        pytest.param(
+            "moments", {"preset": "chain-6", "sweeps": {"moment_p": 0.5}}, "p >= 1 (got 0.5)", id="moment_p-half"
+        ),
+        pytest.param(
+            "cutoff", {"preset": "chain-4", "sweeps": {"cutoffs": [0]}}, "sweeps.cutoffs: each", id="cutoffs-0"
+        ),
+        pytest.param("lr", {"preset": "chain-10", "sweeps": {"shells": [0]}}, "sweeps.shells: each", id="shells-0"),
+        pytest.param(
+            "free-evolution",
+            {"preset": "chain-81", "sweeps": {"condensate_m": [0]}},
+            "sweeps.condensate_m: each",
+            id="condensate_m-0",
+        ),
+        pytest.param(
+            "cutoff", {"preset": "chain-4", "cutoff_region": []}, "cutoff_region: must contain", id="cutoff_region-empty"
+        ),
+        pytest.param(
+            "cutoff", {"preset": "chain-4", "cutoff_region": [9]}, "lacks [1]", id="cutoff_region-off-support"
+        ),
+        pytest.param(
+            "cutoff", {"preset": "chain-4", "cutoff_region": [1, 9]}, "sites [9] lie outside", id="cutoff_region-off-graph"
+        ),
+    ],
+)
+def test_an_out_of_range_sweep_exits_before_any_scene(tmp_path, capsys, monkeypatch, experiment, data, match):
+    # each once passed validate-config and exited 2 from inside the run:
+    # a moment exponent below 1, a cutoff level, shell count or condensate
+    # particle count below 1, and a cutoff region without the first
+    # observable's site or off the graph
+    def no_scene(cfg):
+        raise AssertionError("a scene was built")
+
+    monkeypatch.setattr(experiments, "scene_of", no_scene)
+    cfg, out = write_cfg(tmp_path, data), tmp_path / "out"
+    assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count(match) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lam", [0, -1])

@@ -517,6 +517,30 @@ def test_heisenberg_operator():
     assert operator_norm(evolved) == pytest.approx(operator_norm(R), abs=1e-8)
 
 
+def test_heisenberg_blocks_holds_no_spare_block():
+    """Past its result, one time of ``heisenberg_blocks`` peaks (tracemalloc)
+    at 5 D^2 doubles on the 9-site, 5-particle chain (D = 1,287), a hop on
+    two sites: the real rotated block, the complex product of V_m and the
+    phased block, and the contiguous copy of its transpose that the
+    back-rotation's real GEMM reads.  The phased block is freed before that product, and the
+    hermitian block is symmetrized in place, so neither adds a complex
+    D x D array as it once did (7 D^2)."""
+    _, _, basis, H = chain_model(9, sector=5, U=1.0)
+    d = eigendecompose(H)
+    A = local_observable(basis, {"kind": "normalized_hop", "sites": [3, 4]})
+    D = basis.dimension
+    assert D == 1287
+    tracemalloc.start()
+    try:
+        (blocks,) = heisenberg_blocks(H, A, [0.5], d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (block,) = blocks.values()
+    assert block.shape == (D, D) and np.array_equal(block, block.conj().T)
+    assert peak - block.nbytes <= 5.1 * D * D * 8
+
+
 def quad_amplitude(x, t, n=20001):
     """Independent quadrature oracle for the free lattice propagator."""
     k = np.linspace(-math.pi, math.pi, n)
