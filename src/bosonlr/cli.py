@@ -3,7 +3,8 @@
 Thin shell over the experiment runners: parse a config (or pick the
 default preset for the subcommand), dispatch, persist reports, emit plot
 scripts.  Exit codes are the machine contract: 0 all green, 1 bound or
-residual violation, 2 config error, 3 resource or numerical failure.
+residual violation, 2 config error, raised before any scene is built, 3
+resource or numerical failure (a lattice too short for the signal too).
 """
 
 import argparse
@@ -180,10 +181,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BoundaryContaminationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ResourceLimitError, DivergingPartitionFunctionError, TruncationError) as exc:
+    except (ResourceLimitError, DivergingPartitionFunctionError, TruncationError, BoundaryContaminationError) as exc:
         print(f"resource/numerical failure: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except InvalidArgumentError as exc:

@@ -12,7 +12,8 @@ import numbers
 import os
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
+from .lattice import build_from_edges
 from .operators import _NAMED_FUNCTIONS, ModelParams
 
 SCHEMA_VERSION = 1
@@ -103,6 +104,20 @@ _TYPES = {
     "[str]": "experiments",
 }
 _WANTED = {"number": "a number", "int": "an integer", "str": "a string"}
+
+# the range of every value of _TYPES that has one, by key path: a list's
+# range holds for each item, and a null is not checked.  This is the one
+# place a single key's range is decided, for every config whatever it
+# lists; a rule that reads two keys, or one experiment's need, is
+# check_experiments'
+_RANGES = {
+    ">= 0": "model.hopping basis.sector initial_state.occupation sweeps.displacement_max deriv.range_R "
+    "deriv.trend_n_max",
+    ">= 1": "graph.length graph.dims graph.n_vertices graph.dimension basis.site_cap basis.n_max sweeps.moment_p "
+    "sweeps.cutoffs sweeps.shells sweeps.condensate_m sweeps.strip_points sweeps.lr_lambda",
+    "> 0": "thermal.beta thermal.tail_tol sweeps.epsilons",
+}
+_RANGE_OF = {path: rule for rule, paths in _RANGES.items() for path in paths.split()}
 
 # the integer fields ``operators.local_observable`` reads, per observable
 # kind; a number_function names one "site" or, in process, several "sites"
@@ -286,13 +301,13 @@ def resolve_dict(data: dict) -> dict:
     for section, (tag, allowed) in _TYPED_KEYS.items():
         _require(isinstance(out[section], dict), section, "must be a JSON object")
         kind = out[section].get(tag)
-        _require(kind in allowed, f"{section}.{tag}", f"must be one of {sorted(allowed)}")
+        _require(isinstance(kind, str) and kind in allowed, f"{section}.{tag}", f"must be one of {sorted(allowed)}")
         keys = allowed[kind] | {tag}
         unknown = set(data.get(section, {})) - keys
         _require(not unknown, section, f"unknown keys {sorted(unknown)} for {tag} {kind!r}")
         out[section] = {key: val for key, val in out[section].items() if key in keys}
-    if out["initial_state"]["kind"] == "occupation":
-        _require("occupation" in out["initial_state"], "initial_state.occupation", "required for this kind")
+        for key in sorted(allowed[kind] - {"dimension"}):  # an edges graph's dimension defaults to 1
+            _require(key in out[section], f"{section}.{key}", f"required for {tag} {kind!r}")
     return out
 
 
@@ -332,11 +347,18 @@ def _typed(kind: str, value, path: str):
     return value
 
 
+def _in_range(rule: str, value) -> bool:
+    op, bound = rule.split()
+    return value > float(bound) if op == ">" else value >= float(bound)
+
+
 def _require_types(raw: dict) -> dict:
     """A deep copy of ``raw`` with every value ``_TYPES`` names as its
     Python type.  Raise ConfigError naming the key path of the first value
-    whose type differs from ``_TYPES``, or of an integer too large for a
-    float where a number is wanted; absent keys are not checked."""
+    whose type differs from ``_TYPES``, of an integer too large for a
+    float where a number is wanted, or of a value outside its ``_RANGES``
+    range; absent keys are not checked.  This owns every single-key rule
+    of type and range; ``check_experiments`` owns the rest."""
     typed = copy.deepcopy(raw)
     for kind, paths in _TYPES.items():
         single = kind.strip("[]?")
@@ -351,6 +373,10 @@ def _require_types(raw: dict) -> dict:
                 holder[key] = [_typed(single, item, f"{path}[{i}]") for i, item in enumerate(value)]
             else:
                 holder[key] = _typed(single, value, path)
+            rule, items = _RANGE_OF.get(path), holder[key] if kind.startswith("[") else [holder[key]]
+            if rule and not all(_in_range(rule, v) for v in items):
+                each = "each " if kind.startswith("[") else ""
+                raise ConfigError(f"{path}: {each}must be {rule}, got {value!r}")
     return typed
 
 
@@ -397,75 +423,79 @@ def _observable_sites(spec: dict) -> list:
 
 def check_experiments(cfg: ExperimentConfig, experiments) -> None:
     """Raise ConfigError unless ``cfg`` holds what each of ``experiments``
-    reads.  ``from_dict`` runs this for the listed experiments, the command
-    line for the one a subcommand runs."""
+    reads.  This owns the rules that read two or more keys and what one
+    experiment needs; ``_require_types`` owns each single key's type and
+    range.  The graph, the basis and an occupation start, which every
+    scene builds, are checked whatever ``experiments`` names.  ``from_dict``
+    runs this for the listed experiments, the command line for the one a
+    subcommand runs."""
     sweeps, basis, graph = cfg.sweeps, cfg.basis, cfg.graph
+    vertices = math.prod(graph["dims"]) if graph["type"] == "grid" else graph.get("length") or graph["n_vertices"]
+    if graph["type"] == "edges":  # the lattice's own checks: vertices in range, no self-loop, connected
+        try:
+            build_from_edges(graph["n_vertices"], graph["edges"], graph.get("dimension", 1))
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"graph.edges: {exc}") from None
+    cap, n_max, sector = basis["site_cap"], basis["n_max"], basis["sector"]
+    most, key = (n_max, "basis.n_max") if sector is None else (sector, "basis.sector")
+    _require(cap is None or most <= cap * vertices, key, f"must be at most site_cap * vertices = {cap} * {vertices}")
+    occ = cfg.initial_state.get("occupation")
+    if occ is not None:
+        fits = len(occ) == vertices and (cap is None or max(occ) <= cap) and sum(occ) <= most
+        ok = fits and (sector is None or sum(occ) == sector)
+        _require(ok, "initial_state.occupation", f"must be a state of the basis (a count per vertex), got {occ}")
     d = len(graph["dims"]) if graph["type"] == "grid" else graph.get("dimension", 1)
     p = sweeps["moment_p"]
     if {"lr", "local-approx"} & set(experiments):
-        _require(
-            p > 2 * d + 2,
-            "sweeps.moment_p",
-            f"must satisfy p > 2d+2 = {2 * d + 2} for light-cone experiments (got {p})",
-        )
+        light_cone = f"must satisfy p > 2d+2 = {2 * d + 2} for light-cone experiments (got {p})"
+        _require(p > 2 * d + 2, "sweeps.moment_p", light_cone)
         _require(bool(sweeps["shells"]), "sweeps.shells", "need a shell sweep")
-        _require(all(m >= 1 for m in sweeps["shells"]), "sweeps.shells", "each shell count must be >= 1")
-    if "moments" in experiments:
-        _require(p >= 1, "sweeps.moment_p", f"moment exponent must satisfy p >= 1 (got {p})")
+    if {"moments", "cutoff", "lr"} & set(experiments):
+        _require(vertices >= 2, "graph", "the growth and light-cone bounds need an edge, so two or more vertices")
     if "cutoff" in experiments:
         _require(p >= 2, "sweeps.moment_p", "cutoff certificate needs p >= 2")
         _require(bool(sweeps["cutoffs"]), "sweeps.cutoffs", "need a cutoff sweep")
-        _require(all(l >= 1 for l in sweeps["cutoffs"]), "sweeps.cutoffs", "each cutoff level must be >= 1")
-        cap = basis.get("site_cap")
         _require(cap is not None, "basis.site_cap", "cutoff experiment needs a capped reference basis")
-        _require(
-            all(l < cap for l in sweeps["cutoffs"]),
-            "sweeps.cutoffs",
-            f"every swept cutoff must sit strictly below the reference cap {cap}",
-        )
+        below = f"every swept cutoff must sit strictly below the reference cap {cap}"
+        _require(all(l < cap for l in sweeps["cutoffs"]), "sweeps.cutoffs", below)
+    off_graph = f"lie outside the graph's {vertices} vertices"
     if {"cutoff", "lr", "local-approx", "kms", "derivative"} & set(experiments):
         _require(bool(cfg.observable_pairs), "observables.pairs", "need observable pairs")
-        if graph["type"] == "grid":
-            vertices = math.prod(graph["dims"])
-        else:
-            vertices = graph["length"] if graph["type"] == "chain" else graph["n_vertices"]
         for i, pair in enumerate(cfg.observable_pairs):
             for j, spec in enumerate(pair):
                 outside = [x for x in _observable_sites(spec) if not 0 <= x < vertices]
-                where = f"observables.pairs[{i}][{j}]"
-                _require(not outside, where, f"sites {outside} lie outside the graph's {vertices} vertices")
+                _require(not outside, f"observables.pairs[{i}][{j}]", f"sites {outside} {off_graph}")
         if "cutoff" in experiments and cfg.cutoff_region is not None:
             region = cfg.cutoff_region
             missing = sorted(set(_observable_sites(cfg.observable_pairs[0][0])) - set(region))
             _require(not missing, "cutoff_region", f"must contain the support of the first observable, lacks {missing}")
             outside = [x for x in region if not 0 <= x < vertices]
-            _require(not outside, "cutoff_region", f"sites {outside} lie outside the graph's {vertices} vertices")
+            _require(not outside, "cutoff_region", f"sites {outside} {off_graph}")
         if "lr" in experiments:
             outside = [x for x in sweeps["commutator_sites"] if not 0 <= x < vertices]
-            _require(
-                not outside, "sweeps.commutator_sites", f"sites {outside} lie outside the graph's {vertices} vertices"
-            )
+            _require(not outside, "sweeps.commutator_sites", f"sites {outside} {off_graph}")
     if "derivative" in experiments:
         _require(bool(cfg.volumes), "volumes", "derivative needs at least one volume")
     if {"kms", "derivative"} & set(experiments):
-        # both volume trends put observable pair 0 on a chain of each length
+        # both volume trends put observable pair 0 on a chain of each length,
+        # in the grand-canonical state on sectors 0..n_max
         top = max(site for spec in cfg.observable_pairs[0] for site in _observable_sites(spec))
         short = [L for L in cfg.volumes if L <= top]
         _require(not short, "volumes", f"each must exceed the largest site {top} of observable pair 0, got {short}")
+        _require(n_max is not None or not cfg.volumes, "basis.n_max", "the volume trends need a grand-canonical basis")
+        few = [L for L in cfg.volumes if cap is not None and L * cap < n_max]
+        _require(not few, "volumes", f"each must hold n_max = {n_max} particles under site_cap {cap}, got {few}")
     if "free-evolution" in experiments:
         _require(graph["type"] == "chain", "graph.type", "free-evolution runs on a chain")
-        _require(basis.get("sector") == 1, "basis.sector", "free-evolution needs the one-particle sector")
-        L, xmax = graph["length"], sweeps["displacement_max"]
-        _require(0 <= L // 2 - xmax and L // 2 + xmax < L, "sweeps.displacement_max", "window exceeds the chain")
-        _require(all(m >= 1 for m in sweeps["condensate_m"]), "sweeps.condensate_m", "each particle count must be >= 1")
-    if {"free-evolution", "moments", "cutoff", "lr", "local-approx", "kms", "derivative"} & set(experiments):
+        _require(sector == 1, "basis.sector", "free-evolution needs the one-particle sector")
+        window = vertices // 2 + sweeps["displacement_max"]
+        _require(window < vertices, "sweeps.displacement_max", "window exceeds the chain")
+    if experiments:  # each of them reads the time grid
         _require(bool(sweeps["times"]), "sweeps.times", "need a time grid")
     hopping = cfg.model.hopping
     if {"moments", "cutoff", "lr", "local-approx"} & set(experiments) and hopping > 1.0 + 1e-12:
-        raise ConfigError(
-            "model.hopping: analytic certificates are normalized to hopping <= 1 "
-            f"(time in inverse hopping units); got {hopping}"
-        )
+        unit = "(time in inverse hopping units)"
+        raise ConfigError(f"model.hopping: analytic certificates are normalized to hopping <= 1 {unit}; got {hopping}")
 
 
 def from_dict(data: dict) -> ExperimentConfig:
@@ -473,8 +503,8 @@ def from_dict(data: dict) -> ExperimentConfig:
     holds typed values (see ``_TYPES``); ``raw``, which reports echo, holds
     the resolved config as written."""
     raw = resolve_dict(data)
-    typed = _require_types(raw)
     _require_finite(raw, "")
+    typed = _require_types(raw)
     _require(typed["schema_version"] == SCHEMA_VERSION, "schema_version", f"expected {SCHEMA_VERSION}")
 
     experiments = tuple(typed["experiments"])
@@ -482,51 +512,26 @@ def from_dict(data: dict) -> ExperimentConfig:
         _require(e in EXPERIMENT_NAMES, "experiments", f"unknown experiment {e!r}")
 
     graph = typed["graph"]
-    if graph["type"] == "chain":
-        _require(graph.get("length", 0) >= 1, "graph.length", "must be >= 1")
-    elif graph["type"] == "grid":
-        dims = graph.get("dims", [])
-        _require(bool(dims) and all(d >= 1 for d in dims), "graph.dims", "need positive dims")
-    else:
-        _require(graph.get("n_vertices", 0) >= 1, "graph.n_vertices", "must be >= 1")
-        _require(isinstance(graph.get("edges"), list), "graph.edges", "need an edge list")
+    if graph["type"] == "grid":
+        _require(bool(graph["dims"]), "graph.dims", "need at least one dimension")
+    elif graph["type"] == "edges":
+        _require(isinstance(graph["edges"], list), "graph.edges", "need an edge list")
         for i, edge in enumerate(graph["edges"]):
             _require(_ints(edge, 2), f"graph.edges[{i}]", f"must be a pair of integers, got {edge!r}")
         graph["edges"] = [[int(x), int(y)] for x, y in graph["edges"]]
 
     m = typed["model"]
     model = ModelParams(hopping=m["hopping"], onsite=m["onsite"], offsite=tuple(m["offsite"]))
-    _require(model.hopping >= 0.0, "model.hopping", "bound evaluators assume a nonnegative hopping normalization")
 
     basis = typed["basis"]
-    has_sector = basis.get("sector") is not None
-    has_nmax = basis.get("n_max") is not None
-    _require(
-        has_sector != has_nmax,
-        "basis",
-        "exactly one of sector (canonical) or n_max (grand canonical) must be set",
-    )
-    if basis.get("site_cap") is not None:
-        _require(basis["site_cap"] >= 0, "basis.site_cap", "must be nonnegative")
-
-    thermal = typed["thermal"]
-    _require(thermal["beta"] > 0, "thermal.beta", "must be positive")
-    _require(thermal["tail_tol"] > 0, "thermal.tail_tol", "must be positive")
+    one_mode = (basis["sector"] is None) != (basis["n_max"] is None)
+    _require(one_mode, "basis", "exactly one of sector (canonical) or n_max (grand canonical) must be set")
 
     sweeps = typed["sweeps"]
     for key in ("times", "cutoffs", "shells"):
         vals = sweeps[key]
         _require(vals == sorted(vals), f"sweeps.{key}", "sweep must be ascending")
-    _require(sweeps["strip_points"] >= 1, "sweeps.strip_points", "must be >= 1")
-    # a negative window leaves free-evolution with no propagator rows to check
-    _require(sweeps["displacement_max"] >= 0, "sweeps.displacement_max", "must be >= 0")
     _require(bool(sweeps["epsilons"]), "sweeps.epsilons", "need at least one accuracy")
-    if sweeps.get("lr_lambda") is not None:  # the light-cone bound takes a cutoff level >= 1
-        _require(sweeps["lr_lambda"] >= 1, "sweeps.lr_lambda", "must be >= 1")
-
-    deriv = typed["deriv"]
-    _require(deriv["range_R"] >= 0, "deriv.range_R", "must be >= 0")
-    _require(all(n >= 0 for n in deriv["trend_n_max"]), "deriv.trend_n_max", "each must be >= 0")
 
     pairs = typed["observables"]["pairs"]
     _require(isinstance(pairs, list), "observables.pairs", "must be a list of pairs")
@@ -542,12 +547,12 @@ def from_dict(data: dict) -> ExperimentConfig:
         graph=graph,
         model=model,
         basis=basis,
-        thermal=thermal,
+        thermal=typed["thermal"],
         observable_pairs=tuple(tuple(pair) for pair in pairs),
         initial_state=typed["initial_state"],
         sweeps=sweeps,
         volumes=tuple(typed["volumes"]),
-        deriv=deriv,
+        deriv=typed["deriv"],
         cutoff_region=None if cutoff_region is None else tuple(cutoff_region),
         raw=raw,
     )

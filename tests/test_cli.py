@@ -274,14 +274,23 @@ def test_module_entry_point_exits_config_as_a_process(tmp_path):
     assert "unknown keys ['seed']" in proc.stderr
 
 
+def _start(occupation):
+    return {"preset": "chain-6", "initial_state": {"kind": "occupation", "occupation": occupation}}
+
+
+def _edges(n_vertices, edges, dimension=1):
+    graph = {"type": "edges", "n_vertices": n_vertices, "edges": edges, "dimension": dimension}
+    return {"preset": "two-site", "graph": graph}
+
+
 @pytest.mark.parametrize(
     "experiment, data, match",
     [
         pytest.param(
-            "moments", {"preset": "chain-6", "sweeps": {"moment_p": 0}}, "sweeps.moment_p: moment", id="moment_p-0"
+            "moments", {"preset": "chain-6", "sweeps": {"moment_p": 0}}, "moment_p: must be >= 1", id="moment_p-0"
         ),
         pytest.param(
-            "moments", {"preset": "chain-6", "sweeps": {"moment_p": 0.5}}, "p >= 1 (got 0.5)", id="moment_p-half"
+            "moments", {"preset": "chain-6", "sweeps": {"moment_p": 0.5}}, ">= 1, got 0.5", id="moment_p-half"
         ),
         pytest.param(
             "cutoff", {"preset": "chain-4", "sweeps": {"cutoffs": [0]}}, "sweeps.cutoffs: each", id="cutoffs-0"
@@ -302,13 +311,100 @@ def test_module_entry_point_exits_config_as_a_process(tmp_path):
         pytest.param(
             "cutoff", {"preset": "chain-4", "cutoff_region": [1, 9]}, "sites [9] lie outside", id="cutoff_region-off-graph"
         ),
+        pytest.param("kms", {"preset": "two-site", "basis": {"n_max": 0}}, "basis.n_max: must be >= 1", id="n_max-0"),
+        pytest.param(
+            "derivative",
+            {"preset": "chain-4-derivative", "basis": {"n_max": 0}},
+            "basis.n_max: must be >= 1",
+            id="n_max-0-derivative",
+        ),
+        pytest.param(
+            "kms",
+            {"preset": "two-site", "basis": {"n_max": -1}},
+            "basis.n_max: must be >= 1",
+            id="n_max-neg",
+        ),
+        pytest.param(
+            "moments",
+            {"preset": "chain-6", "basis": {"sector": -1}},
+            "basis.sector: must be >= 0",
+            id="sector-neg",
+        ),
+        pytest.param(
+            "lr",
+            {"preset": "chain-10", "basis": {"site_cap": 0}},
+            "basis.site_cap: must be >= 1",
+            id="site_cap-0",
+        ),
+        pytest.param(
+            "kms",
+            {"preset": "two-site", "basis": {"site_cap": 2}},
+            "basis.n_max: must be at most site_cap * vertices = 2 * 2",
+            id="n_max-past-the-cap",
+        ),
+        pytest.param("moments", _start([1, 1, 1]), "initial_state.occupation: must be a state", id="occupation-short"),
+        pytest.param(
+            "moments",
+            _start([1, 1, 1, 0, 0, -1]),
+            "initial_state.occupation: each must be >= 0",
+            id="occupation-neg",
+        ),
+        pytest.param(
+            "moments",
+            _start([3, 0, 0, 0, 0, 1]),
+            "initial_state.occupation: must be a state",
+            id="occupation-sector",
+        ),
+        pytest.param(
+            "kms",
+            _edges(2, [[0, 5]]),
+            "graph.edges: edge [0, 5] references a vertex outside",
+            id="edges-off-graph",
+        ),
+        pytest.param("kms", _edges(2, [[0, 0], [0, 1]]), "graph.edges: self-loop at vertex 0", id="edges-self-loop"),
+        pytest.param("kms", _edges(2, [[0, 1]], dimension=0), "graph.dimension: must be >= 1", id="edges-dimension-0"),
+        pytest.param("kms", _edges(3, [[0, 1]]), "graph.edges: graph is disconnected", id="edges-disconnected"),
+        pytest.param(
+            "local-approx",
+            {"preset": "chain-10", "sweeps": {"epsilons": [-1.0]}},
+            "sweeps.epsilons: each must be > 0",
+            id="epsilons-neg",
+        ),
+        pytest.param(
+            "moments",
+            {"preset": "chain-6", "graph": {"type": "chain", "length": 1}, "basis": {"sector": 1}},
+            "graph: the growth and light-cone bounds need an edge",
+            id="one-vertex",
+        ),
+        pytest.param(
+            "derivative",
+            {"preset": "chain-4-derivative", "basis": {"site_cap": 1, "n_max": 4}, "volumes": [3]},
+            "volumes: each must hold n_max = 4 particles under site_cap 1, got [3]",
+            id="volume-past-the-cap",
+        ),
+        pytest.param(
+            "kms",
+            {"preset": "two-site", "basis": {"sector": 2, "n_max": None}},
+            "basis.n_max: the volume trends need a grand-canonical basis",
+            id="volume-trend-canonical",
+        ),
+        pytest.param(
+            "moments",
+            {"preset": "chain-6", "graph": {"type": ["chain"]}},
+            "graph.type: must be one of",
+            id="type-list",
+        ),
     ],
 )
 def test_an_out_of_range_sweep_exits_before_any_scene(tmp_path, capsys, monkeypatch, experiment, data, match):
-    # each once passed validate-config and exited 2 from inside the run:
-    # a moment exponent below 1, a cutoff level, shell count or condensate
-    # particle count below 1, and a cutoff region without the first
-    # observable's site or off the graph
+    # each once passed validate-config and exited 2 from inside the run (or
+    # crashed, for a list as the graph type): a moment exponent below 1, a
+    # cutoff level, shell count or condensate particle count below 1, a
+    # cutoff region without the first observable's site or off the graph,
+    # an n_max below 1 or past what the cap lets the graph hold, a negative
+    # sector, a site cap below 1, a start outside the basis, an edges graph
+    # the lattice refuses, a negative accuracy, a graph without an edge,
+    # and a volume trend the basis cannot fill
     def no_scene(cfg):
         raise AssertionError("a scene was built")
 
@@ -318,6 +414,15 @@ def test_an_out_of_range_sweep_exits_before_any_scene(tmp_path, capsys, monkeypa
     assert main([experiment, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.count(match) == 2
     assert not out.exists()
+
+
+def test_a_lattice_too_short_for_the_signal_exits_3(tmp_path, capsys):
+    # boundary reflections are found in the run, after validate-config
+    # accepted the config: a numerical failure, not a config error
+    cfg = write_cfg(tmp_path, {"preset": "chain-81", "sweeps": {"times": [81.0]}})
+    assert main(["validate-config", "--config", cfg]) == EXIT_PASS
+    assert main(["free-evolution", "--config", cfg, "--out", str(tmp_path)]) == EXIT_RESOURCE
+    assert "resource/numerical failure: boundary reflections" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lam", [0, -1])

@@ -3,7 +3,9 @@ import json
 import math
 import threading
 
+import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -90,6 +92,15 @@ def test_moment_propagation_occupation_initial_state():
     assert moved[0]["measured"] > 1.0  # particles spread onto the neighbor
 
 
+def test_a_moment_bound_past_any_double_is_infinite():
+    # at p = 6 on chain-6 the rate is eta = 396, so e^{eta t} overflows a
+    # double from t = 1.8 on: those bounds are inf, not an OverflowError
+    rep = run_moment_propagation(small("chain-6", sweeps={"moment_p": 6}))
+    assert rep.passed
+    bounds = {r["t"]: r["bound"] for r in rep.records}
+    assert math.isfinite(bounds[1.7]) and math.isinf(bounds[2.0])
+
+
 def test_cutoff_scaling_small():
     cfg = small("chain-4", basis={"site_cap": 4, "n_max": 8}, sweeps={"cutoffs": [1, 2, 3]})
     rep = run_cutoff_scaling(cfg)
@@ -99,6 +110,36 @@ def test_cutoff_scaling_small():
     swept = [r for r in rep.records if not r["at_cap"]]
     assert all(r["measured"] <= r["bound"] for r in swept)
     assert any(r["measured"] > 0 for r in swept)
+
+
+def test_cutoff_measured_column_matches_a_dense_recomputation():
+    # every row of the shipped preset (chain-4: cutoffs 1-4, the cap 5,
+    # t = 0.5), rebuilt from the scene's basis, H and observable pair 0
+    # with numpy and scipy.linalg alone: the Gibbs state
+    # e^{-beta(H - mu N)}/Z, the projection P onto occupations <= lambda on
+    # every site (cutoff_region is null), and |gamma(e^{iGt} A e^{-iGt} B)
+    # - gamma(e^{iHt} A e^{-iHt} B)| with G = PHP
+    cfg = from_preset("chain-4")
+    report = run_cutoff_scaling(cfg)
+    scene = experiments.scene_of(cfg)
+    occupations = scene.basis.occupations
+    H = scene.H.to_dense()
+    A, B = (op.to_dense() for op in scene.pair(cfg))
+    beta, mu = cfg.thermal["beta"], cfg.thermal["mu"]
+    rho = scipy.linalg.expm(-beta * (H - mu * np.diag(occupations.sum(axis=1).astype(float))))
+    rho /= np.trace(rho)
+
+    def two_point(G, t):
+        U = scipy.linalg.expm(-1j * t * G)
+        return np.trace(rho @ U.conj().T @ A @ U @ B)
+
+    full = {t: two_point(H, t) for t in cfg.sweeps["times"]}
+    assert len(report.records) == 5 * len(full)
+    for row in report.records:
+        P = np.diag((occupations <= row["lambda"]).all(axis=1).astype(float))
+        dense = abs(two_point(P @ H @ P, row["t"]) - full[row["t"]])
+        assert abs(row["measured"] - dense) <= 1e-12 + 1e-8 * dense, row
+    assert max(r["measured"] for r in report.records) > 1e-6  # a halved measured column fails above
 
 
 def test_lr_and_local_approx_small():
