@@ -8,6 +8,7 @@ resource or numerical failure (a lattice too short for the signal too).
 """
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -105,7 +106,10 @@ def emit_plot_script(report: ExperimentReport, path) -> str | None:
     return str(path)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it
+    and changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="bosonlr",
         description="Verification experiments for finite-lattice boson dynamics",
@@ -132,8 +136,10 @@ def _resolve_config(args, experiment: str):
         cfg = from_preset(args.preset)
     else:
         cfg = config_for_experiment(experiment)
-    # a subcommand runs its experiment whether or not the config lists it
-    check_experiments(cfg, [experiment])
+    # a subcommand runs its experiment whether or not the config lists it;
+    # a listed one was checked when the config was made
+    if experiment not in cfg.experiments:
+        check_experiments(cfg, [experiment])
     return cfg
 
 

@@ -16,9 +16,12 @@ O(n^3) once per sector pair and O(n^2) per time; a pure state propagates
 its one column per time, and the sparse route propagates weighted columns
 over the grid.
 ``heisenberg_blocks`` evolves an observable over a time grid as its
-nonzero sector blocks: one rotation into the eigenbasis per sector pair,
-then phases and a back-rotation per time.  Natural units throughout: hbar = 1,
-time in inverse units of the hopping energy.
+nonzero sector blocks in the site basis: one rotation into the eigenbasis
+per sector pair, then phases and a back-rotation per time.
+``_shell_distances``, the light-cone check's kernel, never rotates back:
+it takes the norm of the difference of two evolutions in one generator's
+eigenbasis.  Natural units throughout: hbar = 1, time in inverse units of
+the hopping energy.
 """
 
 import functools
@@ -32,7 +35,7 @@ from scipy.linalg import blas
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .fock import FockBasis
-from .operators import SparseOperator, _component_stacks, _components, _exactly_hermitian
+from .operators import SparseOperator, _component_stacks, _components, _exactly_hermitian, operator_norm
 
 DENSE_CAP = 4096
 # smallest sector block diagonalized as two mirror halves: below it the
@@ -170,6 +173,13 @@ class SpectralDecomposition:
         cols = rows if cols is None else cols
         Vm, Vn = self._window(rows, rows), self._window(cols, cols)
         return _real_matmul(Vm.conj().T, _real_matmul(matrix[rows, cols], Vn))
+
+    def overlap(self, other: "SpectralDecomposition", rows: slice) -> np.ndarray:
+        """U_n^* V_n for the sector slice ``rows``, with U this
+        decomposition's eigenvectors and V those of ``other`` on the same
+        basis: ``other``'s eigenvectors in this eigenbasis."""
+        U, V = self._window(rows, rows), other._window(rows, rows)
+        return _real_matmul(U.conj().T, V)
 
     def strip_block(self, A, B, rows: slice, lower: bool) -> np.ndarray:
         """C = A~ o B~^T, with X~ = V_n^* X V_n for the sector slice
@@ -824,7 +834,9 @@ def heisenberg_blocks(
     decomposition: SpectralDecomposition | None = None,
 ) -> list[dict[tuple[int, int], np.ndarray]]:
     """The nonzero sector blocks of e^{iHt} A e^{-iHt} for every t in
-    ``times``: one dict {(m, n): block} per time.
+    ``times``, in the site basis: one dict {(m, n): block} per time.  No
+    runner reads it: ``lr`` measures its distances in an eigenbasis
+    (``_shell_distances``), and the tests hold those against this form.
 
     The eigenvectors are block-diagonal by sector, so only the sector pairs
     (m, n) where ``A`` has entries give a nonzero block,
@@ -865,6 +877,64 @@ def heisenberg_blocks(
                 X *= 0.5
             blocks[m, n] = X
         out.append(blocks)
+    return out
+
+
+def _shell_distances(
+    A: SparseOperator,
+    times,
+    inner: SpectralDecomposition,
+    full: SpectralDecomposition,
+    rotated: dict | None = None,
+) -> np.ndarray:
+    """||e^{iG_in t} A e^{-iG_in t} - e^{iGt} A e^{-iGt}|| for every t in
+    ``times``, with ``inner`` and ``full`` the decompositions (V, E_in)
+    and (U, E) of G_in and G on one basis, for a number-conserving ``A``:
+    the largest norm over the sector blocks where ``A`` has entries.
+
+    The norm is unitarily invariant, so each block is taken in U's basis,
+    where e^{iGt} is only the phases P = e^{iEt}: with W = U_n^* V_n and
+    A~ = U_n^* A_nn U_n, A~_in = V_n^* A_nn V_n, the block's distance is
+    ||W (P_in A~_in P_in^*) W^* - P A~ P^*|| = ||P^* W (P_in A~_in P_in^*)
+    W^* P - A~||, the second form made in place.  Nothing is rotated back,
+    and the sweep runs sector by sector, times inside: W and both A~ are
+    formed once per sector, and past them no block outlives its (sector,
+    time) step.  Each difference is made exactly hermitian in place when
+    ``A`` equals its conjugate transpose entry for entry, so
+    ``operator_norm`` takes its ``eigh`` route.  ``rotated`` holds A~ per
+    sector, filled on first use: a dict the caller keeps shares them
+    across calls on one ``full``.  When ``inner is full`` every distance
+    is exactly 0.0.
+    """
+    out = np.zeros(len(times))
+    if inner is full:
+        return out
+    hermitian = _exactly_hermitian(A.matrix)
+    slices = dict(full.sector_slices())
+    rotated = {} if rotated is None else rotated
+    for n, _ in _sector_pairs(A.matrix, full.basis):
+        sl = slices[n]
+        if n not in rotated:
+            rotated[n] = full.rotate(A.matrix, sl)
+        tilde, tilde_in = rotated[n], inner.rotate(A.matrix, sl)
+        W = full.overlap(inner, sl)
+        for i, t in enumerate(times):
+            phases_in, phases = np.exp(1j * inner.energies[sl] * t), np.exp(1j * full.energies[sl] * t)
+            Y = phases_in[:, None] * tilde_in
+            Y *= phases_in.conj()
+            WY = _real_matmul(W, Y)
+            del Y
+            X = _real_matmul(WY, W.conj().T)
+            del WY
+            X *= phases.conj()[:, None]
+            X *= phases
+            X -= tilde
+            if hermitian:  # in place: x 0.5 is exact, so the bits of 0.5 (X + X^*)
+                X.real += X.real.T
+                X.imag -= X.imag.T
+                X *= 0.5
+            out[i] = max(out[i], operator_norm(X))
+            del X
     return out
 
 

@@ -389,7 +389,8 @@ def operator_norm(op, seed=None) -> float:
     """Largest singular value of an operator, exact.
 
     A dense array equal to its conjugate transpose entry for entry (the
-    sector blocks of ``dynamics.heisenberg_blocks`` and their differences)
+    sector blocks of ``dynamics.heisenberg_blocks`` and the light-cone
+    check's differences)
     takes one eigenvalue-only ``eigh``, its norm max |lambda|; any other
     dense array takes one SVD; one with no nonzero entry (an exact
     difference of equal operators) is 0.0 with neither.  A sparse matrix, bare

@@ -522,6 +522,36 @@ def test_subcommand_checks_the_experiment_it_runs(tmp_path, capsys, data, match)
     assert f"config error: {match}" in capsys.readouterr().err
 
 
+def test_subcommand_checks_a_listed_experiment_once(tmp_path, monkeypatch):
+    # the config lists moments, so making it checks what moments reads and
+    # the subcommand checks nothing more: the edges graph is built once by
+    # that check and once for the scene
+    from bosonlr import config
+
+    calls, build = [], config.build_from_edges
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(config, "build_from_edges", counted)
+    monkeypatch.setattr(experiments, "build_from_edges", counted)
+    graph = {"type": "edges", "n_vertices": 6, "edges": [[i, i + 1] for i in range(5)]}
+    cfg = write_cfg(tmp_path, {"preset": "chain-6", "graph": graph, "sweeps": {"times": [0.0, 0.5]}})
+    assert main(["moments", "--config", cfg, "--out", str(tmp_path)]) == EXIT_PASS
+    assert len(calls) == 2
+
+
+def test_main_builds_its_parser_once(tmp_path):
+    from bosonlr.cli import _build_parser
+
+    _build_parser.cache_clear()
+    cfg = write_cfg(tmp_path, {"preset": "chain-6"})
+    assert main(["validate-config", "--config", cfg]) == EXIT_PASS
+    assert main(["validate-config", "--config", cfg]) == EXIT_PASS
+    assert _build_parser.cache_info().misses == 1
+
+
 def test_workers_is_neither_a_config_key_nor_an_option(tmp_path, capsys):
     # every sweep runs on the calling thread, so nothing reads a worker count
     cfg = write_cfg(tmp_path, {"preset": "chain-4", "workers": 2})

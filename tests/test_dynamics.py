@@ -44,6 +44,7 @@ from bosonlr.dynamics import (
     _krylov_evolve,
     _mirror_layout,
     _real_matmul,
+    _shell_distances,
     inverse_moment_upper_bound,
 )
 from bosonlr.experiments import scene_of
@@ -539,6 +540,44 @@ def test_heisenberg_blocks_holds_no_spare_block():
     (block,) = blocks.values()
     assert block.shape == (D, D) and np.array_equal(block, block.conj().T)
     assert peak - block.nbytes <= 5.1 * D * D * 8
+
+
+@pytest.mark.parametrize("complex_inner", [False, True])
+def test_shell_distances_against_dense_conjugation(complex_inner):
+    """``_shell_distances`` is the largest singular value of
+    e^{iG_in t} A e^{-iG_in t} - e^{iGt} A e^{-iGt}, here by dense ``expm``
+    on three sectors of a 4-site chain: for a real G_in (real overlaps W)
+    and for one with a complex number-conserving hop (complex W), with a
+    hermitian A, and for a non-hermitian A (its SVD route).  With
+    ``inner is full`` every distance is exactly 0.0, and a dict passed as
+    ``rotated`` keeps A~ per sector without changing a bit."""
+    from scipy.linalg import expm
+
+    g, reg, basis, H = chain_model(4, n_max=3, cap=2)
+    inner_H = assemble_hamiltonian(g, region(g, [0, 1, 2]), basis, ModelParams(hopping=1.0, onsite=0.3))
+    G_in = inner_H.matrix
+    if complex_inner:
+        M = hop_term(basis, 1, 2).matrix
+        K = sp.triu(M + M.T, k=1)
+        G_in = G_in + 0.4j * (K - K.T)
+    G_in = SparseOperator(sp.csr_matrix(G_in), basis, True)
+    assert np.iscomplexobj(G_in.matrix) == complex_inner
+    inner, full = eigendecompose(G_in), eigendecompose(H)
+    times = [0.0, 0.4, 1.3]
+    number = number_operator(basis, 1)
+    hop = hop_term(basis, 0, 1)
+    skew = SparseOperator(sp.csr_matrix(number.matrix @ hop.matrix), basis, False)
+    for A in (local_observable(basis, {"kind": "normalized_hop", "sites": [0, 1]}), skew):
+        got = _shell_distances(A, times, inner, full)
+        for t, value in zip(times, got):
+            heis_in = expm(1j * t * G_in.to_dense()) @ A.to_dense() @ expm(-1j * t * G_in.to_dense())
+            heis = expm(1j * t * H.to_dense()) @ A.to_dense() @ expm(-1j * t * H.to_dense())
+            assert value == pytest.approx(np.linalg.norm(heis_in - heis, 2), abs=1e-12)
+        assert got[0] < 1e-13 < got[-1]
+        rotated = {}
+        assert np.array_equal(_shell_distances(A, times, inner, full, rotated), got)
+        assert rotated and np.array_equal(_shell_distances(A, times, inner, full, rotated), got)
+        assert not _shell_distances(A, times, full, full).any()
 
 
 def quad_amplitude(x, t, n=20001):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,32 +365,44 @@ def per_time_shell_norms(cfg):
 
 
 @pytest.fixture
-def sweep_rotations(monkeypatch):
-    """Every ``SpectralDecomposition.rotate`` call made inside
-    ``heisenberg_blocks`` as called by the experiments, as (decomposition,
-    rows, cols); the decompositions are kept alive so their ids stay
+def shell_sweep(monkeypatch):
+    """What ``lr``'s shell sweep does: ``calls`` lists each
+    ``_shell_distances`` call as (A, times, inner, full), and ``made``
+    every rotation of A (``SpectralDecomposition.rotate``) and every
+    overlap W (``SpectralDecomposition.overlap``) made inside one, as
+    (kind, decomposition, other decomposition or None, first row of the
+    sector).  The decompositions are kept alive, so their ids stay
     distinct."""
+    from types import SimpleNamespace
+
     from bosonlr import experiments
     from bosonlr.dynamics import SpectralDecomposition
 
-    calls, inside = [], []
-    rotate, blocks = SpectralDecomposition.rotate, experiments.heisenberg_blocks
+    calls, made, inside = [], [], []
+    rotate, overlap, kernel = SpectralDecomposition.rotate, SpectralDecomposition.overlap, experiments._shell_distances
 
     def counting_rotate(self, matrix, rows=slice(None), cols=None):
         if inside:
-            calls.append((self, rows.start, (rows if cols is None else cols).start))
+            made.append(("rotate", self, None, rows.start))
         return rotate(self, matrix, rows, cols)
 
-    def flagged_blocks(*args, **kwargs):
+    def counting_overlap(self, other, rows):
+        if inside:
+            made.append(("overlap", self, other, rows.start))
+        return overlap(self, other, rows)
+
+    def flagged_kernel(A, times, inner, full, rotated=None):
+        calls.append((A, times, inner, full))
         inside.append(True)
         try:
-            return blocks(*args, **kwargs)
+            return kernel(A, times, inner, full, rotated)
         finally:
             inside.pop()
 
     monkeypatch.setattr(SpectralDecomposition, "rotate", counting_rotate)
-    monkeypatch.setattr(experiments, "heisenberg_blocks", flagged_blocks)
-    return calls
+    monkeypatch.setattr(SpectralDecomposition, "overlap", counting_overlap)
+    monkeypatch.setattr(experiments, "_shell_distances", flagged_kernel)
+    return SimpleNamespace(calls=calls, made=made)
 
 
 @pytest.fixture
@@ -407,36 +420,83 @@ def scenes(monkeypatch):
     return built
 
 
-def test_lr_sweep_below_the_cap_matches_the_per_time_loop(sweep_rotations, scenes):
-    """With the cutoff below the site cap every shell has its own full
-    generator, so no shell reads the scene's blocks, and A is never evolved
-    under the scene's H.  Each row still equals the per-time loop bit for
-    bit at both times, the covering shell reads exactly 0.0, and each
-    (decomposition, sector pair) is rotated once."""
-    cfg = small("chain-10", sweeps={"lr_lambda": 1, "times": [0.25, 0.5]})
-    rows = [r for r in RUNNERS["lr"](cfg).records if r["check"] == "shells"]
-    (scene,) = scenes
-    assert sweep_rotations and not any(d is scene.decomp for d, _, _ in sweep_rotations)
+# ``lr``'s shell norms against ``per_time_shell_norms``: the sweep forms
+# each difference in the full generator's eigenbasis and the reference in
+# the site basis, so the two agree to rounding, not bit for bit.  The
+# largest gap on chain-10 is about 1.0e-15 (norms up to 0.021)
+SHELL_GAP = 5e-15
+
+
+def check_shell_rows(cfg, rows, calls):
+    """Each shell row equals one (shell, time) call of ``_shell_distances``
+    run alone on that shell's decompositions, bit for bit, and the
+    per-time loop within SHELL_GAP; covering rows, and only they, read
+    exactly 0.0."""
+    from bosonlr.dynamics import _shell_distances
+
     oracle = per_time_shell_norms(cfg)
     assert sorted((r["m"], r["t"]) for r in rows) == sorted(oracle)
+    shells = dict(zip(cfg.sweeps["shells"], calls))
     for r in rows:
-        assert r["measured"] == oracle[r["m"], r["t"]]
-        assert (r["measured"] == 0.0) == r["covering"]
-    assert sum(r["covering"] for r in rows) == 2
-    keys = [(id(d), m, n) for d, m, n in sweep_rotations]
+        A, _, inner, full = shells[r["m"]]
+        (alone,) = _shell_distances(A, [r["t"]], inner, full)
+        assert r["measured"] == alone, r
+        assert abs(r["measured"] - oracle[r["m"], r["t"]]) <= SHELL_GAP, r
+        assert (r["measured"] == 0.0) == r["covering"], r
+
+
+def test_lr_sweep_below_the_cap_matches_the_per_time_loop(shell_sweep, scenes):
+    """With the cutoff below the site cap every shell has its own full
+    generator, so no shell reads the scene's decomposition, and A is never
+    rotated into it.  At each of 8 times every row is its own kernel call
+    run alone and agrees with the site-basis loop (``check_shell_rows``),
+    the covering shell reads exactly 0.0, and A is rotated once per
+    (decomposition, sector)."""
+    times = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5]
+    cfg = small("chain-10", sweeps={"lr_lambda": 1, "times": times})
+    rows = [r for r in RUNNERS["lr"](cfg).records if r["check"] == "shells"]
+    (scene,) = scenes
+    assert shell_sweep.made and not any(scene.decomp is x for _, d, e, _ in shell_sweep.made for x in (d, e))
+    check_shell_rows(cfg, rows, shell_sweep.calls)
+    assert len(rows) == 32 and sum(r["covering"] for r in rows) == 8
+    keys = [(kind, id(d), id(e), n) for kind, d, e, n in shell_sweep.made]
     assert len(keys) == len(set(keys))
 
 
-def test_lr_sweep_rotates_each_observable_once_per_generator(sweep_rotations):
-    """On the shipped preset (cutoff at the cap) the scene's blocks serve
-    every full generator: four generators (the scene's H and three inner
-    shells) times four sectors make 16 rotations, where one dense operator
-    per shell, side and time made 64."""
-    cfg = small("chain-10")
-    assert RUNNERS["lr"](cfg).passed
-    keys = [(id(d), m, n) for d, m, n in sweep_rotations]
-    assert len(keys) == len(set(keys)) == 16
-    assert len({id(d) for d, _, _ in sweep_rotations}) == 4
+def test_lr_sweep_rotates_each_observable_once_per_generator(shell_sweep):
+    """On the shipped preset (cutoff at the cap) every shell's full
+    generator is the scene's H, whose A~ is rotated once and shared: the
+    scene's H and three inner shells, times four sectors, make 16
+    rotations of A.  The three shells short of the lattice form W once per
+    sector, 12 in all; the covering shell, whose inner generator is H,
+    forms neither.  The rows agree with the site-basis loop as below the
+    cap (``check_shell_rows``)."""
+    cfg = small("chain-10", sweeps={"lr_lambda": 2})  # the cap, which the preset defaults to
+    report = RUNNERS["lr"](cfg)
+    assert report.passed
+    rows = [r for r in report.records if r["check"] == "shells"]
+    rotations = [(id(d), n) for kind, d, _, n in shell_sweep.made if kind == "rotate"]
+    overlaps = [(id(d), id(e), n) for kind, d, e, n in shell_sweep.made if kind == "overlap"]
+    assert len(rotations) == len(set(rotations)) == 16
+    assert len({d for d, _ in rotations}) == 4
+    assert len(overlaps) == len(set(overlaps)) == 12
+    check_shell_rows(cfg, rows, shell_sweep.calls)
+
+
+def test_lr_traced_peak_is_flat_in_the_time_grid():
+    """``lr`` keeps no evolved operator across times: on chain-10 its
+    traced peak with 8 times stays within one block of the largest sector
+    (210 states, complex) of its peak with 2 times."""
+    peaks = []
+    for times in ([0.25, 0.5], [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5]):
+        cfg = small("chain-10", sweeps={"times": times})
+        tracemalloc.start()
+        try:
+            assert RUNNERS["lr"](cfg).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 210 * 210 * 16, peaks
 
 
 def test_local_approx_reuses_the_full_sum_on_the_scene_hamiltonian(monkeypatch):
