@@ -20,8 +20,8 @@ nonzero sector blocks in the site basis: one rotation into the eigenbasis
 per sector pair, then phases and a back-rotation per time.
 ``_shell_distances``, the light-cone check's kernel, never rotates back:
 it takes the norm of the difference of two evolutions in one generator's
-eigenbasis.  Natural units throughout: hbar = 1, time in inverse units of
-the hopping energy.
+eigenbasis; no kernel slices an operator, each reads ``op.blocks``.  Natural
+units throughout: hbar = 1, time in inverse units of the hopping energy.
 """
 
 import functools
@@ -123,25 +123,24 @@ class SpectralDecomposition:
     def _window(self, rows: slice, cols: slice) -> np.ndarray:
         """``vectors[rows, cols]`` for two basic slices, from the sector
         arrays: a view of one sector's array where the window lies inside
-        it (a sector's own slice twice gives the whole array), otherwise a
-        new C-ordered array with the off-sector entries zero.  No array
-        past the window is formed."""
+        it, otherwise a new C-ordered array with the off-sector entries
+        zero.  No array past the window is formed."""
         (r0, r1, _), (c0, c1, _) = rows.indices(self.dimension), cols.indices(self.dimension)
-        for lo, hi, V in self._sectors:
+        sectors = [(sl.start, sl.stop, V) for (_, sl), V in zip(self.sector_slices(), self.sector_vectors)]
+        for lo, hi, V in sectors:
             if lo <= min(r0, c0) and max(r1, c1) <= hi:
                 return V[r0 - lo : r1 - lo, c0 - lo : c1 - lo]
         out = np.zeros((r1 - r0, c1 - c0), dtype=np.result_type(np.float64, *self.sector_vectors))
-        for lo, hi, V in self._sectors:
+        for lo, hi, V in sectors:
             a, b, c, e = max(r0, lo), min(r1, hi), max(c0, lo), min(c1, hi)
             if a < b and c < e:
                 out[a - r0 : b - r0, c - c0 : e - c0] = V[a - lo : b - lo, c - lo : e - lo]
         return out
 
     @functools.cached_property
-    def _sectors(self) -> list[tuple[int, int, np.ndarray]]:
-        """(first row, row stop, eigenvector array) per sector, formed once:
-        ``_window`` reads it hundreds of times a pass."""
-        return [(sl.start, sl.stop, V) for (_, sl), V in zip(self.sector_slices(), self.sector_vectors)]
+    def _vectors(self) -> dict[int, np.ndarray]:
+        """The eigenvector array of each sector, keyed by particle number."""
+        return {n: V for (n, _), V in zip(self.sector_slices(), self.sector_vectors)}
 
     def propagate(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
         """exp(-i H t) applied through the eigenbasis."""
@@ -166,24 +165,20 @@ class SpectralDecomposition:
             out[sl] = _real_matmul(Vn, coeff)
         return out
 
-    def rotate(self, matrix, rows: slice = slice(None), cols: slice | None = None) -> np.ndarray:
-        """V^* M V: the operator in the eigenbasis (dense), or, for sector
-        slices ``rows`` and ``cols`` (default: the same as ``rows``), the
-        block V_m^* M_mn V_n."""
-        cols = rows if cols is None else cols
-        Vm, Vn = self._window(rows, rows), self._window(cols, cols)
-        return _real_matmul(Vm.conj().T, _real_matmul(matrix[rows, cols], Vn))
+    def rotate(self, block, m: int, n: int | None = None) -> np.ndarray:
+        """V_m^* M V_n, dense, for the block M of row sector ``m`` and
+        column sector ``n`` (default: ``m``)."""
+        Vm, Vn = self._vectors[m], self._vectors[m if n is None else n]
+        return _real_matmul(Vm.conj().T, _real_matmul(block, Vn))
 
-    def overlap(self, other: "SpectralDecomposition", rows: slice) -> np.ndarray:
-        """U_n^* V_n for the sector slice ``rows``, with U this
-        decomposition's eigenvectors and V those of ``other`` on the same
-        basis: ``other``'s eigenvectors in this eigenbasis."""
-        U, V = self._window(rows, rows), other._window(rows, rows)
-        return _real_matmul(U.conj().T, V)
+    def overlap(self, other: "SpectralDecomposition", n: int) -> np.ndarray:
+        """U_n^* V_n for sector ``n``, U this decomposition's eigenvectors and
+        V those of ``other``: ``other``'s eigenvectors in this eigenbasis."""
+        return _real_matmul(self._vectors[n].conj().T, other._vectors[n])
 
-    def strip_block(self, A, B, rows: slice, lower: bool) -> np.ndarray:
-        """C = A~ o B~^T, with X~ = V_n^* X V_n for the sector slice
-        ``rows``: the matrix of the thermal strip sum (``GreenFunction``).
+    def strip_block(self, A, B, n: int, lower: bool) -> np.ndarray:
+        """C = A~ o B~^T, with X~ = V_n^* X V_n for the blocks A and B of
+        sector ``n``: the matrix of the thermal strip sum (``GreenFunction``).
 
         For ``lower`` (real symmetric A and B under real eigenvectors, so
         A~ and B~ are symmetric and C_jk = A~_jk B~_jk) only the lower
@@ -199,22 +194,22 @@ class SpectralDecomposition:
         (tracemalloc) on the canonical 9-site chain with 5 particles
         (D = 1,287, a hop and a 1/(1+n)).
         """
-        V = self._window(rows, rows)
+        V = self._vectors[n]
         if not lower:
             # C^T = A~^T o B~ in C order, A~^T = conj(V^* A^H V): C comes out
             # in Fortran order, so a real block of columns multiplies a
             # complex C as one real GEMM on its interleaved parts, in place
-            CT = self.rotate(A.conj().T, rows)
+            CT = self.rotate(A.conj().T, n)
             CT = np.conjugate(CT, out=CT).astype(np.result_type(V, A, B), copy=False)
-            for cols, panel in self._rotate_panels(B, rows):
+            for cols, panel in self._rotate_panels(B, n):
                 CT[:, cols] *= panel
                 del panel  # one panel alive at a time
             return CT.T
-        n = V.shape[0]
-        C = np.zeros((n, n), order="F")
-        factor = self._syrk_factor(A, rows)
+        size = V.shape[0]
+        C = np.zeros((size, size), order="F")
+        factor = self._syrk_factor(A, n)
         if factor is None:
-            for cols, panel in self._rotate_panels(A, rows, lower=True):
+            for cols, panel in self._rotate_panels(A, n, lower=True):
                 C[cols.start :, cols] = panel
                 del panel
         else:
@@ -224,19 +219,19 @@ class SpectralDecomposition:
                     if len(part):
                         C = blas.dsyrk(alpha, part.T, beta=1.0, c=C, lower=1, overwrite_c=1)
                 del W, part  # freed before the next batch is formed
-            C[np.diag_indices(n)] += c
-        for cols, panel in self._rotate_panels(B, rows, lower=True, factor=self._syrk_factor(B, rows)):
+            C[np.diag_indices(size)] += c
+        for cols, panel in self._rotate_panels(B, n, lower=True, factor=self._syrk_factor(B, n)):
             C[cols.start :, cols] *= panel
             del panel
         return C
 
-    def _rotate_panels(self, matrix, rows: slice, lower: bool = False, factor=None):
-        """V_n^* M V_n for the sector slice ``rows`` as column panels of
+    def _rotate_panels(self, block, n: int, lower: bool = False, factor=None):
+        """V_n^* M V_n for the block M of sector ``n`` as column panels of
         PROPAGATE_CHUNK columns: yields ``(cols, panel)`` with panel the
         rows ``lo:`` of the columns ``cols``, where lo is ``cols.start``
         for ``lower`` (the lower triangle of a real symmetric M, with the
-        panel's upper corner unspecified) and 0 otherwise.  No n x n array
-        is formed.
+        panel's upper corner unspecified) and 0 otherwise.  No block-sized
+        array is formed.
 
         With ``factor`` (M's ``_syrk_factor``, computed by the caller;
         ``lower`` only) the factor is taken whole, X with signs S (+1 for
@@ -245,35 +240,32 @@ class SpectralDecomposition:
         a panel is V[:, lo:]^* (M V[:, cols]); under real eigenvectors, one
         panel covering the block has the bits of ``rotate``.
         """
-        V = self._window(rows, rows)
-        n = V.shape[0]
-        if factor is None:
-            block = matrix[rows, rows]
-        else:
+        V = self._vectors[n]
+        if factor is not None:
             # the factor whole, in Fortran order: both GEMM operands below
             # are views of it, and each panel comes out in Fortran order
             c, size, batches = factor
-            X, sign = np.empty((size, n), order="F"), np.empty((size, 1))
+            X, sign = np.empty((size, len(V)), order="F"), np.empty((size, 1))
             at = 0
             for pos, W in batches:
                 X[at : at + len(W)], sign[at : at + len(W), 0] = W, np.where(pos, 1.0, -1.0)
                 at += len(W)
                 del W  # freed before the next batch is formed
-        for start in range(0, n, PROPAGATE_CHUNK):
-            cols = slice(start, min(start + PROPAGATE_CHUNK, n))
+        for start in range(0, len(V), PROPAGATE_CHUNK):
+            cols = slice(start, min(start + PROPAGATE_CHUNK, len(V)))
             lo = start if lower else 0
             if factor is None:
                 # V^* Y as conj(V^T conj Y): a complex V is never copied
                 panel = _real_matmul(V[:, lo:].T, _real_matmul(block, V[:, cols]).conj()).conj()
             else:
                 panel = blas.dgemm(1.0, X[:, lo:], sign * X[:, cols], trans_a=1)
-                width = cols.stop - start
-                panel[np.arange(width), np.arange(width)] += c
+                diagonal = np.arange(cols.stop - start)
+                panel[diagonal, diagonal] += c
             yield cols, panel
             del panel  # one panel alive at a time, if the caller drops its own
 
-    def _syrk_factor(self, matrix, rows: slice):
-        """The factor of V_n^T M V_n for the sector slice ``rows`` that
+    def _syrk_factor(self, block, n: int):
+        """The factor of V_n^T M V_n for the block M of sector ``n`` that
         ``strip_block`` sums by ``dsyrk`` or hands to ``_rotate_panels``,
         or None where a GEMM is cheaper: ``(c, size, batches)``.
 
@@ -290,22 +282,23 @@ class SpectralDecomposition:
         a time (a larger component alone).  A block whose components are
         too large for the SYRK to pay, and any other block, gives None.
         """
-        V = self._window(rows, rows)
-        n = V.shape[0]
-        if n < SYRK_ROWS_MIN or np.iscomplexobj(V) or np.iscomplexobj(matrix) or not sparse.issparse(matrix):
+        V = self._vectors[n]
+        width = V.shape[0]
+        if width < SYRK_ROWS_MIN or np.iscomplexobj(V) or np.iscomplexobj(block) or not sparse.issparse(block):
             return None
-        block = matrix[rows, rows].tocsr()
+        block = block.tocsr()
         if (block != block.T).nnz:
             return None
         active, c = _active_rows(block)
-        shifted = block[active][:, active] - c * sparse.identity(active.size, format="csr")
-        coo = shifted.tocoo()
+        # (M - cI)[R, R], its rows and columns picked by the 0/1 matrix P
+        P = sparse.csr_matrix((np.ones(active.size), (np.arange(active.size), active)), shape=(active.size, width))
+        coo = (P @ block @ P.T - c * sparse.identity(active.size, format="csr")).tocoo()
         coo.sum_duplicates()
         coo.eliminate_zeros()
         labels, sizes = _components(coo)
         # the component products cost 2 n sum k^2 flops, the SYRK saves
         # n^2 |R| over the GEMM
-        if 2 * np.sum(sizes.astype(np.float64) ** 2) >= n * active.size > 0:
+        if 2 * np.sum(sizes.astype(np.float64) ** 2) >= width * active.size > 0:
             return None
 
         def batches():
@@ -318,7 +311,7 @@ class SpectralDecomposition:
                     if stack.shape[1] > 1:
                         W = np.matmul(U[part].transpose(0, 2, 1), W)
                     lam_part = lam[part].ravel()
-                    W = W.reshape(lam_part.size, n)
+                    W = W.reshape(lam_part.size, width)
                     W *= np.sqrt(np.abs(lam_part))[:, None]
                     yield lam_part > 0, W
                     del W  # freed before the next batch is formed
@@ -494,12 +487,19 @@ def _mirror_eigh(block, q: np.ndarray, a: int, b: int):
     return energies[merged], out
 
 
+def _diagonal_block(op: SparseOperator, n: int):
+    """The block (n, n) of ``op.blocks``, or a zero block where none is stored."""
+    size = int(np.count_nonzero(op.basis.totals == n))
+    return op.blocks[n, n] if (n, n) in op.blocks else sparse.csr_matrix((size, size), dtype=op.matrix.dtype)
+
+
 def eigendecompose(H: SparseOperator) -> SpectralDecomposition:
     """Full eigensystem of a hermitian operator, sector block by block.
 
-    Each particle-number block is densified and diagonalized separately,
-    which keeps sector labels exact; blocks larger than ``DENSE_CAP``
-    raise a resource error (use the sparse engine "krylov" instead).
+    Each block of ``H.blocks`` (a zero block where H stores no entry) is
+    densified and diagonalized separately, which keeps sector labels exact;
+    blocks larger than ``DENSE_CAP`` raise a resource error (use the
+    sparse engine "krylov" instead).
     Each block's eigenvectors are kept as their own array
     (``SpectralDecomposition.sector_vectors``), so no D x D array is
     formed.  They take the dtype of ``H.matrix``: a real ``H`` (float64 by
@@ -517,15 +517,14 @@ def eigendecompose(H: SparseOperator) -> SpectralDecomposition:
     if not H.hermitian:
         raise InvalidArgumentError("eigendecompose expects a hermitian operator")
     basis = H.basis
-    matrix = H.matrix
     energies, vectors = np.empty(basis.dimension), []
     slices = basis.sector_slices()
-    layout = _mirror_layout(matrix, basis) or [None] * len(slices)
+    layout = _mirror_layout(H.matrix, basis) or [None] * len(slices)
     for (n, sl), halves in zip(slices, layout):
         size = sl.stop - sl.start
         if size > DENSE_CAP:
             raise ResourceLimitError(f"sector {n} has dimension {size}, above the dense cap {DENSE_CAP}")
-        block = matrix[sl, sl]
+        block = _diagonal_block(H, n)
         pair = None if halves is None else _mirror_eigh(block, *halves)
         if pair is None:
             evals, evecs = np.linalg.eigh(block.toarray())
@@ -704,27 +703,17 @@ def _evolved(H, decomp, X, times):
     return (decomp.propagate_block(X, t) for t in times)
 
 
-def _sector_pairs(matrix, basis: FockBasis) -> list[tuple[int, int]]:
-    """The (row sector, column sector) pairs where ``matrix`` stores an
-    entry, in ascending order."""
-    coo = matrix.tocoo()
-    # one integer key per entry, row total * width + column total: it sorts
-    # as the (row, column) pairs do, and a 1-D unique is far cheaper
-    width = basis.max_total + 1
-    found = np.unique(basis.totals[coo.row] * width + basis.totals[coo.col])
-    return [(int(m), int(n)) for m, n in zip(*np.divmod(found, width))]
-
-
 def _thermal_correlations(d: SpectralDecomposition, state, pairs, times, want=CORRELATION_ARRAYS):
     """``correlations`` of a thermal state on the dense route, as the exact
     double spectral sum over the eigenpairs (e, U) of the generator:
     gamma(tau_t(A) B) = sum_{m n} sum_kl e^{i(e_k - e_l)t} A~_kl M_lk over
-    the sector pairs (m, n) where A has entries, with A~ = U_m^* A_mn U_n.
+    the sector pairs (m, n) of A's blocks, with A~ = U_m^* A_mn U_n.
 
     Everything but the phases P = e^{-iet} is formed once.  The state's
     weighted columns on sector m, R_m = V_m sqrt(w_m), and their B-images
-    go into the eigenbasis: Y_m = U_m^* R_m and Z_(n<-m) = U_n^* B_nm R_m,
-    plus U_n^* (B^*)_nm R_m for BA's bra when B is not hermitian.  M is
+    go into the eigenbasis: Y_m = U_m^* R_m and Z_(n<-m) = U_n^* B_nm R_m
+    per block of B, plus U_n^* (B_mn)^* R_m for BA's bra when B is not
+    hermitian.  M is
     the Gram block Z_(n<-m) Y_m^* for AB, Y_n Z_(m<-n)^* for BA and
     Y_m Y_m^* for the plain value; each array is then
     einsum(conj(P_m), (A~ o M^T) P_n) over the whole grid.  A~ is rotated
@@ -734,7 +723,7 @@ def _thermal_correlations(d: SpectralDecomposition, state, pairs, times, want=CO
     decomposition's own blocks, plus the O(D len(times)) phases.
     """
     slices = dict(d.sector_slices())
-    U, V = dict(zip(slices, d.sector_vectors)), dict(zip(slices, state.decomp.sector_vectors))
+    U, V = d._vectors, state.decomp._vectors
     weights = state.weights
     phases = np.exp(-1j * np.multiply.outer(d.energies, np.asarray(times, dtype=np.float64)))
 
@@ -749,16 +738,13 @@ def _thermal_correlations(d: SpectralDecomposition, state, pairs, times, want=CO
             roots[m] = V[m][:, kept] * np.sqrt(weights[sl][kept])
     Y = {m: into(m, R) for m, R in roots.items()}
 
-    def images(op):
-        """Z_(n<-m) keyed (n, m), for every weighted sector m and every
-        sector n that ``op`` reaches from it."""
-        Z = {}
-        for m, R in roots.items():
-            image = _real_matmul(op[:, slices[m]], R)
-            for n, sl in slices.items():
-                if image[sl].any():
-                    Z[n, m] = into(n, image[sl])
-        return Z
+    def images(B, adjoint=False):
+        """Z_(n<-m) keyed (n, m), for every block B_nm of B (of B^* for
+        ``adjoint``) on a weighted column sector m."""
+        blocks = B.blocks
+        if adjoint:  # (B^*)_nm = (B_mn)^*, a transposed block
+            blocks = {(n, m): X.conj().T for (m, n), X in blocks.items()}
+        return {(n, m): into(n, _real_matmul(X, roots[m])) for (n, m), X in blocks.items() if m in roots}
 
     def gram(X, W):
         # X W^*; np.conjugate copies even a real W, so numpy never takes its
@@ -779,17 +765,14 @@ def _thermal_correlations(d: SpectralDecomposition, state, pairs, times, want=CO
     for p, (A, _) in enumerate(pairs):
         groups.setdefault(id(A), (A, []))[1].append(p)
     for A, members in groups.values():
-        rotated = {}
-        a_pairs = _sector_pairs(A.matrix, d.basis)
 
+        @functools.cache  # A~ once per sector pair of this A
         def tilde(m, n):
-            if (m, n) not in rotated:
-                rotated[m, n] = d.rotate(A.matrix, slices[m], slices[n])
-            return rotated[m, n]
+            return d.rotate(A.blocks[m, n], m, n)
 
         if "plain" in out or any(pairs[p][1] is None for p in members):
             M_plain = M_plain or {m: gram(Ym, Ym) for m, Ym in Y.items()}
-            plain_A = spectral_sum((m, n, tilde(m, n) * M_plain[m].T) for m, n in a_pairs if m == n and m in Y)
+            plain_A = spectral_sum((m, n, tilde(m, n) * M_plain[m].T) for m, n in A.blocks if m == n and m in Y)
         for p in members:
             B = pairs[p][1]
             if B is None:
@@ -799,15 +782,15 @@ def _thermal_correlations(d: SpectralDecomposition, state, pairs, times, want=CO
             if "plain" in out:
                 out["plain"][p] = plain_A
             if "ab" in out or ("ba" in out and B.hermitian):
-                Z = images(B.matrix)
+                Z = images(B)
             if "ab" in out:
                 out["ab"][p] = spectral_sum(
-                    (m, n, tilde(m, n) * gram(Z[n, m], Y[m]).T) for m, n in a_pairs if (n, m) in Z
+                    (m, n, tilde(m, n) * gram(Z[n, m], Y[m]).T) for m, n in A.blocks if (n, m) in Z
                 )
             if "ba" in out:
-                Zh = Z if B.hermitian else images(B.matrix.conj().T)
+                Zh = Z if B.hermitian else images(B, adjoint=True)
                 out["ba"][p] = spectral_sum(
-                    (m, n, tilde(m, n) * gram(Y[n], Zh[m, n]).T) for m, n in a_pairs if (m, n) in Zh
+                    (m, n, tilde(m, n) * gram(Y[n], Zh[m, n]).T) for m, n in A.blocks if (m, n) in Zh
                 )
     return tuple(out[name] for name in want)
 
@@ -839,7 +822,7 @@ def heisenberg_blocks(
     (``_shell_distances``), and the tests hold those against this form.
 
     The eigenvectors are block-diagonal by sector, so only the sector pairs
-    (m, n) where ``A`` has entries give a nonzero block,
+    (m, n) of ``A.blocks`` give a nonzero block,
     V_m (e^{iE_m t} A~_mn e^{-iE_n t}) V_n^*; a number-conserving ``A`` has
     the diagonal pairs only.  A~_mn = V_m^* A_mn V_n is rotated once per
     sector pair, and only the phases and the back-rotation are repeated per
@@ -856,9 +839,8 @@ def heisenberg_blocks(
     """
     d = decomposition if decomposition is not None else eigendecompose(H)
     hermitian = _exactly_hermitian(A.matrix)
-    slices = dict(d.sector_slices())
-    vecs = dict(zip(slices, d.sector_vectors))
-    rotated = {(m, n): d.rotate(A.matrix, slices[m], slices[n]) for m, n in _sector_pairs(A.matrix, d.basis)}
+    slices, vecs = dict(d.sector_slices()), d._vectors
+    rotated = {(m, n): d.rotate(block, m, n) for (m, n), block in A.blocks.items()}
     out = []
     for t in times:
         phases = np.exp(1j * d.energies * t)
@@ -890,7 +872,7 @@ def _shell_distances(
     """||e^{iG_in t} A e^{-iG_in t} - e^{iGt} A e^{-iGt}|| for every t in
     ``times``, with ``inner`` and ``full`` the decompositions (V, E_in)
     and (U, E) of G_in and G on one basis, for a number-conserving ``A``:
-    the largest norm over the sector blocks where ``A`` has entries.
+    the largest norm over the sector blocks of ``A.blocks``.
 
     The norm is unitarily invariant, so each block is taken in U's basis,
     where e^{iGt} is only the phases P = e^{iEt}: with W = U_n^* V_n and
@@ -903,8 +885,8 @@ def _shell_distances(
     ``A`` equals its conjugate transpose entry for entry, so
     ``operator_norm`` takes its ``eigh`` route.  ``rotated`` holds A~ per
     sector, filled on first use: a dict the caller keeps shares them
-    across calls on one ``full``.  When ``inner is full`` every distance
-    is exactly 0.0.
+    across calls on one ``full``.  Every distance is exactly 0.0 at t = 0,
+    where both evolutions are the identity, and when ``inner is full``.
     """
     out = np.zeros(len(times))
     if inner is full:
@@ -912,13 +894,15 @@ def _shell_distances(
     hermitian = _exactly_hermitian(A.matrix)
     slices = dict(full.sector_slices())
     rotated = {} if rotated is None else rotated
-    for n, _ in _sector_pairs(A.matrix, full.basis):
+    for (n, _), block in A.blocks.items():
         sl = slices[n]
         if n not in rotated:
-            rotated[n] = full.rotate(A.matrix, sl)
-        tilde, tilde_in = rotated[n], inner.rotate(A.matrix, sl)
-        W = full.overlap(inner, sl)
+            rotated[n] = full.rotate(block, n)
+        tilde, tilde_in = rotated[n], inner.rotate(block, n)
+        W = full.overlap(inner, n)
         for i, t in enumerate(times):
+            if t == 0:
+                continue
             phases_in, phases = np.exp(1j * inner.energies[sl] * t), np.exp(1j * full.energies[sl] * t)
             Y = phases_in[:, None] * tilde_in
             Y *= phases_in.conj()

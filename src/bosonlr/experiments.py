@@ -617,7 +617,8 @@ def run_lr_decay(cfg: ExperimentConfig) -> ExperimentReport:
     memory does not grow with the time grid.  At the cap G_full is the
     scene's H for every shell, and A~ under H is rotated once and shared;
     below it each shell decomposes its own G_full.  A shell whose inner
-    generator equals its full one reads exactly 0.0."""
+    generator equals its full one reads exactly 0.0, and so does every
+    shell at t = 0."""
     t0 = time.perf_counter()
     scene = scene_of(cfg)
     cap = cfg.basis.get("site_cap")

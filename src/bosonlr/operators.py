@@ -13,7 +13,9 @@ interaction reads a site-pair coupling table built once.
 Storage rule: ``SparseOperator`` stores its matrix as float64 unless a
 stored entry has a nonzero imaginary part, and as complex128 then.  Every
 operator this module assembles is real, so consumers read the dtype
-(``np.iscomplexobj``) instead of scanning entries.
+(``np.iscomplexobj``) instead of scanning entries.  An operator owns its
+sector blocks (``SparseOperator.blocks``), the one place the package slices
+a matrix.
 
 Conventions
 -----------
@@ -28,6 +30,7 @@ Conventions
   occupation-cutoff-projected dynamics generated by P H P.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +90,11 @@ class SparseOperator:
     ``matrix`` is stored as float64 unless some stored entry has a nonzero
     imaginary part, and as complex128 then; integer, boolean and
     single-precision data are cast on construction.
+
+    ``blocks``, formed on first read and kept, is ``{(m, n): M_mn}`` for
+    each sector pair where ``matrix`` stores an entry, in ascending order,
+    each with the entries of ``matrix[sl_m, sl_n]`` in their storage
+    order; on a single-sector basis the one block is ``matrix`` itself.
     """
 
     matrix: sparse.csr_matrix
@@ -108,6 +116,16 @@ class SparseOperator:
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
+
+    @functools.cached_property
+    def blocks(self) -> dict[tuple[int, int], sparse.csr_matrix]:
+        slices = dict(self.basis.sector_slices())
+        if len(slices) == 1:
+            return {(n, n): self.matrix for n in slices} if self.matrix.nnz else {}
+        # one key per entry, row total * width + column total, sorts as the pairs do
+        coo, totals, width = self.matrix.tocoo(), self.basis.totals, self.basis.max_total + 1
+        found = np.unique(totals[coo.row] * width + totals[coo.col])
+        return {(int(m), int(n)): self.matrix[slices[m], slices[n]] for m, n in zip(*np.divmod(found, width))}
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         _check_same_basis(self, other)
@@ -374,9 +392,7 @@ def commutator(A: SparseOperator, B: SparseOperator) -> SparseOperator:
 def conserves_number(op: SparseOperator) -> bool:
     """True when no stored entry of ``op`` joins two different total
     particle numbers, so the operator is block-diagonal by sector."""
-    coo = op.matrix.tocoo()
-    totals = op.basis.totals
-    return bool(np.array_equal(totals[coo.row], totals[coo.col]))
+    return all(m == n for m, n in op.blocks)
 
 
 def _exactly_hermitian(matrix) -> bool:

@@ -31,6 +31,7 @@ from .dynamics import (
     PROPAGATE_CHUNK,
     SpectralDecomposition,
     StateVector,
+    _diagonal_block,
     _real_matmul,
     correlations,
     eigendecompose,
@@ -191,9 +192,10 @@ def moment_sup(state, p: float) -> float:
         d, parts = state.decomp, []
         for rows in _chunks(d.dimension):
             V = d._window(rows, slice(None))
-            # |V| in place where the rows were formed, not viewed
-            parts.append(_squared(np.abs(V, out=V if V.flags.owndata else None)) @ state.weights)
-            del V  # freed before the next rows are formed
+            # |V|^2 in place where the rows were formed, not viewed
+            mags = np.abs(V, out=V if V.flags.owndata else None)
+            parts.append(np.square(mags, out=mags) @ state.weights)
+            del V, mags  # freed before the next rows are formed
         probs = np.concatenate(parts)
     occ = state.basis.occupations
     return float(np.max(((1.0 + occ) ** float(p)).T @ probs))
@@ -202,11 +204,6 @@ def moment_sup(state, p: float) -> float:
 def _chunks(n: int, width: int = PROPAGATE_CHUNK):
     """Slices of ``width`` indices covering range(n)."""
     return [slice(start, start + width) for start in range(0, n, width)]
-
-
-def _squared(x: np.ndarray) -> np.ndarray:
-    """x ** 2, in place."""
-    return np.square(x, out=x)
 
 
 def _require_number_conserving(op: SparseOperator, name: str):
@@ -277,10 +274,12 @@ class GreenFunction:
         self._hermitian = _exactly_hermitian(A.matrix) and _exactly_hermitian(B.matrix)
         real = not any(map(np.iscomplexobj, (*decomp.sector_vectors, A.matrix, B.matrix)))
         self._real = self._hermitian and real
-        slices = [sl for _, sl in state.included_slices()]
+        slices = state.included_slices()
         # sectors ascend, so the included rows are the first ``_stop``
-        self._stop = slices[-1].stop
-        self._blocks = [(sl, decomp.strip_block(A.matrix, B.matrix, sl, self._real)) for sl in slices]
+        self._stop = slices[-1][1].stop
+        self._blocks = [
+            (sl, decomp.strip_block(_diagonal_block(A, n), _diagonal_block(B, n), n, self._real)) for n, sl in slices
+        ]
         self._cache: dict[complex, complex] = {}
         # the real part of the last point read, and the depths read at it
         # (clamped, in first-read order): the row a new t may batch

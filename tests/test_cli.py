@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -584,3 +585,19 @@ def test_a_degenerate_fit_writes_a_strict_json_summary(tmp_path):
     (path,) = out.glob("cutoff-*.json")
     summary = json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)["summary"]
     assert summary["fitted_lambda_exponent"] is None
+
+
+@pytest.mark.parametrize("sweeps", [{}, {"lr_lambda": 1}])
+def test_lr_at_time_zero_measures_exactly_zero(tmp_path, sweeps):
+    # tau_0 is the identity under every generator, so each shell's distance
+    # at t = 0 is exactly 0.0, as the light-cone bound there is, at the cap
+    # and below it; rounding of a few 1e-15 would fail the check
+    data = {"preset": "chain-10", "experiments": ["lr"], "sweeps": {**sweeps, "times": [0.0, 0.25]}}
+    out = tmp_path / "out"
+    assert main(["lr", "--config", write_cfg(tmp_path, data), "--out", str(out)]) == EXIT_PASS
+    (path,) = out.glob("lr-*.csv")
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
+    shells = [row for row in csv.DictReader(lines) if row["check"] == "shells"]
+    at_zero = [row for row in shells if float(row["t"]) == 0.0]
+    assert len(at_zero) == len(shells) // 2 == 4
+    assert all(row["measured"] == "0.0" for row in at_zero)

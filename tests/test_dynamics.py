@@ -233,7 +233,7 @@ def test_mirror_split_matches_plain_eigh_at_1287_states(eigh_sizes):
     for op, rows, shift in ((A, 825, 0.0), (B, 495, 1.0)):
         active, c = _active_rows(op.matrix.tocsr())
         assert (active.size, c) == (rows, shift)
-        got = d.rotate(op.matrix)
+        got = d.rotate(op.blocks[5, 5], 5)
         want = V.T @ (op.matrix.real @ V)
         assert np.abs(got - want).max() <= 1e-13 * operator_norm(op)
     points = [0.0, 1.5, complex(-0.7, -0.4), complex(2.0, -1.0)]
@@ -548,9 +548,10 @@ def test_shell_distances_against_dense_conjugation(complex_inner):
     e^{iG_in t} A e^{-iG_in t} - e^{iGt} A e^{-iGt}, here by dense ``expm``
     on three sectors of a 4-site chain: for a real G_in (real overlaps W)
     and for one with a complex number-conserving hop (complex W), with a
-    hermitian A, and for a non-hermitian A (its SVD route).  With
-    ``inner is full`` every distance is exactly 0.0, and a dict passed as
-    ``rotated`` keeps A~ per sector without changing a bit."""
+    hermitian A, and for a non-hermitian A (its SVD route).  At t = 0,
+    and with ``inner is full`` at every time, the distance is exactly 0.0;
+    a dict passed as ``rotated`` keeps A~ per sector without changing a
+    bit."""
     from scipy.linalg import expm
 
     g, reg, basis, H = chain_model(4, n_max=3, cap=2)
@@ -573,11 +574,66 @@ def test_shell_distances_against_dense_conjugation(complex_inner):
             heis_in = expm(1j * t * G_in.to_dense()) @ A.to_dense() @ expm(-1j * t * G_in.to_dense())
             heis = expm(1j * t * H.to_dense()) @ A.to_dense() @ expm(-1j * t * H.to_dense())
             assert value == pytest.approx(np.linalg.norm(heis_in - heis, 2), abs=1e-12)
-        assert got[0] < 1e-13 < got[-1]
+        assert got[0] == 0.0 < got[-1]  # tau_0 is the identity under both generators
         rotated = {}
         assert np.array_equal(_shell_distances(A, times, inner, full, rotated), got)
         assert rotated and np.array_equal(_shell_distances(A, times, inner, full, rotated), got)
         assert not _shell_distances(A, times, full, full).any()
+
+
+@pytest.mark.parametrize("where", ["chain-4", "sector-1287"])
+def test_kernels_read_operator_blocks_and_never_slice(monkeypatch, where):
+    """Every spectral kernel reads the sector blocks an operator owns
+    (``SparseOperator.blocks``): with the blocks of H, G_in, A and the Bs
+    formed first and scipy's sparse ``__getitem__`` patched to raise,
+    ``eigendecompose``, the thermal ``correlations`` ("ab", "ba" and
+    "plain", with a hermitian B, a non-hermitian B and B = None),
+    ``_shell_distances``, ``heisenberg_blocks`` and ``GreenFunction.values``
+    all run: on the multi-sector chain-4 scene, where the strip takes the
+    panel route (and the full route for the non-hermitian pair), and on
+    the 1,287-state sector, where it takes the SYRK route."""
+    from scipy.sparse._index import IndexMixin
+
+    if where == "chain-4":
+        scene = scene_of(from_preset("chain-4"))
+        g, H = scene.graph, scene.H
+    else:
+        g, _, _, H = chain_model(9, sector=5, U=1.0)
+    basis = H.basis
+    G_in = assemble_hamiltonian(g, region(g, [0, 1, 2]), basis, ModelParams(hopping=1.0, onsite=0.3))
+    A = local_observable(basis, {"kind": "normalized_hop", "sites": [1, 2]})
+    B = local_observable(basis, {"kind": "number_function", "site": 2, "fn": "inv_one_plus_n"})
+    B_skew = hop_term(basis, 2, 3)
+    assert not B_skew.hermitian and len(basis.sector_slices()) == (9 if where == "chain-4" else 1)
+    for op in (H, G_in, A, B, B_skew):
+        assert op.blocks
+
+    def refuse(self, key):
+        raise AssertionError(f"a kernel sliced a sparse matrix at {key!r}")
+
+    monkeypatch.setattr(IndexMixin, "__getitem__", refuse)
+    with pytest.raises(AssertionError, match="sliced"):
+        H.matrix[0:1, 0:1]
+    times = [0.0, 0.5]
+    d, d_in = eigendecompose(H), eigendecompose(G_in)
+    # canonical on the single-sector basis, where mu and n_max are not read
+    state = gibbs_state(H, 1.0, -2.0, 8, tail_tol=1e-8, decomposition=d)
+    arrays = dynamics.correlations(H, state, [(A, B), (A, B_skew), (A, None)], times, d, "dense")
+    assert all(np.isfinite(x).all() for x in arrays)
+    assert _shell_distances(A, times, d_in, d)[1] > 0.0
+    assert len(heisenberg_blocks(H, A, times, d)) == 2
+    dsyrk, syrk_calls = dynamics.blas.dsyrk, []
+
+    def spy(*args, **kwargs):
+        syrk_calls.append(args[0])
+        return dsyrk(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics.blas, "dsyrk", spy)
+    real, skew = GreenFunction(state, A, B), GreenFunction(state, A, B_skew)
+    assert real._real and not skew._real
+    assert bool(syrk_calls) == (where == "sector-1287")
+    for gf in (real, skew):
+        assert np.isfinite(gf.values([0.0, complex(0.5, -0.5)])).all()
 
 
 def quad_amplitude(x, t, n=20001):
@@ -806,7 +862,7 @@ def test_strip_block_takes_two_syrks_on_every_kind_of_spectrum(monkeypatch):
     called."""
     g, _, basis, H = chain_model(6, sector=3, U=0.5)
     d = eigendecompose(H)
-    sl = basis.sector_slices()[0][1]
+    n, sl = basis.sector_slices()[0]
     V = d.vectors[sl, sl]
     hop = local_observable(basis, {"kind": "normalized_hop", "sites": [2, 3]})
     hops = [hop, hop_term(basis, 4, 5).matrix, hop_term(basis, 5, 4).matrix]
@@ -818,7 +874,7 @@ def test_strip_block_takes_two_syrks_on_every_kind_of_spectrum(monkeypatch):
         (shifted_operator(basis, hops + [number_operator(basis, 0)], 0.5), [1.0, -1.0]),
     ]
     for A, _ in cases:
-        assert np.array_equal(d.strip_block(A.matrix, B, sl, True), d.rotate(A.matrix, sl) * d.rotate(B, sl))
+        assert np.array_equal(d.strip_block(A.matrix, B, n, True), d.rotate(A.matrix, n) * d.rotate(B, n))
     syrk, signs, widths = dynamics.blas.dsyrk, [], []
 
     def spy(alpha, a, *args, **kwargs):
@@ -831,7 +887,7 @@ def test_strip_block_takes_two_syrks_on_every_kind_of_spectrum(monkeypatch):
     dense_B = V.T @ B.toarray()[sl, sl] @ V
     for A, want_signs in cases:
         signs.clear()
-        got = d.strip_block(A.matrix, B, sl, True)
+        got = d.strip_block(A.matrix, B, n, True)
         M = A.matrix.toarray().real
         assert sorted(set(signs), reverse=True) == want_signs
         assert max(widths) <= dynamics.PROPAGATE_CHUNK
@@ -845,24 +901,24 @@ def test_strip_block_takes_two_syrks_on_every_kind_of_spectrum(monkeypatch):
     dense = SparseOperator(sp.csr_matrix(np.ones((56, 56))), basis, True)
     factor, factored = dynamics.SpectralDecomposition._syrk_factor, []
 
-    def count(self, matrix, rows):
-        factored.append(matrix)
-        return factor(self, matrix, rows)
+    def count(self, block, n):
+        factored.append(block)
+        return factor(self, block, n)
 
     for A in (skew, dense):
-        assert d._syrk_factor(A.matrix, sl) is None
+        assert d._syrk_factor(A.matrix, n) is None
         monkeypatch.setattr(dynamics.SpectralDecomposition, "_syrk_factor", count)
-        got = d.strip_block(A.matrix, dense.matrix, sl, True)
+        got = d.strip_block(A.matrix, dense.matrix, n, True)
         monkeypatch.setattr(dynamics.SpectralDecomposition, "_syrk_factor", factor)
-        assert np.array_equal(got, d.rotate(A.matrix, sl) * d.rotate(dense.matrix, sl))
+        assert np.array_equal(got, d.rotate(A.matrix, n) * d.rotate(dense.matrix, n))
         # each observable is offered to the SYRK route once, also where it is refused
         assert len(factored) == 2 and factored[0] is A.matrix and factored[1] is dense.matrix
         factored.clear()
     W = sp.diags(np.exp(1j * (basis.occupations @ rng.uniform(0.0, 2.0 * np.pi, 6))))
     d_gauge = eigendecompose(SparseOperator((W @ H.matrix @ W.conj().T).tocsr(), basis, True))
     assert d_gauge.vectors.dtype == np.complex128
-    assert d_gauge._syrk_factor(hop.matrix, sl) is None
-    got = d_gauge.strip_block(hop.matrix, hop.matrix, sl, False)
-    want = d_gauge.rotate(hop.matrix, sl) * d_gauge.rotate(hop.matrix, sl).T
+    assert d_gauge._syrk_factor(hop.matrix, n) is None
+    got = d_gauge.strip_block(hop.matrix, hop.matrix, n, False)
+    want = d_gauge.rotate(hop.matrix, n) * d_gauge.rotate(hop.matrix, n).T
     assert got.dtype == np.complex128 and np.abs(got - want).max() <= 1e-14
     assert signs == []

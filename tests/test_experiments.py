@@ -370,9 +370,8 @@ def shell_sweep(monkeypatch):
     ``_shell_distances`` call as (A, times, inner, full), and ``made``
     every rotation of A (``SpectralDecomposition.rotate``) and every
     overlap W (``SpectralDecomposition.overlap``) made inside one, as
-    (kind, decomposition, other decomposition or None, first row of the
-    sector).  The decompositions are kept alive, so their ids stay
-    distinct."""
+    (kind, decomposition, other decomposition or None, sector).  The
+    decompositions are kept alive, so their ids stay distinct."""
     from types import SimpleNamespace
 
     from bosonlr import experiments
@@ -381,15 +380,15 @@ def shell_sweep(monkeypatch):
     calls, made, inside = [], [], []
     rotate, overlap, kernel = SpectralDecomposition.rotate, SpectralDecomposition.overlap, experiments._shell_distances
 
-    def counting_rotate(self, matrix, rows=slice(None), cols=None):
+    def counting_rotate(self, block, m, n=None):
         if inside:
-            made.append(("rotate", self, None, rows.start))
-        return rotate(self, matrix, rows, cols)
+            made.append(("rotate", self, None, m))
+        return rotate(self, block, m, n)
 
-    def counting_overlap(self, other, rows):
+    def counting_overlap(self, other, n):
         if inside:
-            made.append(("overlap", self, other, rows.start))
-        return overlap(self, other, rows)
+            made.append(("overlap", self, other, n))
+        return overlap(self, other, n)
 
     def flagged_kernel(A, times, inner, full, rotated=None):
         calls.append((A, times, inner, full))

@@ -46,7 +46,7 @@ from bosonlr import (
     total_number,
 )
 from bosonlr import dynamics
-from bosonlr.dynamics import CORRELATION_ARRAYS, _krylov_evolve, _real_matmul, _sector_pairs
+from bosonlr.dynamics import CORRELATION_ARRAYS, _krylov_evolve, _real_matmul
 from bosonlr.experiments import _binomial_direct
 from bosonlr.lattice import Region
 from bosonlr.operators import same_matrix, zero_operator
@@ -450,9 +450,9 @@ def rotate_phase_back_rotate(d, A, t):
     dense = A.to_dense()
     hermitian = np.array_equal(dense, dense.conj().T)
     out = np.zeros((d.dimension, d.dimension), dtype=np.complex128)
-    for m, n in _sector_pairs(A.matrix, d.basis):
+    for (m, n), block in A.blocks.items():
         sm, sn = slices[m], slices[n]
-        evolved = (phases[sm, None] * d.rotate(A.matrix, sm, sn)) * phases[sn].conj()
+        evolved = (phases[sm, None] * d.rotate(block, m, n)) * phases[sn].conj()
         Vm, Vn = d.vectors[sm, sm], d.vectors[sn, sn]
         X = _real_matmul(_real_matmul(Vm, evolved), Vn.conj().T)
         out[sm, sn] = (X + X.conj().T) / 2 if hermitian and m == n else X
@@ -460,18 +460,37 @@ def rotate_phase_back_rotate(d, A, t):
 
 
 @settings(max_examples=60, deadline=None)
-@given(gb=bases(), conserving=st.booleans(), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_sector_pairs_match_the_two_column_unique(gb, conserving, density, seed):
-    """``_sector_pairs`` keys each stored entry by row total * (max total
-    + 1) + column total and takes a 1-D unique: the same pairs in the same
-    order as the two-column ``np.unique(..., axis=0)`` of the totals."""
+@given(
+    gb=bases(),
+    conserving=st.booleans(),
+    real=st.booleans(),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sector_pairs_match_the_two_column_unique(gb, conserving, real, density, seed):
+    """``SparseOperator.blocks`` keys each stored entry by row total *
+    (max total + 1) + column total and takes a 1-D unique: the same pairs
+    in the same order as the two-column ``np.unique(..., axis=0)`` of the
+    totals, for a real or complex, conserving or sector-mixing operator.
+    Each block stores exactly the entries of ``matrix[sl_m, sl_n]`` in the
+    same order, and on a single-sector basis the one block is ``matrix``
+    itself."""
     _, basis = gb
     assume(basis.dimension > 0)
     rng = np.random.default_rng(seed)
-    A = random_operator(basis, rng, conserving=conserving, hermitian=False, density=density)
+    A = random_operator(basis, rng, conserving=conserving, hermitian=False, real=real, density=density)
     coo = A.matrix.tocoo()
     stacked = np.column_stack([basis.totals[coo.row], basis.totals[coo.col]])
-    assert _sector_pairs(A.matrix, basis) == [(int(m), int(n)) for m, n in np.unique(stacked, axis=0)]
+    assert list(A.blocks) == [(int(m), int(n)) for m, n in np.unique(stacked, axis=0)]
+    slices = dict(basis.sector_slices())
+    for (m, n), block in A.blocks.items():
+        want = A.matrix[slices[m], slices[n]]
+        assert block.dtype == A.matrix.dtype
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(block, name), getattr(want, name))
+    if len(slices) == 1:
+        ((_, block),) = A.blocks.items()
+        assert block is A.matrix
 
 
 @settings(max_examples=30, deadline=None)
@@ -512,7 +531,7 @@ def test_heisenberg_blocks_scatter_to_heisenberg_operator_bitwise(gb, J, U, gaug
         evolved = heisenberg_blocks(H, A, times, d)
         assert len(evolved) == len(times)
         for t, blocks in zip(times, evolved):
-            assert sorted(blocks) == _sector_pairs(A.matrix, basis)
+            assert sorted(blocks) == list(A.blocks)
             scattered = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
             for (m, n), block in blocks.items():
                 scattered[slices[m], slices[n]] = block
@@ -621,9 +640,9 @@ def test_active_row_rotation_matches_dense_rotation(gb, J, U, gauge, data, seed)
     """``rotate`` against the dense V_m^* M V_n within 1e-13 ||M|| for a
     diagonal A (mostly 1, so few rows active), a normalized hop, a
     sector-mixing A and a full-pattern A (every row active), on every
-    sector pair where A has entries and on the whole matrix, under a real
-    and a gauge-complex generator; every block has the bits of the plain
-    formula V_m^* (M V_n)."""
+    block of ``A.blocks`` (on a single-sector basis the whole matrix),
+    under a real and a gauge-complex generator; every block has the bits
+    of the plain formula V_m^* (M V_n) on the sliced block."""
     g, basis = gb
     assume(basis.dimension > 0)
     rng = np.random.default_rng(seed)
@@ -644,9 +663,9 @@ def test_active_row_rotation_matches_dense_rotation(gb, J, U, gauge, data, seed)
     for A in observables:
         dense = A.matrix.toarray()
         norm = float(np.linalg.norm(dense, 2))
-        blocks = [(slices[m], slices[n]) for m, n in _sector_pairs(A.matrix, basis)]
-        for rows, cols in blocks + [(slice(None), slice(None))]:
-            got = d.rotate(A.matrix, rows, cols)
+        for (m, n), block in A.blocks.items():
+            rows, cols = slices[m], slices[n]
+            got = d.rotate(block, m, n)
             Vm, Vn = d.vectors[rows, rows], d.vectors[cols, cols]
             assert np.abs(got - Vm.conj().T @ dense[rows, cols] @ Vn).max() <= 1e-13 * norm
             want = _real_matmul(Vm.conj().T, _real_matmul(A.matrix[rows, cols], Vn))
@@ -698,14 +717,14 @@ def test_syrk_lower_triangle_matches_dense_rotation(gb, J, U, shift, sign, data,
         for M, N in zip(observables, observables[1:] + observables[:1]):
             dense, other = M.toarray().real, N.toarray().real
             scale = 2e-13 * np.linalg.norm(dense, 2) * np.linalg.norm(other, 2)
-            for _, sl in d.sector_slices():
-                V = d.vectors[sl, sl]
-                got = d.strip_block(M, N, sl, True)
+            for n, sl in d.sector_slices():
+                V, Mn, Nn = d.vectors[sl, sl], M[sl, sl], N[sl, sl]
+                got = d.strip_block(Mn, Nn, n, True)
                 want = (V.T @ dense[sl, sl] @ V) * (V.T @ other[sl, sl] @ V)
                 assert np.abs(np.tril(got - want)).max() <= scale
-                unfactored = d._syrk_factor(M, sl) is None and d._syrk_factor(N, sl) is None
+                unfactored = d._syrk_factor(Mn, n) is None and d._syrk_factor(Nn, n) is None
                 if unfactored and V.shape[0] <= dynamics.PROPAGATE_CHUNK:
-                    assert np.array_equal(got, d.rotate(M, sl) * d.rotate(N, sl))
+                    assert np.array_equal(got, d.rotate(Mn, n) * d.rotate(Nn, n))
 
 
 def complex_point(gf, z):
@@ -819,7 +838,8 @@ def test_panel_built_strip_matrix_matches_two_rotations(g, n_max, grand, J, U, p
     d = gam.decomp
     scale = 1e-14 * operator_norm(A) * operator_norm(B)
     for rows, C in gf._blocks:
-        want = d.rotate(A.matrix, rows) * d.rotate(B.matrix, rows).T
+        n = int(d.basis.totals[rows.start])
+        want = d.rotate(A.matrix[rows, rows], n) * d.rotate(B.matrix[rows, rows], n).T
         if gf._real:
             assert C.flags.f_contiguous
             C, want = np.tril(C), np.tril(want)

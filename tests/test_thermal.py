@@ -893,9 +893,9 @@ def test_green_function_builds_its_block_in_one_and_a_half_d_squared(length, syr
     assert peak <= 1.5 * D * D * 8
     # only A's factor (the 825 active rows of the hop) goes through dsyrk
     assert sum(calls) == (825 if syrk else 0)
-    ((rows, C),) = gf._blocks
+    ((_, C),) = gf._blocks
     d = gam.decomp
-    want = d.rotate(A.matrix, rows) * d.rotate(B.matrix, rows)
+    want = d.rotate(A.blocks[5, 5], 5) * d.rotate(B.blocks[5, 5], 5)
     assert np.abs(np.tril(C - want)).max() <= 1e-14 * operator_norm(A) * operator_norm(B)
 
 
